@@ -64,18 +64,6 @@ def _metrics_row(run: scenarios.SweepRun) -> dict:
     return row
 
 
-def _write_table(rows: list, path: Path) -> None:
-    columns: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(str(row.get(c, "")) for c in columns))
-    data_io._atomic_write_text("\n".join(lines) + "\n", path)
-
-
 def cmd_calibrate(args) -> int:
     config = data_io.load_config(args.config)
     data_dir = _data_dir(args)
@@ -124,7 +112,7 @@ def _resolve_scenario(value: str, config: data_io.RunConfig) -> scenarios.Scenar
         with open(path) as fh:
             raw = json.load(fh)
         name = raw.pop("name", path.stem)
-        return data_io._parse_scenario(name, raw, f"{path}")
+        return scenarios.Scenario.from_dict(name, raw, str(path))
     raise data_io.DataFormatError(
         f"unknown scenario {value!r} (not a config scenario or a readable file); "
         f"known scenarios: {sorted(config.scenarios)}"
@@ -159,16 +147,13 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+# the key of each configured sweep section that holds the swept values
+_SWEEP_VALUES = {"start": "dates", "intensity": "values", "duration": "weeks"}
+
+
 def _parse_sweep_values(axis: str, raw: str | None, config: data_io.RunConfig):
-    section = config.sweeps[axis]
-    if raw is None or raw == "":
-        if raw == "":
-            raise data_io.DataFormatError("empty --values list")
-        return {
-            "start": section.get("dates"),
-            "intensity": section.get("values"),
-            "duration": section.get("weeks"),
-        }[axis]
+    if raw is None:
+        return config.sweeps[axis].get(_SWEEP_VALUES[axis])
     items = [v for v in raw.split(",") if v != ""]
     if not items:
         raise data_io.DataFormatError("empty --values list")
@@ -198,20 +183,9 @@ def cmd_sweep(args) -> int:
     ratio_dates = [d for d in config.ratio_dates()
                    if max(base.start_date, reference.dates[0]) <= d
                    <= min(base.end_of_interest, reference.dates[-1])] or None
-    section = config.sweeps[args.axis]
-    common = dict(reference=reference, ratio_dates=ratio_dates, jobs=args.jobs, base=base)
-    if args.axis == "start":
-        runs = scenarios.sweep_start_dates(
-            params, values, intensity=section["intensity"],
-            duration_weeks=section["duration_weeks"], **common)
-    elif args.axis == "intensity":
-        runs = scenarios.sweep_intensity(
-            params, values, start_date=section["start_date"],
-            duration_weeks=section["duration_weeks"], **common)
-    else:
-        runs = scenarios.sweep_duration(
-            params, values, start_date=section["start_date"],
-            intensity=section["intensity"], **common)
+    fixed = {k: v for k, v in config.sweeps[args.axis].items() if k != _SWEEP_VALUES[args.axis]}
+    runs = scenarios.sweep(params, args.axis, values, **fixed, reference=reference,
+                           ratio_dates=ratio_dates, jobs=args.jobs, base=base)
 
     files = []
     rows = [_metrics_row(scenarios.SweepRun(
@@ -225,7 +199,7 @@ def cmd_sweep(args) -> int:
             data_io.write_trajectory(run.trajectory, out_dir / name)
             files.append(name)
             plot_series.append(run.trajectory)
-    _write_table(rows, out_dir / "comparison.csv")
+    data_io.write_table(rows, out_dir / "comparison.csv")
     data_io.write_json(rows, out_dir / "comparison.json")
     files.extend(["comparison.csv", "comparison.json"])
     files.extend(plotting.emit_plots(plot_series, ["I", "D", "Y", "C"], out_dir))
@@ -267,7 +241,7 @@ def cmd_backtest(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     data_io.write_trajectory(trajectory, out_dir / "backtest_trajectory.csv")
     data_io.write_json(report, out_dir / "backtest_report.json")
-    _write_table(report["rows"], out_dir / "backtest_table.csv")
+    data_io.write_table(report["rows"], out_dir / "backtest_table.csv")
     _write_manifest(out_dir, "backtest",
                     ["backtest_trajectory.csv", "backtest_report.json", "backtest_table.csv"],
                     {"params_digest": params.digest()})

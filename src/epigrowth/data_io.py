@@ -11,24 +11,20 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import os
 import tempfile
 from dataclasses import dataclass
 from datetime import date
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from .calibration import AnnualSeries, CaseSeries
-from .params import ModelParams
-from .scenarios import PolicySchedule, Scenario, Trajectory
+from .params import DataFormatError, ModelParams, check_keys, default_config, parse_date
+from .scenarios import Scenario, Trajectory
 
 log = logging.getLogger(__name__)
-
-
-class DataFormatError(ValueError):
-    """Malformed input data or configuration."""
 
 
 KIND_COLUMNS = {
@@ -110,9 +106,12 @@ def _read_rows(manifest: DatasetManifest) -> list:
 
 def _parse_float(raw: str, path: Path, row_number: int, column: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except (TypeError, ValueError):
         raise DataFormatError(f"{path}: row {row_number}: non-numeric {column!r} value {raw!r}") from None
+    if not math.isfinite(value):
+        raise DataFormatError(f"{path}: row {row_number}: non-finite {column!r} value {raw!r}")
+    return value
 
 
 def load_annual_series(manifest: DatasetManifest) -> AnnualSeries:
@@ -212,6 +211,20 @@ def _atomic_write_text(text: str, path: Path) -> None:
         raise
 
 
+def write_table(rows: list, path) -> None:
+    """CSV of dict rows; the columns are the union of the rows' keys in
+    first-seen order, and a row's missing keys are written empty."""
+    columns: list[str] = []
+    for row in rows:
+        for key in row:
+            if key not in columns:
+                columns.append(key)
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(str(row.get(c, "")) for c in columns))
+    _atomic_write_text("\n".join(lines) + "\n", Path(path))
+
+
 def write_trajectory(trajectory: Trajectory, path) -> None:
     """One CSV row per day; floats via repr, so reading back is lossless."""
     lines = [",".join(TRAJECTORY_HEADER)]
@@ -245,6 +258,12 @@ def read_trajectory(path, scenario_name: str | None = None) -> Trajectory:
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     data = np.array(rows).T
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        column, row = bad[np.argmin(bad[:, 1])]
+        raise DataFormatError(
+            f"{path}: row {row + 2}: non-finite {TRAJECTORY_HEADER[column + 1]!r} value {data[column, row]!r}"
+        )
     named = dict(zip(TRAJECTORY_HEADER[1:], data))
     return Trajectory(
         scenario_name=scenario_name or path.stem,
@@ -283,16 +302,6 @@ def write_json(obj, path) -> None:
 # Run configuration
 
 
-def default_config() -> dict:
-    """The shipped configuration: published parameter values, baseline
-    scenario table, and the default experiment grids."""
-    text = resources.files("epigrowth").joinpath("default_config.json").read_text()
-    return json.loads(text)
-
-
-_SCENARIO_KEYS = {"start_date", "n0", "i0", "r0", "d0", "b0", "a0", "k0",
-                  "end_of_interest", "horizon", "schedule"}
-_SCHEDULE_KEYS = {"start_date", "intensity", "duration_weeks"}
 _SWEEP_KEYS = {
     "start": {"dates", "intensity", "duration_weeks"},
     "intensity": {"values", "start_date", "duration_weeks"},
@@ -304,12 +313,6 @@ _METRICS_KEYS = {"output_ratio_dates"}
 _BACKTEST_KEYS = {"start_year", "end_year", "tolerance", "horizon"}
 
 
-def _check_keys(section: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(section) - allowed)
-    if unknown:
-        raise DataFormatError(f"unknown configuration key {where}.{unknown[0]!r}")
-
-
 def _merge(base: dict, override: dict) -> dict:
     out = dict(base)
     for key, value in override.items():
@@ -318,40 +321,6 @@ def _merge(base: dict, override: dict) -> dict:
         else:
             out[key] = value
     return out
-
-
-def _parse_date(raw, where: str) -> date:
-    try:
-        return date.fromisoformat(raw)
-    except (TypeError, ValueError):
-        raise DataFormatError(f"{where}: unparseable date {raw!r}") from None
-
-
-def _parse_schedule(raw, where: str) -> PolicySchedule | None:
-    if raw is None:
-        return None
-    _check_keys(raw, _SCHEDULE_KEYS, where)
-    return PolicySchedule(
-        start_date=_parse_date(raw["start_date"], f"{where}.start_date"),
-        intensity_p=float(raw["intensity"]),
-        duration_days=int(raw["duration_weeks"]) * 7,
-    )
-
-
-def _parse_scenario(name: str, raw: dict, where: str) -> Scenario:
-    _check_keys(raw, _SCENARIO_KEYS, where)
-    missing = sorted(_SCENARIO_KEYS - {"schedule"} - set(raw))
-    if missing:
-        raise DataFormatError(f"{where}: missing keys {missing}")
-    return Scenario(
-        name=name,
-        start_date=_parse_date(raw["start_date"], f"{where}.start_date"),
-        N0=float(raw["n0"]), I0=float(raw["i0"]), R0=float(raw["r0"]), D0=float(raw["d0"]),
-        b0=float(raw["b0"]), A0=float(raw["a0"]), K0=float(raw["k0"]),
-        schedule=_parse_schedule(raw.get("schedule"), f"{where}.schedule"),
-        end_of_interest=_parse_date(raw["end_of_interest"], f"{where}.end_of_interest"),
-        horizon=_parse_date(raw["horizon"], f"{where}.horizon"),
-    )
 
 
 @dataclass(frozen=True)
@@ -374,38 +343,38 @@ class RunConfig:
 
 def parse_config(doc: dict) -> RunConfig:
     """Validate a merged configuration document."""
-    _check_keys(doc, {"params", "scenarios", "sweeps", "data", "metrics", "backtest"}, "config")
+    check_keys(doc, {"params", "scenarios", "sweeps", "data", "metrics", "backtest"}, "config")
 
     params = ModelParams.from_dict(doc["params"])
 
     scenarios = {}
     for name, raw in doc["scenarios"].items():
-        scenarios[name] = _parse_scenario(name, raw, f"config.scenarios.{name}")
+        scenarios[name] = Scenario.from_dict(name, raw, f"config.scenarios.{name}")
 
     sweeps_raw = doc["sweeps"]
-    _check_keys(sweeps_raw, set(_SWEEP_KEYS), "config.sweeps")
+    check_keys(sweeps_raw, set(_SWEEP_KEYS), "config.sweeps")
     sweeps = {}
     for axis, allowed in _SWEEP_KEYS.items():
         section = dict(sweeps_raw[axis])
-        _check_keys(section, allowed, f"config.sweeps.{axis}")
+        check_keys(section, allowed, f"config.sweeps.{axis}")
         if "dates" in section:
-            section["dates"] = [_parse_date(d, f"config.sweeps.{axis}.dates") for d in section["dates"]]
+            section["dates"] = [parse_date(d, f"config.sweeps.{axis}.dates") for d in section["dates"]]
         if "start_date" in section:
-            section["start_date"] = _parse_date(section["start_date"], f"config.sweeps.{axis}.start_date")
+            section["start_date"] = parse_date(section["start_date"], f"config.sweeps.{axis}.start_date")
         sweeps[axis] = section
 
     data = dict(doc["data"])
-    _check_keys(data, _DATA_KEYS, "config.data")
+    check_keys(data, _DATA_KEYS, "config.data")
 
     metrics = dict(doc["metrics"])
-    _check_keys(metrics, _METRICS_KEYS, "config.metrics")
+    check_keys(metrics, _METRICS_KEYS, "config.metrics")
     metrics["output_ratio_dates"] = [
-        _parse_date(d, "config.metrics.output_ratio_dates") for d in metrics["output_ratio_dates"]
+        parse_date(d, "config.metrics.output_ratio_dates") for d in metrics["output_ratio_dates"]
     ]
 
     backtest = dict(doc["backtest"])
-    _check_keys(backtest, _BACKTEST_KEYS, "config.backtest")
-    backtest["horizon"] = _parse_date(backtest["horizon"], "config.backtest.horizon")
+    check_keys(backtest, _BACKTEST_KEYS, "config.backtest")
+    backtest["horizon"] = parse_date(backtest["horizon"], "config.backtest.horizon")
 
     return RunConfig(params=params, scenarios=scenarios, sweeps=sweeps, data=data,
                      metrics=metrics, backtest=backtest)

@@ -107,29 +107,35 @@ class TradeoffModel:
             raise ValueError(f"q2 must lie in (0, 1), got {self.q2!r}")
 
 
+def _transition(N, S, I, R, D, b, r, m, a1, a2):
+    """The day's transition equations on plain floats, unchecked.
+
+    Returns the day's new infections and the next (N, S, I, R, D)."""
+    births = (a1 - 1.0) * N + a2 * N * N
+    infections = min(b * S * I, S)
+    recoveries = r * I
+    deaths = m * I
+    return infections, (
+        N + births - deaths,
+        S + births - infections,
+        I + infections - recoveries - deaths,
+        R + recoveries,
+        D + deaths,
+    )
+
+
 def epi_step(state: EpiState, rates: EpiRates, pop: PopGrowthParams) -> EpiState:
-    """Advance the epidemic one day."""
+    """Advance the epidemic one day, checking the inputs and the result."""
     state.validate()
     rates.validate()
     pop.validate()
-
-    births = (pop.a1 - 1.0) * state.N + pop.a2 * state.N * state.N
-    infections = min(rates.b * state.S * state.I, state.S)
-    recoveries = rates.r * state.I
-    deaths = rates.m * state.I
-
-    nxt = EpiState(
-        date=state.date + timedelta(days=1),
-        N=state.N + births - deaths,
-        S=state.S + births - infections,
-        I=state.I + infections - recoveries - deaths,
-        R=state.R + recoveries,
-        D=state.D + deaths,
+    _, (N, S, I, R, D) = _transition(
+        state.N, state.S, state.I, state.R, state.D, rates.b, rates.r, rates.m, pop.a1, pop.a2
     )
-    if nxt.S < 0 or nxt.N < 0:
+    if S < 0 or N < 0:
         # only reachable far beyond the logistic carrying capacity
         raise ValueError("population shrank below zero; state outside the model's domain")
-    return nxt
+    return EpiState(date=state.date + timedelta(days=1), N=N, S=S, I=I, R=R, D=D)
 
 
 def policy_to_infection_reduction(gdp_shortfall_pct: float, t: TradeoffModel) -> float:

@@ -10,8 +10,9 @@ those exogenous paths.
 
 from __future__ import annotations
 
+import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -20,16 +21,40 @@ from . import calibration, planner
 from .epidemic import (
     EpiState,
     MortalityModel,
-    PopGrowthParams,
     TradeoffModel,
+    _transition,
     effective_rates,
-    epi_step,
     policy_to_infection_reduction,
 )
-from .params import DAYS_PER_YEAR, ModelParams
+from .params import (
+    DAYS_PER_YEAR,
+    DataFormatError,
+    ModelParams,
+    check_keys,
+    default_config,
+    is_finite_real,
+    parse_date,
+)
 
 NO_PANDEMIC = "no-pandemic"
 NO_INTERVENTION = "no-intervention"
+
+# numeric Scenario fields; a scenario table spells them in lower case
+_SCENARIO_NUMBERS = ("N0", "I0", "R0", "D0", "b0", "A0", "K0")
+_SCENARIO_KEYS = {"start_date", "end_of_interest", "horizon", "schedule"} | {
+    name.lower() for name in _SCENARIO_NUMBERS
+}
+_SCHEDULE_KEYS = {"start_date", "intensity", "duration_weeks"}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _number(raw, where: str) -> float:
+    if not is_finite_real(raw):
+        raise DataFormatError(f"{where}: expected a finite number, got {raw!r}")
+    return float(raw)
 
 
 @dataclass(frozen=True)
@@ -42,14 +67,23 @@ class PolicySchedule:
     duration_days: int
 
     def validate(self) -> None:
-        if not (0.0 <= self.intensity_p < 1.0):
+        if not (is_finite_real(self.intensity_p) and 0.0 <= self.intensity_p < 1.0):
             raise ValueError(f"intensity_p must lie in [0, 1), got {self.intensity_p!r}")
-        if self.duration_days < 0:
-            raise ValueError(f"duration_days must be >= 0, got {self.duration_days!r}")
+        if not (_is_int(self.duration_days) and self.duration_days >= 0):
+            raise ValueError(f"duration_days must be an int >= 0, got {self.duration_days!r}")
 
-    def shortfall_on(self, day: date) -> float:
-        end = self.start_date + timedelta(days=self.duration_days)
-        return self.intensity_p if self.start_date <= day < end else 0.0
+    @classmethod
+    def from_dict(cls, raw: dict, where: str) -> "PolicySchedule":
+        """Parse a config ``schedule`` section: start_date, intensity, duration_weeks."""
+        check_keys(raw, _SCHEDULE_KEYS, where)
+        weeks = raw["duration_weeks"]
+        if not _is_int(weeks):
+            raise DataFormatError(f"{where}.duration_weeks: expected a whole number of weeks, got {weeks!r}")
+        return cls(
+            start_date=parse_date(raw["start_date"], f"{where}.start_date"),
+            intensity_p=_number(raw["intensity"], f"{where}.intensity"),
+            duration_days=weeks * 7,
+        )
 
 
 @dataclass(frozen=True)
@@ -70,15 +104,40 @@ class Scenario:
     horizon: date
 
     def validate(self) -> None:
+        for name in _SCENARIO_NUMBERS:
+            value = getattr(self, name)
+            if not is_finite_real(value):
+                raise ValueError(f"Scenario.{name} must be a finite real number, got {value!r}")
         if self.horizon <= self.end_of_interest:
             raise ValueError("solver horizon must lie beyond the end of interest")
         if self.end_of_interest <= self.start_date:
             raise ValueError("end of interest must lie beyond the start date")
         self.initial_epi_state().validate()
-        if self.A0 <= 0 or self.K0 <= 0 or self.b0 < 0:
-            raise ValueError("initial A and K must be positive and b0 nonnegative")
+        for name in ("A0", "K0"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"Scenario.{name} must be > 0, got {getattr(self, name)!r}")
+        if self.b0 < 0:
+            raise ValueError(f"Scenario.b0 must be >= 0, got {self.b0!r}")
         if self.schedule is not None:
             self.schedule.validate()
+
+    @classmethod
+    def from_dict(cls, name: str, raw: dict, where: str) -> "Scenario":
+        """Parse a scenario table entry (keys in ``_SCENARIO_KEYS``); errors
+        name the offending key under ``where``."""
+        check_keys(raw, _SCENARIO_KEYS, where)
+        missing = sorted(_SCENARIO_KEYS - {"schedule"} - set(raw))
+        if missing:
+            raise DataFormatError(f"{where}: missing keys {missing}")
+        schedule = raw.get("schedule")
+        return cls(
+            name=name,
+            start_date=parse_date(raw["start_date"], f"{where}.start_date"),
+            **{field: _number(raw[field.lower()], f"{where}.{field.lower()}") for field in _SCENARIO_NUMBERS},
+            schedule=None if schedule is None else PolicySchedule.from_dict(schedule, f"{where}.schedule"),
+            end_of_interest=parse_date(raw["end_of_interest"], f"{where}.end_of_interest"),
+            horizon=parse_date(raw["horizon"], f"{where}.horizon"),
+        )
 
     def initial_epi_state(self) -> EpiState:
         # the deceased are already excluded from the living population N0
@@ -156,66 +215,70 @@ class SummaryMetrics:
         }
 
 
-def no_pandemic_scenario(
-    end_of_interest: date = date(2030, 12, 31), horizon: date = date(2060, 12, 31)
-) -> Scenario:
-    return Scenario(
-        name=NO_PANDEMIC,
-        start_date=date(2019, 1, 1),
-        N0=7.634e9, I0=0.0, R0=0.0, D0=0.0,
-        b0=0.0, A0=1.880, K0=2.775e14,
-        schedule=None,
-        end_of_interest=end_of_interest,
-        horizon=horizon,
-    )
+def _shipped_scenario(name: str) -> Scenario:
+    return Scenario.from_dict(name, default_config()["scenarios"][name], f"default_config.scenarios.{name}")
 
 
-def no_intervention_scenario(
-    schedule: PolicySchedule | None = None,
-    name: str = NO_INTERVENTION,
-    end_of_interest: date = date(2030, 12, 31),
-    horizon: date = date(2060, 12, 31),
-) -> Scenario:
-    return Scenario(
-        name=name,
-        start_date=date(2020, 1, 22),
-        N0=7.718e9, I0=510.0, R0=28.0, D0=17.0,
-        b0=2.041e-11, A0=1.906, K0=2.827e14,
-        schedule=schedule,
-        end_of_interest=end_of_interest,
-        horizon=horizon,
-    )
+def no_pandemic_scenario(**changes) -> Scenario:
+    """The shipped pandemic-free baseline, with ``changes`` applied to its fields."""
+    return replace(_shipped_scenario(NO_PANDEMIC), **changes)
+
+
+def no_intervention_scenario(**changes) -> Scenario:
+    """The shipped unchecked-pandemic baseline, with ``changes`` applied to its fields."""
+    return replace(_shipped_scenario(NO_INTERVENTION), **changes)
 
 
 def _epidemic_pass(scenario: Scenario, params: ModelParams):
     """Forward-simulate the epidemic; returns per-day compartment, policy
-    shortfall, infection-rate and new-infection arrays."""
-    T = scenario.n_days()
-    pop = PopGrowthParams(a1=params.a1, a2=params.a2)
-    mm = MortalityModel(log_k1=params.log_k1, k2=params.k2)
-    tm = TradeoffModel(log_q1=params.log_q1, q2=params.q2)
+    shortfall, infection-rate and new-infection arrays.
 
+    The inputs are checked once, before the first day (``run_scenario``
+    validates the scenario and parameters, this function the two rate
+    sets); the day loop runs the bare transition equations, and the
+    result is checked once for the model's domain, S and N >= 0.
+    """
+    T = scenario.n_days()
+    mm = MortalityModel(log_k1=params.log_k1, k2=params.k2)
     base_rates = effective_rates(scenario.b0, 0.0, mm, params.r)
     active_rates = base_rates
-    if scenario.schedule is not None and scenario.schedule.intensity_p > 0:
-        reduction = policy_to_infection_reduction(scenario.schedule.intensity_p * 100.0, tm)
+    in_window = np.zeros(T, dtype=bool)
+    intensity = 0.0
+    schedule = scenario.schedule
+    if schedule is not None and schedule.intensity_p > 0:
+        intensity = schedule.intensity_p
+        tm = TradeoffModel(log_q1=params.log_q1, q2=params.q2)
+        reduction = policy_to_infection_reduction(intensity * 100.0, tm)
         active_rates = effective_rates(scenario.b0, reduction, mm, params.r)
+        first = (schedule.start_date - scenario.start_date).days
+        days = np.arange(T)
+        in_window = (days >= first) & (days < first + schedule.duration_days)
+    base_rates.validate()
+    active_rates.validate()
 
-    N = np.empty(T); S = np.empty(T); I = np.empty(T); R = np.empty(T); D = np.empty(T)
-    b = np.empty(T); p = np.empty(T); F = np.empty(T)
+    rates = {False: (base_rates.b, base_rates.m), True: (active_rates.b, active_rates.m)}
+    r, a1, a2 = params.r, params.a1, params.a2
+    s0 = scenario.initial_epi_state()
+    state = (s0.N, s0.S, s0.I, s0.R, s0.D)
+    states, F = [], []
+    for on in in_window.tolist():
+        b_t, m_t = rates[on]
+        states.append(state)
+        infections, state = _transition(*state, b_t, r, m_t, a1, a2)
+        F.append(infections)
+    N, S, I, R, D = (np.array(column) for column in zip(*states))
     dates = [scenario.start_date + timedelta(days=k) for k in range(T)]
 
-    state = scenario.initial_epi_state()
-    for t in range(T):
-        shortfall = scenario.schedule.shortfall_on(dates[t]) if scenario.schedule else 0.0
-        rates = active_rates if shortfall > 0 else base_rates
-        N[t], S[t], I[t], R[t], D[t] = state.N, state.S, state.I, state.R, state.D
-        b[t] = rates.b
-        p[t] = shortfall
-        F[t] = min(rates.b * state.S * state.I, state.S)
-        if t < T - 1:
-            state = epi_step(state, rates, pop)
-    return dates, N, S, I, R, D, b, p, F
+    outside = np.flatnonzero(~((S >= 0.0) & (N >= 0.0)))
+    if outside.size:
+        # only reachable far beyond the logistic carrying capacity
+        raise ValueError(
+            f"population shrank below zero on {dates[outside[0]].isoformat()}; "
+            "state outside the model's domain"
+        )
+    p = np.where(in_window, intensity, 0.0)
+    b = np.where(in_window, active_rates.b, base_rates.b)
+    return dates, N, S, I, R, D, b, p, np.array(F)
 
 
 def run_scenario(scenario: Scenario, params: ModelParams) -> Trajectory:
@@ -227,7 +290,12 @@ def run_scenario(scenario: Scenario, params: ModelParams) -> Trajectory:
     approximation lets vanishingly small infection levels reignite from
     regrown susceptibles, which is an artifact, not a result.  The stored
     welfare is the planner objective over the full horizon.
+
+    Raises ValueError naming the field for invalid parameters or initial
+    conditions, before any day is simulated, and RuntimeError when the
+    planner's largest Euler residual exceeds ``params.euler_tol``.
     """
+    params.validate()
     scenario.validate()
     T = scenario.n_days()
     dates, N, S, I, R, D, b, p, F = _epidemic_pass(scenario, params)
@@ -256,6 +324,12 @@ def run_scenario(scenario: Scenario, params: ModelParams) -> Trajectory:
         raise planner.InfeasiblePlanError(
             exc.day_index, exc.day, f"scenario {scenario.name!r}: {exc.args[0]}"
         ) from exc
+    residual = float(np.max(solution.euler_residuals, initial=0.0))
+    if not residual <= params.euler_tol:
+        raise RuntimeError(
+            f"scenario {scenario.name!r}: largest Euler residual {residual:.3g} "
+            f"exceeds euler_tol {params.euler_tol:g}"
+        )
 
     K = solution.capital_path[:T]
     Y = (1.0 - p) * A * K ** params.alpha * labor ** (1.0 - params.alpha)
@@ -332,111 +406,80 @@ def _run_sweep_member(args):
     return run_scenario(scenario, params)
 
 
-def _execute_sweep(
-    scenarios: list,
+# sweep axis -> (schedule field changes, member name) for one swept value
+_SWEEP_AXES = {
+    "start": lambda d: ({"start_date": d}, f"start-{d.isoformat()}"),
+    "intensity": lambda p: ({"intensity_p": p}, f"intensity-{p:07.4f}"),
+    "duration": lambda weeks: ({"duration_days": weeks * 7}, f"duration-{weeks:03d}wk"),
+}
+
+
+def sweep(
     params: ModelParams,
-    reference: Trajectory | None,
-    ratio_dates: list | None,
-    jobs: int,
+    axis: str,
+    values: list,
+    *,
+    start_date: date = date(2020, 3, 12),
+    intensity: float = 0.10,
+    duration_weeks: int = 26,
+    reference: Trajectory | None = None,
+    ratio_dates: list | None = None,
+    jobs: int = 1,
+    base: Scenario | None = None,
 ) -> list:
+    """One run per value along ``axis`` ("start", "intensity" or
+    "duration"), the other two schedule settings fixed.
+
+    Each member is ``base`` (default: the no-intervention baseline) with
+    the swept schedule; its metrics are taken against ``reference``
+    (default: the no-pandemic run).  A member that raises is kept with its
+    error instead of failing the sweep.  Runs come back sorted by name.
+    """
+    if axis not in _SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {sorted(_SWEEP_AXES)}")
+    template = base if base is not None else no_intervention_scenario()
+    fixed = PolicySchedule(start_date=start_date, intensity_p=intensity, duration_days=duration_weeks * 7)
+    members = []
+    for value in values:
+        changes, name = _SWEEP_AXES[axis](value)
+        members.append(replace(template, name=name, schedule=replace(fixed, **changes)))
     if reference is None:
         reference = run_scenario(no_pandemic_scenario(), params)
-    runs: list[SweepRun] = []
-    trajectories: list = [None] * len(scenarios)
-    errors: list = [None] * len(scenarios)
+
+    trajectories: list = [None] * len(members)
+    errors: list = [None] * len(members)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_sweep_member, (sc, params)) for sc in scenarios]
+            futures = [pool.submit(_run_sweep_member, (sc, params)) for sc in members]
             for i, fut in enumerate(futures):
                 try:
                     trajectories[i] = fut.result()
                 except Exception as exc:  # collected, not fatal to the sweep
                     errors[i] = str(exc)
     else:
-        for i, sc in enumerate(scenarios):
+        for i, sc in enumerate(members):
             try:
                 trajectories[i] = run_scenario(sc, params)
             except Exception as exc:
                 errors[i] = str(exc)
-    for sc, traj, err in zip(scenarios, trajectories, errors):
-        if err is not None:
-            runs.append(SweepRun(scenario=sc, trajectory=None, metrics=None, error=err))
-        else:
-            runs.append(
-                SweepRun(scenario=sc, trajectory=traj, metrics=summarize(traj, reference, ratio_dates))
-            )
+    runs = [
+        SweepRun(scenario=sc, trajectory=None, metrics=None, error=err) if err is not None
+        else SweepRun(scenario=sc, trajectory=traj, metrics=summarize(traj, reference, ratio_dates))
+        for sc, traj, err in zip(members, trajectories, errors)
+    ]
     return sorted(runs, key=lambda run: run.scenario.name)
 
 
-def sweep_start_dates(
-    params: ModelParams,
-    dates: list,
-    intensity: float = 0.10,
-    duration_weeks: int = 26,
-    reference: Trajectory | None = None,
-    ratio_dates: list | None = None,
-    jobs: int = 1,
-    base: Scenario | None = None,
-) -> list:
-    """One run per intervention start date, intensity and duration fixed."""
-    template = base if base is not None else no_intervention_scenario()
-    scenarios = []
-    for d in sorted(dates):
-        schedule = PolicySchedule(start_date=d, intensity_p=intensity, duration_days=duration_weeks * 7)
-        scenarios.append(
-            _with_schedule(template, schedule, f"start-{d.isoformat()}")
-        )
-    return _execute_sweep(scenarios, params, reference, ratio_dates, jobs)
+def sweep_start_dates(params: ModelParams, dates: list, **kwargs) -> list:
+    return sweep(params, "start", dates, **kwargs)
 
 
-def sweep_intensity(
-    params: ModelParams,
-    intensities: list,
-    start_date: date = date(2020, 3, 12),
-    duration_weeks: int = 26,
-    reference: Trajectory | None = None,
-    ratio_dates: list | None = None,
-    jobs: int = 1,
-    base: Scenario | None = None,
-) -> list:
-    """One run per intervention intensity, start date and duration fixed."""
-    template = base if base is not None else no_intervention_scenario()
-    scenarios = []
-    for p in intensities:
-        schedule = PolicySchedule(start_date=start_date, intensity_p=p, duration_days=duration_weeks * 7)
-        scenarios.append(_with_schedule(template, schedule, f"intensity-{p:07.4f}"))
-    return _execute_sweep(scenarios, params, reference, ratio_dates, jobs)
+def sweep_intensity(params: ModelParams, intensities: list, **kwargs) -> list:
+    return sweep(params, "intensity", intensities, **kwargs)
 
 
-def sweep_duration(
-    params: ModelParams,
-    durations_weeks: list,
-    start_date: date = date(2020, 3, 12),
-    intensity: float = 0.10,
-    reference: Trajectory | None = None,
-    ratio_dates: list | None = None,
-    jobs: int = 1,
-    base: Scenario | None = None,
-) -> list:
-    """One run per intervention duration, start date and intensity fixed."""
-    template = base if base is not None else no_intervention_scenario()
-    scenarios = []
-    for weeks in durations_weeks:
-        schedule = PolicySchedule(start_date=start_date, intensity_p=intensity, duration_days=weeks * 7)
-        scenarios.append(_with_schedule(template, schedule, f"duration-{weeks:03d}wk"))
-    return _execute_sweep(scenarios, params, reference, ratio_dates, jobs)
-
-
-def _with_schedule(template: Scenario, schedule: PolicySchedule, name: str) -> Scenario:
-    return Scenario(
-        name=name,
-        start_date=template.start_date,
-        N0=template.N0, I0=template.I0, R0=template.R0, D0=template.D0,
-        b0=template.b0, A0=template.A0, K0=template.K0,
-        schedule=schedule,
-        end_of_interest=template.end_of_interest,
-        horizon=template.horizon,
-    )
+def sweep_duration(params: ModelParams, durations_weeks: list, **kwargs) -> list:
+    return sweep(params, "duration", durations_weeks, **kwargs)
 
 
 @dataclass(frozen=True)

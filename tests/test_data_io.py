@@ -66,6 +66,14 @@ class TestLoadAnnualSeries:
         with pytest.raises(DataFormatError, match="not found"):
             data_io.load_annual_series(DatasetManifest(path=tmp_path / "nope.csv", kind="gdp"))
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_file_row_and_column(self, tmp_path, cell):
+        lines = (DATA_DIR / "world_gdp.csv").read_text().splitlines()
+        lines[4] = lines[4].split(",")[0] + "," + cell
+        path = write(tmp_path, "world_gdp.csv", "\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match=r"world_gdp\.csv: row 5: non-finite 'value'"):
+            data_io.load_annual_series(DatasetManifest(path=path, kind="gdp"))
+
 
 class TestLoadCaseSeries:
     HEADER = "date,confirmed,recovered,deaths\n"
@@ -135,6 +143,14 @@ class TestTrajectoryRoundTrip:
         with pytest.raises(DataFormatError, match="header"):
             data_io.read_trajectory(path)
 
+    def test_non_finite_value_names_row_and_column(self, tmp_path):
+        header = ",".join(data_io.TRAJECTORY_HEADER)
+        good = "2020-01-01," + ",".join(["1.0"] * 11)
+        bad = "2020-01-02,1.0,1.0,nan," + ",".join(["1.0"] * 8)
+        path = write(tmp_path, "t.csv", "\n".join([header, good, bad]) + "\n")
+        with pytest.raises(DataFormatError, match="row 3: non-finite 'I'"):
+            data_io.read_trajectory(path)
+
 
 class TestParamsDocument:
     def test_round_trip_with_provenance(self, tmp_path):
@@ -143,6 +159,14 @@ class TestParamsDocument:
         data_io.write_params(params, path, provenance={"source": "test"})
         assert data_io.read_params(path) == params
         assert json.loads(path.read_text())["provenance"] == {"source": "test"}
+
+    @pytest.mark.parametrize("field,value", [("a1", float("nan")), ("beta_daily", "0.9998")])
+    def test_malformed_value_names_the_field(self, tmp_path, field, value):
+        doc = {**default_params().to_dict(), field: value}
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match=rf"ModelParams\.{field}\b"):
+            data_io.read_params(path)
 
     def test_unknown_field_rejected(self, tmp_path):
         doc = default_params().to_dict()

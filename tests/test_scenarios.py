@@ -1,10 +1,20 @@
 import dataclasses
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epigrowth import scenarios
+from epigrowth.epidemic import (
+    MortalityModel,
+    PopGrowthParams,
+    TradeoffModel,
+    effective_rates,
+    epi_step,
+    policy_to_infection_reduction,
+)
+from epigrowth.params import DataFormatError, ModelParams, default_config
 from epigrowth.planner import InfeasiblePlanError
 from epigrowth.scenarios import (
     BacktestData,
@@ -15,6 +25,7 @@ from epigrowth.scenarios import (
     no_pandemic_scenario,
     run_scenario,
     summarize,
+    sweep,
     sweep_duration,
     sweep_intensity,
     sweep_start_dates,
@@ -22,12 +33,12 @@ from epigrowth.scenarios import (
 )
 
 
-def short_scenario(schedule=None, name="short"):
+def short_scenario(schedule=None, name="short", **changes):
     """No-intervention initial conditions with a reduced horizon, for tests
     that exercise mechanics rather than published numbers."""
     return no_intervention_scenario(
         schedule=schedule, name=name,
-        end_of_interest=date(2022, 12, 31), horizon=date(2024, 12, 31),
+        end_of_interest=date(2022, 12, 31), horizon=date(2024, 12, 31), **changes,
     )
 
 
@@ -71,6 +82,28 @@ class TestDecoupling:
         alt = _epidemic_pass(other_k, richer)
         for a, b in zip(base[1:7], alt[1:7]):  # N, S, I, R, D, b
             assert np.array_equal(a, b)
+
+
+class TestEpidemicKernel:
+    def test_pass_matches_checked_daily_steps(self, params):
+        # reference: the public, checked epi_step applied day by day
+        schedule = PolicySchedule(start_date=date(2020, 3, 12), intensity_p=0.10, duration_days=182)
+        scenario = short_scenario(schedule=schedule)
+        dates, N, S, I, R, D, b, p, F = _epidemic_pass(scenario, params)
+        mm = MortalityModel(log_k1=params.log_k1, k2=params.k2)
+        pop = PopGrowthParams(a1=params.a1, a2=params.a2)
+        reduction = policy_to_infection_reduction(10.0, TradeoffModel(log_q1=params.log_q1, q2=params.q2))
+        end = schedule.start_date + timedelta(days=schedule.duration_days)
+        state = scenario.initial_epi_state()
+        for t, day in enumerate(dates):
+            assert state.date == day
+            assert (state.N, state.S, state.I, state.R, state.D) == (N[t], S[t], I[t], R[t], D[t]), day
+            active = schedule.start_date <= day < end
+            rates = effective_rates(scenario.b0, reduction if active else 0.0, mm, params.r)
+            assert (b[t], p[t]) == (rates.b, 0.10 if active else 0.0), day
+            assert F[t] == min(rates.b * state.S * state.I, state.S), day
+            if t < len(dates) - 1:
+                state = epi_step(state, rates, pop)
 
 
 class TestDeterminism:
@@ -257,3 +290,55 @@ class TestScenarioValidation:
         schedule = PolicySchedule(start_date=date(2020, 3, 12), intensity_p=1.5, duration_days=7)
         with pytest.raises(ValueError, match="intensity"):
             run_scenario(short_scenario(schedule=schedule), params)
+
+    def test_finite_schedule_required(self, params):
+        schedule = PolicySchedule(start_date=date(2020, 3, 12), intensity_p=float("nan"), duration_days=7)
+        with pytest.raises(ValueError, match="intensity_p"):
+            run_scenario(short_scenario(schedule=schedule), params)
+
+    def test_unknown_sweep_axis_rejected(self, params):
+        with pytest.raises(ValueError, match="axis"):
+            sweep(params, "weather", [1])
+
+
+class TestDomainAndTolerance:
+    def test_population_collapse_is_a_domain_error(self, params):
+        # births off and a strongly negative logistic term: N turns
+        # negative on the first simulated step
+        collapsing = dataclasses.replace(params, a1=1.0, a2=-1e-9)
+        with pytest.raises(ValueError, match="below zero on 2020-01-23"):
+            run_scenario(short_scenario(), collapsing)
+
+    def test_euler_tolerance_enforced(self, params):
+        strict = dataclasses.replace(params, euler_tol=1e-18)
+        with pytest.raises(RuntimeError, match=r"'strict'.*Euler residual.*euler_tol 1e-18"):
+            run_scenario(short_scenario(name="strict"), strict)
+
+
+BAD_NUMBERS = st.sampled_from([float("nan"), float("inf"), float("-inf"), "0.3"])
+PARAM_FIELDS = [f.name for f in dataclasses.fields(ModelParams)]
+SCENARIO_FIELDS = ["N0", "I0", "R0", "D0", "b0", "A0", "K0"]
+
+
+class TestMalformedNumbers:
+    """A non-finite or non-numeric value anywhere in the model's inputs is
+    rejected with an error naming it, before any day is simulated."""
+
+    @given(field=st.sampled_from(PARAM_FIELDS), bad=BAD_NUMBERS)
+    @settings(max_examples=60, deadline=None)
+    def test_model_params_field(self, params, field, bad):
+        broken = dataclasses.replace(params, **{field: bad})
+        with pytest.raises(ValueError, match=rf"ModelParams\.{field}\b"):
+            run_scenario(short_scenario(), broken)
+        doc = {**params.to_dict(), field: bad}
+        with pytest.raises(ValueError, match=rf"ModelParams\.{field}\b"):
+            ModelParams.from_dict(doc)
+
+    @given(field=st.sampled_from(SCENARIO_FIELDS), bad=BAD_NUMBERS)
+    @settings(max_examples=40, deadline=None)
+    def test_scenario_field(self, params, field, bad):
+        with pytest.raises(ValueError, match=rf"Scenario\.{field}\b"):
+            run_scenario(short_scenario(**{field: bad}), params)
+        raw = {**default_config()["scenarios"]["no-intervention"], field.lower(): bad}
+        with pytest.raises(DataFormatError, match=rf"\.{field.lower()}\b"):
+            Scenario.from_dict("broken", raw, "scenarios.broken")
