@@ -197,7 +197,9 @@ def load_tradeoff_panel(manifest: DatasetManifest) -> tuple[np.ndarray, np.ndarr
     return np.array(shortfall), np.array(reduction)
 
 
-def _atomic_write_text(text: str, path: Path) -> None:
+def atomic_write_text(text: str, path: Path) -> None:
+    """Write text through a temporary file in the target's directory and
+    rename it into place, so readers never see a partial file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
@@ -222,7 +224,7 @@ def write_table(rows: list, path) -> None:
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(str(row.get(c, "")) for c in columns))
-    _atomic_write_text("\n".join(lines) + "\n", Path(path))
+    atomic_write_text("\n".join(lines) + "\n", Path(path))
 
 
 def write_trajectory(trajectory: Trajectory, path) -> None:
@@ -232,7 +234,7 @@ def write_trajectory(trajectory: Trajectory, path) -> None:
     series = [cols[name] for name in TRAJECTORY_HEADER[1:]]
     for i, day in enumerate(trajectory.dates):
         lines.append(day.isoformat() + "," + ",".join(repr(float(s[i])) for s in series))
-    _atomic_write_text("\n".join(lines) + "\n", Path(path))
+    atomic_write_text("\n".join(lines) + "\n", Path(path))
 
 
 def read_trajectory(path, scenario_name: str | None = None) -> Trajectory:
@@ -278,7 +280,7 @@ def write_params(params: ModelParams, path, provenance: dict | None = None) -> N
     doc = params.to_dict()
     if provenance:
         doc["provenance"] = provenance
-    _atomic_write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", Path(path))
+    atomic_write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", Path(path))
 
 
 def read_params(path) -> ModelParams:
@@ -295,7 +297,7 @@ def read_params(path) -> ModelParams:
 
 
 def write_json(obj, path) -> None:
-    _atomic_write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", Path(path))
+    atomic_write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", Path(path))
 
 
 # ---------------------------------------------------------------------------

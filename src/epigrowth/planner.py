@@ -14,14 +14,23 @@ consumption: the interior first-order condition
 
     (C_{t+1}/N_{t+1}) / (C_t/N_t) = beta * (1 - delta + MPK_{t+1})
 
-propagates the whole path from C_0, the terminal stock is strictly
-decreasing in C_0, and bisection closes the boundary condition to machine
-precision.  Paths produced this way satisfy the Euler condition exactly by
-construction, so the residual diagnostics sit at rounding level.
+propagates the whole path from C_0, and the terminal stock K_T is
+strictly decreasing in C_0.  Each pass also carries the forward
+sensitivities dK_t/dC_0 and dC_t/dC_0, so it yields the slope of K_T as
+well as its value.  The boundary condition is closed by bracketed Newton
+iteration (rtsafe, Press et al., Numerical Recipes, sec. 9.4): the bracket
+[C_lo, C_hi] keeps a C_lo that reaches the target and a C_hi that exhausts
+the stock or undershoots it; a Newton step is taken from the last pass that
+did not exhaust the stock, and bisection replaces any step that is not
+finite or leaves the open bracket.  Iteration stops when no double lies
+strictly between the two ends, so C_0 is the largest double that still
+reaches the target.  Paths produced this way satisfy the Euler condition
+exactly by construction, so the residual diagnostics sit at rounding level.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import date as _date
 from datetime import timedelta
@@ -131,16 +140,19 @@ def balanced_path_terminal_capital(inputs: PlannerInputs) -> float:
     return L_end * (alpha * (1.0 - p_end) * A_end / mpk_star) ** (1.0 / (1.0 - alpha))
 
 
-def _propagate(C0: float, inputs: PlannerInputs, prodc: list, growu: list):
-    """Shoot the Euler/budget recursion forward from C_0.
+def _propagate(C0: float, inputs: PlannerInputs, prodc: list, growu: list, H: list):
+    """Shoot the Euler/budget recursion forward from C_0, with dK_T/dC_0.
 
     Returns (consumption list, capital list incl. terminal, fail index or
-    None).  A fail index marks the first day the stock would be exhausted.
+    None, dK_T/dC_0 or None).  A fail index marks the first day the stock
+    would be exhausted; such a pass has no terminal stock and no slope.
+    The paths are lists of plain floats, so the loop does no numpy scalar
+    arithmetic.
     """
     T = inputs.horizon
     alpha = inputs.alpha
+    am1 = alpha - 1.0
     omd = 1.0 - inputs.delta_daily
-    H = inputs.hcost_path if isinstance(inputs.hcost_path, list) else list(inputs.hcost_path)
 
     C_path = [0.0] * T
     K_path = [0.0] * (T + 1)
@@ -148,26 +160,32 @@ def _propagate(C0: float, inputs: PlannerInputs, prodc: list, growu: list):
     K_path[0] = K
     C = float(C0)
     Kpow = K ** alpha
+    mpk = 0.0  # MPK_0 only ever multiplies dK_0 = 0
+    dK = 0.0
+    dC = 1.0
     for t in range(T):
         C_path[t] = C
         Y = prodc[t] * Kpow
         K_next = omd * K + Y - H[t] - C
         if K_next <= 0.0 and not (t == T - 1 and K_next == 0.0):
-            return C_path, K_path, t
+            return C_path, K_path, t, None
         K_path[t + 1] = K_next
+        dK = (omd + mpk) * dK - dC
         if t < T - 1:
             Kpow = K_next ** alpha
             mpk = alpha * prodc[t + 1] * Kpow / K_next
+            dC = growu[t] * ((omd + mpk) * dC + C * am1 * mpk / K_next * dK)
             C = C * growu[t] * (omd + mpk)
             K = K_next
-    return C_path, K_path, None
+    return C_path, K_path, None, dK
 
 
 def solve(inputs: PlannerInputs, *, rel_tol: float = 0.0, max_iter: int = 200) -> PlannerSolution:
     """Solve the consumption problem; see the module docstring for the method.
 
-    By default the bisection runs until the bracket cannot shrink any
-    further in double precision; rel_tol > 0 allows an earlier stop.
+    By default the search runs until the bracket cannot shrink any further
+    in double precision; rel_tol > 0 allows an earlier stop, and max_iter
+    caps the number of shooting passes after the feasibility probe.
     """
     inputs.validate()
     T = inputs.horizon
@@ -185,41 +203,51 @@ def solve(inputs: PlannerInputs, *, rel_tol: float = 0.0, max_iter: int = 200) -
     p = np.asarray(inputs.shortfall_path, dtype=float)
     prodc = ((1.0 - p) * A * L ** (1.0 - alpha)).tolist()
     growu = (beta * N[1:] / N[:-1]).tolist()
+    H = np.asarray(inputs.hcost_path, dtype=float).tolist()
 
-    resources0 = omd * inputs.K0 + prodc[0] * inputs.K0 ** alpha - float(inputs.hcost_path[0])
+    resources0 = omd * inputs.K0 + prodc[0] * inputs.K0 ** alpha - H[0]
     if resources0 <= 0:
         raise InfeasiblePlanError(0, inputs._date_at(0), "day-0 resources are exhausted by direct costs")
 
     # Feasibility probe: near-zero consumption maximises the capital path.
     C_lo = 1e-12 * resources0
-    C_path, K_path, fail = _propagate(C_lo, inputs, prodc, growu)
+    C_best, K_best, fail, slope = _propagate(C_lo, inputs, prodc, growu, H)
     if fail is not None:
         raise InfeasiblePlanError(
             fail, inputs._date_at(fail), "direct costs exceed available resources even at zero consumption"
         )
-    if K_path[T] < K_target:
+    if K_best[T] < K_target:
         raise InfeasiblePlanError(
             T, inputs._date_at(T), f"terminal capital target {K_target:.6g} is unreachable"
         )
 
+    # Bracket: C_lo reaches the target, C_hi fails or undershoots it.
+    # x is the last pass that did not fail; Newton steps start from it.
     C_hi = resources0  # consumes the entire stock on day 0; always overshoots
+    x, miss = C_lo, K_best[T] - K_target
     for _ in range(max_iter):
         C_mid = 0.5 * (C_lo + C_hi)
         if not (C_lo < C_mid < C_hi):
             break
-        _, K_mid, fail = _propagate(C_mid, inputs, prodc, growu)
-        if fail is not None or K_mid[T] < K_target:
-            C_hi = C_mid
+        C_try = x - miss / slope if slope else math.nan
+        if C_try == x:
+            # the step is below x's resolution: test x's neighbour towards
+            # the other end of the bracket
+            C_try = math.nextafter(x, C_hi if x == C_lo else C_lo)
+        if not (C_lo < C_try < C_hi):
+            C_try = C_mid
+        C_path, K_path, fail, dK_T = _propagate(C_try, inputs, prodc, growu, H)
+        if fail is None:
+            x, miss, slope = C_try, K_path[T] - K_target, dK_T
+        if fail is not None or K_path[T] < K_target:
+            C_hi = C_try
         else:
-            C_lo = C_mid
+            C_lo, C_best, K_best = C_try, C_path, K_path
         if rel_tol > 0.0 and (C_hi - C_lo) <= rel_tol * C_hi:
             break
 
-    C_path, K_path, fail = _propagate(C_lo, inputs, prodc, growu)
-    assert fail is None
-
-    consumption = np.array(C_path)
-    capital = np.array(K_path)
+    consumption = np.array(C_best)
+    capital = np.array(K_best)
     residuals = _euler_residuals(consumption, capital, inputs, prodc)
     W = welfare(consumption, N, beta)
     return PlannerSolution(
@@ -241,21 +269,3 @@ def _euler_residuals(C: np.ndarray, K: np.ndarray, inputs: PlannerInputs, prodc:
     cpc = C / N
     return np.abs(cpc[1:] / cpc[:-1] / (inputs.beta_daily * (omd + mpk)) - 1.0)
 
-
-def euler_residual(solution: PlannerSolution, inputs: PlannerInputs, t: int) -> float:
-    """First-order-condition diagnostic at an interior day t."""
-    T = inputs.horizon
-    if not (0 <= t < T - 1):
-        raise ValueError(f"t must lie in [0, {T - 1}), got {t!r}")
-    C = solution.consumption_path
-    K = solution.capital_path
-    N = inputs.pop_path
-    mpk = (
-        inputs.alpha
-        * (1.0 - float(inputs.shortfall_path[t + 1]))
-        * float(inputs.tfp_path[t + 1])
-        * K[t + 1] ** (inputs.alpha - 1.0)
-        * float(inputs.labor_path[t + 1]) ** (1.0 - inputs.alpha)
-    )
-    growth = (C[t + 1] / N[t + 1]) / (C[t] / N[t])
-    return abs(growth / (inputs.beta_daily * (1.0 - inputs.delta_daily + mpk)) - 1.0)

@@ -12,6 +12,8 @@ import io
 from datetime import date
 from pathlib import Path
 
+from .data_io import atomic_write_text
+
 RENDERER_VERSION = "epigrowth-svg/1"
 
 PALETTE = [
@@ -64,22 +66,18 @@ def emit_plots(trajectories: list, variables: list, out_dir) -> list:
     if len(set(names)) != len(names):
         raise ValueError(f"trajectory names must be unique, got {names}")
 
-    from .data_io import _atomic_write_text
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for var in variables:
         svg_name, csv_name = f"{var}.svg", f"{var}_data.csv"
         _write_data_csv(trajectories, var, out_dir / csv_name)
-        _atomic_write_text(render_svg(trajectories, var), out_dir / svg_name)
+        atomic_write_text(render_svg(trajectories, var), out_dir / svg_name)
         written.extend([svg_name, csv_name])
     return written
 
 
 def _write_data_csv(trajectories: list, var: str, path: Path) -> None:
-    from .data_io import _atomic_write_text
-
     all_dates = sorted({d for t in trajectories for d in t.dates})
     lookup = []
     for t in trajectories:
@@ -90,7 +88,7 @@ def _write_data_csv(trajectories: list, var: str, path: Path) -> None:
     writer.writerow(["date"] + [t.scenario_name for t in trajectories])
     for d in all_dates:
         writer.writerow([d.isoformat()] + [m.get(d, "") for m in lookup])
-    _atomic_write_text(buf.getvalue(), path)
+    atomic_write_text(buf.getvalue(), path)
 
 
 def render_svg(trajectories: list, var: str) -> str:

@@ -4,15 +4,35 @@ from datetime import date
 import numpy as np
 import pytest
 
-from epigrowth import scenarios
+from epigrowth import planner, scenarios
 from epigrowth.planner import (
     InfeasiblePlanError,
     PlannerInputs,
     PlannerSolution,
-    euler_residual,
+    balanced_path_terminal_capital,
     solve,
     welfare,
 )
+
+
+def euler_residual(solution: PlannerSolution, inputs: PlannerInputs, t: int) -> float:
+    """First-order-condition residual at an interior day t, computed from
+    the raw input paths independently of the solver's own diagnostics."""
+    T = inputs.horizon
+    if not (0 <= t < T - 1):
+        raise ValueError(f"t must lie in [0, {T - 1}), got {t!r}")
+    C = solution.consumption_path
+    K = solution.capital_path
+    N = inputs.pop_path
+    mpk = (
+        inputs.alpha
+        * (1.0 - float(inputs.shortfall_path[t + 1]))
+        * float(inputs.tfp_path[t + 1])
+        * K[t + 1] ** (inputs.alpha - 1.0)
+        * float(inputs.labor_path[t + 1]) ** (1.0 - inputs.alpha)
+    )
+    growth = (C[t + 1] / N[t + 1]) / (C[t] / N[t])
+    return abs(growth / (inputs.beta_daily * (1.0 - inputs.delta_daily + mpk)) - 1.0)
 
 
 def flat_inputs(T, A=1.0, L=1.0, N=1.0, K0=1.0, beta=0.96, alpha=0.3, delta=0.1,
@@ -173,6 +193,100 @@ class TestOptimality:
             terminal_capital=None, start_date=base.start_date,
         )
         assert solve(richer).welfare >= sol.welfare
+
+
+def terminal_capital(C0: float, inputs: PlannerInputs):
+    """K_T of the Euler/budget recursion shot forward from C0, in the
+    solver's float order, or None when the stock is exhausted first."""
+    alpha = inputs.alpha
+    omd = 1.0 - inputs.delta_daily
+    A = np.asarray(inputs.tfp_path, dtype=float)
+    L = np.asarray(inputs.labor_path, dtype=float)
+    N = np.asarray(inputs.pop_path, dtype=float)
+    p = np.asarray(inputs.shortfall_path, dtype=float)
+    prodc = ((1.0 - p) * A * L ** (1.0 - alpha)).tolist()
+    growu = (inputs.beta_daily * N[1:] / N[:-1]).tolist()
+    H = np.asarray(inputs.hcost_path, dtype=float).tolist()
+    T = inputs.horizon
+    K, C = float(inputs.K0), C0
+    for t in range(T):
+        K_next = omd * K + prodc[t] * K ** alpha - H[t] - C
+        if K_next < 0.0 or (K_next == 0.0 and t < T - 1):
+            return None
+        if t < T - 1:
+            C = C * growu[t] * (omd + alpha * prodc[t + 1] * K_next ** alpha / K_next)
+        K = K_next
+    return K
+
+
+@pytest.fixture(scope="module")
+def no_intervention_inputs(params):
+    """The PlannerInputs that the no-intervention run hands to the solver."""
+    captured = []
+    real_solve = planner.solve
+
+    def capture(inputs, **kwargs):
+        captured.append(inputs)
+        return real_solve(inputs, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planner, "solve", capture)
+        scenarios.run_scenario(scenarios.no_intervention_scenario(), params)
+    return captured[0]
+
+
+@pytest.fixture(params=["growing", "no-intervention"])
+def shooting_case(request):
+    if request.param == "growing":
+        return growing_inputs()
+    return request.getfixturevalue("no_intervention_inputs")
+
+
+def count_passes(monkeypatch) -> list:
+    """Count calls of the solver's per-pass function; returns a one-item list."""
+    calls = [0]
+    real = planner._propagate
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(planner, "_propagate", counted)
+    return calls
+
+
+class TestShooting:
+    def test_c0_is_largest_feasible_double(self, shooting_case):
+        sol = solve(shooting_case)
+        target = balanced_path_terminal_capital(shooting_case)
+        C0 = float(sol.consumption_path[0])
+        K_T = terminal_capital(C0, shooting_case)
+        assert K_T is not None and K_T >= target
+        assert K_T == sol.capital_path[-1]
+        above = terminal_capital(math.nextafter(C0, math.inf), shooting_case)
+        assert above is None or above < target
+
+    def test_no_intervention_pass_count(self, no_intervention_inputs, monkeypatch):
+        calls = count_passes(monkeypatch)
+        solve(no_intervention_inputs)
+        assert calls[0] <= 32
+
+    def test_relative_tolerance_stops_early_and_feasible(self, shooting_case):
+        full = float(solve(shooting_case).consumption_path[0])
+        early = solve(shooting_case, rel_tol=1e-6)
+        C0 = float(early.consumption_path[0])
+        assert full * (1.0 - 2e-6) <= C0 <= full
+        assert early.capital_path[-1] >= balanced_path_terminal_capital(shooting_case)
+        assert terminal_capital(C0, shooting_case) == early.capital_path[-1]
+
+    def test_iteration_cap_stops_early_and_feasible(self, shooting_case, monkeypatch):
+        calls = count_passes(monkeypatch)
+        early = solve(shooting_case, max_iter=3)
+        assert calls[0] == 4  # the feasibility probe plus three capped passes
+        C0 = float(early.consumption_path[0])
+        assert np.all(early.consumption_path > 0)
+        assert early.capital_path[-1] >= balanced_path_terminal_capital(shooting_case)
+        assert terminal_capital(C0, shooting_case) == early.capital_path[-1]
 
 
 class TestErrors:
