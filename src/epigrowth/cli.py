@@ -9,10 +9,8 @@ EPIGROWTH_DATA_DIR environment variable, or ./data.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from datetime import date
 from pathlib import Path
 
 from . import calibration, data_io, plotting, scenarios
@@ -109,14 +107,32 @@ def _resolve_scenario(value: str, config: data_io.RunConfig) -> scenarios.Scenar
         return config.scenarios[value]
     path = Path(value)
     if path.exists():
-        with open(path) as fh:
-            raw = json.load(fh)
+        raw = data_io.read_json_object(path, "scenario")
         name = raw.pop("name", path.stem)
         return scenarios.Scenario.from_dict(name, raw, str(path))
     raise data_io.DataFormatError(
         f"unknown scenario {value!r} (not a config scenario or a readable file); "
         f"known scenarios: {sorted(config.scenarios)}"
     )
+
+
+def _ratio_dates(config: data_io.RunConfig, scenario: scenarios.Scenario,
+                 reference: scenarios.Trajectory) -> list | None:
+    """The configured output-ratio dates that both ``scenario``'s reported
+    window and ``reference`` cover, or None when there are none."""
+    return [d for d in config.ratio_dates()
+            if max(scenario.start_date, reference.dates[0]) <= d
+            <= min(scenario.end_of_interest, reference.dates[-1])] or None
+
+
+def _token(text: str):
+    """A --values item as an int or a float where it reads as one."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
 
 
 def cmd_simulate(args) -> int:
@@ -131,9 +147,7 @@ def cmd_simulate(args) -> int:
         reference = trajectory
     else:
         reference = scenarios.run_scenario(config.scenario(scenarios.NO_PANDEMIC), params)
-    ratio_dates = [d for d in config.ratio_dates()
-                   if max(trajectory.dates[0], reference.dates[0]) <= d <= min(trajectory.dates[-1], reference.dates[-1])]
-    metrics = scenarios.summarize(trajectory, reference, ratio_dates or None)
+    metrics = scenarios.summarize(trajectory, reference, _ratio_dates(config, scenario, reference))
 
     traj_name = f"{scenario.name}_trajectory.csv"
     metrics_name = f"{scenario.name}_metrics.json"
@@ -147,49 +161,27 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-# the key of each configured sweep section that holds the swept values
-_SWEEP_VALUES = {"start": "dates", "intensity": "values", "duration": "weeks"}
-
-
-def _parse_sweep_values(axis: str, raw: str | None, config: data_io.RunConfig):
-    if raw is None:
-        return config.sweeps[axis].get(_SWEEP_VALUES[axis])
-    items = [v for v in raw.split(",") if v != ""]
-    if not items:
-        raise data_io.DataFormatError("empty --values list")
-    if axis == "start":
-        return [date.fromisoformat(v) for v in items]
-    if axis == "intensity":
-        values = [float(v) for v in items]
-        bad = [v for v in values if not (0.0 <= v < 1.0)]
-        if bad:
-            raise data_io.DataFormatError(
-                f"intensity values must be fractions in [0, 1), got {bad}; write 5% as 0.05"
-            )
-        return values
-    return [int(v) for v in items]
-
-
 def cmd_sweep(args) -> int:
     config = data_io.load_config(args.config)
     params = _load_params(args, config)
-    values = _parse_sweep_values(args.axis, args.values, config)
+    grid = config.sweeps[args.axis]
+    values = grid.values
+    if args.values is not None:
+        tokens = [_token(item) for item in args.values.split(",") if item != ""]
+        values = scenarios.parse_sweep_values(args.axis, tokens, "--values")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     base = config.scenario(scenarios.NO_INTERVENTION)
     reference = scenarios.run_scenario(config.scenario(scenarios.NO_PANDEMIC), params)
-    no_intervention = scenarios.run_scenario(config.scenario(scenarios.NO_INTERVENTION), params)
-    ratio_dates = [d for d in config.ratio_dates()
-                   if max(base.start_date, reference.dates[0]) <= d
-                   <= min(base.end_of_interest, reference.dates[-1])] or None
-    fixed = {k: v for k, v in config.sweeps[args.axis].items() if k != _SWEEP_VALUES[args.axis]}
-    runs = scenarios.sweep(params, args.axis, values, **fixed, reference=reference,
+    no_intervention = scenarios.run_scenario(base, params)
+    ratio_dates = _ratio_dates(config, base, reference)
+    runs = scenarios.sweep(params, args.axis, values, **grid.fixed, reference=reference,
                            ratio_dates=ratio_dates, jobs=args.jobs, base=base)
 
     files = []
     rows = [_metrics_row(scenarios.SweepRun(
-        scenario=config.scenario(scenarios.NO_INTERVENTION), trajectory=no_intervention,
+        scenario=base, trajectory=no_intervention,
         metrics=scenarios.summarize(no_intervention, reference, ratio_dates)))]
     plot_series = [reference, no_intervention]
     for run in runs:
@@ -290,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a policy sweep along one axis")
     p.add_argument("--params", help="params JSON from calibrate (default: built-in values)")
-    p.add_argument("--axis", required=True, choices=["start", "intensity", "duration"])
+    p.add_argument("--axis", required=True, choices=list(scenarios.SWEEP_AXES))
     p.add_argument("--values", help="comma-separated values (default: configured grid); "
                                     "dates for start, fractions for intensity, weeks for duration")
     p.add_argument("--out", required=True, help="output directory")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .calibration import AnnualSeries, CaseSeries
 from .params import DataFormatError, ModelParams, check_keys, default_config, parse_date
-from .scenarios import Scenario, Trajectory
+from .scenarios import SWEEP_AXES, Scenario, Trajectory, parse_sweep
 
 log = logging.getLogger(__name__)
 
@@ -35,58 +35,20 @@ KIND_COLUMNS = {
     "tradeoff-panel": ("gdp_shortfall_pct", "infection_reduction_pct"),
 }
 
-KIND_UNITS = {
-    "population": {"persons": 1.0, "thousands": 1e3, "millions": 1e6},
-    "gdp": {"usd": 1.0, "billions_usd": 1e9, "trillions_usd": 1e12},
-    "gcf": {"usd": 1.0, "billions_usd": 1e9, "trillions_usd": 1e12},
-    "cases": {"persons": 1.0},
-    "tradeoff-panel": {"percent": 1.0},
-}
-
-DEFAULT_UNITS = {
-    "population": "persons",
-    "gdp": "usd",
-    "gcf": "usd",
-    "cases": "persons",
-    "tradeoff-panel": "percent",
-}
-
 TRAJECTORY_HEADER = ["date", "N", "S", "I", "R", "D", "A", "K", "Y", "C", "H", "p"]
 
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """Where a dataset lives and how to read it: file kind, a mapping from
-    the loader's logical column names to the file's actual headers, and the
-    value units."""
+    """Where a dataset lives and its kind, which fixes the columns read."""
 
     path: Path
     kind: str
-    columns: dict | None = None
-    units: str | None = None
 
     def __post_init__(self):
         if self.kind not in KIND_COLUMNS:
             raise DataFormatError(f"unknown dataset kind {self.kind!r}; expected one of {sorted(KIND_COLUMNS)}")
-        logical = KIND_COLUMNS[self.kind]
-        columns = dict(self.columns) if self.columns else {c: c for c in logical}
-        unknown = sorted(set(columns) - set(logical))
-        if unknown:
-            raise DataFormatError(f"manifest maps unknown logical columns {unknown} for kind {self.kind!r}")
-        for c in logical:
-            columns.setdefault(c, c)
-        units = self.units if self.units is not None else DEFAULT_UNITS[self.kind]
-        if units not in KIND_UNITS[self.kind]:
-            raise DataFormatError(
-                f"units {units!r} not allowed for kind {self.kind!r}; expected one of {sorted(KIND_UNITS[self.kind])}"
-            )
         object.__setattr__(self, "path", Path(self.path))
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "units", units)
-
-    @property
-    def unit_factor(self) -> float:
-        return KIND_UNITS[self.kind][self.units]
 
 
 def _read_rows(manifest: DatasetManifest) -> list:
@@ -95,7 +57,7 @@ def _read_rows(manifest: DatasetManifest) -> list:
     with open(manifest.path, newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
-        missing = [actual for actual in manifest.columns.values() if actual not in header]
+        missing = [column for column in KIND_COLUMNS[manifest.kind] if column not in header]
         if missing:
             raise DataFormatError(f"{manifest.path}: missing columns {missing} (header is {header})")
         rows = list(reader)
@@ -117,25 +79,22 @@ def _parse_float(raw: str, path: Path, row_number: int, column: str) -> float:
 def load_annual_series(manifest: DatasetManifest) -> AnnualSeries:
     """Read and validate a (year, value) series; sorted by year."""
     rows = _read_rows(manifest)
-    year_col = manifest.columns["year"]
-    value_col = manifest.columns["value"]
     seen: dict[int, int] = {}
     records = []
     for i, row in enumerate(rows):
         row_number = i + 2  # header is row 1
         try:
-            year = int(row[year_col])
+            year = int(row["year"])
         except (TypeError, ValueError):
             raise DataFormatError(
-                f"{manifest.path}: row {row_number}: non-numeric {year_col!r} value {row[year_col]!r}"
+                f"{manifest.path}: row {row_number}: non-numeric 'year' value {row['year']!r}"
             ) from None
         if year in seen:
             raise DataFormatError(
                 f"{manifest.path}: row {row_number}: duplicate year {year} (first seen at row {seen[year]})"
             )
         seen[year] = row_number
-        value = _parse_float(row[value_col], manifest.path, row_number, value_col)
-        records.append((year, value * manifest.unit_factor))
+        records.append((year, _parse_float(row["value"], manifest.path, row_number, "value")))
     records.sort()
     years, values = zip(*records)
     return AnnualSeries(np.array(years), np.array(values))
@@ -145,26 +104,25 @@ def load_case_series(manifest: DatasetManifest) -> tuple[CaseSeries, dict]:
     """Read cumulative case counts; repairs non-monotone corrections by
     running maximum and reports the repair count per column."""
     rows = _read_rows(manifest)
-    cols = manifest.columns
     dates: list[date] = []
     counts = {name: [] for name in ("confirmed", "recovered", "deaths")}
     for i, row in enumerate(rows):
         row_number = i + 2
         try:
-            day = date.fromisoformat(row[cols["date"]])
+            day = date.fromisoformat(row["date"])
         except (TypeError, ValueError):
             raise DataFormatError(
-                f"{manifest.path}: row {row_number}: unparseable date {row[cols['date']]!r}"
+                f"{manifest.path}: row {row_number}: unparseable date {row['date']!r}"
             ) from None
         dates.append(day)
         for name in counts:
-            counts[name].append(_parse_float(row[cols[name]], manifest.path, row_number, cols[name]))
+            counts[name].append(_parse_float(row[name], manifest.path, row_number, name))
     order = np.argsort(dates)
     dates = [dates[i] for i in order]
     repairs = {}
     repaired = {}
     for name, series in counts.items():
-        arr = np.asarray(series, dtype=float)[order] * manifest.unit_factor
+        arr = np.asarray(series, dtype=float)[order]
         running = np.maximum.accumulate(arr)
         repairs[name] = int(np.sum(running != arr))
         repaired[name] = running
@@ -186,14 +144,13 @@ def load_case_series(manifest: DatasetManifest) -> tuple[CaseSeries, dict]:
 def load_tradeoff_panel(manifest: DatasetManifest) -> tuple[np.ndarray, np.ndarray]:
     """Read the (GDP shortfall %, infection-rate reduction %) panel."""
     rows = _read_rows(manifest)
-    cols = manifest.columns
     shortfall, reduction = [], []
     for i, row in enumerate(rows):
         row_number = i + 2
-        shortfall.append(_parse_float(row[cols["gdp_shortfall_pct"]], manifest.path, row_number,
-                                      cols["gdp_shortfall_pct"]))
-        reduction.append(_parse_float(row[cols["infection_reduction_pct"]], manifest.path, row_number,
-                                      cols["infection_reduction_pct"]))
+        shortfall.append(_parse_float(row["gdp_shortfall_pct"], manifest.path, row_number,
+                                      "gdp_shortfall_pct"))
+        reduction.append(_parse_float(row["infection_reduction_pct"], manifest.path, row_number,
+                                      "infection_reduction_pct"))
     return np.array(shortfall), np.array(reduction)
 
 
@@ -283,12 +240,23 @@ def write_params(params: ModelParams, path, provenance: dict | None = None) -> N
     atomic_write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", Path(path))
 
 
-def read_params(path) -> ModelParams:
+def read_json_object(path, what: str) -> dict:
+    """The JSON object stored in ``path``, a ``what`` file; each error names
+    the file."""
     path = Path(path)
     if not path.exists():
-        raise DataFormatError(f"params file not found: {path}")
-    with open(path) as fh:
-        doc = json.load(fh)
+        raise DataFormatError(f"{what} file not found: {path}")
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{path}: top-level JSON value must be an object, got {type(doc).__name__}")
+    return doc
+
+
+def read_params(path) -> ModelParams:
+    doc = read_json_object(path, "params")
     doc.pop("provenance", None)
     try:
         return ModelParams.from_dict(doc)
@@ -304,11 +272,6 @@ def write_json(obj, path) -> None:
 # Run configuration
 
 
-_SWEEP_KEYS = {
-    "start": {"dates", "intensity", "duration_weeks"},
-    "intensity": {"values", "start_date", "duration_weeks"},
-    "duration": {"weeks", "start_date", "intensity"},
-}
 _DATA_KEYS = {"population", "gdp", "gcf", "cases", "tradeoff", "case_population",
               "population_fit_years"}
 _METRICS_KEYS = {"output_ratio_dates"}
@@ -353,17 +316,8 @@ def parse_config(doc: dict) -> RunConfig:
     for name, raw in doc["scenarios"].items():
         scenarios[name] = Scenario.from_dict(name, raw, f"config.scenarios.{name}")
 
-    sweeps_raw = doc["sweeps"]
-    check_keys(sweeps_raw, set(_SWEEP_KEYS), "config.sweeps")
-    sweeps = {}
-    for axis, allowed in _SWEEP_KEYS.items():
-        section = dict(sweeps_raw[axis])
-        check_keys(section, allowed, f"config.sweeps.{axis}")
-        if "dates" in section:
-            section["dates"] = [parse_date(d, f"config.sweeps.{axis}.dates") for d in section["dates"]]
-        if "start_date" in section:
-            section["start_date"] = parse_date(section["start_date"], f"config.sweeps.{axis}.start_date")
-        sweeps[axis] = section
+    check_keys(doc["sweeps"], set(SWEEP_AXES), "config.sweeps")
+    sweeps = {axis: parse_sweep(axis, doc["sweeps"][axis], f"config.sweeps.{axis}") for axis in SWEEP_AXES}
 
     data = dict(doc["data"])
     check_keys(data, _DATA_KEYS, "config.data")
@@ -389,17 +343,7 @@ def load_config(path=None) -> RunConfig:
     """
     doc = default_config()
     if path is not None:
-        path = Path(path)
-        if not path.exists():
-            raise DataFormatError(f"config file not found: {path}")
-        with open(path) as fh:
-            try:
-                user = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
-        if not isinstance(user, dict):
-            raise DataFormatError(f"{path}: top-level JSON value must be an object")
-        doc = _merge(doc, user)
+        doc = _merge(doc, read_json_object(path, "config"))
     try:
         return parse_config(doc)
     except DataFormatError:

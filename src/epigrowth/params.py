@@ -32,10 +32,17 @@ def is_finite_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
-def check_keys(section: dict, allowed: set, where: str) -> None:
+def check_keys(section: dict, allowed: set, where: str, required: set = frozenset()) -> None:
+    """Reject a non-object ``section``, a key outside ``allowed`` and a
+    missing ``required`` key, naming it under ``where``."""
+    if not isinstance(section, dict):
+        raise DataFormatError(f"{where}: expected an object, got {section!r}")
     unknown = sorted(set(section) - allowed)
     if unknown:
         raise DataFormatError(f"unknown configuration key {where}.{unknown[0]!r}")
+    missing = sorted(set(required) - set(section))
+    if missing:
+        raise DataFormatError(f"{where}: missing keys {missing}")
 
 
 def parse_date(raw, where: str) -> date:

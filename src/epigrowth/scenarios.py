@@ -44,17 +44,33 @@ _SCENARIO_NUMBERS = ("N0", "I0", "R0", "D0", "b0", "A0", "K0")
 _SCENARIO_KEYS = {"start_date", "end_of_interest", "horizon", "schedule"} | {
     name.lower() for name in _SCENARIO_NUMBERS
 }
-_SCHEDULE_KEYS = {"start_date", "intensity", "duration_weeks"}
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _number(raw, where: str) -> float:
     if not is_finite_real(raw):
         raise DataFormatError(f"{where}: expected a finite number, got {raw!r}")
     return float(raw)
+
+
+def _fraction(raw, where: str) -> float:
+    if not (is_finite_real(raw) and 0.0 <= raw < 1.0):
+        raise DataFormatError(f"{where}: expected a fraction in [0, 1), got {raw!r}; write 5% as 0.05")
+    return float(raw)
+
+
+def _whole(raw, where: str, unit: str) -> int:
+    if not (isinstance(raw, numbers.Integral) and not isinstance(raw, bool) and raw >= 0):
+        raise DataFormatError(f"{where}: expected a whole number of {unit} >= 0, got {raw!r}")
+    return int(raw)
+
+
+# schedule setting, as a config spells it -> parser of one value; each
+# error names the value's dotted key
+SCHEDULE_SETTINGS = {
+    "start_date": parse_date,
+    "intensity": _fraction,
+    "duration_weeks": lambda raw, where: _whole(raw, where, "weeks"),
+}
 
 
 @dataclass(frozen=True)
@@ -67,22 +83,20 @@ class PolicySchedule:
     duration_days: int
 
     def validate(self) -> None:
-        if not (is_finite_real(self.intensity_p) and 0.0 <= self.intensity_p < 1.0):
-            raise ValueError(f"intensity_p must lie in [0, 1), got {self.intensity_p!r}")
-        if not (_is_int(self.duration_days) and self.duration_days >= 0):
-            raise ValueError(f"duration_days must be an int >= 0, got {self.duration_days!r}")
+        _fraction(self.intensity_p, "PolicySchedule.intensity_p")
+        _whole(self.duration_days, "PolicySchedule.duration_days", "days")
+
+    @classmethod
+    def from_settings(cls, settings: dict) -> "PolicySchedule":
+        """The schedule of a dict keyed by ``SCHEDULE_SETTINGS``."""
+        return cls(settings["start_date"], settings["intensity"], settings["duration_weeks"] * 7)
 
     @classmethod
     def from_dict(cls, raw: dict, where: str) -> "PolicySchedule":
         """Parse a config ``schedule`` section: start_date, intensity, duration_weeks."""
-        check_keys(raw, _SCHEDULE_KEYS, where)
-        weeks = raw["duration_weeks"]
-        if not _is_int(weeks):
-            raise DataFormatError(f"{where}.duration_weeks: expected a whole number of weeks, got {weeks!r}")
-        return cls(
-            start_date=parse_date(raw["start_date"], f"{where}.start_date"),
-            intensity_p=_number(raw["intensity"], f"{where}.intensity"),
-            duration_days=weeks * 7,
+        check_keys(raw, set(SCHEDULE_SETTINGS), where, required=set(SCHEDULE_SETTINGS))
+        return cls.from_settings(
+            {key: parse(raw[key], f"{where}.{key}") for key, parse in SCHEDULE_SETTINGS.items()}
         )
 
 
@@ -125,10 +139,7 @@ class Scenario:
     def from_dict(cls, name: str, raw: dict, where: str) -> "Scenario":
         """Parse a scenario table entry (keys in ``_SCENARIO_KEYS``); errors
         name the offending key under ``where``."""
-        check_keys(raw, _SCENARIO_KEYS, where)
-        missing = sorted(_SCENARIO_KEYS - {"schedule"} - set(raw))
-        if missing:
-            raise DataFormatError(f"{where}: missing keys {missing}")
+        check_keys(raw, _SCENARIO_KEYS, where, required=_SCENARIO_KEYS - {"schedule"})
         schedule = raw.get("schedule")
         return cls(
             name=name,
@@ -406,12 +417,48 @@ def _run_sweep_member(args):
     return run_scenario(scenario, params)
 
 
-# sweep axis -> (schedule field changes, member name) for one swept value
-_SWEEP_AXES = {
-    "start": lambda d: ({"start_date": d}, f"start-{d.isoformat()}"),
-    "intensity": lambda p: ({"intensity_p": p}, f"intensity-{p:07.4f}"),
-    "duration": lambda weeks: ({"duration_days": weeks * 7}, f"duration-{weeks:03d}wk"),
+# sweep axis -> (the key of a configured sweep section that holds its
+# values, the schedule setting those values fill, member name for one value)
+SWEEP_AXES = {
+    "start": ("dates", "start_date", lambda d: f"start-{d.isoformat()}"),
+    "intensity": ("values", "intensity", lambda p: f"intensity-{p:07.4f}"),
+    "duration": ("weeks", "duration_weeks", lambda weeks: f"duration-{weeks:03d}wk"),
 }
+
+
+@dataclass(frozen=True)
+class SweepGrid:
+    """A parsed sweep section: the swept values, and the two other schedule
+    settings keyed as in ``SCHEDULE_SETTINGS``."""
+
+    values: list
+    fixed: dict
+
+
+def parse_sweep_values(axis: str, raw, where: str) -> list:
+    """A non-empty list of values for ``axis``, each through its schedule
+    setting's parser, that name distinct runs; errors name ``where[i]``."""
+    if not (isinstance(raw, list) and raw):
+        raise DataFormatError(f"{where}: expected a non-empty list, got {raw!r}")
+    _, setting, member_name = SWEEP_AXES[axis]
+    values = [SCHEDULE_SETTINGS[setting](value, f"{where}[{i}]") for i, value in enumerate(raw)]
+    names = [member_name(value) for value in values]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise DataFormatError(f"{where}[{i}]: repeats the run {name!r}")
+    return values
+
+
+def parse_sweep(axis: str, section: dict, where: str) -> SweepGrid:
+    """Parse a configured sweep section: its values key and the two fixed
+    schedule settings, all required."""
+    values_key, setting, _ = SWEEP_AXES[axis]
+    fixed_keys = [key for key in SCHEDULE_SETTINGS if key != setting]
+    check_keys(section, {values_key, *fixed_keys}, where, required={values_key, *fixed_keys})
+    return SweepGrid(
+        values=parse_sweep_values(axis, section[values_key], f"{where}.{values_key}"),
+        fixed={key: SCHEDULE_SETTINGS[key](section[key], f"{where}.{key}") for key in fixed_keys},
+    )
 
 
 def sweep(
@@ -419,30 +466,36 @@ def sweep(
     axis: str,
     values: list,
     *,
-    start_date: date = date(2020, 3, 12),
-    intensity: float = 0.10,
-    duration_weeks: int = 26,
+    start_date: date | None = None,
+    intensity: float | None = None,
+    duration_weeks: int | None = None,
     reference: Trajectory | None = None,
     ratio_dates: list | None = None,
     jobs: int = 1,
     base: Scenario | None = None,
 ) -> list:
-    """One run per value along ``axis`` ("start", "intensity" or
-    "duration"), the other two schedule settings fixed.
+    """One run per value along ``axis`` (a ``SWEEP_AXES`` key), the other
+    two schedule settings fixed; one left as None comes from the shipped
+    config's section for ``axis``.
 
-    Each member is ``base`` (default: the no-intervention baseline) with
-    the swept schedule; its metrics are taken against ``reference``
-    (default: the no-pandemic run).  A member that raises is kept with its
-    error instead of failing the sweep.  Runs come back sorted by name.
+    Each member is ``base`` (default: the no-intervention baseline) with the
+    swept schedule; its metrics are taken against ``reference`` (default:
+    the no-pandemic run).  Values are not checked here: a member that raises
+    is kept with its error instead of failing the sweep.  Runs come back
+    sorted by name.
     """
-    if axis not in _SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {sorted(_SWEEP_AXES)}")
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {sorted(SWEEP_AXES)}")
+    _, setting, member_name = SWEEP_AXES[axis]
+    given = {"start_date": start_date, "intensity": intensity, "duration_weeks": duration_weeks}
+    shipped = parse_sweep(axis, default_config()["sweeps"][axis], f"default_config.sweeps.{axis}")
+    fixed = {**shipped.fixed, **{key: value for key, value in given.items() if value is not None}}
     template = base if base is not None else no_intervention_scenario()
-    fixed = PolicySchedule(start_date=start_date, intensity_p=intensity, duration_days=duration_weeks * 7)
-    members = []
-    for value in values:
-        changes, name = _SWEEP_AXES[axis](value)
-        members.append(replace(template, name=name, schedule=replace(fixed, **changes)))
+    members = [
+        replace(template, name=member_name(value),
+                schedule=PolicySchedule.from_settings({**fixed, setting: value}))
+        for value in values
+    ]
     if reference is None:
         reference = run_scenario(no_pandemic_scenario(), params)
 

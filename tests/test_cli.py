@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from epigrowth import data_io
+from epigrowth import data_io, scenarios
 from epigrowth.cli import main
 from epigrowth.params import default_params
 from tests.conftest import DATA_DIR
@@ -109,6 +109,90 @@ class TestSimulate:
                      "--config", fast_config])
         assert code == 0
         assert (out / "custom-policy_trajectory.csv").exists()
+
+
+class TestScenarioFile:
+    def write_scenario(self, tmp_path, text):
+        path = tmp_path / "custom.json"
+        path.write_text(text)
+        return path
+
+    def simulate(self, path, tmp_path, capsys):
+        code = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        return code, capsys.readouterr().err
+
+    def test_top_level_list_names_the_file(self, tmp_path, capsys):
+        path = self.write_scenario(tmp_path, "[1, 2]")
+        code, err = self.simulate(path, tmp_path, capsys)
+        assert code == 1
+        assert f"{path}: top-level JSON value must be an object" in err
+
+    def test_invalid_json_names_the_file(self, tmp_path, capsys):
+        path = self.write_scenario(tmp_path, '{"name": "x",')
+        code, err = self.simulate(path, tmp_path, capsys)
+        assert code == 1
+        assert f"{path}: invalid JSON" in err
+
+    def test_schedule_missing_key_named_with_path(self, tmp_path, capsys):
+        raw = {**data_io.default_config()["scenarios"]["no-intervention"],
+               "schedule": {"start_date": "2020-05-21", "duration_weeks": 26}}
+        path = self.write_scenario(tmp_path, json.dumps(raw))
+        code, err = self.simulate(path, tmp_path, capsys)
+        assert code == 1
+        assert f"{path}.schedule: missing keys ['intensity']" in err
+
+    def test_params_top_level_list_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "params.json"
+        path.write_text("[1, 2]")
+        code = main(["simulate", "--scenario", "no-pandemic", "--params", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"{path}: top-level JSON value must be an object" in capsys.readouterr().err
+
+
+# malformed sweep grids: (axis, config "sweeps" override or None, --values
+# text or None, the key the error must name)
+MALFORMED_GRIDS = [
+    ("intensity", {"intensity": {"values": [5, 15]}}, None, "config.sweeps.intensity.values[0]"),
+    ("intensity", {"intensity": {"values": ["0.05"]}}, None, "config.sweeps.intensity.values[0]"),
+    ("duration", {"duration": {"weeks": [4.5]}}, None, "config.sweeps.duration.weeks[0]"),
+    ("duration", {"duration": {"weeks": [True]}}, None, "config.sweeps.duration.weeks[0]"),
+    ("duration", {"duration": {"weeks": [4, -4]}}, None, "config.sweeps.duration.weeks[1]"),
+    ("start", {"start": {"intensity": "0.1"}}, None, "config.sweeps.start.intensity"),
+    ("start", {"start": {"dates": "2020-05-21"}}, None, "config.sweeps.start.dates"),
+    ("duration", {"duration": {"weeks": []}}, None, "config.sweeps.duration.weeks"),
+    ("start", {"start": {"dates": ["2020-05-21", "2020-05-21"]}}, None, "config.sweeps.start.dates[1]"),
+    ("intensity", None, "5,15", "--values[0]"),
+    ("intensity", None, "0.05,five", "--values[1]"),
+    ("intensity", None, "nan", "--values[0]"),
+    ("duration", None, "4.5", "--values[0]"),
+    ("duration", None, "true", "--values[0]"),
+    ("duration", None, "4,-4", "--values[1]"),
+    ("start", None, "2020-05-21,2020-13-01", "--values[1]"),
+    ("start", None, ",", "--values"),
+    ("duration", None, "4,8,4", "--values[2]"),
+    ("intensity", None, "0.05,0.050001", "--values[1]"),
+]
+
+
+class TestMalformedGrid:
+    @pytest.mark.parametrize("axis,sweeps,values,key", MALFORMED_GRIDS)
+    def test_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys, axis, sweeps, values, key):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a scenario was solved before the grid was checked")
+
+        monkeypatch.setattr(scenarios, "run_scenario", no_solve)
+        out = tmp_path / "out"
+        argv = ["sweep", "--axis", axis, "--out", str(out)]
+        if sweeps is not None:
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({"sweeps": sweeps}))
+            argv += ["--config", str(config)]
+        if values is not None:
+            argv += ["--values", values]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
+        assert not out.exists()
 
 
 class TestSweep:

@@ -22,14 +22,6 @@ class TestManifest:
         with pytest.raises(DataFormatError, match="unknown dataset kind"):
             DatasetManifest(path=tmp_path / "x.csv", kind="weather")
 
-    def test_disallowed_units_rejected(self, tmp_path):
-        with pytest.raises(DataFormatError, match="units"):
-            DatasetManifest(path=tmp_path / "x.csv", kind="population", units="usd")
-
-    def test_unknown_logical_column_rejected(self, tmp_path):
-        with pytest.raises(DataFormatError, match="logical columns"):
-            DatasetManifest(path=tmp_path / "x.csv", kind="gdp", columns={"amount": "gdp"})
-
 
 class TestLoadAnnualSeries:
     def test_two_row_file(self, tmp_path):
@@ -53,14 +45,11 @@ class TestLoadAnnualSeries:
         with pytest.raises(DataFormatError, match="missing columns"):
             data_io.load_annual_series(DatasetManifest(path=path, kind="population"))
 
-    def test_column_mapping_and_units(self, tmp_path):
-        path = write(tmp_path, "pop.csv", "yr,pop\n1961,3070\n1960,3030\n")
-        manifest = DatasetManifest(
-            path=path, kind="population", columns={"year": "yr", "value": "pop"}, units="thousands"
-        )
-        series = data_io.load_annual_series(manifest)
-        assert list(series.years) == [1960, 1961]  # sorted
-        assert series.values[0] == pytest.approx(3.03e6)
+    def test_rows_come_back_sorted_by_year(self, tmp_path):
+        path = write(tmp_path, "pop.csv", "year,value\n1961,3.07e9\n1960,3.03e9\n")
+        series = data_io.load_annual_series(DatasetManifest(path=path, kind="population"))
+        assert list(series.years) == [1960, 1961]
+        assert list(series.values) == [3.03e9, 3.07e9]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataFormatError, match="not found"):
@@ -177,6 +166,27 @@ class TestParamsDocument:
             data_io.read_params(path)
 
 
+class TestJsonObjectReader:
+    READERS = {"params": data_io.read_params, "config": data_io.load_config}
+
+    @pytest.mark.parametrize("what", sorted(READERS))
+    def test_top_level_list_names_the_file(self, tmp_path, what):
+        path = write(tmp_path, "doc.json", "[1, 2]")
+        with pytest.raises(DataFormatError, match=r"doc\.json: top-level JSON value must be an object"):
+            self.READERS[what](path)
+
+    @pytest.mark.parametrize("what", sorted(READERS))
+    def test_invalid_json_names_the_file(self, tmp_path, what):
+        path = write(tmp_path, "doc.json", '{"a": 1,}')
+        with pytest.raises(DataFormatError, match=r"doc\.json: invalid JSON"):
+            self.READERS[what](path)
+
+    @pytest.mark.parametrize("what", sorted(READERS))
+    def test_missing_file_names_its_role(self, tmp_path, what):
+        with pytest.raises(DataFormatError, match=rf"{what} file not found: .*nope\.json"):
+            self.READERS[what](tmp_path / "nope.json")
+
+
 class TestConfig:
     def test_defaults_document_matches_published_values(self):
         config = data_io.load_config()
@@ -226,6 +236,23 @@ class TestConfig:
         scenario = config.scenario("mild-policy")
         assert scenario.schedule.intensity_p == 0.05
         assert scenario.schedule.duration_days == 182
+
+    def test_schedule_missing_key_named_with_path(self, tmp_path):
+        raw = {**data_io.default_config()["scenarios"]["no-intervention"],
+               "schedule": {"start_date": "2020-03-12", "duration_weeks": 26}}
+        path = write(tmp_path, "cfg.json", json.dumps({"scenarios": {"mild-policy": raw}}))
+        with pytest.raises(DataFormatError,
+                           match=r"config\.scenarios\.mild-policy\.schedule: missing keys \['intensity'\]"):
+            data_io.load_config(path)
+
+    def test_sweep_grids_parsed_on_load(self):
+        sweeps = data_io.load_config().sweeps
+        assert sweeps["start"].values[0] == date(2020, 4, 9)
+        assert sweeps["start"].fixed == {"intensity": 0.1, "duration_weeks": 26}
+        assert sweeps["intensity"].values == [0.05, 0.15, 0.25]
+        assert sweeps["intensity"].fixed == {"start_date": date(2020, 3, 12), "duration_weeks": 26}
+        assert sweeps["duration"].values == [4, 28, 52, 76]
+        assert sweeps["duration"].fixed == {"start_date": date(2020, 3, 12), "intensity": 0.1}
 
     def test_unknown_scenario_lookup_lists_known(self):
         config = data_io.load_config()

@@ -231,6 +231,17 @@ class TestSweeps:
         assert good.error is None and good.metrics is not None
         assert bad.error is not None and bad.trajectory is None
 
+    def test_fixed_settings_default_to_shipped_config(self, params):
+        base = short_scenario()
+        reference = run_scenario(base, params)
+        shipped = default_config()["sweeps"]["duration"]
+        default, = sweep_duration(params, [4], base=base, reference=reference)
+        assert default.scenario.schedule == PolicySchedule(
+            date.fromisoformat(shipped["start_date"]), shipped["intensity"], 28)
+        given, = sweep_duration(params, [4], base=base, reference=reference, intensity=0.2)
+        assert given.scenario.schedule == PolicySchedule(
+            date.fromisoformat(shipped["start_date"]), 0.2, 28)
+
     def test_results_ordered_by_scenario_key(self, params):
         base = short_scenario()
         reference = run_scenario(base, params)
