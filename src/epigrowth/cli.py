@@ -50,13 +50,8 @@ def _metrics_row(run: scenarios.SweepRun) -> dict:
     }
     if run.metrics is not None:
         m = run.metrics.to_dict()
-        row.update(
-            total_deaths=m["total_deaths"],
-            peak_active_infections=m["peak_active_infections"],
-            peak_date=m["peak_date"],
-            max_output_drop_pct=m["max_output_drop_pct"],
-            welfare=m["welfare"],
-        )
+        row.update({key: m[key] for key in ("total_deaths", "peak_active_infections", "peak_date",
+                                             "max_output_drop_pct", "welfare")})
         for day, ratio in m["output_ratio_at"].items():
             row[f"output_ratio_{day}"] = ratio
     return row
@@ -169,28 +164,28 @@ def cmd_sweep(args) -> int:
     if args.values is not None:
         tokens = [_token(item) for item in args.values.split(",") if item != ""]
         values = scenarios.parse_sweep_values(args.axis, tokens, "--values")
+    if args.jobs < 1:
+        raise data_io.DataFormatError(f"--jobs: expected a whole number >= 1, got {args.jobs}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     base = config.scenario(scenarios.NO_INTERVENTION)
-    reference = scenarios.run_scenario(config.scenario(scenarios.NO_PANDEMIC), params)
-    no_intervention = scenarios.run_scenario(base, params)
+    members = scenarios.sweep_members(args.axis, values, **grid.fixed, base=base)
+    runs = scenarios.solve_runs(
+        [config.scenario(scenarios.NO_PANDEMIC), base, *members], params, args.jobs)
+    # a failed baseline stops the sweep; a failed member only fills its row's error
+    reference, _ = (run.baseline() for run in runs[:2])
     ratio_dates = _ratio_dates(config, base, reference)
-    runs = scenarios.sweep(params, args.axis, values, **grid.fixed, reference=reference,
-                           ratio_dates=ratio_dates, jobs=args.jobs, base=base)
+    runs = [run.measured(reference, ratio_dates) for run in runs[1:]]
 
     files = []
-    rows = [_metrics_row(scenarios.SweepRun(
-        scenario=base, trajectory=no_intervention,
-        metrics=scenarios.summarize(no_intervention, reference, ratio_dates)))]
-    plot_series = [reference, no_intervention]
-    for run in runs:
-        rows.append(_metrics_row(run))
+    for run in runs[1:]:
         if run.trajectory is not None:
             name = f"{run.scenario.name}_trajectory.csv"
             data_io.write_trajectory(run.trajectory, out_dir / name)
             files.append(name)
-            plot_series.append(run.trajectory)
+    rows = [_metrics_row(run) for run in runs]
+    plot_series = [reference, *(run.trajectory for run in runs if run.trajectory is not None)]
     data_io.write_table(rows, out_dir / "comparison.csv")
     data_io.write_json(rows, out_dir / "comparison.json")
     files.extend(["comparison.csv", "comparison.json"])
@@ -202,7 +197,7 @@ def cmd_sweep(args) -> int:
     for run in errors:
         print(f"error in {run.scenario.name}: {run.error}", file=sys.stderr)
     print(f"wrote {len(files)} files to {out_dir}")
-    if len(errors) == len(runs):
+    if len(errors) == len(members):
         raise RuntimeError("every sweep member failed")
     return 0
 
@@ -286,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", help="comma-separated values (default: configured grid); "
                                     "dates for start, fractions for intensity, weeks for duration")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--jobs", type=int, default=1, help="parallel scenario processes")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="solve both baselines and every member in up to N processes")
     p.add_argument("--config", help="configuration overrides (JSON)")
     p.set_defaults(func=cmd_sweep)
 

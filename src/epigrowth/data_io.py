@@ -9,6 +9,7 @@ JSON round-trips are lossless, and dates are ISO-8601.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import math
@@ -173,15 +174,12 @@ def atomic_write_text(text: str, path: Path) -> None:
 def write_table(rows: list, path) -> None:
     """CSV of dict rows; the columns are the union of the rows' keys in
     first-seen order, and a row's missing keys are written empty."""
-    columns: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(str(row.get(c, "")) for c in columns))
-    atomic_write_text("\n".join(lines) + "\n", Path(path))
+    columns = list(dict.fromkeys(key for row in rows for key in row))
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=columns, restval="", lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    atomic_write_text(text.getvalue(), Path(path))
 
 
 def write_trajectory(trajectory: Trajectory, path) -> None:

@@ -14,6 +14,7 @@ import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
+from itertools import repeat
 
 import numpy as np
 
@@ -407,14 +408,38 @@ def summarize(
 @dataclass(frozen=True)
 class SweepRun:
     scenario: Scenario
-    trajectory: Trajectory | None
-    metrics: SummaryMetrics | None
+    trajectory: Trajectory | None = None
+    metrics: SummaryMetrics | None = None
     error: str | None = None
 
+    def measured(self, reference: Trajectory, ratio_dates: list | None = None) -> "SweepRun":
+        """This run with its metrics against ``reference``; a failed run as it is."""
+        if self.error is not None:
+            return self
+        return replace(self, metrics=summarize(self.trajectory, reference, ratio_dates))
 
-def _run_sweep_member(args):
-    scenario, params = args
-    return run_scenario(scenario, params)
+    def baseline(self) -> Trajectory:
+        """The run's trajectory; RuntimeError naming the run when it failed."""
+        if self.error is not None:
+            raise RuntimeError(f"baseline {self.scenario.name!r} failed: {self.error}")
+        return self.trajectory
+
+
+def _run_sweep_member(scenario: Scenario, params: ModelParams) -> SweepRun:
+    try:
+        return SweepRun(scenario, trajectory=run_scenario(scenario, params))
+    except Exception as exc:  # kept with the run, not fatal to the batch
+        return SweepRun(scenario, error=str(exc))
+
+
+def solve_runs(batch: list, params: ModelParams, jobs: int = 1) -> list:
+    """One unmeasured ``SweepRun`` per scenario of ``batch``, in its order,
+    solved in up to ``jobs`` processes; a run that raises holds its error."""
+    workers = min(jobs, len(batch))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_run_sweep_member, batch, repeat(params)))
+    return list(map(_run_sweep_member, batch, repeat(params)))
 
 
 # sweep axis -> (the key of a configured sweep section that holds its
@@ -461,29 +486,19 @@ def parse_sweep(axis: str, section: dict, where: str) -> SweepGrid:
     )
 
 
-def sweep(
-    params: ModelParams,
+def sweep_members(
     axis: str,
     values: list,
     *,
     start_date: date | None = None,
     intensity: float | None = None,
     duration_weeks: int | None = None,
-    reference: Trajectory | None = None,
-    ratio_dates: list | None = None,
-    jobs: int = 1,
     base: Scenario | None = None,
 ) -> list:
-    """One run per value along ``axis`` (a ``SWEEP_AXES`` key), the other
-    two schedule settings fixed; one left as None comes from the shipped
-    config's section for ``axis``.
-
-    Each member is ``base`` (default: the no-intervention baseline) with the
-    swept schedule; its metrics are taken against ``reference`` (default:
-    the no-pandemic run).  Values are not checked here: a member that raises
-    is kept with its error instead of failing the sweep.  Runs come back
-    sorted by name.
-    """
+    """One scenario per value along ``axis`` (a ``SWEEP_AXES`` key), sorted
+    by name: ``base`` (default: the no-intervention baseline) with the swept
+    schedule.  The other two schedule settings are fixed; one left as None
+    comes from the shipped config's section for ``axis``."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {sorted(SWEEP_AXES)}")
     _, setting, member_name = SWEEP_AXES[axis]
@@ -496,31 +511,20 @@ def sweep(
                 schedule=PolicySchedule.from_settings({**fixed, setting: value}))
         for value in values
     ]
-    if reference is None:
-        reference = run_scenario(no_pandemic_scenario(), params)
+    return sorted(members, key=lambda sc: sc.name)
 
-    trajectories: list = [None] * len(members)
-    errors: list = [None] * len(members)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_sweep_member, (sc, params)) for sc in members]
-            for i, fut in enumerate(futures):
-                try:
-                    trajectories[i] = fut.result()
-                except Exception as exc:  # collected, not fatal to the sweep
-                    errors[i] = str(exc)
-    else:
-        for i, sc in enumerate(members):
-            try:
-                trajectories[i] = run_scenario(sc, params)
-            except Exception as exc:
-                errors[i] = str(exc)
-    runs = [
-        SweepRun(scenario=sc, trajectory=None, metrics=None, error=err) if err is not None
-        else SweepRun(scenario=sc, trajectory=traj, metrics=summarize(traj, reference, ratio_dates))
-        for sc, traj, err in zip(members, trajectories, errors)
-    ]
-    return sorted(runs, key=lambda run: run.scenario.name)
+
+def sweep(params: ModelParams, axis: str, values: list, *, reference: Trajectory | None = None,
+          ratio_dates: list | None = None, jobs: int = 1, **settings) -> list:
+    """The runs of ``sweep_members(axis, values, **settings)``, solved in up
+    to ``jobs`` processes, with metrics against ``reference`` (default: the
+    shipped no-pandemic run, solved in the same batch).  Values are not
+    checked: a member that raises is kept with its error."""
+    batch = sweep_members(axis, values, **settings)
+    runs = solve_runs(batch if reference is not None else [no_pandemic_scenario(), *batch], params, jobs)
+    if reference is None:
+        reference = runs.pop(0).baseline()
+    return [run.measured(reference, ratio_dates) for run in runs]
 
 
 def sweep_start_dates(params: ModelParams, dates: list, **kwargs) -> list:

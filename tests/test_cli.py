@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -235,6 +236,53 @@ class TestSweep:
         assert code == 0
         rows = list(csv.DictReader(open(out / "comparison.csv")))
         assert len(rows) == 2  # no-intervention reference plus the single run
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys, jobs):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a scenario was solved before --jobs was checked")
+
+        monkeypatch.setattr(scenarios, "run_scenario", no_solve)
+        out = tmp_path / "out"
+        assert main(["sweep", "--axis", "duration", "--values", "4", "--jobs", jobs,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: --jobs")
+        assert not out.exists()
+
+    def test_parallel_sweep_solves_nothing_in_parent(self, tmp_path, monkeypatch, fast_config):
+        parent, solve = os.getpid(), scenarios.run_scenario
+
+        def workers_only(*args, **kwargs):
+            if os.getpid() == parent:
+                raise AssertionError("a run was solved in the parent process")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "run_scenario", workers_only)
+        assert main(["sweep", "--axis", "duration", "--values", "4,8", "--jobs", "2",
+                     "--out", str(tmp_path / "out"), "--config", fast_config]) == 0
+
+    def test_jobs_do_not_change_any_file(self, tmp_path, fast_config):
+        outs = {jobs: tmp_path / f"jobs{jobs}" for jobs in ("1", "2")}
+        for jobs, out in outs.items():
+            assert main(["sweep", "--axis", "duration", "--values", "4,8", "--jobs", jobs,
+                         "--out", str(out), "--config", fast_config]) == 0
+        names = sorted(path.name for path in outs["1"].iterdir())
+        assert "manifest.json" in names
+        assert names == sorted(path.name for path in outs["2"].iterdir())
+        for name in names:
+            assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_baseline_is_named(self, tmp_path, capsys, jobs):
+        horizons = {"end_of_interest": "2025-12-31", "horizon": "2035-12-31"}
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"scenarios": {
+            "no-pandemic": {**horizons, "n0": 1e15},  # outside the model's domain on day 1
+            "no-intervention": horizons,
+        }}))
+        assert main(["sweep", "--axis", "duration", "--values", "4,8", "--jobs", jobs,
+                     "--out", str(tmp_path / "out"), "--config", str(config)]) == 1
+        assert "'no-pandemic'" in capsys.readouterr().err
 
 
 class TestBacktestCommand:

@@ -141,6 +141,22 @@ class TestTrajectoryRoundTrip:
             data_io.read_trajectory(path)
 
 
+class TestWriteTable:
+    def test_quoted_fields_and_missing_keys_round_trip(self, tmp_path):
+        rows = [
+            {"scenario": "a", "error": "expected a fraction in [0, 1), got 1.2"},
+            {"scenario": 'say "b"', "total_deaths": 3.5},
+        ]
+        path = tmp_path / "table.csv"
+        data_io.write_table(rows, path)
+        with open(path, newline="") as fh:
+            back = list(csv.DictReader(fh))
+        assert back == [
+            {"scenario": "a", "error": "expected a fraction in [0, 1), got 1.2", "total_deaths": ""},
+            {"scenario": 'say "b"', "error": "", "total_deaths": "3.5"},
+        ]
+
+
 class TestParamsDocument:
     def test_round_trip_with_provenance(self, tmp_path):
         params = default_params()

@@ -24,6 +24,7 @@ from epigrowth.scenarios import (
     no_intervention_scenario,
     no_pandemic_scenario,
     run_scenario,
+    solve_runs,
     summarize,
     sweep,
     sweep_duration,
@@ -230,6 +231,38 @@ class TestSweeps:
         bad = by_name["intensity-01.2000"]
         assert good.error is None and good.metrics is not None
         assert bad.error is not None and bad.trajectory is None
+
+    def test_pool_sized_to_the_batch(self, params, monkeypatch):
+        started = []
+
+        class InProcessPool:
+            """Records the pool size asked for and maps in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(scenarios, "ProcessPoolExecutor", InProcessPool)
+        runs = solve_runs([short_scenario(name="a"), short_scenario(name="b")], params, jobs=64)
+        assert started == [2]
+        assert [(run.scenario.name, run.error) for run in runs] == [("a", None), ("b", None)]
+        solve_runs([short_scenario()], params, jobs=64)
+        solve_runs([], params, jobs=64)
+        assert started == [2]  # no pool for a batch of one run or none
+
+    def test_sweep_without_reference_measures_against_no_pandemic(self, params, baselines):
+        run, = sweep_duration(params, [4], base=short_scenario(), start_date=date(2020, 3, 12))
+        expected = summarize(run.trajectory, baselines[0])
+        assert run.metrics == expected
+        assert run.metrics.reference_name == "no-pandemic"
 
     def test_fixed_settings_default_to_shipped_config(self, params):
         base = short_scenario()
