@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import repeat
 from pathlib import Path
 
 from . import calibration, data_io, plotting, scenarios
@@ -156,6 +157,25 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+SWEEP_CHARTS = ["I", "D", "Y", "C"]
+
+
+def _emit_sweep_plots(trajectories: list, out_dir: Path, jobs: int) -> list:
+    """``plotting.emit_plots`` of ``SWEEP_CHARTS``, with each chart a task
+    on a pool of up to ``jobs`` processes when that is above one.  A chart
+    task gets each run's name, packed dates and one column, never a whole
+    ``Trajectory``."""
+    workers = min(jobs, len(SWEEP_CHARTS))
+    if workers == 1:
+        return plotting.emit_plots(trajectories, SWEEP_CHARTS, out_dir)
+    dates = [plotting.pack_dates(t.dates) for t in trajectories]
+    tasks = [[(t.scenario_name, d, t.columns()[var]) for t, d in zip(trajectories, dates)]
+             for var in SWEEP_CHARTS]
+    with scenarios.ProcessPoolExecutor(max_workers=workers) as pool:
+        return [name for names in pool.map(plotting.chart_task, tasks, SWEEP_CHARTS, repeat(out_dir))
+                for name in names]
+
+
 def cmd_sweep(args) -> int:
     config = data_io.load_config(args.config)
     params = _load_params(args, config)
@@ -171,25 +191,24 @@ def cmd_sweep(args) -> int:
 
     base = config.scenario(scenarios.NO_INTERVENTION)
     members = scenarios.sweep_members(args.axis, values, **grid.fixed, base=base)
+    # the process that solves a member writes its trajectory CSV; the
+    # baselines write none
+    csv_names = [f"{member.name}_trajectory.csv" for member in members]
     runs = scenarios.solve_runs(
-        [config.scenario(scenarios.NO_PANDEMIC), base, *members], params, args.jobs)
+        [config.scenario(scenarios.NO_PANDEMIC), base, *members], params, args.jobs,
+        [None, None, *(out_dir / name for name in csv_names)])
     # a failed baseline stops the sweep; a failed member only fills its row's error
     reference, _ = (run.baseline() for run in runs[:2])
     ratio_dates = _ratio_dates(config, base, reference)
     runs = [run.measured(reference, ratio_dates) for run in runs[1:]]
 
-    files = []
-    for run in runs[1:]:
-        if run.trajectory is not None:
-            name = f"{run.scenario.name}_trajectory.csv"
-            data_io.write_trajectory(run.trajectory, out_dir / name)
-            files.append(name)
+    files = [name for name, run in zip(csv_names, runs[1:]) if run.trajectory is not None]
     rows = [_metrics_row(run) for run in runs]
     plot_series = [reference, *(run.trajectory for run in runs if run.trajectory is not None)]
     data_io.write_table(rows, out_dir / "comparison.csv")
     data_io.write_json(rows, out_dir / "comparison.json")
     files.extend(["comparison.csv", "comparison.json"])
-    files.extend(plotting.emit_plots(plot_series, ["I", "D", "Y", "C"], out_dir))
+    files.extend(_emit_sweep_plots(plot_series, out_dir, args.jobs))
     _write_manifest(out_dir, f"sweep --axis {args.axis}", files,
                     {"params_digest": params.digest()})
 
@@ -282,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
                                     "dates for start, fractions for intensity, weeks for duration")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--jobs", type=int, default=1,
-                   help="solve both baselines and every member in up to N processes")
+                   help="solve both baselines and every member, write the members' "
+                        "trajectory CSVs and render the charts in up to N processes")
     p.add_argument("--config", help="configuration overrides (JSON)")
     p.set_defaults(func=cmd_sweep)
 

@@ -65,6 +65,16 @@ def _whole(raw, where: str, unit: str) -> int:
     return int(raw)
 
 
+def _run_name(raw, where: str) -> str:
+    """A run name, which output file names start with: a string other
+    than "", "." and "..", without "/" or "\\"."""
+    if not isinstance(raw, str) or raw in ("", ".", "..") or "/" in raw or "\\" in raw:
+        raise DataFormatError(
+            f"{where}: expected a run name that is not empty, '.' or '..' and has no "
+            f"'/' or '\\', got {raw!r}")
+    return raw
+
+
 # schedule setting, as a config spells it -> parser of one value; each
 # error names the value's dotted key
 SCHEDULE_SETTINGS = {
@@ -138,12 +148,12 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, name: str, raw: dict, where: str) -> "Scenario":
-        """Parse a scenario table entry (keys in ``_SCENARIO_KEYS``); errors
-        name the offending key under ``where``."""
+        """Parse a scenario table entry (keys in ``_SCENARIO_KEYS``) named
+        ``name``; errors name the offending key under ``where``."""
         check_keys(raw, _SCENARIO_KEYS, where, required=_SCENARIO_KEYS - {"schedule"})
         schedule = raw.get("schedule")
         return cls(
-            name=name,
+            name=_run_name(name, f"{where}.name"),
             start_date=parse_date(raw["start_date"], f"{where}.start_date"),
             **{field: _number(raw[field.lower()], f"{where}.{field.lower()}") for field in _SCENARIO_NUMBERS},
             schedule=None if schedule is None else PolicySchedule.from_dict(schedule, f"{where}.schedule"),
@@ -425,21 +435,32 @@ class SweepRun:
         return self.trajectory
 
 
-def _run_sweep_member(scenario: Scenario, params: ModelParams) -> SweepRun:
+def _run_sweep_member(scenario: Scenario, params: ModelParams, csv_path=None) -> SweepRun:
+    """Solve ``scenario`` and, when ``csv_path`` is given, write its
+    trajectory CSV there; a run that raises holds its error and writes
+    nothing."""
     try:
-        return SweepRun(scenario, trajectory=run_scenario(scenario, params))
+        trajectory = run_scenario(scenario, params)
     except Exception as exc:  # kept with the run, not fatal to the batch
         return SweepRun(scenario, error=str(exc))
+    if csv_path is not None:
+        from . import data_io  # data_io imports this module
+
+        data_io.write_trajectory(trajectory, csv_path)
+    return SweepRun(scenario, trajectory=trajectory)
 
 
-def solve_runs(batch: list, params: ModelParams, jobs: int = 1) -> list:
+def solve_runs(batch: list, params: ModelParams, jobs: int = 1, csv_paths: list | None = None) -> list:
     """One unmeasured ``SweepRun`` per scenario of ``batch``, in its order,
-    solved in up to ``jobs`` processes; a run that raises holds its error."""
+    solved in up to ``jobs`` processes; a run that raises holds its error.
+    The process that solves a run writes its trajectory CSV to the path at
+    the same place in ``csv_paths``, unless that path is None."""
+    paths = repeat(None) if csv_paths is None else csv_paths
     workers = min(jobs, len(batch))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_sweep_member, batch, repeat(params)))
-    return list(map(_run_sweep_member, batch, repeat(params)))
+            return list(pool.map(_run_sweep_member, batch, repeat(params), paths))
+    return list(map(_run_sweep_member, batch, repeat(params), paths))
 
 
 # sweep axis -> (the key of a configured sweep section that holds its

@@ -1,11 +1,12 @@
 import csv
 import json
 import os
+from xml.dom import minidom
 
 import numpy as np
 import pytest
 
-from epigrowth import data_io, scenarios
+from epigrowth import data_io, plotting, scenarios
 from epigrowth.cli import main
 from epigrowth.params import default_params
 from tests.conftest import DATA_DIR
@@ -150,6 +151,16 @@ class TestScenarioFile:
         assert code == 1
         assert f"{path}: top-level JSON value must be an object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", "", ".", ".."])
+    def test_name_that_leaves_out_is_rejected(self, tmp_path, capsys, name):
+        raw = {**data_io.default_config()["scenarios"]["no-intervention"], "name": name}
+        path = self.write_scenario(tmp_path, json.dumps(raw))
+        out = tmp_path / "o" / "inner"
+        code = main(["simulate", "--scenario", str(path), "--out", str(out)])
+        assert code == 1
+        assert f"{path}.name: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 # malformed sweep grids: (axis, config "sweeps" override or None, --values
 # text or None, the key the error must name)
@@ -261,6 +272,26 @@ class TestSweep:
         assert main(["sweep", "--axis", "duration", "--values", "4,8", "--jobs", "2",
                      "--out", str(tmp_path / "out"), "--config", fast_config]) == 0
 
+    def test_parallel_sweep_writes_nothing_in_parent(self, tmp_path, monkeypatch, fast_config):
+        parent = os.getpid()
+
+        def workers_only(fn):
+            def wrapper(*args, **kwargs):
+                if os.getpid() == parent:
+                    raise AssertionError(f"{fn.__name__} ran in the parent process")
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(data_io, "write_trajectory", workers_only(data_io.write_trajectory))
+        monkeypatch.setattr(plotting, "chart", workers_only(plotting.chart))
+        out = tmp_path / "out"
+        assert main(["sweep", "--axis", "duration", "--values", "4,8", "--jobs", "2",
+                     "--out", str(out), "--config", fast_config]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        for name in ("duration-004wk_trajectory.csv", "duration-008wk_trajectory.csv",
+                     "I.svg", "I_data.csv", "C.svg", "C_data.csv"):
+            assert name in manifest["files"] and (out / name).is_file(), name
+
     def test_jobs_do_not_change_any_file(self, tmp_path, fast_config):
         outs = {jobs: tmp_path / f"jobs{jobs}" for jobs in ("1", "2")}
         for jobs, out in outs.items():
@@ -280,9 +311,13 @@ class TestSweep:
             "no-pandemic": {**horizons, "n0": 1e15},  # outside the model's domain on day 1
             "no-intervention": horizons,
         }}))
+        out = tmp_path / "out"
         assert main(["sweep", "--axis", "duration", "--values", "4,8", "--jobs", jobs,
-                     "--out", str(tmp_path / "out"), "--config", str(config)]) == 1
+                     "--out", str(out), "--config", str(config)]) == 1
         assert "'no-pandemic'" in capsys.readouterr().err
+        # member CSVs may be written before the failed baseline is seen; the
+        # missing manifest marks the directory incomplete
+        assert not (out / "manifest.json").exists()
 
 
 class TestBacktestCommand:
@@ -330,6 +365,15 @@ class TestReport:
         assert len(rows) == len(trajectory.dates)
         got = np.array([float(r["no-intervention_trajectory"]) for r in rows])
         assert np.array_equal(got, trajectory.D)
+
+    def test_svg_text_is_escaped(self, tmp_path, two_trajectories):
+        named = tmp_path / "R&D<1>.csv"
+        named.write_bytes(two_trajectories[1].read_bytes())
+        out = tmp_path / "plots"
+        assert main(["report", str(named), "--variables", "I", "--out", str(out)]) == 0
+        doc = minidom.parse(str(out / "I.svg"))
+        texts = [node.firstChild.data for node in doc.getElementsByTagName("text")]
+        assert "R&D<1>" in texts
 
     def test_unknown_variable_names_valid_columns(self, tmp_path, two_trajectories, capsys):
         code = main(["report", str(two_trajectories[0]), "--variables", "Q",
