@@ -168,7 +168,7 @@ def _emit_sweep_plots(trajectories: list, out_dir: Path, jobs: int) -> list:
     workers = min(jobs, len(SWEEP_CHARTS))
     if workers == 1:
         return plotting.emit_plots(trajectories, SWEEP_CHARTS, out_dir)
-    dates = [plotting.pack_dates(t.dates) for t in trajectories]
+    dates = [scenarios.pack_dates(t.dates) for t in trajectories]
     tasks = [[(t.scenario_name, d, t.columns()[var]) for t, d in zip(trajectories, dates)]
              for var in SWEEP_CHARTS]
     with scenarios.ProcessPoolExecutor(max_workers=workers) as pool:

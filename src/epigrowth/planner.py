@@ -26,6 +26,20 @@ finite or leaves the open bracket.  Iteration stops when no double lies
 strictly between the two ends, so C_0 is the largest double that still
 reaches the target.  Paths produced this way satisfy the Euler condition
 exactly by construction, so the residual diagnostics sit at rounding level.
+
+Forward shooting on a saddle path is badly conditioned (Judd 1998,
+Numerical Methods in Economics; Brunner & Strulik 2002, JEDC 26):
+a C_0 above the stable path's C_b leaves it at the unstable rate lam, so
+the gap grows like (C_0 - C_b)*exp(lam*t) and exhausts the stock on a day
+t_f with C_0 ~ C_b + b*exp(-lam*t_f).  Far above the root, where Newton
+steps overshoot into exhaustion, bisection alone spends many long passes
+closing in.  So after an exhausting pass the last three exhausting passes'
+(t_f, C_0) are fitted to that curve, and the next pass tries the C_0 it
+predicts would run out EXHAUSTION_LEAD_DAYS after the horizon; the Newton
+step or the midpoint is used when there are fewer than three such passes,
+the fit has no decaying solution, or its C_0 leaves the open bracket.  The
+bracket and the stop rule are the same either way, so the step changes how
+many days the passes run, not the answer.
 """
 
 from __future__ import annotations
@@ -180,6 +194,44 @@ def _propagate(C0: float, inputs: PlannerInputs, prodc: list, growu: list, H: li
     return C_path, K_path, None, dK
 
 
+# Days past the horizon at which the exhaustion fit aims.  Measured over 62
+# solves (both baselines and 30 seeded interventions from each of seeds 0
+# and 1 of the scenario-loop benchmark), as mean pass-days per solve in
+# horizons: 13.7 at a lead of 0 days, 12.1 at 2,000, 11.3 at 3,000, 10.8 at
+# 5,000, 11.0 at 6,000 and 8,000 and 11.2 at 10,000, against 16.6 without
+# the fit.  The optimum is flat, so any lead from 3,000 to 8,000 days serves.
+EXHAUSTION_LEAD_DAYS = 5000
+
+
+def _exhaustion_step(fails: list, T: int) -> float:
+    """C_0 that the last three exhausting passes predict would exhaust the
+    stock EXHAUSTION_LEAD_DAYS after the horizon T, or NaN.
+
+    ``fails`` holds (fail day, C_0) of the exhausting passes in the order
+    they ran.  The three are fitted to C_0 = C_b + b*exp(-lam*t_f); there is
+    no estimate unless the fail days rise while C_0 falls and lam > 0.
+    """
+    (t1, x1), (t2, x2), (t3, x3) = fails[-3:]
+    if not (t1 < t2 < t3 and x1 > x2 > x3):
+        return math.nan
+    d1, d2 = t2 - t1, t3 - t2
+    ratio = (x1 - x2) / (x2 - x3)
+    # the fitted ratio expm1(lam*d1) / -expm1(-lam*d2) rises strictly from
+    # d1/d2 at lam = 0 and exceeds expm1(lam*d1), so the root lies in (0, hi]
+    if not ratio > d1 / d2:
+        return math.nan
+    lo, hi = 0.0, math.log1p(ratio) / d1
+    while True:
+        lam = 0.5 * (lo + hi)
+        if not lo < lam < hi:
+            break
+        if math.expm1(lam * d1) / -math.expm1(-lam * d2) < ratio:
+            lo = lam
+        else:
+            hi = lam
+    return x3 + (x2 - x3) * math.expm1(-lam * (T + EXHAUSTION_LEAD_DAYS - t3)) / math.expm1(lam * d2)
+
+
 def solve(inputs: PlannerInputs, *, rel_tol: float = 0.0, max_iter: int = 200) -> PlannerSolution:
     """Solve the consumption problem; see the module docstring for the method.
 
@@ -225,19 +277,26 @@ def solve(inputs: PlannerInputs, *, rel_tol: float = 0.0, max_iter: int = 200) -
     # x is the last pass that did not fail; Newton steps start from it.
     C_hi = resources0  # consumes the entire stock on day 0; always overshoots
     x, miss = C_lo, K_best[T] - K_target
+    fails = []  # (fail day, C_0) of each exhausting pass, in order
     for _ in range(max_iter):
         C_mid = 0.5 * (C_lo + C_hi)
         if not (C_lo < C_mid < C_hi):
             break
-        C_try = x - miss / slope if slope else math.nan
-        if C_try == x:
-            # the step is below x's resolution: test x's neighbour towards
-            # the other end of the bracket
-            C_try = math.nextafter(x, C_hi if x == C_lo else C_lo)
+        C_try = math.nan
+        if fail is not None and len(fails) >= 3:
+            C_try = _exhaustion_step(fails, T)
         if not (C_lo < C_try < C_hi):
-            C_try = C_mid
+            C_try = x - miss / slope if slope else math.nan
+            if C_try == x:
+                # the step is below x's resolution: test x's neighbour
+                # towards the other end of the bracket
+                C_try = math.nextafter(x, C_hi if x == C_lo else C_lo)
+            if not (C_lo < C_try < C_hi):
+                C_try = C_mid
         C_path, K_path, fail, dK_T = _propagate(C_try, inputs, prodc, growu, H)
-        if fail is None:
+        if fail is not None:
+            fails.append((fail, C_try))
+        else:
             x, miss, slope = C_try, K_path[T] - K_target, dK_T
         if fail is not None or K_path[T] < K_target:
             C_hi = C_try

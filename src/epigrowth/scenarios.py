@@ -13,7 +13,7 @@ from __future__ import annotations
 import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from datetime import date, timedelta
+from datetime import date
 from itertools import repeat
 
 import numpy as np
@@ -145,6 +145,10 @@ class Scenario:
             raise ValueError(f"Scenario.b0 must be >= 0, got {self.b0!r}")
         if self.schedule is not None:
             self.schedule.validate()
+            if not self.start_date <= self.schedule.start_date <= self.horizon:
+                raise ValueError(
+                    f"Scenario.schedule.start_date must lie in [{self.start_date.isoformat()}, "
+                    f"{self.horizon.isoformat()}], got {self.schedule.start_date.isoformat()}")
 
     @classmethod
     def from_dict(cls, name: str, raw: dict, where: str) -> "Scenario":
@@ -176,9 +180,21 @@ class Scenario:
         return (self.horizon - self.start_date).days + 1
 
 
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+
+
+def pack_dates(dates: list) -> np.ndarray:
+    """``dates`` as a ``datetime64[D]`` array, the form in which dates cross
+    to or from a pool worker: 4,000 days pickle in about 0.1 ms against
+    5 ms for the list of ``date``, and ``.tolist()`` gives the list back."""
+    ordinals = np.fromiter(map(date.toordinal, dates), np.int64, len(dates))
+    return (ordinals - _EPOCH_ORDINAL).astype("datetime64[D]")
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Aligned daily series for one scenario run."""
+    """Aligned daily series for one scenario run.  It pickles with its
+    dates packed by ``pack_dates``, which keeps a pool worker's result small."""
 
     scenario_name: str
     params_digest: str
@@ -195,6 +211,12 @@ class Trajectory:
     H: np.ndarray
     p: np.ndarray
     welfare: float
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "dates": pack_dates(self.dates)}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, dates=state["dates"].tolist())
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -289,7 +311,8 @@ def _epidemic_pass(scenario: Scenario, params: ModelParams):
         infections, state = _transition(*state, b_t, r, m_t, a1, a2)
         F.append(infections)
     N, S, I, R, D = (np.array(column) for column in zip(*states))
-    dates = [scenario.start_date + timedelta(days=k) for k in range(T)]
+    first_day = scenario.start_date.toordinal()
+    dates = list(map(date.fromordinal, range(first_day, first_day + T)))
 
     outside = np.flatnonzero(~((S >= 0.0) & (N >= 0.0)))
     if outside.size:

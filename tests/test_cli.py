@@ -248,6 +248,18 @@ class TestSweep:
         rows = list(csv.DictReader(open(out / "comparison.csv")))
         assert len(rows) == 2  # no-intervention reference plus the single run
 
+    def test_policy_start_outside_run_fills_its_row_error(self, tmp_path, fast_config):
+        out = tmp_path / "late"
+        code = main(["sweep", "--axis", "start", "--values", "2020-05-21,2070-01-01",
+                     "--out", str(out), "--config", fast_config])
+        assert code == 0
+        rows = {r["scenario"]: r for r in csv.DictReader(open(out / "comparison.csv"))}
+        assert rows["start-2020-05-21"]["error"] == ""
+        late = rows["start-2070-01-01"]
+        assert late["error"].startswith("Scenario.schedule.start_date")
+        assert late["total_deaths"] == ""
+        assert not (out / "start-2070-01-01_trajectory.csv").exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys, jobs):
         def no_solve(*args, **kwargs):

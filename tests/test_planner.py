@@ -1,5 +1,7 @@
 import math
-from datetime import date
+import random
+import statistics
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -219,20 +221,29 @@ def terminal_capital(C0: float, inputs: PlannerInputs):
     return K
 
 
-@pytest.fixture(scope="module")
-def no_intervention_inputs(params):
-    """The PlannerInputs that the no-intervention run hands to the solver."""
+class _Captured(Exception):
+    """Stops a run once the solver has been handed its inputs."""
+
+
+def planner_inputs(scenario, params) -> PlannerInputs:
+    """The PlannerInputs that ``run_scenario(scenario, params)`` hands to the
+    solver; the run stops there, so nothing is solved."""
     captured = []
-    real_solve = planner.solve
 
     def capture(inputs, **kwargs):
         captured.append(inputs)
-        return real_solve(inputs, **kwargs)
+        raise _Captured
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(planner, "solve", capture)
-        scenarios.run_scenario(scenarios.no_intervention_scenario(), params)
+        with pytest.raises(_Captured):
+            scenarios.run_scenario(scenario, params)
     return captured[0]
+
+
+@pytest.fixture(scope="module")
+def no_intervention_inputs(params):
+    return planner_inputs(scenarios.no_intervention_scenario(), params)
 
 
 @pytest.fixture(params=["growing", "no-intervention"])
@@ -243,33 +254,95 @@ def shooting_case(request):
 
 
 def count_passes(monkeypatch) -> list:
-    """Count calls of the solver's per-pass function; returns a one-item list."""
-    calls = [0]
+    """Record, per call of the solver's per-pass function, the days it ran:
+    the horizon, or up to the day the stock runs out.  Its length is the
+    number of passes."""
+    days = []
     real = planner._propagate
 
-    def counted(*args):
-        calls[0] += 1
-        return real(*args)
+    def counted(C0, inputs, *rest):
+        result = real(C0, inputs, *rest)
+        fail = result[2]
+        days.append(inputs.horizon if fail is None else fail + 1)
+        return result
 
     monkeypatch.setattr(planner, "_propagate", counted)
-    return calls
+    return days
+
+
+def assert_largest_feasible_double(solution: PlannerSolution, inputs: PlannerInputs) -> None:
+    """C_0 reaches the terminal target and the next double up does not."""
+    target = balanced_path_terminal_capital(inputs)
+    C0 = float(solution.consumption_path[0])
+    K_T = terminal_capital(C0, inputs)
+    assert K_T is not None and K_T >= target
+    assert K_T == solution.capital_path[-1]
+    above = terminal_capital(math.nextafter(C0, math.inf), inputs)
+    assert above is None or above < target
+
+
+def seeded_schedules(seed: int, n: int) -> list:
+    """``n`` single interventions drawn as the scenario-loop benchmark draws
+    them: a start from 2020-03-01 to 2020-08-31, 2% to 30%, 4 to 104 weeks."""
+    rng = random.Random(seed)
+    first = date(2020, 3, 1)
+    span = (date(2020, 8, 31) - first).days + 1
+    return [scenarios.PolicySchedule(first + timedelta(days=rng.randrange(span)),
+                                     rng.randint(20, 300) / 1000, rng.randint(4, 104) * 7)
+            for _ in range(n)]
+
+
+@pytest.fixture(scope="module")
+def seeded_solves(params):
+    """(inputs, solution, pass-days in horizons) for 12 seeded interventions."""
+    cases = [planner_inputs(scenarios.no_intervention_scenario(schedule=schedule, name=f"seeded-{i}"),
+                            params)
+             for i, schedule in enumerate(seeded_schedules(0, 12))]
+    solves = []
+    with pytest.MonkeyPatch.context() as mp:
+        days = count_passes(mp)
+        for inputs in cases:
+            days.clear()
+            solves.append((inputs, solve(inputs), sum(days) / inputs.horizon))
+    return solves
 
 
 class TestShooting:
     def test_c0_is_largest_feasible_double(self, shooting_case):
-        sol = solve(shooting_case)
-        target = balanced_path_terminal_capital(shooting_case)
-        C0 = float(sol.consumption_path[0])
-        K_T = terminal_capital(C0, shooting_case)
-        assert K_T is not None and K_T >= target
-        assert K_T == sol.capital_path[-1]
-        above = terminal_capital(math.nextafter(C0, math.inf), shooting_case)
-        assert above is None or above < target
+        assert_largest_feasible_double(solve(shooting_case), shooting_case)
+
+    def test_seeded_c0_is_largest_feasible_double(self, seeded_solves):
+        for inputs, solution, _ in seeded_solves:
+            assert_largest_feasible_double(solution, inputs)
 
     def test_no_intervention_pass_count(self, no_intervention_inputs, monkeypatch):
-        calls = count_passes(monkeypatch)
+        passes = count_passes(monkeypatch)
         solve(no_intervention_inputs)
-        assert calls[0] <= 32
+        assert len(passes) <= 32
+
+    def test_pass_days_per_solve(self, seeded_solves, params, monkeypatch):
+        # pass-days in horizons; without the exhaustion fit the seeded mean
+        # is 16.9 and the no-pandemic solve 23.8, with it 10.9 and 10.4
+        assert statistics.mean(horizons for *_, horizons in seeded_solves) <= 13
+        inputs = planner_inputs(scenarios.no_pandemic_scenario(), params)
+        days = count_passes(monkeypatch)
+        solve(inputs)
+        assert sum(days) / inputs.horizon <= 13
+
+    @pytest.mark.parametrize("estimate", [-1.0, math.inf])
+    def test_fit_outside_bracket_is_not_tried(self, no_intervention_inputs, monkeypatch, estimate):
+        expected = float(solve(no_intervention_inputs).consumption_path[0])
+        monkeypatch.setattr(planner, "_exhaustion_step", lambda fails, T: estimate)
+        tried = []
+        real = planner._propagate
+
+        def recorded(C0, *rest):
+            tried.append(C0)
+            return real(C0, *rest)
+
+        monkeypatch.setattr(planner, "_propagate", recorded)
+        assert float(solve(no_intervention_inputs).consumption_path[0]) == expected
+        assert estimate not in tried
 
     def test_relative_tolerance_stops_early_and_feasible(self, shooting_case):
         full = float(solve(shooting_case).consumption_path[0])
@@ -280,13 +353,38 @@ class TestShooting:
         assert terminal_capital(C0, shooting_case) == early.capital_path[-1]
 
     def test_iteration_cap_stops_early_and_feasible(self, shooting_case, monkeypatch):
-        calls = count_passes(monkeypatch)
+        passes = count_passes(monkeypatch)
         early = solve(shooting_case, max_iter=3)
-        assert calls[0] == 4  # the feasibility probe plus three capped passes
+        assert len(passes) == 4  # the feasibility probe plus three capped passes
         C0 = float(early.consumption_path[0])
         assert np.all(early.consumption_path > 0)
         assert early.capital_path[-1] >= balanced_path_terminal_capital(shooting_case)
         assert terminal_capital(C0, shooting_case) == early.capital_path[-1]
+
+
+class TestExhaustionStep:
+    T = 4000
+
+    def fails(self, days, C_b=100.0, b=50.0, lam=1e-3):
+        return [(t, C_b + b * math.exp(-lam * t)) for t in days]
+
+    def test_exact_on_an_exponential(self):
+        step = planner._exhaustion_step(self.fails([1000, 1700, 3100]), self.T)
+        expected = 100.0 + 50.0 * math.exp(-1e-3 * (self.T + planner.EXHAUSTION_LEAD_DAYS))
+        assert step == pytest.approx(expected, rel=1e-12)
+
+    def test_uses_the_last_three(self):
+        fails = [(10, 1e9), (20, 2e9)] + self.fails([1000, 1700, 3100])
+        assert planner._exhaustion_step(fails, self.T) == planner._exhaustion_step(fails[2:], self.T)
+
+    @pytest.mark.parametrize("fails", [
+        [(1000, 3.0), (900, 2.0), (3000, 1.0)],    # fail days not rising
+        [(1000, 3.0), (2000, 3.0), (3000, 1.0)],   # C_0 not falling
+        [(1000, 3.0), (2000, 2.0), (3000, 1.0)],   # linear: lam = 0
+        [(1000, 3.0), (2000, 2.5), (3000, 1.0)],   # accelerating: lam < 0
+    ])
+    def test_no_estimate(self, fails):
+        assert math.isnan(planner._exhaustion_step(fails, self.T))
 
 
 class TestErrors:

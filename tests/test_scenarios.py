@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 from datetime import date, timedelta
 
 import numpy as np
@@ -72,6 +73,20 @@ class TestPolicyNoOpEquivalence:
         reference = baselines[1]
         for name, col in run.columns().items():
             assert np.array_equal(col, reference.columns()[name]), name
+
+
+class TestTrajectoryPickle:
+    def test_round_trip(self, baselines):
+        trajectory = baselines[1]
+        data = pickle.dumps(trajectory)
+        assert b"datetime" not in data  # the dates travel as one datetime64[D] array
+        back = pickle.loads(data)
+        assert back.dates == trajectory.dates
+        assert type(back.dates) is list and all(type(day) is date for day in back.dates)
+        for name, col in trajectory.columns().items():
+            assert np.array_equal(back.columns()[name], col), name
+        assert (back.scenario_name, back.params_digest, back.welfare) == (
+            trajectory.scenario_name, trajectory.params_digest, trajectory.welfare)
 
 
 class TestDecoupling:
@@ -232,6 +247,17 @@ class TestSweeps:
         assert good.error is None and good.metrics is not None
         assert bad.error is not None and bad.trajectory is None
 
+    def test_member_starting_outside_run_keeps_its_error(self, params):
+        base = short_scenario()  # runs to 2024-12-31
+        reference = run_scenario(base, params)
+        runs = sweep_start_dates(params, [date(2020, 3, 12), date(2030, 1, 1)], base=base,
+                                 reference=reference)
+        by_name = {r.scenario.name: r for r in runs}
+        assert by_name["start-2020-03-12"].error is None
+        late = by_name["start-2030-01-01"]
+        assert late.trajectory is None and late.metrics is None
+        assert late.error.startswith("Scenario.schedule.start_date")
+
     def test_pool_sized_to_the_batch(self, params, monkeypatch):
         started = []
 
@@ -343,6 +369,19 @@ class TestScenarioValidation:
     def test_unknown_sweep_axis_rejected(self, params):
         with pytest.raises(ValueError, match="axis"):
             sweep(params, "weather", [1])
+
+    def test_policy_start_outside_run_rejected(self):
+        base = no_intervention_scenario()
+        for start in (base.start_date - timedelta(days=1), base.horizon + timedelta(days=1)):
+            schedule = PolicySchedule(start_date=start, intensity_p=0.10, duration_days=182)
+            with pytest.raises(ValueError, match=r"^Scenario\.schedule\.start_date"):
+                dataclasses.replace(base, schedule=schedule).validate()
+
+    def test_policy_start_on_run_bounds_accepted(self):
+        base = no_intervention_scenario()
+        for start in (base.start_date, base.horizon):
+            schedule = PolicySchedule(start_date=start, intensity_p=0.10, duration_days=182)
+            dataclasses.replace(base, schedule=schedule).validate()
 
 
 class TestDomainAndTolerance:
