@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import repeat
 from pathlib import Path
 
 from . import calibration, data_io, plotting, scenarios
@@ -117,8 +116,8 @@ def _ratio_dates(config: data_io.RunConfig, scenario: scenarios.Scenario,
     """The configured output-ratio dates that both ``scenario``'s reported
     window and ``reference`` cover, or None when there are none."""
     return [d for d in config.ratio_dates()
-            if max(scenario.start_date, reference.dates[0]) <= d
-            <= min(scenario.end_of_interest, reference.dates[-1])] or None
+            if max(scenario.start_date, reference.day(0)) <= d
+            <= min(scenario.end_of_interest, reference.day(-1))] or None
 
 
 def _token(text: str):
@@ -160,22 +159,6 @@ def cmd_simulate(args) -> int:
 SWEEP_CHARTS = ["I", "D", "Y", "C"]
 
 
-def _emit_sweep_plots(trajectories: list, out_dir: Path, jobs: int) -> list:
-    """``plotting.emit_plots`` of ``SWEEP_CHARTS``, with each chart a task
-    on a pool of up to ``jobs`` processes when that is above one.  A chart
-    task gets each run's name, packed dates and one column, never a whole
-    ``Trajectory``."""
-    workers = min(jobs, len(SWEEP_CHARTS))
-    if workers == 1:
-        return plotting.emit_plots(trajectories, SWEEP_CHARTS, out_dir)
-    dates = [scenarios.pack_dates(t.dates) for t in trajectories]
-    tasks = [[(t.scenario_name, d, t.columns()[var]) for t, d in zip(trajectories, dates)]
-             for var in SWEEP_CHARTS]
-    with scenarios.ProcessPoolExecutor(max_workers=workers) as pool:
-        return [name for names in pool.map(plotting.chart_task, tasks, SWEEP_CHARTS, repeat(out_dir))
-                for name in names]
-
-
 def cmd_sweep(args) -> int:
     config = data_io.load_config(args.config)
     params = _load_params(args, config)
@@ -202,22 +185,22 @@ def cmd_sweep(args) -> int:
     ratio_dates = _ratio_dates(config, base, reference)
     runs = [run.measured(reference, ratio_dates) for run in runs[1:]]
 
+    errors = [run for run in runs if run.error]
+    for run in errors:
+        print(f"error in {run.scenario.name}: {run.error}", file=sys.stderr)
+    if len(errors) == len(members):
+        raise RuntimeError("every sweep member failed")
+
     files = [name for name, run in zip(csv_names, runs[1:]) if run.trajectory is not None]
     rows = [_metrics_row(run) for run in runs]
     plot_series = [reference, *(run.trajectory for run in runs if run.trajectory is not None)]
     data_io.write_table(rows, out_dir / "comparison.csv")
     data_io.write_json(rows, out_dir / "comparison.json")
     files.extend(["comparison.csv", "comparison.json"])
-    files.extend(_emit_sweep_plots(plot_series, out_dir, args.jobs))
+    files.extend(plotting.emit_plots(plot_series, SWEEP_CHARTS, out_dir, args.jobs))
     _write_manifest(out_dir, f"sweep --axis {args.axis}", files,
                     {"params_digest": params.digest()})
-
-    errors = [run for run in runs if run.error]
-    for run in errors:
-        print(f"error in {run.scenario.name}: {run.error}", file=sys.stderr)
     print(f"wrote {len(files)} files to {out_dir}")
-    if len(errors) == len(members):
-        raise RuntimeError("every sweep member failed")
     return 0
 
 

@@ -194,7 +194,8 @@ def write_trajectory(trajectory: Trajectory, path) -> None:
 
 def read_trajectory(path, scenario_name: str | None = None) -> Trajectory:
     """Inverse of write_trajectory.  Run metadata is not stored in the CSV,
-    so the name defaults to the file stem and welfare is NaN."""
+    so the name defaults to the file stem and welfare is NaN.  The rows
+    must be consecutive days, oldest first."""
     path = Path(path)
     if not path.exists():
         raise DataFormatError(f"trajectory file not found: {path}")
@@ -203,15 +204,20 @@ def read_trajectory(path, scenario_name: str | None = None) -> Trajectory:
         header = next(reader, None)
         if header != TRAJECTORY_HEADER:
             raise DataFormatError(f"{path}: unexpected header {header}, want {TRAJECTORY_HEADER}")
-        dates, rows = [], []
+        days, rows = [], []
         for i, row in enumerate(reader):
             if len(row) != len(TRAJECTORY_HEADER):
                 raise DataFormatError(f"{path}: row {i + 2}: expected {len(TRAJECTORY_HEADER)} fields")
             try:
-                dates.append(date.fromisoformat(row[0]))
+                day = date.fromisoformat(row[0]).toordinal()
                 rows.append([float(v) for v in row[1:]])
             except ValueError as exc:
                 raise DataFormatError(f"{path}: row {i + 2}: {exc}") from None
+            if days and day != days[-1] + 1:
+                raise DataFormatError(
+                    f"{path}: row {i + 2}: date {row[0]} does not follow "
+                    f"{date.fromordinal(days[-1]).isoformat()} by one day")
+            days.append(day)
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     data = np.array(rows).T
@@ -224,8 +230,7 @@ def read_trajectory(path, scenario_name: str | None = None) -> Trajectory:
     named = dict(zip(TRAJECTORY_HEADER[1:], data))
     return Trajectory(
         scenario_name=scenario_name or path.stem,
-        params_digest="",
-        dates=dates,
+        days=range(days[0], days[-1] + 1),
         welfare=float("nan"),
         **named,
     )

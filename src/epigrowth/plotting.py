@@ -10,9 +10,11 @@ from __future__ import annotations
 import csv
 import io
 from datetime import date
+from itertools import repeat
 from pathlib import Path
 
 from .data_io import atomic_write_text
+from .scenarios import pool_map
 
 RENDERER_VERSION = "epigrowth-svg/1"
 
@@ -59,9 +61,10 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def emit_plots(trajectories: list, variables: list, out_dir) -> list:
+def emit_plots(trajectories: list, variables: list, out_dir, jobs: int = 1) -> list:
     """One SVG per variable with one line per trajectory, plus a CSV of the
-    plotted columns.  Returns the relative names of the written files."""
+    plotted columns, with each variable's chart a task on up to ``jobs``
+    processes.  Returns the relative names of the written files."""
     if not trajectories:
         raise ValueError("need at least one trajectory to plot")
     if not variables:
@@ -76,18 +79,21 @@ def emit_plots(trajectories: list, variables: list, out_dir) -> list:
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for var in variables:
-        written.extend(chart([(t.scenario_name, t.dates, t.columns()[var]) for t in trajectories],
-                             var, out_dir))
-    return written
+    tasks = [[(t.scenario_name, t.days, t.columns()[var]) for t in trajectories] for var in variables]
+    written = pool_map(_chart, jobs, tasks, variables, repeat(out_dir))
+    return [name for pair in written for name in pair]
+
+
+def _chart(series: list, var: str, out_dir) -> list:
+    # the pool task: it looks ``chart`` up in the process that runs it
+    return chart(series, var, out_dir)
 
 
 def chart(series: list, var: str, out_dir) -> list:
     """Write ``{var}.svg`` with one line per series and ``{var}_data.csv``
     with the plotted values, into the existing ``out_dir``.  Each series is
-    (name, dates, values): a list of ``date`` and the column of ``var`` on
-    those dates.  Returns the two file names."""
+    (name, days, values): the day numbers (``date.toordinal``) and the
+    column of ``var`` on those days.  Returns the two file names."""
     out_dir = Path(out_dir)
     svg_name, csv_name = f"{var}.svg", f"{var}_data.csv"
     _write_data_csv(series, out_dir / csv_name)
@@ -95,28 +101,22 @@ def chart(series: list, var: str, out_dir) -> list:
     return [svg_name, csv_name]
 
 
-def chart_task(series: list, var: str, out_dir) -> list:
-    """``chart`` run in a pool worker, on series whose dates come from
-    ``scenarios.pack_dates``."""
-    return chart([(name, dates.tolist(), values) for name, dates, values in series], var, out_dir)
-
-
 def _write_data_csv(series: list, path: Path) -> None:
-    all_dates = sorted({d for _, dates, _ in series for d in dates})
-    lookup = [{d: repr(float(values[i])) for i, d in enumerate(dates)} for _, dates, values in series]
+    all_days = sorted({d for _, days, _ in series for d in days})
+    lookup = [{d: repr(float(values[i])) for i, d in enumerate(days)} for _, days, values in series]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["date"] + [name for name, _, _ in series])
-    for d in all_dates:
-        writer.writerow([d.isoformat()] + [m.get(d, "") for m in lookup])
+    for d in all_days:
+        writer.writerow([date.fromordinal(d).isoformat()] + [m.get(d, "") for m in lookup])
     atomic_write_text(buf.getvalue(), path)
 
 
 def render_svg(series: list, var: str) -> str:
     """The SVG chart of ``var`` over ``series``, as for ``chart``."""
-    x_min = min(dates[0] for _, dates, _ in series)
-    x_max = max(dates[-1] for _, dates, _ in series)
-    x_span = max((x_max - x_min).days, 1)
+    x_min = min(days[0] for _, days, _ in series)
+    x_max = max(days[-1] for _, days, _ in series)
+    x_span = max(x_max - x_min, 1)
     y_min = min(float(min(values)) for _, _, values in series)
     y_max = max(float(max(values)) for _, _, values in series)
     ticks = _nice_ticks(y_min, y_max)
@@ -128,8 +128,8 @@ def render_svg(series: list, var: str) -> str:
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
-    def sx(d: date) -> float:
-        return MARGIN_L + plot_w * (d - x_min).days / x_span
+    def sx(d: int) -> float:
+        return MARGIN_L + plot_w * (d - x_min) / x_span
 
     def sy(v: float) -> float:
         return MARGIN_T + plot_h * (1.0 - (v - y_min) / (y_max - y_min))
@@ -154,10 +154,11 @@ def render_svg(series: list, var: str) -> str:
             f'text-anchor="end">{_fmt(v)}</text>'
         )
 
-    n_years = x_max.year - x_min.year + 1
+    first_year, last_year = date.fromordinal(x_min).year, date.fromordinal(x_max).year
+    n_years = last_year - first_year + 1
     year_step = max(1, (n_years + 9) // 10)
-    for year in range(x_min.year, x_max.year + 1, year_step):
-        tick_day = date(year, 1, 1)
+    for year in range(first_year, last_year + 1, year_step):
+        tick_day = date(year, 1, 1).toordinal()
         if tick_day < x_min or tick_day > x_max:
             continue
         x = sx(tick_day)
@@ -175,9 +176,9 @@ def render_svg(series: list, var: str) -> str:
         f'fill="none" stroke="#333333" stroke-width="1"/>'
     )
 
-    for i, (name, dates, values) in enumerate(series):
+    for i, (name, days, values) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
-        points = " ".join(f"{sx(d):.2f},{sy(float(values[k])):.2f}" for k, d in enumerate(dates))
+        points = " ".join(f"{sx(d):.2f},{sy(float(values[k])):.2f}" for k, d in enumerate(days))
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

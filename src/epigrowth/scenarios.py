@@ -180,25 +180,13 @@ class Scenario:
         return (self.horizon - self.start_date).days + 1
 
 
-_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
-
-
-def pack_dates(dates: list) -> np.ndarray:
-    """``dates`` as a ``datetime64[D]`` array, the form in which dates cross
-    to or from a pool worker: 4,000 days pickle in about 0.1 ms against
-    5 ms for the list of ``date``, and ``.tolist()`` gives the list back."""
-    ordinals = np.fromiter(map(date.toordinal, dates), np.int64, len(dates))
-    return (ordinals - _EPOCH_ORDINAL).astype("datetime64[D]")
-
-
 @dataclass(frozen=True)
 class Trajectory:
-    """Aligned daily series for one scenario run.  It pickles with its
-    dates packed by ``pack_dates``, which keeps a pool worker's result small."""
+    """Aligned daily series for one scenario run over consecutive days:
+    ``days`` holds their day numbers (``date.toordinal``), first to last."""
 
     scenario_name: str
-    params_digest: str
-    dates: list
+    days: range
     N: np.ndarray
     S: np.ndarray
     I: np.ndarray
@@ -212,18 +200,19 @@ class Trajectory:
     p: np.ndarray
     welfare: float
 
-    def __getstate__(self) -> dict:
-        return {**self.__dict__, "dates": pack_dates(self.dates)}
+    @property
+    def dates(self) -> list:
+        return list(map(date.fromordinal, self.days))
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state, dates=state["dates"].tolist())
+    def day(self, i: int) -> date:
+        return date.fromordinal(self.days[i])
 
     def __len__(self) -> int:
-        return len(self.dates)
+        return len(self.days)
 
     def index_of(self, day: date) -> int:
-        offset = (day - self.dates[0]).days
-        if not (0 <= offset < len(self.dates)):
+        offset = day.toordinal() - self.days.start
+        if not (0 <= offset < len(self.days)):
             raise KeyError(f"{day.isoformat()} outside trajectory range")
         return offset
 
@@ -274,8 +263,8 @@ def no_intervention_scenario(**changes) -> Scenario:
 
 
 def _epidemic_pass(scenario: Scenario, params: ModelParams):
-    """Forward-simulate the epidemic; returns per-day compartment, policy
-    shortfall, infection-rate and new-infection arrays.
+    """Forward-simulate the epidemic; returns the day numbers, then per-day
+    compartment, policy shortfall, infection-rate and new-infection arrays.
 
     The inputs are checked once, before the first day (``run_scenario``
     validates the scenario and parameters, this function the two rate
@@ -312,18 +301,18 @@ def _epidemic_pass(scenario: Scenario, params: ModelParams):
         F.append(infections)
     N, S, I, R, D = (np.array(column) for column in zip(*states))
     first_day = scenario.start_date.toordinal()
-    dates = list(map(date.fromordinal, range(first_day, first_day + T)))
+    days = range(first_day, first_day + T)
 
     outside = np.flatnonzero(~((S >= 0.0) & (N >= 0.0)))
     if outside.size:
         # only reachable far beyond the logistic carrying capacity
         raise ValueError(
-            f"population shrank below zero on {dates[outside[0]].isoformat()}; "
+            f"population shrank below zero on {date.fromordinal(days[outside[0]]).isoformat()}; "
             "state outside the model's domain"
         )
     p = np.where(in_window, intensity, 0.0)
     b = np.where(in_window, active_rates.b, base_rates.b)
-    return dates, N, S, I, R, D, b, p, np.array(F)
+    return days, N, S, I, R, D, b, p, np.array(F)
 
 
 def run_scenario(scenario: Scenario, params: ModelParams) -> Trajectory:
@@ -343,7 +332,7 @@ def run_scenario(scenario: Scenario, params: ModelParams) -> Trajectory:
     params.validate()
     scenario.validate()
     T = scenario.n_days()
-    dates, N, S, I, R, D, b, p, F = _epidemic_pass(scenario, params)
+    days, N, S, I, R, D, b, p, F = _epidemic_pass(scenario, params)
 
     A = scenario.A0 * (1.0 + params.g_daily) ** np.arange(T)
     labor = S + R
@@ -381,8 +370,7 @@ def run_scenario(scenario: Scenario, params: ModelParams) -> Trajectory:
     n = (scenario.end_of_interest - scenario.start_date).days + 1
     return Trajectory(
         scenario_name=scenario.name,
-        params_digest=params.digest(),
-        dates=dates[:n],
+        days=days[:n],
         N=N[:n], S=S[:n], I=I[:n], R=R[:n], D=D[:n],
         A=A[:n], K=K[:n], Y=Y[:n],
         C=solution.consumption_path[:n],
@@ -404,12 +392,12 @@ def summarize(
     trajectory: Trajectory, reference: Trajectory, ratio_dates: list | None = None
 ) -> SummaryMetrics:
     """Peak, mortality and output-gap metrics against a reference run."""
-    first = max(trajectory.dates[0], reference.dates[0])
-    last = min(trajectory.dates[-1], reference.dates[-1])
+    first = max(trajectory.day(0), reference.day(0))
+    last = min(trajectory.day(-1), reference.day(-1))
     if first > last:
         raise ValueError(
-            f"trajectories do not overlap: {trajectory.dates[0]}..{trajectory.dates[-1]} vs "
-            f"{reference.dates[0]}..{reference.dates[-1]}"
+            f"trajectories do not overlap: {trajectory.day(0)}..{trajectory.day(-1)} vs "
+            f"{reference.day(0)}..{reference.day(-1)}"
         )
     i0, i1 = trajectory.index_of(first), trajectory.index_of(last)
     j0 = reference.index_of(first)
@@ -430,7 +418,7 @@ def summarize(
         scenario_name=trajectory.scenario_name,
         reference_name=reference.scenario_name,
         peak_active_infections=float(trajectory.I[peak_idx]),
-        peak_date=trajectory.dates[peak_idx],
+        peak_date=trajectory.day(peak_idx),
         total_deaths=float(trajectory.D[-1] - trajectory.D[0]),
         max_output_drop_pct=float(np.max(1.0 - Y / Y_ref) * 100.0),
         output_ratio_at=ratios,
@@ -473,17 +461,24 @@ def _run_sweep_member(scenario: Scenario, params: ModelParams, csv_path=None) ->
     return SweepRun(scenario, trajectory=trajectory)
 
 
+def pool_map(fn, jobs: int, tasks: list, *iterables) -> list:
+    """``list(map(fn, tasks, *iterables))``, computed on a pool of
+    ``min(jobs, len(tasks))`` processes when that is above one and by the
+    builtin ``map`` otherwise.  ``fn`` must be a module-level function."""
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks, *iterables))
+    return list(map(fn, tasks, *iterables))
+
+
 def solve_runs(batch: list, params: ModelParams, jobs: int = 1, csv_paths: list | None = None) -> list:
     """One unmeasured ``SweepRun`` per scenario of ``batch``, in its order,
     solved in up to ``jobs`` processes; a run that raises holds its error.
     The process that solves a run writes its trajectory CSV to the path at
     the same place in ``csv_paths``, unless that path is None."""
     paths = repeat(None) if csv_paths is None else csv_paths
-    workers = min(jobs, len(batch))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_sweep_member, batch, repeat(params), paths))
-    return list(map(_run_sweep_member, batch, repeat(params), paths))
+    return pool_map(_run_sweep_member, jobs, batch, repeat(params), paths)
 
 
 # sweep axis -> (the key of a configured sweep section that holds its

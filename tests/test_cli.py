@@ -260,6 +260,16 @@ class TestSweep:
         assert late["total_deaths"] == ""
         assert not (out / "start-2070-01-01_trajectory.csv").exists()
 
+    def test_every_member_failing_writes_no_manifest(self, tmp_path, capsys, fast_config):
+        out = tmp_path / "late"
+        code = main(["sweep", "--axis", "start", "--values", "2070-01-01",
+                     "--out", str(out), "--config", fast_config])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error in start-2070-01-01: Scenario.schedule.start_date" in err
+        assert "every sweep member failed" in err
+        assert not (out / "manifest.json").exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys, jobs):
         def no_solve(*args, **kwargs):

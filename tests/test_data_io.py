@@ -112,8 +112,7 @@ class TestTrajectoryRoundTrip:
         trajectory = baselines[0]
         t0 = type(trajectory)(
             scenario_name="one-day",
-            params_digest="",
-            dates=trajectory.dates[:1],
+            days=trajectory.days[:1],
             **{k: v[:1] for k, v in trajectory.columns().items()},
             welfare=0.0,
         )
@@ -138,6 +137,18 @@ class TestTrajectoryRoundTrip:
         bad = "2020-01-02,1.0,1.0,nan," + ",".join(["1.0"] * 8)
         path = write(tmp_path, "t.csv", "\n".join([header, good, bad]) + "\n")
         with pytest.raises(DataFormatError, match="row 3: non-finite 'I'"):
+            data_io.read_trajectory(path)
+
+    @pytest.mark.parametrize("days,row", [
+        (["2020-01-01", "2020-01-02", "2020-01-04"], 4),  # a gap
+        (["2020-01-01", "2020-01-02", "2020-01-02"], 4),  # a repeated day
+        (["2020-01-02", "2020-01-01"], 3),  # reversed order
+    ])
+    def test_rows_not_consecutive_days_rejected(self, tmp_path, days, row):
+        header = ",".join(data_io.TRAJECTORY_HEADER)
+        lines = [day + "," + ",".join(["1.0"] * 11) for day in days]
+        path = write(tmp_path, "t.csv", "\n".join([header, *lines]) + "\n")
+        with pytest.raises(DataFormatError, match=f"row {row}: date {days[row - 2]} does not follow"):
             data_io.read_trajectory(path)
 
 
