@@ -183,12 +183,14 @@ def write_table(rows: list, path) -> None:
 
 
 def write_trajectory(trajectory: Trajectory, path) -> None:
-    """One CSV row per day; floats via repr, so reading back is lossless."""
-    lines = [",".join(TRAJECTORY_HEADER)]
+    """One CSV row per day; floats via repr, so reading back is lossless.
+    Each column goes through ``tolist`` once and each row is formatted as
+    it is joined."""
     cols = trajectory.columns()
-    series = [cols[name] for name in TRAJECTORY_HEADER[1:]]
-    for i, day in enumerate(trajectory.dates):
-        lines.append(day.isoformat() + "," + ",".join(repr(float(s[i])) for s in series))
+    fields = [map(repr, np.asarray(cols[name], dtype=float).tolist()) for name in TRAJECTORY_HEADER[1:]]
+    dates = map(date.isoformat, map(date.fromordinal, trajectory.days))
+    lines = [",".join(TRAJECTORY_HEADER)]
+    lines += map(",".join, zip(dates, *fields))
     atomic_write_text("\n".join(lines) + "\n", Path(path))
 
 
@@ -210,7 +212,7 @@ def read_trajectory(path, scenario_name: str | None = None) -> Trajectory:
                 raise DataFormatError(f"{path}: row {i + 2}: expected {len(TRAJECTORY_HEADER)} fields")
             try:
                 day = date.fromisoformat(row[0]).toordinal()
-                rows.append([float(v) for v in row[1:]])
+                rows.append(list(map(float, row[1:])))
             except ValueError as exc:
                 raise DataFormatError(f"{path}: row {i + 2}: {exc}") from None
             if days and day != days[-1] + 1:

@@ -73,6 +73,8 @@ def emit_plots(trajectories: list, variables: list, out_dir, jobs: int = 1) -> l
     for var in variables:
         if var not in valid:
             raise ValueError(f"unknown variable {var!r}; valid variables: {sorted(valid)}")
+        if variables.count(var) > 1:
+            raise ValueError(f"variable {var!r} is named more than once")
     names = [t.scenario_name for t in trajectories]
     if len(set(names)) != len(names):
         raise ValueError(f"trajectory names must be unique, got {names}")
@@ -92,8 +94,8 @@ def _chart(series: list, var: str, out_dir) -> list:
 def chart(series: list, var: str, out_dir) -> list:
     """Write ``{var}.svg`` with one line per series and ``{var}_data.csv``
     with the plotted values, into the existing ``out_dir``.  Each series is
-    (name, days, values): the day numbers (``date.toordinal``) and the
-    column of ``var`` on those days.  Returns the two file names."""
+    (name, days, values): a range of day numbers (``date.toordinal``) and
+    the float array of ``var`` on those days.  Returns the two file names."""
     out_dir = Path(out_dir)
     svg_name, csv_name = f"{var}.svg", f"{var}_data.csv"
     _write_data_csv(series, out_dir / csv_name)
@@ -102,13 +104,23 @@ def chart(series: list, var: str, out_dir) -> list:
 
 
 def _write_data_csv(series: list, path: Path) -> None:
-    all_days = sorted({d for _, days, _ in series for d in days})
-    lookup = [{d: repr(float(values[i])) for i, d in enumerate(days)} for _, days, values in series]
+    # one row per day that some series covers, with a series' cells outside
+    # its days empty; only the run names in the header can need CSV quoting
+    spans = []  # the days the series cover, as merged [start, stop) pairs
+    for start, stop in sorted((days.start, days.stop) for _, days, _ in series):
+        if spans and start <= spans[-1][1]:
+            spans[-1][1] = max(spans[-1][1], stop)
+        else:
+            spans.append([start, stop])
+    first, end = spans[0][0], spans[-1][1]
+    columns = [[""] * (days.start - first) + list(map(repr, values.tolist())) + [""] * (end - days.stop)
+               for _, days, values in series]
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["date"] + [name for name, _, _ in series])
-    for d in all_days:
-        writer.writerow([date.fromordinal(d).isoformat()] + [m.get(d, "") for m in lookup])
+    csv.writer(buf, lineterminator="\n").writerow(["date"] + [name for name, _, _ in series])
+    for start, stop in spans:
+        dates = map(date.isoformat, map(date.fromordinal, range(start, stop)))
+        cells = [column[start - first:stop - first] for column in columns]
+        buf.write("\n".join(map(",".join, zip(dates, *cells))) + "\n")
     atomic_write_text(buf.getvalue(), path)
 
 
@@ -117,8 +129,8 @@ def render_svg(series: list, var: str) -> str:
     x_min = min(days[0] for _, days, _ in series)
     x_max = max(days[-1] for _, days, _ in series)
     x_span = max(x_max - x_min, 1)
-    y_min = min(float(min(values)) for _, _, values in series)
-    y_max = max(float(max(values)) for _, _, values in series)
+    y_min = min(float(min(values.tolist())) for _, _, values in series)
+    y_max = max(float(max(values.tolist())) for _, _, values in series)
     ticks = _nice_ticks(y_min, y_max)
     y_min = min(y_min, ticks[0])
     y_max = max(y_max, ticks[-1])
@@ -176,9 +188,17 @@ def render_svg(series: list, var: str) -> str:
         f'fill="none" stroke="#333333" stroke-width="1"/>'
     )
 
+    # the polyline points spell out sx and sy, operation for operation, so
+    # each coordinate is the same float; each distinct days range's x
+    # coordinates are formatted once
+    y_span = y_max - y_min
+    x_strings = {}
     for i, (name, days, values) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
-        points = " ".join(f"{sx(d):.2f},{sy(float(values[k])):.2f}" for k, d in enumerate(days))
+        if days not in x_strings:
+            x_strings[days] = [f"{MARGIN_L + plot_w * (d - x_min) / x_span:.2f}," for d in days]
+        points = " ".join([f"{x}{MARGIN_T + plot_h * (1.0 - (v - y_min) / y_span):.2f}"
+                           for x, v in zip(x_strings[days], values.tolist())])
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

@@ -404,6 +404,13 @@ class TestReport:
         err = capsys.readouterr().err
         assert "'Q'" in err and "'Y'" in err
 
+    def test_repeated_variable_rejected_before_writing(self, tmp_path, two_trajectories, capsys):
+        out = tmp_path / "x"
+        code = main(["report", str(two_trajectories[0]), "--variables", "Y,I,Y", "--out", str(out)])
+        assert code == 1
+        assert "variable 'Y' is named more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_variables_rejected(self, tmp_path, two_trajectories, capsys):
         code = main(["report", str(two_trajectories[0]), "--variables", "",
                      "--out", str(tmp_path / "x")])

@@ -4,10 +4,12 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epigrowth import data_io
 from epigrowth.data_io import DataFormatError, DatasetManifest
 from epigrowth.params import default_params
+from epigrowth.scenarios import Trajectory
 from tests.conftest import DATA_DIR
 
 
@@ -15,6 +17,28 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def oracle_trajectory_csv(trajectory: Trajectory) -> bytes:
+    """The trajectory CSV formatted one value at a time, as the writer
+    once did: the reference ``write_trajectory`` must match byte for byte."""
+    lines = [",".join(data_io.TRAJECTORY_HEADER)]
+    cols = trajectory.columns()
+    series = [cols[name] for name in data_io.TRAJECTORY_HEADER[1:]]
+    for i, day in enumerate(trajectory.dates):
+        lines.append(day.isoformat() + "," + ",".join(repr(float(s[i])) for s in series))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def trajectory_of(columns: dict, first_day: date, name: str = "t") -> Trajectory:
+    n = len(next(iter(columns.values())))
+    start = first_day.toordinal()
+    return Trajectory(scenario_name=name, days=range(start, start + n), welfare=0.0, **columns)
+
+
+# -0.0, the smallest subnormal and the largest finite magnitudes, each of
+# which a lossy or sign-dropping formatter would change
+EXTREMES = [-0.0, 5e-324, 1.7e308, -1.7e308, 2.2250738585072014e-308, 0.1]
 
 
 class TestManifest:
@@ -150,6 +174,82 @@ class TestTrajectoryRoundTrip:
         path = write(tmp_path, "t.csv", "\n".join([header, *lines]) + "\n")
         with pytest.raises(DataFormatError, match=f"row {row}: date {days[row - 2]} does not follow"):
             data_io.read_trajectory(path)
+
+
+class TestTrajectoryBytes:
+    @pytest.mark.parametrize("which", [0, 1], ids=["no-pandemic", "no-intervention"])
+    def test_baselines_match_oracle(self, tmp_path, baselines, which):
+        path = tmp_path / "t.csv"
+        data_io.write_trajectory(baselines[which], path)
+        assert path.read_bytes() == oracle_trajectory_csv(baselines[which])
+
+    def test_extreme_values_match_oracle(self, tmp_path):
+        columns = {name: np.roll(np.array(EXTREMES), k)
+                   for k, name in enumerate(data_io.TRAJECTORY_HEADER[1:])}
+        trajectory = trajectory_of(columns, date(1999, 12, 30))
+        path = tmp_path / "t.csv"
+        data_io.write_trajectory(trajectory, path)
+        assert path.read_bytes() == oracle_trajectory_csv(trajectory)
+        fields = path.read_text().splitlines()[1].split(",")
+        assert {"-0.0", "5e-324", "1.7e+308", "-1.7e+308"} <= set(fields)
+
+    @given(n=st.integers(1, 50), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_write_then_read_is_bit_exact(self, tmp_path_factory, n, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        columns = {name: np.array(data.draw(st.lists(finite, min_size=n, max_size=n), label=name))
+                   for name in data_io.TRAJECTORY_HEADER[1:]}
+        trajectory = trajectory_of(columns, date(2020, 2, 28))
+        path = tmp_path_factory.mktemp("prop") / "t.csv"
+        data_io.write_trajectory(trajectory, path)
+        assert path.read_bytes() == oracle_trajectory_csv(trajectory)
+        loaded = data_io.read_trajectory(path)
+        assert loaded.days == trajectory.days
+        for name, col in columns.items():
+            assert loaded.columns()[name].tobytes() == col.tobytes(), name
+
+
+class TestReadTrajectoryErrors:
+    """Each malformed trajectory CSV is rejected with the file, the row and
+    what is wrong with it."""
+
+    HEADER = ",".join(data_io.TRAJECTORY_HEADER)
+
+    def rows(self, *cells):
+        """Three consecutive well-formed rows, with ``cells`` (a list of
+        fields or None) in place of the second one."""
+        good = [["2020-01-01"] + ["1.0"] * 11, ["2020-01-02"] + ["2.0"] * 11,
+                ["2020-01-03"] + ["3.0"] * 11]
+        if cells:
+            good[1] = list(cells)
+        return "\n".join([self.HEADER] + [",".join(r) for r in good]) + "\n"
+
+    def test_wrong_field_count_names_file_and_row(self, tmp_path):
+        path = write(tmp_path, "short.csv", self.rows("2020-01-02", *["2.0"] * 10))
+        with pytest.raises(DataFormatError, match=r"short\.csv: row 3: expected 12 fields$"):
+            data_io.read_trajectory(path)
+
+    def test_non_numeric_value_names_file_row_and_value(self, tmp_path):
+        path = write(tmp_path, "text.csv", self.rows("2020-01-02", "2.0", "abc", *["2.0"] * 9))
+        with pytest.raises(DataFormatError,
+                           match=r"text\.csv: row 3: could not convert string to float: 'abc'$"):
+            data_io.read_trajectory(path)
+
+    def test_unparseable_date_names_file_row_and_date(self, tmp_path):
+        path = write(tmp_path, "when.csv", self.rows("2020/01/02", *["2.0"] * 11))
+        with pytest.raises(DataFormatError,
+                           match=r"when\.csv: row 3: Invalid isoformat string: '2020/01/02'$"):
+            data_io.read_trajectory(path)
+
+    def test_header_without_rows_names_the_file(self, tmp_path):
+        path = write(tmp_path, "empty.csv", self.HEADER + "\n")
+        with pytest.raises(DataFormatError, match=r"empty\.csv: no data rows$"):
+            data_io.read_trajectory(path)
+
+    def test_well_formed_rows_load(self, tmp_path):
+        loaded = data_io.read_trajectory(write(tmp_path, "ok.csv", self.rows()))
+        assert loaded.dates == [date(2020, 1, 1), date(2020, 1, 2), date(2020, 1, 3)]
+        assert loaded.Y.tolist() == [1.0, 2.0, 3.0]
 
 
 class TestWriteTable:

@@ -1,0 +1,111 @@
+import csv
+import io
+import re
+from datetime import date
+
+import numpy as np
+import pytest
+
+from epigrowth import plotting
+
+
+def oracle_data_csv(series: list) -> bytes:
+    """The chart's data CSV built one day and one value at a time, as the
+    writer once did: ``plotting.chart`` must match it byte for byte."""
+    all_days = sorted({d for _, days, _ in series for d in days})
+    lookup = [{d: repr(float(values[i])) for i, d in enumerate(days)} for _, days, values in series]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["date"] + [name for name, _, _ in series])
+    for d in all_days:
+        writer.writerow([date.fromordinal(d).isoformat()] + [m.get(d, "") for m in lookup])
+    return buf.getvalue().encode()
+
+
+def oracle_polyline_points(series: list) -> list:
+    """Each series' polyline ``points``, one ``sx``/``sy`` call per point, as
+    the renderer once built them."""
+    x_min = min(days[0] for _, days, _ in series)
+    x_max = max(days[-1] for _, days, _ in series)
+    x_span = max(x_max - x_min, 1)
+    y_min = min(float(min(values)) for _, _, values in series)
+    y_max = max(float(max(values)) for _, _, values in series)
+    ticks = plotting._nice_ticks(y_min, y_max)
+    y_min = min(y_min, ticks[0])
+    y_max = max(y_max, ticks[-1])
+    if y_max == y_min:
+        y_max = y_min + 1.0
+    plot_w = plotting.WIDTH - plotting.MARGIN_L - plotting.MARGIN_R
+    plot_h = plotting.HEIGHT - plotting.MARGIN_T - plotting.MARGIN_B
+
+    def sx(d: int) -> float:
+        return plotting.MARGIN_L + plot_w * (d - x_min) / x_span
+
+    def sy(v: float) -> float:
+        return plotting.MARGIN_T + plot_h * (1.0 - (v - y_min) / (y_max - y_min))
+
+    return [" ".join(f"{sx(d):.2f},{sy(float(values[k])):.2f}" for k, d in enumerate(days))
+            for _, days, values in series]
+
+
+def polyline_points(svg: str) -> list:
+    return re.findall(r'<polyline points="([^"]*)"', svg)
+
+
+def days_from(first: date, n: int) -> range:
+    return range(first.toordinal(), first.toordinal() + n)
+
+
+def assert_chart_matches_oracle(series, tmp_path):
+    assert plotting.chart(series, "Y", tmp_path) == ["Y.svg", "Y_data.csv"]
+    assert (tmp_path / "Y_data.csv").read_bytes() == oracle_data_csv(series)
+    assert polyline_points((tmp_path / "Y.svg").read_text()) == oracle_polyline_points(series)
+
+
+class TestChartBytes:
+    @pytest.mark.parametrize("var", ["Y", "I", "p"])
+    def test_baselines(self, tmp_path, baselines, var):
+        # the two baselines start on different days, so the later one is padded
+        series = [(t.scenario_name, t.days, t.columns()[var]) for t in baselines[:2]]
+        assert_chart_matches_oracle(series, tmp_path)
+
+    def test_different_first_and_last_days(self, tmp_path, baselines):
+        t = baselines[1]
+        series = [("middle", t.days[40:90], t.Y[40:90]),
+                  ("early", t.days[:60], t.Y[:60]),
+                  ("late", t.days[70:120], t.Y[70:120]),
+                  ("early-too", t.days[:60], t.C[:60])]
+        assert_chart_matches_oracle(series, tmp_path)
+
+    def test_days_no_series_covers_are_skipped(self, tmp_path, baselines):
+        t = baselines[1]
+        series = [("late", t.days[50:60], t.Y[50:60]), ("early", t.days[:10], t.Y[:10]),
+                  ("touching", t.days[10:20], t.Y[10:20])]
+        assert_chart_matches_oracle(series, tmp_path)
+        assert len((tmp_path / "Y_data.csv").read_text().splitlines()) == 1 + 30
+
+    def test_run_name_needing_csv_quotes(self, tmp_path):
+        series = [('a,"b"', days_from(date(2020, 1, 1), 3), np.array([1.0, 2.0, 3.0])),
+                  ("plain", days_from(date(2020, 1, 2), 3), np.array([0.5, 0.25, 0.125]))]
+        assert_chart_matches_oracle(series, tmp_path)
+        assert (tmp_path / "Y_data.csv").read_text().splitlines()[0] == 'date,"a,""b""",plain'
+
+    @pytest.mark.parametrize("values", [
+        [-0.0, 5e-324, 1e308, 0.1, 2.2250738585072014e-308],
+        [-1e308, -0.0, 5e-324, -0.1],
+    ], ids=["positive-extremes", "negative-extremes"])
+    def test_extreme_values(self, tmp_path, values):
+        series = [("x", days_from(date(2021, 2, 27), len(values)), np.array(values)),
+                  ("y", days_from(date(2021, 2, 28), 2), np.array(values[:2]))]
+        assert_chart_matches_oracle(series, tmp_path)
+
+    def test_largest_finite_values_in_data_csv(self, tmp_path):
+        # the chart's y range would overflow here, so only the CSV is written
+        values = np.array([-0.0, 5e-324, 1.7e308, -1.7e308])
+        series = [("x", days_from(date(2021, 2, 27), 4), values),
+                  ("y", days_from(date(2021, 3, 1), 1), values[3:])]
+        plotting._write_data_csv(series, tmp_path / "x.csv")
+        assert (tmp_path / "x.csv").read_bytes() == oracle_data_csv(series)
+        assert (tmp_path / "x.csv").read_text().splitlines()[1:] == [
+            "2021-02-27,-0.0,", "2021-02-28,5e-324,", "2021-03-01,1.7e+308,-1.7e+308",
+            "2021-03-02,-1.7e+308,"]
