@@ -250,7 +250,10 @@ def cmd_report(args) -> int:
         raise data_io.DataFormatError("no variables given; use --variables Y,C,I")
     trajectories = [data_io.read_trajectory(p) for p in args.trajectories]
     out_dir = Path(args.out)
-    files = plotting.emit_plots(trajectories, variables, out_dir)
+    try:
+        files = plotting.emit_plots(trajectories, variables, out_dir)
+    except ValueError as exc:
+        raise data_io.DataFormatError(f"{', '.join(args.trajectories)}: {exc}") from None
     _write_manifest(out_dir, "report", files)
     print(f"wrote {len(files)} files to {out_dir}")
     return 0

@@ -15,6 +15,13 @@ binds at calibrated magnitudes.  N - (S + I + R) is invariant under the
 step.  Policy enters through ``policy_to_infection_reduction`` (output
 shortfall -> percentage cut in b) and ``effective_rates`` (reduced b ->
 mortality via the fitted log-log model).
+
+The equations are written once, in ``run_days``.  It runs them over a
+list of constant-rate segments, each a number of days with its (b, m):
+a scenario's pass is at most three segments (before, in and after the
+intervention window), and ``epi_step`` is one segment of one day.  The
+day loop is the bare equations on plain floats, with no per-day call or
+rate lookup.
 """
 
 from __future__ import annotations
@@ -107,21 +114,39 @@ class TradeoffModel:
             raise ValueError(f"q2 must lie in (0, 1), got {self.q2!r}")
 
 
-def _transition(N, S, I, R, D, b, r, m, a1, a2):
-    """The day's transition equations on plain floats, unchecked.
+def run_days(state: tuple, segments: list, r: float, a1: float, a2: float):
+    """Run the transition equations, unchecked, from ``state`` = (N, S, I,
+    R, D) over ``segments``, a list of (days, b, m) with the rates in force
+    on those days.
 
-    Returns the day's new infections and the next (N, S, I, R, D)."""
-    births = (a1 - 1.0) * N + a2 * N * N
-    infections = min(b * S * I, S)
-    recoveries = r * I
-    deaths = m * I
-    return infections, (
-        N + births - deaths,
-        S + births - infections,
-        I + infections - recoveries - deaths,
-        R + recoveries,
-        D + deaths,
-    )
+    Returns the columns N, S, I, R, D and F of the days run, as lists
+    holding each day's counts as it starts and its new infections, and the
+    (N, S, I, R, D) after the last day.
+    """
+    N, S, I, R, D = state
+    columns = [], [], [], [], [], []
+    add_N, add_S, add_I, add_R, add_D, add_F = (column.append for column in columns)
+    growth = a1 - 1.0
+    for days, b, m in segments:
+        for _ in range(days):
+            add_N(N)
+            add_S(S)
+            add_I(I)
+            add_R(R)
+            add_D(D)
+            births = growth * N + a2 * N * N
+            infections = b * S * I
+            if S < infections:  # min(b*S*I, S), NaN included
+                infections = S
+            add_F(infections)
+            recoveries = r * I
+            deaths = m * I
+            N = N + births - deaths
+            S = S + births - infections
+            I = I + infections - recoveries - deaths
+            R = R + recoveries
+            D = D + deaths
+    return columns, (N, S, I, R, D)
 
 
 def epi_step(state: EpiState, rates: EpiRates, pop: PopGrowthParams) -> EpiState:
@@ -129,8 +154,8 @@ def epi_step(state: EpiState, rates: EpiRates, pop: PopGrowthParams) -> EpiState
     state.validate()
     rates.validate()
     pop.validate()
-    _, (N, S, I, R, D) = _transition(
-        state.N, state.S, state.I, state.R, state.D, rates.b, rates.r, rates.m, pop.a1, pop.a2
+    _, (N, S, I, R, D) = run_days(
+        (state.N, state.S, state.I, state.R, state.D), [(1, rates.b, rates.m)], rates.r, pop.a1, pop.a2
     )
     if S < 0 or N < 0:
         # only reachable far beyond the logistic carrying capacity

@@ -27,6 +27,12 @@ strictly between the two ends, so C_0 is the largest double that still
 reaches the target.  Paths produced this way satisfy the Euler condition
 exactly by construction, so the residual diagnostics sit at rounding level.
 
+A pass (``_propagate``) is one loop over days 0 to T - 2, zipping each
+day's production constant and cost with the next day's production
+constant and the utility growth factor, so no day indexes a list.  The
+last day is peeled off after the loop: it has no next day, and its stock
+may end at exactly 0, where any earlier day's stock must stay positive.
+
 Forward shooting on a saddle path is badly conditioned (Judd 1998,
 Numerical Methods in Economics; Brunner & Strulik 2002, JEDC 26):
 a C_0 above the stable path's C_b leaves it at the unstable rate lam, so
@@ -159,39 +165,42 @@ def _propagate(C0: float, inputs: PlannerInputs, prodc: list, growu: list, H: li
 
     Returns (consumption list, capital list incl. terminal, fail index or
     None, dK_T/dC_0 or None).  A fail index marks the first day the stock
-    would be exhausted; such a pass has no terminal stock and no slope.
-    The paths are lists of plain floats, so the loop does no numpy scalar
-    arithmetic.
+    would be exhausted; such a pass has no terminal stock and no slope, and
+    its paths stop at that day.  The paths are lists of plain floats, so
+    the loop does no numpy scalar arithmetic; the module docstring gives
+    the loop's shape.
     """
-    T = inputs.horizon
     alpha = inputs.alpha
     am1 = alpha - 1.0
     omd = 1.0 - inputs.delta_daily
 
-    C_path = [0.0] * T
-    K_path = [0.0] * (T + 1)
     K = float(inputs.K0)
-    K_path[0] = K
     C = float(C0)
+    C_path, K_path = [], [K]
+    add_C, add_K = C_path.append, K_path.append
     Kpow = K ** alpha
-    mpk = 0.0  # MPK_0 only ever multiplies dK_0 = 0
+    gross = omd  # 1 - delta + MPK_t; MPK_0 only ever multiplies dK_0 = 0
     dK = 0.0
     dC = 1.0
-    for t in range(T):
-        C_path[t] = C
-        Y = prodc[t] * Kpow
-        K_next = omd * K + Y - H[t] - C
-        if K_next <= 0.0 and not (t == T - 1 and K_next == 0.0):
-            return C_path, K_path, t, None
-        K_path[t + 1] = K_next
-        dK = (omd + mpk) * dK - dC
-        if t < T - 1:
-            Kpow = K_next ** alpha
-            mpk = alpha * prodc[t + 1] * Kpow / K_next
-            dC = growu[t] * ((omd + mpk) * dC + C * am1 * mpk / K_next * dK)
-            C = C * growu[t] * (omd + mpk)
-            K = K_next
-    return C_path, K_path, None, dK
+    for pc, h, pc1, g in zip(prodc, H, prodc[1:], growu):
+        add_C(C)
+        K_next = omd * K + pc * Kpow - h - C
+        if K_next <= 0.0:
+            return C_path, K_path, len(C_path) - 1, None
+        add_K(K_next)
+        dK = gross * dK - dC
+        Kpow = K_next ** alpha
+        mpk = alpha * pc1 * Kpow / K_next
+        gross = omd + mpk
+        dC = g * (gross * dC + C * am1 * mpk / K_next * dK)
+        C = C * g * gross
+        K = K_next
+    add_C(C)
+    K_next = omd * K + prodc[-1] * Kpow - H[-1] - C
+    if K_next < 0.0:
+        return C_path, K_path, len(C_path) - 1, None
+    add_K(K_next)
+    return C_path, K_path, None, gross * dK - dC
 
 
 # Days past the horizon at which the exhaustion fit aims.  Measured over 62
@@ -253,7 +262,8 @@ def solve(inputs: PlannerInputs, *, rel_tol: float = 0.0, max_iter: int = 200) -
     L = np.asarray(inputs.labor_path, dtype=float)
     N = np.asarray(inputs.pop_path, dtype=float)
     p = np.asarray(inputs.shortfall_path, dtype=float)
-    prodc = ((1.0 - p) * A * L ** (1.0 - alpha)).tolist()
+    production = (1.0 - p) * A * L ** (1.0 - alpha)
+    prodc = production.tolist()
     growu = (beta * N[1:] / N[:-1]).tolist()
     H = np.asarray(inputs.hcost_path, dtype=float).tolist()
 
@@ -307,7 +317,7 @@ def solve(inputs: PlannerInputs, *, rel_tol: float = 0.0, max_iter: int = 200) -
 
     consumption = np.array(C_best)
     capital = np.array(K_best)
-    residuals = _euler_residuals(consumption, capital, inputs, prodc)
+    residuals = _euler_residuals(consumption, capital, inputs, production)
     W = welfare(consumption, N, beta)
     return PlannerSolution(
         consumption_path=consumption,
@@ -317,14 +327,15 @@ def solve(inputs: PlannerInputs, *, rel_tol: float = 0.0, max_iter: int = 200) -
     )
 
 
-def _euler_residuals(C: np.ndarray, K: np.ndarray, inputs: PlannerInputs, prodc: list) -> np.ndarray:
+def _euler_residuals(C: np.ndarray, K: np.ndarray, inputs: PlannerInputs,
+                     production: np.ndarray) -> np.ndarray:
     T = inputs.horizon
     if T < 2:
         return np.zeros(0)
     N = np.asarray(inputs.pop_path, dtype=float)
     omd = 1.0 - inputs.delta_daily
     Kn = K[1:T]
-    mpk = inputs.alpha * np.asarray(prodc[1:T]) * Kn ** (inputs.alpha - 1.0)
+    mpk = inputs.alpha * production[1:T] * Kn ** (inputs.alpha - 1.0)
     cpc = C / N
     return np.abs(cpc[1:] / cpc[:-1] / (inputs.beta_daily * (omd + mpk)) - 1.0)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from datetime import date
 from itertools import repeat
 from pathlib import Path
@@ -35,26 +36,56 @@ def _xml_text(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _nice_ticks(lo: float, hi: float, n: int = 5) -> list:
+def _nice_ticks(y_min: float, y_max: float, n: int = 5) -> list:
+    """About ``n`` round values, evenly spaced, that cover [y_min, y_max].
+    ValueError when the axis they span is wider than the largest double."""
+    lo, hi = y_min, y_max
     if lo == hi:
         lo, hi = lo - 1.0, hi + 1.0
+        if lo == hi:  # 1 is below the value's resolution
+            lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
     span = hi - lo
-    raw = span / n
-    mag = 10.0 ** int(f"{raw:e}".split("e")[1])
-    for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
-    else:
-        step = 10.0 * mag
-    first = step * (lo // step)
+    if math.isfinite(span):
+        raw = span / n
+        # 10.0 ** -324 underflows to 0: no step is below the smallest double
+        mag = max(10.0 ** int(f"{raw:e}".split("e")[1]), math.ulp(0.0))
+        for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
+            if raw <= mult * mag:
+                step = mult * mag
+                break
+        else:
+            step = 10.0 * mag
+        first = step * (lo // step)
+        stop = hi + 0.5 * step
+    if not (math.isfinite(span) and math.isfinite(stop - first)):
+        raise ValueError(f"values from {y_min!r} to {y_max!r} need an axis wider than the largest double")
     ticks = []
     v = first
-    while v <= hi + 0.5 * step:
+    # each v += step adds at least half a step unless it leaves v as it
+    # is, so the loop reaches stop within twice (stop - first) / step passes
+    for _ in range(int((stop - first) / step * 2.0) + 2):
+        if not v <= stop:
+            break
         if v >= lo - 0.5 * step:
             ticks.append(v)
+        if v + step == v:  # the step is below v's resolution
+            break
         v += step
-    return ticks
+    # none when first, rounded, lands past stop: the step is below lo's resolution
+    return ticks or [lo, hi]
+
+
+def value_axis(columns: list) -> tuple:
+    """The value axis of a chart of the float arrays ``columns``: their
+    lowest and highest value and the axis ticks; ValueError as for
+    ``_nice_ticks``."""
+    lows, highs = [], []
+    for values in columns:
+        values = values.tolist()
+        lows.append(min(values))
+        highs.append(max(values))
+    y_min, y_max = min(lows), max(highs)
+    return y_min, y_max, _nice_ticks(y_min, y_max)
 
 
 def _fmt(v: float) -> str:
@@ -69,15 +100,19 @@ def emit_plots(trajectories: list, variables: list, out_dir, jobs: int = 1) -> l
         raise ValueError("need at least one trajectory to plot")
     if not variables:
         raise ValueError("variable list is empty")
+    names = [t.scenario_name for t in trajectories]
+    if len(set(names)) != len(names):
+        raise ValueError(f"trajectory names must be unique, got {names}")
     valid = set(trajectories[0].columns())
     for var in variables:
         if var not in valid:
             raise ValueError(f"unknown variable {var!r}; valid variables: {sorted(valid)}")
         if variables.count(var) > 1:
             raise ValueError(f"variable {var!r} is named more than once")
-    names = [t.scenario_name for t in trajectories]
-    if len(set(names)) != len(names):
-        raise ValueError(f"trajectory names must be unique, got {names}")
+        try:
+            value_axis([t.columns()[var] for t in trajectories])
+        except ValueError as exc:
+            raise ValueError(f"variable {var!r} of {', '.join(names)}: {exc}") from None
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -129,13 +164,11 @@ def render_svg(series: list, var: str) -> str:
     x_min = min(days[0] for _, days, _ in series)
     x_max = max(days[-1] for _, days, _ in series)
     x_span = max(x_max - x_min, 1)
-    y_min = min(float(min(values.tolist())) for _, _, values in series)
-    y_max = max(float(max(values.tolist())) for _, _, values in series)
-    ticks = _nice_ticks(y_min, y_max)
+    y_min, y_max, ticks = value_axis([values for _, _, values in series])
     y_min = min(y_min, ticks[0])
     y_max = max(y_max, ticks[-1])
-    if y_max == y_min:
-        y_max = y_min + 1.0
+    if y_max == y_min:  # the next double up, where 1 is below y_min's resolution
+        y_max = max(y_min + 1.0, math.nextafter(y_min, math.inf))
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B

@@ -23,9 +23,9 @@ from .epidemic import (
     EpiState,
     MortalityModel,
     TradeoffModel,
-    _transition,
     effective_rates,
     policy_to_infection_reduction,
+    run_days,
 )
 from .params import (
     DAYS_PER_YEAR,
@@ -268,14 +268,15 @@ def _epidemic_pass(scenario: Scenario, params: ModelParams):
 
     The inputs are checked once, before the first day (``run_scenario``
     validates the scenario and parameters, this function the two rate
-    sets); the day loop runs the bare transition equations, and the
-    result is checked once for the model's domain, S and N >= 0.
+    sets); the days run as ``run_days`` segments at constant rates, before,
+    in and after the intervention window, and the result is checked once
+    for the model's domain, S and N >= 0.
     """
     T = scenario.n_days()
     mm = MortalityModel(log_k1=params.log_k1, k2=params.k2)
     base_rates = effective_rates(scenario.b0, 0.0, mm, params.r)
     active_rates = base_rates
-    in_window = np.zeros(T, dtype=bool)
+    lo = hi = 0  # the window's days [lo, hi), clipped to [0, T)
     intensity = 0.0
     schedule = scenario.schedule
     if schedule is not None and schedule.intensity_p > 0:
@@ -284,22 +285,19 @@ def _epidemic_pass(scenario: Scenario, params: ModelParams):
         reduction = policy_to_infection_reduction(intensity * 100.0, tm)
         active_rates = effective_rates(scenario.b0, reduction, mm, params.r)
         first = (schedule.start_date - scenario.start_date).days
-        days = np.arange(T)
-        in_window = (days >= first) & (days < first + schedule.duration_days)
+        lo = min(max(first, 0), T)
+        hi = min(max(first + schedule.duration_days, lo), T)
     base_rates.validate()
     active_rates.validate()
 
-    rates = {False: (base_rates.b, base_rates.m), True: (active_rates.b, active_rates.m)}
-    r, a1, a2 = params.r, params.a1, params.a2
+    base, active = (base_rates.b, base_rates.m), (active_rates.b, active_rates.m)
     s0 = scenario.initial_epi_state()
-    state = (s0.N, s0.S, s0.I, s0.R, s0.D)
-    states, F = [], []
-    for on in in_window.tolist():
-        b_t, m_t = rates[on]
-        states.append(state)
-        infections, state = _transition(*state, b_t, r, m_t, a1, a2)
-        F.append(infections)
-    N, S, I, R, D = (np.array(column) for column in zip(*states))
+    columns, _ = run_days(
+        (s0.N, s0.S, s0.I, s0.R, s0.D),
+        [(lo, *base), (hi - lo, *active), (T - hi, *base)],
+        params.r, params.a1, params.a2,
+    )
+    N, S, I, R, D, F = map(np.array, columns)
     first_day = scenario.start_date.toordinal()
     days = range(first_day, first_day + T)
 
@@ -310,9 +308,11 @@ def _epidemic_pass(scenario: Scenario, params: ModelParams):
             f"population shrank below zero on {date.fromordinal(days[outside[0]]).isoformat()}; "
             "state outside the model's domain"
         )
-    p = np.where(in_window, intensity, 0.0)
-    b = np.where(in_window, active_rates.b, base_rates.b)
-    return days, N, S, I, R, D, b, p, np.array(F)
+    p = np.zeros(T)
+    p[lo:hi] = intensity
+    b = np.full(T, base_rates.b)
+    b[lo:hi] = active_rates.b
+    return days, N, S, I, R, D, b, p, F
 
 
 def run_scenario(scenario: Scenario, params: ModelParams) -> Trajectory:

@@ -415,3 +415,40 @@ class TestReport:
         code = main(["report", str(two_trajectories[0]), "--variables", "",
                      "--out", str(tmp_path / "x")])
         assert code == 1
+
+    def report_y(self, tmp_path, low, high):
+        """``report`` of I and Y from a CSV whose Y column holds ``low`` and
+        ``high``; the exit code, the CSV's path and the output directory."""
+        rows = [["2020-01-0%d" % day] + ["1.0"] * 11 for day in (1, 2, 3)]
+        rows[0][data_io.TRAJECTORY_HEADER.index("Y")] = rows[1][data_io.TRAJECTORY_HEADER.index("Y")] = repr(low)
+        rows[2][data_io.TRAJECTORY_HEADER.index("Y")] = repr(high)
+        path = tmp_path / "wide.csv"
+        path.write_text("\n".join(map(",".join, [data_io.TRAJECTORY_HEADER, *rows])) + "\n")
+        out = tmp_path / "plots"
+        return main(["report", str(path), "--variables", "I,Y", "--out", str(out)]), path, out
+
+    def assert_axis_too_wide_rejected(self, tmp_path, capsys, low, high):
+        """report exits 1 with a one-line error naming the file and the
+        variable, and writes nothing."""
+        code, path, out = self.report_y(tmp_path, low, high)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith(f"error: {path}: variable 'Y' of wide: ")
+        assert "wider than the largest double" in err
+        assert not out.exists()
+
+    def test_value_span_past_largest_double_rejected(self, tmp_path, capsys):
+        # the span hi - lo overflows to inf
+        self.assert_axis_too_wide_rejected(tmp_path, capsys, -1e308, 1e308)
+
+    def test_ticks_past_largest_double_rejected(self, tmp_path, capsys):
+        # the span is finite, but the ticks rounded out around it are not
+        self.assert_axis_too_wide_rejected(tmp_path, capsys, 0.0, 1.7e308)
+
+    def test_value_span_below_smallest_step_charted(self, tmp_path):
+        # a fifth of the span is below 1e-323, where the tick step's power
+        # of ten underflows to 0
+        code, _, out = self.report_y(tmp_path, 0.0, 3e-323)
+        assert code == 0
+        svg = (out / "Y.svg").read_text()
+        assert "nan" not in svg and "inf" not in svg

@@ -431,3 +431,130 @@ class TestTruncationSensitivity:
         )
         idx = short.index_of(date(2030, 12, 31))
         assert long.C[idx] == pytest.approx(short.C[idx], rel=1e-3)
+
+
+def oracle_propagate(C0: float, inputs: PlannerInputs, prodc: list, growu: list, H: list):
+    """The shooting pass as the solver once ran it, one indexed day at a
+    time with the last day inside the loop: ``planner._propagate`` must
+    match it bit for bit."""
+    T = inputs.horizon
+    alpha = inputs.alpha
+    am1 = alpha - 1.0
+    omd = 1.0 - inputs.delta_daily
+
+    C_path = [0.0] * T
+    K_path = [0.0] * (T + 1)
+    K = float(inputs.K0)
+    K_path[0] = K
+    C = float(C0)
+    Kpow = K ** alpha
+    mpk = 0.0  # MPK_0 only ever multiplies dK_0 = 0
+    dK = 0.0
+    dC = 1.0
+    for t in range(T):
+        C_path[t] = C
+        Y = prodc[t] * Kpow
+        K_next = omd * K + Y - H[t] - C
+        if K_next <= 0.0 and not (t == T - 1 and K_next == 0.0):
+            return C_path, K_path, t, None
+        K_path[t + 1] = K_next
+        dK = (omd + mpk) * dK - dC
+        if t < T - 1:
+            Kpow = K_next ** alpha
+            mpk = alpha * prodc[t + 1] * Kpow / K_next
+            dC = growu[t] * ((omd + mpk) * dC + C * am1 * mpk / K_next * dK)
+            C = C * growu[t] * (omd + mpk)
+            K = K_next
+    return C_path, K_path, None, dK
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def shooting_lists(inputs: PlannerInputs) -> tuple:
+    """The (prodc, growu, H) lists that ``solve`` hands each pass."""
+    alpha = inputs.alpha
+    p, A, L = (np.asarray(x, dtype=float) for x in (inputs.shortfall_path, inputs.tfp_path, inputs.labor_path))
+    N = np.asarray(inputs.pop_path, dtype=float)
+    return (((1.0 - p) * A * L ** (1.0 - alpha)).tolist(), (inputs.beta_daily * N[1:] / N[:-1]).tolist(),
+            np.asarray(inputs.hcost_path, dtype=float).tolist())
+
+
+def assert_same_pass(new, old) -> None:
+    """``_propagate``'s result ``new`` is the oracle's ``old``, bit for bit;
+    an exhausting pass's paths may stop at its fail day."""
+    C_path, K_path, fail, dK_T = new
+    C_old, K_old, fail_old, dK_old = old
+    assert fail == fail_old
+    if fail is None:
+        assert (bits(C_path), bits(K_path), bits(dK_T)) == (bits(C_old), bits(K_old), bits(dK_old))
+    else:
+        assert (dK_T, dK_old) == (None, None)
+        assert bits(C_path) == bits(C_old[:fail + 1])
+        assert bits(K_path) == bits(K_old[:fail + 1])
+
+
+def recorded_solve(inputs: PlannerInputs, propagate, monkeypatch) -> tuple:
+    """``solve(inputs)`` with ``propagate`` as its shooting pass; returns the
+    solution and the (C_0, result) of each pass, in order."""
+    passes = []
+
+    def recorded(C0, *rest):
+        result = propagate(C0, *rest)
+        passes.append((C0, result))
+        return result
+
+    monkeypatch.setattr(planner, "_propagate", recorded)
+    solution = solve(inputs)
+    monkeypatch.undo()
+    return solution, passes
+
+
+class TestShootingPassOracle:
+    @pytest.fixture(scope="class")
+    def cases(self, params):
+        shipped = [scenarios.no_pandemic_scenario(), scenarios.no_intervention_scenario()]
+        seeded = [scenarios.no_intervention_scenario(schedule=schedule, name=f"seeded-{i}")
+                  for i, schedule in enumerate(seeded_schedules(0, 12))]
+        return [planner_inputs(scenario, params) for scenario in shipped + seeded]
+
+    def test_solves_try_the_same_c0_and_match_bitwise(self, cases, monkeypatch):
+        real = planner._propagate
+        for inputs in cases:
+            solution, passes = recorded_solve(inputs, real, monkeypatch)
+            oracle_solution, oracle_passes = recorded_solve(inputs, oracle_propagate, monkeypatch)
+            assert [C0 for C0, _ in passes] == [C0 for C0, _ in oracle_passes]
+            assert any(result[2] is not None for _, result in passes)  # exhausting passes are checked
+            for (_, new), (_, old) in zip(passes, oracle_passes):
+                assert_same_pass(new, old)
+            for name in ("consumption_path", "capital_path", "welfare", "euler_residuals"):
+                assert bits(getattr(solution, name)) == bits(getattr(oracle_solution, name)), name
+
+    def test_exhausting_passes(self, cases):
+        inputs = cases[1]
+        lists = shooting_lists(inputs)
+        resources0 = (1.0 - inputs.delta_daily) * inputs.K0 + lists[0][0] * inputs.K0 ** inputs.alpha - lists[2][0]
+        fails = []
+        for share in (1.0, 0.999, 0.9, 0.5, 0.1, 0.05, 0.04, 0.03):
+            old = oracle_propagate(resources0 * share, inputs, *lists)
+            assert_same_pass(planner._propagate(resources0 * share, inputs, *lists), old)
+            fails.append(old[2])
+        assert fails[0] == 0 and all(fail is not None for fail in fails[:-1])
+
+    @pytest.mark.parametrize("T", [1, 2, 3])
+    @pytest.mark.parametrize("C0", [1e-12, 0.1, 0.5, 0.9, 1.1, 5.0])
+    def test_short_horizons(self, T, C0):
+        inputs = flat_inputs(T=T, K0=1.0, hcost=np.full(T, 0.05), shortfall=np.linspace(0.0, 0.2, T))
+        lists = shooting_lists(inputs)
+        assert_same_pass(planner._propagate(C0, inputs, *lists), oracle_propagate(C0, inputs, *lists))
+
+    def test_last_day_ending_at_exactly_zero(self):
+        inputs = flat_inputs(T=1, K0=2.0, delta=0.3)
+        lists = shooting_lists(inputs)
+        C0 = (1.0 - inputs.delta_daily) * inputs.K0 + lists[0][0] * inputs.K0 ** inputs.alpha
+        old = oracle_propagate(C0, inputs, *lists)
+        assert old[1][-1] == 0.0 and old[2] is None  # the stock may end at exactly 0
+        assert_same_pass(planner._propagate(C0, inputs, *lists), old)
+        above = math.nextafter(C0, math.inf)
+        assert_same_pass(planner._propagate(above, inputs, *lists), oracle_propagate(above, inputs, *lists))

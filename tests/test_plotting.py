@@ -109,3 +109,27 @@ class TestChartBytes:
         assert (tmp_path / "x.csv").read_text().splitlines()[1:] == [
             "2021-02-27,-0.0,", "2021-02-28,5e-324,", "2021-03-01,1.7e+308,-1.7e+308",
             "2021-03-02,-1.7e+308,"]
+
+
+class TestNiceTicks:
+    @pytest.mark.parametrize("lo,hi", [(1e17, 1e17), (1e17, 1e17 + 16), (1e10, 1e10 + 1e-7),
+                                       (0.0, 5e-324), (0.0, 3e-323), (-1e-323, 0.0), (5e-324, 5e-324),
+                                       (9.0564628776883e+95, 9.0564628776883e+95),
+                                       (-8.833998718706033e-307, -8.833998718706031e-307)])
+    def test_near_constant_values_end(self, lo, hi):
+        # the step can be below the values' resolution, where v += step
+        # leaves v as it is: the ticks still end, each once
+        ticks = plotting._nice_ticks(lo, hi)
+        assert ticks and ticks == sorted(set(ticks))
+        svg = plotting.render_svg([("run", days_from(date(2020, 1, 1), 2), np.array([lo, hi]))], "Y")
+        assert "nan" not in svg and "inf" not in svg
+
+    @pytest.mark.parametrize("lo,hi", [(-1e308, 1e308), (0.0, 1.7e308), (-8e307, 8e307),
+                                       (1.7976931348623157e308, 1.7976931348623157e308)])
+    def test_axis_past_largest_double_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="wider than the largest double"):
+            plotting._nice_ticks(lo, hi)
+
+    def test_widest_finite_axis(self):
+        ticks = plotting._nice_ticks(0.0, 1.5e308)
+        assert ticks == [0.0, 5e307, 1e308, 1.5e308]

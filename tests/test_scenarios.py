@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import random
 from datetime import date, timedelta
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from epigrowth import scenarios
 from epigrowth.epidemic import (
+    EpiRates,
+    EpiState,
     MortalityModel,
     PopGrowthParams,
     TradeoffModel,
@@ -119,6 +122,127 @@ class TestEpidemicKernel:
             assert F[t] == min(rates.b * state.S * state.I, state.S), day
             if t < len(days) - 1:
                 state = epi_step(state, rates, pop)
+
+
+def oracle_epidemic_pass(scenario: Scenario, params: ModelParams):
+    """The epidemic pass as it once ran: one ``_transition`` call per day
+    with the day's rates looked up in a dict, and the states transposed
+    by ``zip(*states)`` at the end.  ``_epidemic_pass`` must match it bit
+    for bit."""
+
+    def _transition(N, S, I, R, D, b, r, m, a1, a2):
+        births = (a1 - 1.0) * N + a2 * N * N
+        infections = min(b * S * I, S)
+        recoveries = r * I
+        deaths = m * I
+        return infections, (
+            N + births - deaths,
+            S + births - infections,
+            I + infections - recoveries - deaths,
+            R + recoveries,
+            D + deaths,
+        )
+
+    T = scenario.n_days()
+    mm = MortalityModel(log_k1=params.log_k1, k2=params.k2)
+    base_rates = effective_rates(scenario.b0, 0.0, mm, params.r)
+    active_rates = base_rates
+    in_window = np.zeros(T, dtype=bool)
+    intensity = 0.0
+    schedule = scenario.schedule
+    if schedule is not None and schedule.intensity_p > 0:
+        intensity = schedule.intensity_p
+        tm = TradeoffModel(log_q1=params.log_q1, q2=params.q2)
+        reduction = policy_to_infection_reduction(intensity * 100.0, tm)
+        active_rates = effective_rates(scenario.b0, reduction, mm, params.r)
+        first = (schedule.start_date - scenario.start_date).days
+        days = np.arange(T)
+        in_window = (days >= first) & (days < first + schedule.duration_days)
+    base_rates.validate()
+    active_rates.validate()
+
+    rates = {False: (base_rates.b, base_rates.m), True: (active_rates.b, active_rates.m)}
+    r, a1, a2 = params.r, params.a1, params.a2
+    s0 = scenario.initial_epi_state()
+    state = (s0.N, s0.S, s0.I, s0.R, s0.D)
+    states, F = [], []
+    for on in in_window.tolist():
+        b_t, m_t = rates[on]
+        states.append(state)
+        infections, state = _transition(*state, b_t, r, m_t, a1, a2)
+        F.append(infections)
+    N, S, I, R, D = (np.array(column) for column in zip(*states))
+    first_day = scenario.start_date.toordinal()
+    days = range(first_day, first_day + T)
+
+    outside = np.flatnonzero(~((S >= 0.0) & (N >= 0.0)))
+    if outside.size:
+        raise ValueError(
+            f"population shrank below zero on {date.fromordinal(days[outside[0]]).isoformat()}; "
+            "state outside the model's domain"
+        )
+    p = np.where(in_window, intensity, 0.0)
+    b = np.where(in_window, active_rates.b, base_rates.b)
+    return days, N, S, I, R, D, b, p, np.array(F)
+
+
+def oracle_cases() -> list:
+    """Scenarios for the epidemic-pass oracle: both baselines, 12 seeded
+    interventions, and the window and horizon edge cases."""
+    rng = random.Random(0)
+    first = date(2020, 3, 1)
+    seeded = [no_intervention_scenario(
+        name=f"seeded-{i}",
+        schedule=PolicySchedule(first + timedelta(days=rng.randrange(184)),
+                                rng.randint(20, 300) / 1000, rng.randint(4, 104) * 7))
+        for i in range(12)]
+    start = no_intervention_scenario().start_date
+
+    def window(day, weeks, p=0.1):
+        return PolicySchedule(day, p, weeks * 7)
+
+    return [
+        no_pandemic_scenario(), no_intervention_scenario(), *seeded,
+        short_scenario(window(start, 26), name="from-day-0"),
+        short_scenario(window(date(2024, 12, 1), 104), name="past-the-horizon"),
+        short_scenario(window(date(2024, 12, 31), 1), name="on-the-last-day"),
+        short_scenario(window(date(2020, 3, 12), 0), name="zero-duration"),
+        short_scenario(window(date(2020, 3, 12), 26, 0.0), name="zero-intensity"),
+        *(no_intervention_scenario(schedule=window(start + timedelta(days=lag), 1), name=name,
+                                   end_of_interest=start, horizon=start + timedelta(days=T - 1))
+          for name, T, lag in (("one-day", 1, 0), ("two-days", 2, 0), ("two-days-window-on-day-1", 2, 1))),
+        short_scenario(window(date(2020, 3, 12), 26), name="clamp", b0=1e-8),
+    ]
+
+
+class TestEpidemicPassOracle:
+    @pytest.mark.parametrize("scenario", oracle_cases(), ids=lambda scenario: scenario.name)
+    def test_matches_oracle_bitwise(self, scenario, params):
+        new = _epidemic_pass(scenario, params)
+        old = oracle_epidemic_pass(scenario, params)
+        assert new[0] == old[0]
+        for name, a, b in zip(("N", "S", "I", "R", "D", "b", "p", "F"), new[1:], old[1:]):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+    def test_clamp_binds_in_the_clamp_case(self, params):
+        clamp = oracle_cases()[-1]
+        _, N, S, I, R, D, b, p, F = _epidemic_pass(clamp, params)
+        assert np.any(F == S)
+
+    def test_epi_step_is_one_oracle_day(self):
+        state = EpiState(date=date(2020, 1, 1), N=1000.0, S=990.0, I=10.0, R=0.0, D=0.0)
+        for rates in (EpiRates(b=1e-4, r=0.1, m=0.01), EpiRates(b=1.0, r=0.3, m=0.1)):
+            pop = PopGrowthParams(a1=1.0001, a2=-1e-9)
+            nxt = epi_step(state, rates, pop)
+            births = (pop.a1 - 1.0) * state.N + pop.a2 * state.N * state.N
+            F = min(rates.b * state.S * state.I, state.S)
+            assert (nxt.N, nxt.S, nxt.I, nxt.R, nxt.D) == (
+                state.N + births - rates.m * state.I,
+                state.S + births - F,
+                state.I + F - rates.r * state.I - rates.m * state.I,
+                state.R + rates.r * state.I,
+                state.D + rates.m * state.I,
+            )
 
 
 class TestDeterminism:
