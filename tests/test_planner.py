@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import statistics
@@ -11,6 +12,8 @@ from epigrowth.planner import (
     InfeasiblePlanError,
     PlannerInputs,
     PlannerSolution,
+    _euler_residuals,
+    _exhaustion_step,
     balanced_path_terminal_capital,
     solve,
     welfare,
@@ -355,7 +358,7 @@ class TestShooting:
     def test_iteration_cap_stops_early_and_feasible(self, shooting_case, monkeypatch):
         passes = count_passes(monkeypatch)
         early = solve(shooting_case, max_iter=3)
-        assert len(passes) == 4  # the feasibility probe plus three capped passes
+        assert len(passes) == 4  # three capped passes, none reaching the target, then the feasibility probe
         C0 = float(early.consumption_path[0])
         assert np.all(early.consumption_path > 0)
         assert early.capital_path[-1] >= balanced_path_terminal_capital(shooting_case)
@@ -410,6 +413,36 @@ class TestErrors:
         with pytest.raises(InfeasiblePlanError) as err:
             solve(inputs)
         assert err.value.day_index == 5
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["K0", "terminal_capital", "labor_path", "pop_path", "tfp_path",
+                                       "hcost_path", "shortfall_path"])
+    def test_non_finite_input_rejected_before_any_pass(self, field, value, monkeypatch):
+        inputs = growing_inputs()
+        if field.endswith("_path"):
+            path = np.array(getattr(inputs, field), dtype=float)
+            path[300] = value
+            value = path
+        passes = count_passes(monkeypatch)
+        with pytest.raises(ValueError, match=field):
+            solve(dataclasses.replace(inputs, **{field: value}))
+        assert passes == []
+
+    @pytest.mark.parametrize("case", ["unreachable-target", "cost-spike"])
+    def test_infeasible_inputs_stay_bounded(self, no_intervention_inputs, monkeypatch, case):
+        if case == "unreachable-target":
+            inputs = dataclasses.replace(no_intervention_inputs, terminal_capital=1e20)
+        else:
+            hcost = np.array(no_intervention_inputs.hcost_path, dtype=float)
+            hcost[14_000] += 1e16
+            inputs = dataclasses.replace(no_intervention_inputs, hcost_path=hcost)
+        with pytest.raises(InfeasiblePlanError) as expected:
+            oracle_solve(inputs)
+        passes = count_passes(monkeypatch)
+        with pytest.raises(InfeasiblePlanError) as err:
+            solve(inputs)
+        assert (err.value.day_index, str(err.value)) == (expected.value.day_index, str(expected.value))
+        assert len(passes) <= 25
 
     def test_path_length_mismatch_rejected(self):
         inputs = PlannerInputs(
@@ -468,17 +501,107 @@ def oracle_propagate(C0: float, inputs: PlannerInputs, prodc: list, growu: list,
     return C_path, K_path, None, dK
 
 
+def oracle_solve(inputs: PlannerInputs, *, rel_tol: float = 0.0, max_iter: int = 200) -> PlannerSolution:
+    """The search as the solver once ran it, with the feasibility probe
+    first and Newton steps on K_T: ``planner.solve`` must return the same
+    solution bit for bit, and raise the same errors."""
+    inputs.validate()
+    T = inputs.horizon
+    alpha = inputs.alpha
+    beta = inputs.beta_daily
+    omd = 1.0 - inputs.delta_daily
+
+    K_target = inputs.terminal_capital
+    if K_target is None:
+        K_target = balanced_path_terminal_capital(inputs)
+
+    A = np.asarray(inputs.tfp_path, dtype=float)
+    L = np.asarray(inputs.labor_path, dtype=float)
+    N = np.asarray(inputs.pop_path, dtype=float)
+    p = np.asarray(inputs.shortfall_path, dtype=float)
+    production = (1.0 - p) * A * L ** (1.0 - alpha)
+    prodc = production.tolist()
+    growu = (beta * N[1:] / N[:-1]).tolist()
+    H = np.asarray(inputs.hcost_path, dtype=float).tolist()
+
+    resources0 = omd * inputs.K0 + prodc[0] * inputs.K0 ** alpha - H[0]
+    if resources0 <= 0:
+        raise InfeasiblePlanError(0, inputs._date_at(0), "day-0 resources are exhausted by direct costs")
+
+    # Feasibility probe: near-zero consumption maximises the capital path.
+    C_lo = 1e-12 * resources0
+    C_best, K_best, fail, slope = oracle_propagate(C_lo, inputs, prodc, growu, H)
+    if fail is not None:
+        raise InfeasiblePlanError(
+            fail, inputs._date_at(fail), "direct costs exceed available resources even at zero consumption"
+        )
+    if K_best[T] < K_target:
+        raise InfeasiblePlanError(
+            T, inputs._date_at(T), f"terminal capital target {K_target:.6g} is unreachable"
+        )
+
+    # Bracket: C_lo reaches the target, C_hi fails or undershoots it.
+    # x is the last pass that did not fail; Newton steps start from it.
+    C_hi = resources0  # consumes the entire stock on day 0; always overshoots
+    x, miss = C_lo, K_best[T] - K_target
+    fails = []  # (fail day, C_0) of each exhausting pass, in order
+    for _ in range(max_iter):
+        C_mid = 0.5 * (C_lo + C_hi)
+        if not (C_lo < C_mid < C_hi):
+            break
+        C_try = math.nan
+        if fail is not None and len(fails) >= 3:
+            C_try = _exhaustion_step(fails, T)
+        if not (C_lo < C_try < C_hi):
+            C_try = x - miss / slope if slope else math.nan
+            if C_try == x:
+                # the step is below x's resolution: test x's neighbour
+                # towards the other end of the bracket
+                C_try = math.nextafter(x, C_hi if x == C_lo else C_lo)
+            if not (C_lo < C_try < C_hi):
+                C_try = C_mid
+        C_path, K_path, fail, dK_T = oracle_propagate(C_try, inputs, prodc, growu, H)
+        if fail is not None:
+            fails.append((fail, C_try))
+        else:
+            x, miss, slope = C_try, K_path[T] - K_target, dK_T
+        if fail is not None or K_path[T] < K_target:
+            C_hi = C_try
+        else:
+            C_lo, C_best, K_best = C_try, C_path, K_path
+        if rel_tol > 0.0 and (C_hi - C_lo) <= rel_tol * C_hi:
+            break
+
+    consumption = np.array(C_best)
+    capital = np.array(K_best)
+    residuals = _euler_residuals(consumption, capital, inputs, production)
+    W = welfare(consumption, N, beta)
+    return PlannerSolution(
+        consumption_path=consumption,
+        capital_path=capital,
+        welfare=W,
+        euler_residuals=residuals,
+    )
+
+
 def bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
 
 def shooting_lists(inputs: PlannerInputs) -> tuple:
-    """The (prodc, growu, H) lists that ``solve`` hands each pass."""
+    """The (prodc, apc, growu, H) lists that ``solve`` hands each pass."""
     alpha = inputs.alpha
     p, A, L = (np.asarray(x, dtype=float) for x in (inputs.shortfall_path, inputs.tfp_path, inputs.labor_path))
     N = np.asarray(inputs.pop_path, dtype=float)
-    return (((1.0 - p) * A * L ** (1.0 - alpha)).tolist(), (inputs.beta_daily * N[1:] / N[:-1]).tolist(),
+    production = (1.0 - p) * A * L ** (1.0 - alpha)
+    return (production.tolist(), (alpha * production[1:]).tolist(), (inputs.beta_daily * N[1:] / N[:-1]).tolist(),
             np.asarray(inputs.hcost_path, dtype=float).tolist())
+
+
+def oracle_pass(C0: float, inputs: PlannerInputs, prodc: list, apc: list, growu: list, H: list):
+    """``oracle_propagate`` called with ``_propagate``'s arguments; it
+    ignores ``apc``."""
+    return oracle_propagate(C0, inputs, prodc, growu, H)
 
 
 def assert_same_pass(new, old) -> None:
@@ -523,7 +646,7 @@ class TestShootingPassOracle:
         real = planner._propagate
         for inputs in cases:
             solution, passes = recorded_solve(inputs, real, monkeypatch)
-            oracle_solution, oracle_passes = recorded_solve(inputs, oracle_propagate, monkeypatch)
+            oracle_solution, oracle_passes = recorded_solve(inputs, oracle_pass, monkeypatch)
             assert [C0 for C0, _ in passes] == [C0 for C0, _ in oracle_passes]
             assert any(result[2] is not None for _, result in passes)  # exhausting passes are checked
             for (_, new), (_, old) in zip(passes, oracle_passes):
@@ -531,13 +654,19 @@ class TestShootingPassOracle:
             for name in ("consumption_path", "capital_path", "welfare", "euler_residuals"):
                 assert bits(getattr(solution, name)) == bits(getattr(oracle_solution, name)), name
 
+    def test_search_returns_the_oracle_solution_bitwise(self, cases):
+        for inputs in cases + [growing_inputs(), flat_inputs(T=200, K0=2.0, terminal=1.5)]:
+            solution, oracle_solution = solve(inputs), oracle_solve(inputs)
+            for name in ("consumption_path", "capital_path", "welfare", "euler_residuals"):
+                assert bits(getattr(solution, name)) == bits(getattr(oracle_solution, name)), name
+
     def test_exhausting_passes(self, cases):
         inputs = cases[1]
         lists = shooting_lists(inputs)
-        resources0 = (1.0 - inputs.delta_daily) * inputs.K0 + lists[0][0] * inputs.K0 ** inputs.alpha - lists[2][0]
+        resources0 = (1.0 - inputs.delta_daily) * inputs.K0 + lists[0][0] * inputs.K0 ** inputs.alpha - lists[3][0]
         fails = []
         for share in (1.0, 0.999, 0.9, 0.5, 0.1, 0.05, 0.04, 0.03):
-            old = oracle_propagate(resources0 * share, inputs, *lists)
+            old = oracle_pass(resources0 * share, inputs, *lists)
             assert_same_pass(planner._propagate(resources0 * share, inputs, *lists), old)
             fails.append(old[2])
         assert fails[0] == 0 and all(fail is not None for fail in fails[:-1])
@@ -547,14 +676,14 @@ class TestShootingPassOracle:
     def test_short_horizons(self, T, C0):
         inputs = flat_inputs(T=T, K0=1.0, hcost=np.full(T, 0.05), shortfall=np.linspace(0.0, 0.2, T))
         lists = shooting_lists(inputs)
-        assert_same_pass(planner._propagate(C0, inputs, *lists), oracle_propagate(C0, inputs, *lists))
+        assert_same_pass(planner._propagate(C0, inputs, *lists), oracle_pass(C0, inputs, *lists))
 
     def test_last_day_ending_at_exactly_zero(self):
         inputs = flat_inputs(T=1, K0=2.0, delta=0.3)
         lists = shooting_lists(inputs)
         C0 = (1.0 - inputs.delta_daily) * inputs.K0 + lists[0][0] * inputs.K0 ** inputs.alpha
-        old = oracle_propagate(C0, inputs, *lists)
+        old = oracle_pass(C0, inputs, *lists)
         assert old[1][-1] == 0.0 and old[2] is None  # the stock may end at exactly 0
         assert_same_pass(planner._propagate(C0, inputs, *lists), old)
         above = math.nextafter(C0, math.inf)
-        assert_same_pass(planner._propagate(above, inputs, *lists), oracle_propagate(above, inputs, *lists))
+        assert_same_pass(planner._propagate(above, inputs, *lists), oracle_pass(above, inputs, *lists))
