@@ -10,7 +10,6 @@ CalibrationConstants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import date as _date
 
 import numpy as np
 

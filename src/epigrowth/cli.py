@@ -71,13 +71,10 @@ def cmd_calibrate(args) -> int:
     cases, repairs = data_io.load_case_series(manifests["cases"])
     shortfall, reduction = data_io.load_tradeoff_panel(manifests["tradeoff"])
 
-    constants = calibration.CalibrationConstants(
-        population_fit_years=tuple(config.data["population_fit_years"])
-    )
+    constants = calibration.CalibrationConstants(population_fit_years=config.data["population_fit_years"])
     params, report = calibration.calibrate(
         population, gdp, gcf, cases, shortfall, reduction,
-        case_population=float(config.data["case_population"]),
-        constants=constants,
+        case_population=config.data["case_population"], constants=constants,
     )
     report["case_data_repairs"] = repairs
 
@@ -209,20 +206,16 @@ def cmd_backtest(args) -> int:
     params = _load_params(args, config)
     observed_dir = Path(args.observed) if args.observed else _data_dir(args)
     manifests = data_io.data_manifests(observed_dir, config)
-    for key in ("population", "gdp", "gcf"):
-        if not manifests[key].path.exists():
-            raise data_io.DataFormatError(f"missing observed dataset: {manifests[key].path}")
-    observed = scenarios.BacktestData(
-        population=data_io.load_annual_series(manifests["population"]),
-        gdp=data_io.load_annual_series(manifests["gdp"]),
-        gcf=data_io.load_annual_series(manifests["gcf"]),
-    )
+    observed = [manifests[key] for key in ("population", "gdp", "gcf")]
+    for manifest in observed:
+        if not manifest.path.exists():
+            raise data_io.DataFormatError(f"missing observed dataset: {manifest.path}")
     bt = config.backtest
     trajectory, report = scenarios.backtest(
-        params, observed, start_year=bt["start_year"], end_year=bt["end_year"],
-        horizon=bt["horizon"],
+        params, *map(data_io.load_annual_series, observed),
+        start_year=bt["start_year"], end_year=bt["end_year"], horizon=bt["horizon"],
     )
-    tolerance = float(bt["tolerance"])
+    tolerance = bt["tolerance"]
     report["tolerance"] = tolerance
     report["within_tolerance"] = bool(report["max_abs_gdp_error"] <= tolerance)
 

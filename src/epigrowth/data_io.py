@@ -13,17 +13,20 @@ import io
 import json
 import logging
 import math
+import numbers
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .calibration import AnnualSeries, CaseSeries
 from .params import DataFormatError, ModelParams, check_keys, default_config, parse_date
-from .scenarios import SWEEP_AXES, Scenario, Trajectory, parse_sweep
+from .scenarios import SWEEP_AXES, Scenario, Trajectory, _number, parse_sweep
 
 log = logging.getLogger(__name__)
 
@@ -35,6 +38,10 @@ KIND_COLUMNS = {
     "cases": ("date", "confirmed", "recovered", "deaths"),
     "tradeoff-panel": ("gdp_shortfall_pct", "infection_reduction_pct"),
 }
+
+# config.data key of a dataset's file name -> its kind
+DATASETS = {"population": "population", "gdp": "gdp", "gcf": "gcf", "cases": "cases",
+            "tradeoff": "tradeoff-panel"}
 
 TRAJECTORY_HEADER = ["date", "N", "S", "I", "R", "D", "A", "K", "Y", "C", "H", "p"]
 
@@ -52,19 +59,18 @@ class DatasetManifest:
         object.__setattr__(self, "path", Path(self.path))
 
 
-def _read_rows(manifest: DatasetManifest) -> list:
-    if not manifest.path.exists():
-        raise DataFormatError(f"dataset file not found: {manifest.path}")
-    with open(manifest.path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [column for column in KIND_COLUMNS[manifest.kind] if column not in header]
-        if missing:
-            raise DataFormatError(f"{manifest.path}: missing columns {missing} (header is {header})")
-        rows = list(reader)
-    if not rows:
-        raise DataFormatError(f"{manifest.path}: no data rows")
-    return rows
+@contextmanager
+def _open_text(path: Path, what: str):
+    """``path``, a ``what`` file, open as UTF-8 text for the csv module; a
+    missing file, a byte that is not UTF-8 and a line the csv module cannot
+    split (a field over its size limit) are each an error naming the file."""
+    if not path.exists():
+        raise DataFormatError(f"{what} file not found: {path}")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def _parse_float(raw: str, path: Path, row_number: int, column: str) -> float:
@@ -77,82 +83,79 @@ def _parse_float(raw: str, path: Path, row_number: int, column: str) -> float:
     return value
 
 
+def _read_columns(manifest: DatasetManifest, parse_key=None) -> tuple[list, list]:
+    """A dataset's key column and its float columns, in the order of
+    ``KIND_COLUMNS``.  ``parse_key(raw, row_number)`` parses the keys, and
+    the rows come back sorted by key; without it the key is one more float
+    column and the rows keep the file's order."""
+    path = manifest.path
+    key_column, *value_columns = wanted = KIND_COLUMNS[manifest.kind]
+    with _open_text(path, "dataset") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        missing = [column for column in wanted if column not in header]
+        if missing:
+            raise DataFormatError(f"{path}: missing columns {missing} (header is {header})")
+        records = []
+        for row_number, row in enumerate(reader, start=2):  # header is row 1
+            key = row[key_column]
+            key = parse_key(key, row_number) if parse_key else _parse_float(key, path, row_number, key_column)
+            records.append((key, *[_parse_float(row[c], path, row_number, c) for c in value_columns]))
+    if not records:
+        raise DataFormatError(f"{path}: no data rows")
+    if parse_key:
+        records.sort(key=itemgetter(0))
+    keys, *columns = zip(*records)
+    return list(keys), [np.array(column) for column in columns]
+
+
 def load_annual_series(manifest: DatasetManifest) -> AnnualSeries:
     """Read and validate a (year, value) series; sorted by year."""
-    rows = _read_rows(manifest)
-    seen: dict[int, int] = {}
-    records = []
-    for i, row in enumerate(rows):
-        row_number = i + 2  # header is row 1
+    path, seen = manifest.path, {}
+
+    def parse_year(raw: str, row_number: int) -> int:
         try:
-            year = int(row["year"])
+            year = int(raw)
         except (TypeError, ValueError):
-            raise DataFormatError(
-                f"{manifest.path}: row {row_number}: non-numeric 'year' value {row['year']!r}"
-            ) from None
+            raise DataFormatError(f"{path}: row {row_number}: non-numeric 'year' value {raw!r}") from None
         if year in seen:
             raise DataFormatError(
-                f"{manifest.path}: row {row_number}: duplicate year {year} (first seen at row {seen[year]})"
-            )
+                f"{path}: row {row_number}: duplicate year {year} (first seen at row {seen[year]})")
         seen[year] = row_number
-        records.append((year, _parse_float(row["value"], manifest.path, row_number, "value")))
-    records.sort()
-    years, values = zip(*records)
-    return AnnualSeries(np.array(years), np.array(values))
+        return year
+
+    years, (values,) = _read_columns(manifest, parse_year)
+    return AnnualSeries(np.array(years), values)
 
 
 def load_case_series(manifest: DatasetManifest) -> tuple[CaseSeries, dict]:
     """Read cumulative case counts; repairs non-monotone corrections by
     running maximum and reports the repair count per column."""
-    rows = _read_rows(manifest)
-    dates: list[date] = []
-    counts = {name: [] for name in ("confirmed", "recovered", "deaths")}
-    for i, row in enumerate(rows):
-        row_number = i + 2
+
+    def parse_day(raw: str, row_number: int) -> date:
         try:
-            day = date.fromisoformat(row["date"])
+            return date.fromisoformat(raw)
         except (TypeError, ValueError):
-            raise DataFormatError(
-                f"{manifest.path}: row {row_number}: unparseable date {row['date']!r}"
-            ) from None
-        dates.append(day)
-        for name in counts:
-            counts[name].append(_parse_float(row[name], manifest.path, row_number, name))
-    order = np.argsort(dates)
-    dates = [dates[i] for i in order]
-    repairs = {}
-    repaired = {}
-    for name, series in counts.items():
-        arr = np.asarray(series, dtype=float)[order]
-        running = np.maximum.accumulate(arr)
-        repairs[name] = int(np.sum(running != arr))
-        repaired[name] = running
+            raise DataFormatError(f"{manifest.path}: row {row_number}: unparseable date {raw!r}") from None
+
+    dates, columns = _read_columns(manifest, parse_day)
+    counts = dict(zip(KIND_COLUMNS["cases"][1:], columns))
+    repaired = {name: np.maximum.accumulate(arr) for name, arr in counts.items()}
+    repairs = {name: int(np.sum(repaired[name] != arr)) for name, arr in counts.items()}
     total = sum(repairs.values())
     if total:
         log.info("repaired %d non-monotone cumulative entries in %s: %s", total, manifest.path, repairs)
     try:
-        series = CaseSeries(
-            dates=dates,
-            confirmed=repaired["confirmed"],
-            recovered=repaired["recovered"],
-            deaths=repaired["deaths"],
-        )
+        series = CaseSeries(dates=dates, **repaired)
     except ValueError as exc:
         raise DataFormatError(f"{manifest.path}: {exc}") from exc
     return series, repairs
 
 
 def load_tradeoff_panel(manifest: DatasetManifest) -> tuple[np.ndarray, np.ndarray]:
-    """Read the (GDP shortfall %, infection-rate reduction %) panel."""
-    rows = _read_rows(manifest)
-    shortfall, reduction = [], []
-    for i, row in enumerate(rows):
-        row_number = i + 2
-        shortfall.append(_parse_float(row["gdp_shortfall_pct"], manifest.path, row_number,
-                                      "gdp_shortfall_pct"))
-        reduction.append(_parse_float(row["infection_reduction_pct"], manifest.path, row_number,
-                                      "infection_reduction_pct"))
-    return np.array(shortfall), np.array(reduction)
+    """Read the (GDP shortfall %, infection-rate reduction %) panel, in file order."""
+    shortfall, (reduction,) = _read_columns(manifest)
+    return np.array(shortfall), reduction
 
 
 def atomic_write_text(text: str, path: Path) -> None:
@@ -199,9 +202,7 @@ def read_trajectory(path, scenario_name: str | None = None) -> Trajectory:
     so the name defaults to the file stem and welfare is NaN.  The rows
     must be consecutive days, oldest first."""
     path = Path(path)
-    if not path.exists():
-        raise DataFormatError(f"trajectory file not found: {path}")
-    with open(path, newline="") as fh:
+    with _open_text(path, "trajectory") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != TRAJECTORY_HEADER:
@@ -277,10 +278,34 @@ def write_json(obj, path) -> None:
 # Run configuration
 
 
-_DATA_KEYS = {"population", "gdp", "gcf", "cases", "tradeoff", "case_population",
-              "population_fit_years"}
-_METRICS_KEYS = {"output_ratio_dates"}
-_BACKTEST_KEYS = {"start_year", "end_year", "tolerance", "horizon"}
+def _file_name(raw, where: str) -> str:
+    if not (isinstance(raw, str) and raw):
+        raise DataFormatError(f"{where}: expected a file name, got {raw!r}")
+    return raw
+
+
+def _year(raw, where: str) -> int:
+    if not (isinstance(raw, numbers.Integral) and not isinstance(raw, bool) and 1 <= raw <= 9999):
+        raise DataFormatError(f"{where}: expected a year from 1 to 9999, got {raw!r}")
+    return int(raw)
+
+
+def _year_span(raw, where: str) -> tuple[int, int]:
+    if not (isinstance(raw, list) and len(raw) == 2):
+        raise DataFormatError(f"{where}: expected [first year, last year], got {raw!r}")
+    return tuple(_year(year, f"{where}[{i}]") for i, year in enumerate(raw))
+
+
+# config section -> its settings' parsers; each error names the dotted key
+_SECTION_SETTINGS = {
+    "data": {
+        **dict.fromkeys(DATASETS, _file_name),
+        "case_population": _number,
+        "population_fit_years": _year_span,
+    },
+    "metrics": {"output_ratio_dates": lambda raw, where: [parse_date(d, where) for d in raw]},
+    "backtest": {"start_year": _year, "end_year": _year, "tolerance": _number, "horizon": parse_date},
+}
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -311,6 +336,11 @@ class RunConfig:
         return list(self.metrics["output_ratio_dates"])
 
 
+def _parse_section(section: dict, settings: dict, where: str) -> dict:
+    check_keys(section, set(settings), where)
+    return {key: settings[key](value, f"{where}.{key}") for key, value in section.items()}
+
+
 def parse_config(doc: dict) -> RunConfig:
     """Validate a merged configuration document."""
     check_keys(doc, {"params", "scenarios", "sweeps", "data", "metrics", "backtest"}, "config")
@@ -324,18 +354,9 @@ def parse_config(doc: dict) -> RunConfig:
     check_keys(doc["sweeps"], set(SWEEP_AXES), "config.sweeps")
     sweeps = {axis: parse_sweep(axis, doc["sweeps"][axis], f"config.sweeps.{axis}") for axis in SWEEP_AXES}
 
-    data = dict(doc["data"])
-    check_keys(data, _DATA_KEYS, "config.data")
-
-    metrics = dict(doc["metrics"])
-    check_keys(metrics, _METRICS_KEYS, "config.metrics")
-    metrics["output_ratio_dates"] = [
-        parse_date(d, "config.metrics.output_ratio_dates") for d in metrics["output_ratio_dates"]
-    ]
-
-    backtest = dict(doc["backtest"])
-    check_keys(backtest, _BACKTEST_KEYS, "config.backtest")
-    backtest["horizon"] = parse_date(backtest["horizon"], "config.backtest.horizon")
+    data, metrics, backtest = (
+        _parse_section(doc[name], settings, f"config.{name}") for name, settings in _SECTION_SETTINGS.items()
+    )
 
     return RunConfig(params=params, scenarios=scenarios, sweeps=sweeps, data=data,
                      metrics=metrics, backtest=backtest)
@@ -359,12 +380,5 @@ def load_config(path=None) -> RunConfig:
 
 def data_manifests(data_dir, config: RunConfig) -> dict:
     """Default manifests for the bundled dataset layout."""
-    data_dir = Path(data_dir)
-    names = config.data
-    return {
-        "population": DatasetManifest(path=data_dir / names["population"], kind="population"),
-        "gdp": DatasetManifest(path=data_dir / names["gdp"], kind="gdp"),
-        "gcf": DatasetManifest(path=data_dir / names["gcf"], kind="gcf"),
-        "cases": DatasetManifest(path=data_dir / names["cases"], kind="cases"),
-        "tradeoff": DatasetManifest(path=data_dir / names["tradeoff"], kind="tradeoff-panel"),
-    }
+    return {key: DatasetManifest(path=Path(data_dir) / config.data[key], kind=kind)
+            for key, kind in DATASETS.items()}

@@ -144,6 +144,8 @@ def run_days(state: tuple, segments: list, r: float, a1: float, a2: float):
             N = N + births - deaths
             S = S + births - infections
             I = I + infections - recoveries - deaths
+            if I < 0.0:  # a subnormal I can round to just below zero
+                I = 0.0
             R = R + recoveries
             D = D + deaths
     return columns, (N, S, I, R, D)

@@ -264,7 +264,7 @@ def no_intervention_scenario(**changes) -> Scenario:
 
 def _epidemic_pass(scenario: Scenario, params: ModelParams):
     """Forward-simulate the epidemic; returns the day numbers, then per-day
-    compartment, policy shortfall, infection-rate and new-infection arrays.
+    compartment, policy shortfall and new-infection arrays.
 
     The inputs are checked once, before the first day (``run_scenario``
     validates the scenario and parameters, this function the two rate
@@ -310,9 +310,7 @@ def _epidemic_pass(scenario: Scenario, params: ModelParams):
         )
     p = np.zeros(T)
     p[lo:hi] = intensity
-    b = np.full(T, base_rates.b)
-    b[lo:hi] = active_rates.b
-    return days, N, S, I, R, D, b, p, F
+    return days, N, S, I, R, D, p, F
 
 
 def run_scenario(scenario: Scenario, params: ModelParams) -> Trajectory:
@@ -332,7 +330,7 @@ def run_scenario(scenario: Scenario, params: ModelParams) -> Trajectory:
     params.validate()
     scenario.validate()
     T = scenario.n_days()
-    days, N, S, I, R, D, b, p, F = _epidemic_pass(scenario, params)
+    days, N, S, I, R, D, p, F = _epidemic_pass(scenario, params)
 
     A = scenario.A0 * (1.0 + params.g_daily) ** np.arange(T)
     labor = S + R
@@ -578,18 +576,12 @@ def sweep_duration(params: ModelParams, durations_weeks: list, **kwargs) -> list
     return sweep(params, "duration", durations_weeks, **kwargs)
 
 
-@dataclass(frozen=True)
-class BacktestData:
-    """Observed annual series used to initialise and score the backtest."""
-
-    population: calibration.AnnualSeries
-    gdp: calibration.AnnualSeries
-    gcf: calibration.AnnualSeries
-
-
 def backtest(
     params: ModelParams,
-    observed: BacktestData,
+    population: calibration.AnnualSeries,
+    gdp: calibration.AnnualSeries,
+    gcf: calibration.AnnualSeries,
+    *,
     start_year: int = 1990,
     end_year: int = 2010,
     horizon: date | None = None,
@@ -600,22 +592,21 @@ def backtest(
     The initial capital stock is imputed by perpetual inventory and the
     initial TFP level matches observed output in the starting year.
     """
-    for name in ("population", "gdp", "gcf"):
-        series = getattr(observed, name)
+    for name, series in (("population", population), ("gdp", gdp), ("gcf", gcf)):
         if len(series) == 0:
             raise ValueError(f"observed {name} series is empty")
     if horizon is None:
         horizon = date(start_year + 50, 12, 31)
 
     delta_annual = 1.0 - (1.0 - params.delta_daily) ** DAYS_PER_YEAR
-    k_init = calibration.steady_state_k_init(observed.gcf, delta_annual)
-    capital = calibration.impute_capital(observed.gcf, delta_annual, k_init)
-    tfp_series, _ = calibration.estimate_tfp(observed.gdp, capital, observed.population, params.alpha)
+    k_init = calibration.steady_state_k_init(gcf, delta_annual)
+    capital = calibration.impute_capital(gcf, delta_annual, k_init)
+    tfp_series, _ = calibration.estimate_tfp(gdp, capital, population, params.alpha)
 
     scenario = Scenario(
         name=f"backtest-{start_year}",
         start_date=date(start_year, 1, 1),
-        N0=observed.population.value_at(start_year),
+        N0=population.value_at(start_year),
         I0=0.0, R0=0.0, D0=0.0,
         b0=0.0,
         A0=tfp_series.value_at(start_year),
@@ -627,7 +618,7 @@ def backtest(
     trajectory = run_scenario(scenario, params)
 
     years = [y for y in range(start_year, end_year + 1)]
-    missing = [y for y in years if y not in observed.gdp.years]
+    missing = [y for y in years if y not in gdp.years]
     if missing:
         raise ValueError(f"observed GDP is missing years {missing}")
 
@@ -635,19 +626,19 @@ def backtest(
     rows = []
     for y in years:
         sim_gdp = float(trajectory.Y[year_index == y].sum())
-        obs_gdp = observed.gdp.value_at(y)
+        obs_gdp = gdp.value_at(y)
         row = {"year": y, "simulated_gdp": sim_gdp, "observed_gdp": obs_gdp,
                "gdp_relative_error": sim_gdp / obs_gdp - 1.0}
         jan1 = trajectory.index_of(date(y, 1, 1))
-        if y in observed.population.years:
+        if y in population.years:
             row["population_relative_error"] = float(
-                trajectory.N[jan1] / observed.population.value_at(y) - 1.0
+                trajectory.N[jan1] / population.value_at(y) - 1.0
             )
         if y in capital.years:
             row["capital_relative_error"] = float(trajectory.K[jan1] / capital.value_at(y) - 1.0)
-        if y in observed.gcf.years:
+        if y in gcf.years:
             inv = float((trajectory.Y - trajectory.C - trajectory.H)[year_index == y].sum())
-            row["investment_relative_error"] = inv / observed.gcf.value_at(y) - 1.0
+            row["investment_relative_error"] = inv / gcf.value_at(y) - 1.0
         rows.append(row)
 
     errs = np.array([row["gdp_relative_error"] for row in rows])

@@ -94,7 +94,4 @@ def calibrated(datasets, config):
 
 @pytest.fixture(scope="session")
 def backtest_result(params, datasets):
-    observed = scenarios.BacktestData(
-        population=datasets["population"], gdp=datasets["gdp"], gcf=datasets["gcf"]
-    )
-    return scenarios.backtest(params, observed)
+    return scenarios.backtest(params, datasets["population"], datasets["gdp"], datasets["gcf"])

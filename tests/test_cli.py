@@ -207,6 +207,69 @@ class TestMalformedGrid:
         assert not out.exists()
 
 
+# config values checked at load: (config override, the dotted key the error names)
+MALFORMED_CONFIG_VALUES = [
+    ({"backtest": {"start_year": "1990x"}}, "config.backtest.start_year"),
+    ({"backtest": {"start_year": 1990.5}}, "config.backtest.start_year"),
+    ({"backtest": {"tolerance": "abc"}}, "config.backtest.tolerance"),
+    ({"data": {"population_fit_years": [2018]}}, "config.data.population_fit_years"),
+    ({"data": {"gdp": 5}}, "config.data.gdp"),
+    ({"data": {"case_population": "x"}}, "config.data.case_population"),
+    ({"backtest": {"end_year": 0}}, "config.backtest.end_year"),
+    ({"data": {"population_fit_years": [1960, "2018"]}}, "config.data.population_fit_years[1]"),
+]
+
+
+class TestMalformedConfigValue:
+    @pytest.mark.parametrize("command", ["calibrate", "backtest"])
+    @pytest.mark.parametrize("override,key", MALFORMED_CONFIG_VALUES)
+    def test_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys, command, override, key):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a scenario was solved before the config was checked")
+
+        monkeypatch.setattr(scenarios, "run_scenario", no_solve)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(override))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out / "params.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {key}: ")
+        assert not out.exists()
+
+
+# bytes appended to an input CSV, and what the error must say
+UNREADABLE_TAILS = [(b"\xff", "can't decode byte 0xff"),
+                    (b'"' + b"x" * 200_000, "field larger than field limit")]
+
+
+class TestUnreadableInput:
+    """A byte that is not UTF-8, or a field over the csv module's size
+    limit, in an input CSV is a one-line error naming the file."""
+
+    def assert_named(self, capsys, code, path, what):
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith(f"error: {path}: ") and what in err
+
+    @pytest.mark.parametrize("tail,what", UNREADABLE_TAILS, ids=["not-utf-8", "field-over-limit"])
+    def test_dataset(self, tmp_path, capsys, tail, what):
+        data = tmp_path / "data"
+        data.mkdir()
+        for source in DATA_DIR.glob("*.csv"):
+            (data / source.name).write_bytes(source.read_bytes())
+        gcf = data / "world_gcf.csv"
+        gcf.write_bytes(gcf.read_bytes() + tail)
+        code = main(["calibrate", "--data", str(data), "--out", str(tmp_path / "params.json")])
+        self.assert_named(capsys, code, gcf, what)
+
+    @pytest.mark.parametrize("tail,what", UNREADABLE_TAILS, ids=["not-utf-8", "field-over-limit"])
+    def test_trajectory(self, tmp_path, capsys, two_trajectories, tail, what):
+        path = tmp_path / "t.csv"
+        path.write_bytes(two_trajectories[0].read_bytes() + tail)
+        code = main(["report", str(path), "--variables", "Y", "--out", str(tmp_path / "plots")])
+        self.assert_named(capsys, code, path, what)
+
+
 class TestSweep:
     def test_duration_sweep_outputs(self, tmp_path, fast_config):
         out = tmp_path / "sweep"

@@ -111,6 +111,13 @@ class TestLoadCaseSeries:
         with pytest.raises(DataFormatError, match="row 2"):
             data_io.load_case_series(DatasetManifest(path=path, kind="cases"))
 
+    def test_rows_come_back_sorted_by_date(self, tmp_path):
+        path = write(tmp_path, "cases.csv",
+                     self.HEADER + "2020-01-23,120,13,2\n2020-01-22,100,10,1\n")
+        series, _ = data_io.load_case_series(DatasetManifest(path=path, kind="cases"))
+        assert series.dates == [date(2020, 1, 22), date(2020, 1, 23)]
+        assert list(series.confirmed) == [100.0, 120.0]
+
     def test_fixture_active_cases_spot_check(self):
         manifest = DatasetManifest(path=DATA_DIR / "global_cases.csv", kind="cases")
         series, repairs = data_io.load_case_series(manifest)
@@ -120,6 +127,51 @@ class TestLoadCaseSeries:
             expected = float(rows[i]["confirmed"]) - float(rows[i]["recovered"]) - float(rows[i]["deaths"])
             assert series.active()[i] == pytest.approx(expected)
         assert sum(repairs.values()) == 0
+
+
+# each dataset kind -> its shipped file and its loader
+LOADERS = {
+    "population": ("world_population.csv", data_io.load_annual_series),
+    "gdp": ("world_gdp.csv", data_io.load_annual_series),
+    "gcf": ("world_gcf.csv", data_io.load_annual_series),
+    "cases": ("global_cases.csv", data_io.load_case_series),
+    "tradeoff-panel": ("tradeoff_panel.csv", data_io.load_tradeoff_panel),
+}
+
+
+class TestLoaderContract:
+    """Every column of every dataset kind, the key column included: a bad
+    cell in the shipped file's row 5 is rejected with the file, the row
+    and the column."""
+
+    @pytest.mark.parametrize("cell", ["abc", "inf"], ids=["non-numeric", "non-finite"])
+    @pytest.mark.parametrize("kind,column", [
+        (kind, column) for kind, columns in data_io.KIND_COLUMNS.items() for column in columns])
+    def test_bad_cell_names_file_row_and_column(self, tmp_path, kind, column, cell):
+        name, load = LOADERS[kind]
+        with open(DATA_DIR / name, newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        rows[3][column] = cell
+        path = tmp_path / name
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=reader.fieldnames, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        with pytest.raises(DataFormatError) as err:
+            load(DatasetManifest(path=path, kind=kind))
+        message = str(err.value)
+        assert message.startswith(f"{path}: row 5: ")
+        assert column in message and repr(cell) in message
+
+
+class TestLoadTradeoffPanel:
+    def test_rows_keep_the_file_order(self, tmp_path):
+        # the fit sums in row order, so sorting the rows could change its last bits
+        path = write(tmp_path, "panel.csv",
+                     "country,gdp_shortfall_pct,infection_reduction_pct\nA,3.5,70\nB,1.25,20\n")
+        shortfall, reduction = data_io.load_tradeoff_panel(DatasetManifest(path=path, kind="tradeoff-panel"))
+        assert shortfall.tolist() == [3.5, 1.25] and reduction.tolist() == [70.0, 20.0]
 
 
 class TestTrajectoryRoundTrip:

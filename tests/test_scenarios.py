@@ -21,7 +21,6 @@ from epigrowth.epidemic import (
 from epigrowth.params import DataFormatError, ModelParams, default_config
 from epigrowth.planner import InfeasiblePlanError
 from epigrowth.scenarios import (
-    BacktestData,
     PolicySchedule,
     Scenario,
     backtest,
@@ -98,7 +97,7 @@ class TestDecoupling:
         richer = dataclasses.replace(params, beta_daily=0.9999, g_daily=1e-4)
         other_k = dataclasses.replace(scenario, K0=scenario.K0 * 2.0, A0=scenario.A0 * 1.5)
         alt = _epidemic_pass(other_k, richer)
-        for a, b in zip(base[1:7], alt[1:7]):  # N, S, I, R, D, b
+        for a, b in zip(base[1:6], alt[1:6]):  # N, S, I, R, D
             assert np.array_equal(a, b)
 
 
@@ -107,7 +106,7 @@ class TestEpidemicKernel:
         # reference: the public, checked epi_step applied day by day
         schedule = PolicySchedule(start_date=date(2020, 3, 12), intensity_p=0.10, duration_days=182)
         scenario = short_scenario(schedule=schedule)
-        days, N, S, I, R, D, b, p, F = _epidemic_pass(scenario, params)
+        days, N, S, I, R, D, p, F = _epidemic_pass(scenario, params)
         mm = MortalityModel(log_k1=params.log_k1, k2=params.k2)
         pop = PopGrowthParams(a1=params.a1, a2=params.a2)
         reduction = policy_to_infection_reduction(10.0, TradeoffModel(log_q1=params.log_q1, q2=params.q2))
@@ -118,7 +117,7 @@ class TestEpidemicKernel:
             assert (state.N, state.S, state.I, state.R, state.D) == (N[t], S[t], I[t], R[t], D[t]), day
             active = schedule.start_date <= day < end
             rates = effective_rates(scenario.b0, reduction if active else 0.0, mm, params.r)
-            assert (b[t], p[t]) == (rates.b, 0.10 if active else 0.0), day
+            assert p[t] == (0.10 if active else 0.0), day
             assert F[t] == min(rates.b * state.S * state.I, state.S), day
             if t < len(days) - 1:
                 state = epi_step(state, rates, pop)
@@ -182,8 +181,7 @@ def oracle_epidemic_pass(scenario: Scenario, params: ModelParams):
             "state outside the model's domain"
         )
     p = np.where(in_window, intensity, 0.0)
-    b = np.where(in_window, active_rates.b, base_rates.b)
-    return days, N, S, I, R, D, b, p, np.array(F)
+    return days, N, S, I, R, D, p, np.array(F)
 
 
 def oracle_cases() -> list:
@@ -221,12 +219,12 @@ class TestEpidemicPassOracle:
         new = _epidemic_pass(scenario, params)
         old = oracle_epidemic_pass(scenario, params)
         assert new[0] == old[0]
-        for name, a, b in zip(("N", "S", "I", "R", "D", "b", "p", "F"), new[1:], old[1:]):
+        for name, a, b in zip(("N", "S", "I", "R", "D", "p", "F"), new[1:], old[1:]):
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
     def test_clamp_binds_in_the_clamp_case(self, params):
         clamp = oracle_cases()[-1]
-        _, N, S, I, R, D, b, p, F = _epidemic_pass(clamp, params)
+        _, N, S, I, R, D, p, F = _epidemic_pass(clamp, params)
         assert np.any(F == S)
 
     def test_epi_step_is_one_oracle_day(self):
@@ -440,11 +438,8 @@ class TestBacktest:
         assert not report["systematic_drift"]
 
     def test_zero_growth_control_flags_drift(self, params, datasets):
-        observed = BacktestData(
-            population=datasets["population"], gdp=datasets["gdp"], gcf=datasets["gcf"]
-        )
         slow = dataclasses.replace(params, g_daily=0.0)
-        _, report = backtest(slow, observed)
+        _, report = backtest(slow, datasets["population"], datasets["gdp"], datasets["gcf"])
         assert report["systematic_drift"]
         assert report["mean_gdp_error"] < -0.05
 
@@ -452,13 +447,9 @@ class TestBacktest:
         import numpy as np
         from epigrowth.calibration import AnnualSeries
 
-        empty = BacktestData(
-            population=datasets["population"],
-            gdp=AnnualSeries(np.array([], dtype=int), np.array([])),
-            gcf=datasets["gcf"],
-        )
+        empty = AnnualSeries(np.array([], dtype=int), np.array([]))
         with pytest.raises(ValueError, match="empty"):
-            backtest(params, empty)
+            backtest(params, datasets["population"], empty, datasets["gcf"])
 
 
 class TestInfeasibility:
