@@ -13,20 +13,21 @@ import io
 import json
 import logging
 import math
-import numbers
 import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
+from functools import partial
 from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .calibration import AnnualSeries, CaseSeries
-from .params import DataFormatError, ModelParams, check_keys, default_config, parse_date
-from .scenarios import SWEEP_AXES, Scenario, Trajectory, _number, parse_sweep
+from .params import (DataFormatError, ModelParams, default_config, parse_date, parse_file_name, parse_list,
+                     parse_number, parse_section, parse_year)
+from .scenarios import SWEEP_AXES, Scenario, Trajectory, parse_sweep
 
 log = logging.getLogger(__name__)
 
@@ -113,7 +114,7 @@ def load_annual_series(manifest: DatasetManifest) -> AnnualSeries:
     """Read and validate a (year, value) series; sorted by year."""
     path, seen = manifest.path, {}
 
-    def parse_year(raw: str, row_number: int) -> int:
+    def parse_row_year(raw: str, row_number: int) -> int:
         try:
             year = int(raw)
         except (TypeError, ValueError):
@@ -124,21 +125,14 @@ def load_annual_series(manifest: DatasetManifest) -> AnnualSeries:
         seen[year] = row_number
         return year
 
-    years, (values,) = _read_columns(manifest, parse_year)
+    years, (values,) = _read_columns(manifest, parse_row_year)
     return AnnualSeries(np.array(years), values)
 
 
 def load_case_series(manifest: DatasetManifest) -> tuple[CaseSeries, dict]:
     """Read cumulative case counts; repairs non-monotone corrections by
     running maximum and reports the repair count per column."""
-
-    def parse_day(raw: str, row_number: int) -> date:
-        try:
-            return date.fromisoformat(raw)
-        except (TypeError, ValueError):
-            raise DataFormatError(f"{manifest.path}: row {row_number}: unparseable date {raw!r}") from None
-
-    dates, columns = _read_columns(manifest, parse_day)
+    dates, columns = _read_columns(manifest, lambda raw, row: parse_date(raw, f"{manifest.path}: row {row}"))
     counts = dict(zip(KIND_COLUMNS["cases"][1:], columns))
     repaired = {name: np.maximum.accumulate(arr) for name, arr in counts.items()}
     repairs = {name: int(np.sum(repaired[name] != arr)) for name, arr in counts.items()}
@@ -264,10 +258,7 @@ def read_json_object(path, what: str) -> dict:
 def read_params(path) -> ModelParams:
     doc = read_json_object(path, "params")
     doc.pop("provenance", None)
-    try:
-        return ModelParams.from_dict(doc)
-    except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
+    return ModelParams.from_dict(doc, str(path))
 
 
 def write_json(obj, path) -> None:
@@ -278,33 +269,48 @@ def write_json(obj, path) -> None:
 # Run configuration
 
 
-def _file_name(raw, where: str) -> str:
-    if not (isinstance(raw, str) and raw):
-        raise DataFormatError(f"{where}: expected a file name, got {raw!r}")
-    return raw
-
-
-def _year(raw, where: str) -> int:
-    if not (isinstance(raw, numbers.Integral) and not isinstance(raw, bool) and 1 <= raw <= 9999):
-        raise DataFormatError(f"{where}: expected a year from 1 to 9999, got {raw!r}")
-    return int(raw)
-
-
 def _year_span(raw, where: str) -> tuple[int, int]:
-    if not (isinstance(raw, list) and len(raw) == 2):
-        raise DataFormatError(f"{where}: expected [first year, last year], got {raw!r}")
-    return tuple(_year(year, f"{where}[{i}]") for i, year in enumerate(raw))
+    years = parse_list(raw, where, parse_year)
+    if not (len(years) == 2 and years[0] < years[1]):
+        raise DataFormatError(f"{where}: expected [first year, last year], first before last, got {raw!r}")
+    return tuple(years)
 
 
-# config section -> its settings' parsers; each error names the dotted key
-_SECTION_SETTINGS = {
-    "data": {
-        **dict.fromkeys(DATASETS, _file_name),
-        "case_population": _number,
-        "population_fit_years": _year_span,
-    },
-    "metrics": {"output_ratio_dates": lambda raw, where: [parse_date(d, where) for d in raw]},
-    "backtest": {"start_year": _year, "end_year": _year, "tolerance": _number, "horizon": parse_date},
+def _positive_number(raw, where: str) -> float:
+    value = parse_number(raw, where)
+    if not value > 0:
+        raise DataFormatError(f"{where}: expected a number > 0, got {raw!r}")
+    return value
+
+
+_DATA_SETTINGS = {**dict.fromkeys(DATASETS, parse_file_name), "case_population": _positive_number,
+                  "population_fit_years": _year_span}
+_METRICS_SETTINGS = {"output_ratio_dates": lambda raw, where: parse_list(raw, where, parse_date)}
+_BACKTEST_SETTINGS = {"start_year": parse_year, "end_year": parse_year, "tolerance": parse_number,
+                      "horizon": parse_date}
+
+
+def _backtest_section(raw, where: str) -> dict:
+    """The backtest section, its years in order and its horizon beyond them."""
+    backtest = parse_section(raw, where, _BACKTEST_SETTINGS.get, _BACKTEST_SETTINGS)
+    start, end, horizon = (backtest[key] for key in ("start_year", "end_year", "horizon"))
+    if end < start:
+        raise DataFormatError(f"{where}.end_year: expected a year from start_year {start} on, got {end}")
+    if horizon <= date(end, 12, 31):
+        raise DataFormatError(f"{where}.horizon: expected a date after {end}-12-31, got {horizon.isoformat()}")
+    return backtest
+
+
+_SWEEP_PARSERS = {axis: partial(parse_sweep, axis) for axis in SWEEP_AXES}
+
+# config section -> its parser; each error names the dotted key
+_CONFIG_SECTIONS = {
+    "params": ModelParams.from_dict,
+    "scenarios": lambda raw, where: parse_section(raw, where, lambda name: partial(Scenario.from_dict, name)),
+    "sweeps": lambda raw, where: parse_section(raw, where, _SWEEP_PARSERS.get, _SWEEP_PARSERS),
+    "data": lambda raw, where: parse_section(raw, where, _DATA_SETTINGS.get, _DATA_SETTINGS),
+    "metrics": lambda raw, where: parse_section(raw, where, _METRICS_SETTINGS.get, _METRICS_SETTINGS),
+    "backtest": _backtest_section,
 }
 
 
@@ -336,30 +342,9 @@ class RunConfig:
         return list(self.metrics["output_ratio_dates"])
 
 
-def _parse_section(section: dict, settings: dict, where: str) -> dict:
-    check_keys(section, set(settings), where)
-    return {key: settings[key](value, f"{where}.{key}") for key, value in section.items()}
-
-
 def parse_config(doc: dict) -> RunConfig:
     """Validate a merged configuration document."""
-    check_keys(doc, {"params", "scenarios", "sweeps", "data", "metrics", "backtest"}, "config")
-
-    params = ModelParams.from_dict(doc["params"])
-
-    scenarios = {}
-    for name, raw in doc["scenarios"].items():
-        scenarios[name] = Scenario.from_dict(name, raw, f"config.scenarios.{name}")
-
-    check_keys(doc["sweeps"], set(SWEEP_AXES), "config.sweeps")
-    sweeps = {axis: parse_sweep(axis, doc["sweeps"][axis], f"config.sweeps.{axis}") for axis in SWEEP_AXES}
-
-    data, metrics, backtest = (
-        _parse_section(doc[name], settings, f"config.{name}") for name, settings in _SECTION_SETTINGS.items()
-    )
-
-    return RunConfig(params=params, scenarios=scenarios, sweeps=sweeps, data=data,
-                     metrics=metrics, backtest=backtest)
+    return RunConfig(**parse_section(doc, "config", _CONFIG_SECTIONS.get, _CONFIG_SECTIONS))
 
 
 def load_config(path=None) -> RunConfig:
@@ -370,12 +355,7 @@ def load_config(path=None) -> RunConfig:
     doc = default_config()
     if path is not None:
         doc = _merge(doc, read_json_object(path, "config"))
-    try:
-        return parse_config(doc)
-    except DataFormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"invalid configuration: {exc}") from exc
+    return parse_config(doc)
 
 
 def data_manifests(data_dir, config: RunConfig) -> dict:

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import numbers
-from dataclasses import asdict, dataclass, fields
+import sys
+from dataclasses import MISSING, asdict, dataclass, fields
 from datetime import date
 from importlib import resources
 
@@ -28,21 +28,31 @@ class DataFormatError(ValueError):
 
 
 def is_finite_real(value) -> bool:
-    """True for a finite int or float (numpy scalars included), never a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    """True for an int or float (numpy scalars included) in the finite float range, never a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
-def check_keys(section: dict, allowed: set, where: str, required: set = frozenset()) -> None:
-    """Reject a non-object ``section``, a key outside ``allowed`` and a
-    missing ``required`` key, naming it under ``where``."""
-    if not isinstance(section, dict):
-        raise DataFormatError(f"{where}: expected an object, got {section!r}")
-    unknown = sorted(set(section) - allowed)
+def parse_section(raw, where: str, parser_for, required=()) -> dict:
+    """The object ``raw`` at ``where``, each value through its key's parser
+    ``parser_for(key)``, called as ``parse(value, dotted key)``; a
+    non-object, a key whose parser is None and a missing ``required`` key
+    are each an error naming the dotted path."""
+    if not isinstance(raw, dict):
+        raise DataFormatError(f"{where}: expected an object, got {raw!r}")
+    unknown = sorted(key for key in raw if parser_for(key) is None)
     if unknown:
         raise DataFormatError(f"unknown configuration key {where}.{unknown[0]!r}")
-    missing = sorted(set(required) - set(section))
+    missing = sorted(set(required) - set(raw))
     if missing:
         raise DataFormatError(f"{where}: missing keys {missing}")
+    return {key: parser_for(key)(value, f"{where}.{key}") for key, value in raw.items()}
+
+
+def parse_list(raw, where: str, parse) -> list:
+    """The list ``raw`` at ``where``, each item through ``parse``; item i is named ``where[i]``."""
+    if not isinstance(raw, list):
+        raise DataFormatError(f"{where}: expected a list, got {raw!r}")
+    return [parse(item, f"{where}[{i}]") for i, item in enumerate(raw)]
 
 
 def parse_date(raw, where: str) -> date:
@@ -50,6 +60,46 @@ def parse_date(raw, where: str) -> date:
         return date.fromisoformat(raw)
     except (TypeError, ValueError):
         raise DataFormatError(f"{where}: unparseable date {raw!r}") from None
+
+
+def parse_number(raw, where: str) -> float:
+    if not is_finite_real(raw):
+        raise DataFormatError(f"{where}: expected a finite number, got {raw!r}")
+    return float(raw)
+
+
+def parse_fraction(raw, where: str) -> float:
+    if not (is_finite_real(raw) and 0.0 <= raw < 1.0):
+        raise DataFormatError(f"{where}: expected a fraction in [0, 1), got {raw!r}; write 5% as 0.05")
+    return float(raw)
+
+
+def parse_whole(raw, where: str, unit: str) -> int:
+    if not (isinstance(raw, numbers.Integral) and not isinstance(raw, bool) and raw >= 0):
+        raise DataFormatError(f"{where}: expected a whole number of {unit} >= 0, got {raw!r}")
+    return int(raw)
+
+
+def parse_year(raw, where: str) -> int:
+    if not (isinstance(raw, numbers.Integral) and not isinstance(raw, bool) and 1 <= raw <= 9999):
+        raise DataFormatError(f"{where}: expected a year from 1 to 9999, got {raw!r}")
+    return int(raw)
+
+
+def parse_file_name(raw, where: str) -> str:
+    if not (isinstance(raw, str) and raw):
+        raise DataFormatError(f"{where}: expected a file name, got {raw!r}")
+    return raw
+
+
+def parse_run_name(raw, where: str) -> str:
+    """A run name, which output file names start with: a string other
+    than "", "." and "..", without "/" or "\\"."""
+    if not isinstance(raw, str) or raw in ("", ".", "..") or "/" in raw or "\\" in raw:
+        raise DataFormatError(
+            f"{where}: expected a run name that is not empty, '.' or '..' and has no "
+            f"'/' or '\\', got {raw!r}")
+    return raw
 
 
 def default_config() -> dict:
@@ -113,9 +163,7 @@ class ModelParams:
     def validate(self) -> None:
         """Types and ranges of every field; raises ValueError naming the field."""
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not is_finite_real(value):
-                raise ValueError(f"ModelParams.{f.name} must be a finite real number, got {value!r}")
+            parse_number(getattr(self, f.name), f"ModelParams.{f.name}")
         if not isinstance(self.max_bisection_iter, numbers.Integral):
             raise ValueError(f"ModelParams.max_bisection_iter must be an int, got {self.max_bisection_iter!r}")
         ranges = (
@@ -141,13 +189,16 @@ class ModelParams:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ModelParams":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(d) - known)
-        if unknown:
-            raise ValueError(f"unknown ModelParams fields: {unknown}")
-        params = cls(**d)
-        params.validate()
+    def from_dict(cls, raw, where: str = "params") -> "ModelParams":
+        """Parse a params object at ``where``; its values are checked as a
+        whole by ``validate``, whose error is prefixed with ``where``."""
+        parsers = {f.name: lambda value, _: value for f in fields(cls)}
+        required = [f.name for f in fields(cls) if f.default is MISSING]
+        params = cls(**parse_section(raw, where, parsers.get, required))
+        try:
+            params.validate()
+        except ValueError as exc:
+            raise DataFormatError(f"{where}: {exc}") from None
         return params
 
     def digest(self) -> str:
@@ -159,4 +210,4 @@ class ModelParams:
 def default_params() -> ModelParams:
     """Published global calibration at daily resolution, as shipped in
     ``default_config.json``."""
-    return ModelParams.from_dict(default_config()["params"])
+    return ModelParams.from_dict(default_config()["params"], "default_config.params")

@@ -10,10 +10,10 @@ those exogenous paths.
 
 from __future__ import annotations
 
-import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import date
+from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -31,10 +31,14 @@ from .params import (
     DAYS_PER_YEAR,
     DataFormatError,
     ModelParams,
-    check_keys,
     default_config,
-    is_finite_real,
     parse_date,
+    parse_fraction,
+    parse_list,
+    parse_number,
+    parse_run_name,
+    parse_section,
+    parse_whole,
 )
 
 NO_PANDEMIC = "no-pandemic"
@@ -42,45 +46,14 @@ NO_INTERVENTION = "no-intervention"
 
 # numeric Scenario fields; a scenario table spells them in lower case
 _SCENARIO_NUMBERS = ("N0", "I0", "R0", "D0", "b0", "A0", "K0")
-_SCENARIO_KEYS = {"start_date", "end_of_interest", "horizon", "schedule"} | {
-    name.lower() for name in _SCENARIO_NUMBERS
-}
-
-
-def _number(raw, where: str) -> float:
-    if not is_finite_real(raw):
-        raise DataFormatError(f"{where}: expected a finite number, got {raw!r}")
-    return float(raw)
-
-
-def _fraction(raw, where: str) -> float:
-    if not (is_finite_real(raw) and 0.0 <= raw < 1.0):
-        raise DataFormatError(f"{where}: expected a fraction in [0, 1), got {raw!r}; write 5% as 0.05")
-    return float(raw)
-
-
-def _whole(raw, where: str, unit: str) -> int:
-    if not (isinstance(raw, numbers.Integral) and not isinstance(raw, bool) and raw >= 0):
-        raise DataFormatError(f"{where}: expected a whole number of {unit} >= 0, got {raw!r}")
-    return int(raw)
-
-
-def _run_name(raw, where: str) -> str:
-    """A run name, which output file names start with: a string other
-    than "", "." and "..", without "/" or "\\"."""
-    if not isinstance(raw, str) or raw in ("", ".", "..") or "/" in raw or "\\" in raw:
-        raise DataFormatError(
-            f"{where}: expected a run name that is not empty, '.' or '..' and has no "
-            f"'/' or '\\', got {raw!r}")
-    return raw
 
 
 # schedule setting, as a config spells it -> parser of one value; each
 # error names the value's dotted key
 SCHEDULE_SETTINGS = {
     "start_date": parse_date,
-    "intensity": _fraction,
-    "duration_weeks": lambda raw, where: _whole(raw, where, "weeks"),
+    "intensity": parse_fraction,
+    "duration_weeks": lambda raw, where: parse_whole(raw, where, "weeks"),
 }
 
 
@@ -94,8 +67,8 @@ class PolicySchedule:
     duration_days: int
 
     def validate(self) -> None:
-        _fraction(self.intensity_p, "PolicySchedule.intensity_p")
-        _whole(self.duration_days, "PolicySchedule.duration_days", "days")
+        parse_fraction(self.intensity_p, "PolicySchedule.intensity_p")
+        parse_whole(self.duration_days, "PolicySchedule.duration_days", "days")
 
     @classmethod
     def from_settings(cls, settings: dict) -> "PolicySchedule":
@@ -105,10 +78,7 @@ class PolicySchedule:
     @classmethod
     def from_dict(cls, raw: dict, where: str) -> "PolicySchedule":
         """Parse a config ``schedule`` section: start_date, intensity, duration_weeks."""
-        check_keys(raw, set(SCHEDULE_SETTINGS), where, required=set(SCHEDULE_SETTINGS))
-        return cls.from_settings(
-            {key: parse(raw[key], f"{where}.{key}") for key, parse in SCHEDULE_SETTINGS.items()}
-        )
+        return cls.from_settings(parse_section(raw, where, SCHEDULE_SETTINGS.get, SCHEDULE_SETTINGS))
 
 
 @dataclass(frozen=True)
@@ -130,9 +100,7 @@ class Scenario:
 
     def validate(self) -> None:
         for name in _SCENARIO_NUMBERS:
-            value = getattr(self, name)
-            if not is_finite_real(value):
-                raise ValueError(f"Scenario.{name} must be a finite real number, got {value!r}")
+            parse_number(getattr(self, name), f"Scenario.{name}")
         if self.horizon <= self.end_of_interest:
             raise ValueError("solver horizon must lie beyond the end of interest")
         if self.end_of_interest <= self.start_date:
@@ -152,18 +120,12 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, name: str, raw: dict, where: str) -> "Scenario":
-        """Parse a scenario table entry (keys in ``_SCENARIO_KEYS``) named
-        ``name``; errors name the offending key under ``where``."""
-        check_keys(raw, _SCENARIO_KEYS, where, required=_SCENARIO_KEYS - {"schedule"})
-        schedule = raw.get("schedule")
-        return cls(
-            name=_run_name(name, f"{where}.name"),
-            start_date=parse_date(raw["start_date"], f"{where}.start_date"),
-            **{field: _number(raw[field.lower()], f"{where}.{field.lower()}") for field in _SCENARIO_NUMBERS},
-            schedule=None if schedule is None else PolicySchedule.from_dict(schedule, f"{where}.schedule"),
-            end_of_interest=parse_date(raw["end_of_interest"], f"{where}.end_of_interest"),
-            horizon=parse_date(raw["horizon"], f"{where}.horizon"),
-        )
+        """Parse a scenario table entry (keys in ``_SCENARIO_SETTINGS``)
+        named ``name``; errors name the offending key under ``where``."""
+        required = set(_SCENARIO_SETTINGS) - {"schedule"}
+        settings = {"schedule": None, **parse_section(raw, where, _SCENARIO_SETTINGS.get, required)}
+        return cls(name=parse_run_name(name, f"{where}.name"),
+                   **{f.name: settings[f.name.lower()] for f in fields(cls) if f.name != "name"})
 
     def initial_epi_state(self) -> EpiState:
         # the deceased are already excluded from the living population N0
@@ -178,6 +140,14 @@ class Scenario:
 
     def n_days(self) -> int:
         return (self.horizon - self.start_date).days + 1
+
+
+# scenario table key -> parser of its value
+_SCENARIO_SETTINGS = {
+    **dict.fromkeys(("start_date", "end_of_interest", "horizon"), parse_date),
+    **dict.fromkeys((name.lower() for name in _SCENARIO_NUMBERS), parse_number),
+    "schedule": lambda raw, where: None if raw is None else PolicySchedule.from_dict(raw, where),
+}
 
 
 @dataclass(frozen=True)
@@ -500,10 +470,10 @@ class SweepGrid:
 def parse_sweep_values(axis: str, raw, where: str) -> list:
     """A non-empty list of values for ``axis``, each through its schedule
     setting's parser, that name distinct runs; errors name ``where[i]``."""
-    if not (isinstance(raw, list) and raw):
-        raise DataFormatError(f"{where}: expected a non-empty list, got {raw!r}")
     _, setting, member_name = SWEEP_AXES[axis]
-    values = [SCHEDULE_SETTINGS[setting](value, f"{where}[{i}]") for i, value in enumerate(raw)]
+    values = parse_list(raw, where, SCHEDULE_SETTINGS[setting])
+    if not values:
+        raise DataFormatError(f"{where}: expected a non-empty list, got {raw!r}")
     names = [member_name(value) for value in values]
     for i, name in enumerate(names):
         if name in names[:i]:
@@ -515,12 +485,10 @@ def parse_sweep(axis: str, section: dict, where: str) -> SweepGrid:
     """Parse a configured sweep section: its values key and the two fixed
     schedule settings, all required."""
     values_key, setting, _ = SWEEP_AXES[axis]
-    fixed_keys = [key for key in SCHEDULE_SETTINGS if key != setting]
-    check_keys(section, {values_key, *fixed_keys}, where, required={values_key, *fixed_keys})
-    return SweepGrid(
-        values=parse_sweep_values(axis, section[values_key], f"{where}.{values_key}"),
-        fixed={key: SCHEDULE_SETTINGS[key](section[key], f"{where}.{key}") for key in fixed_keys},
-    )
+    parsers = {key: parse for key, parse in SCHEDULE_SETTINGS.items() if key != setting}
+    parsers[values_key] = partial(parse_sweep_values, axis)
+    fixed = parse_section(section, where, parsers.get, parsers)
+    return SweepGrid(values=fixed.pop(values_key), fixed=fixed)
 
 
 def sweep_members(

@@ -11,6 +11,8 @@ from epigrowth.cli import main
 from epigrowth.params import default_params
 from tests.conftest import DATA_DIR
 
+HUGE = 10 ** 400  # a JSON integer beyond the float range
+
 
 @pytest.fixture(scope="module")
 def fast_config(tmp_path_factory):
@@ -143,6 +145,13 @@ class TestScenarioFile:
         assert code == 1
         assert f"{path}.schedule: missing keys ['intensity']" in err
 
+    def test_number_beyond_float_range_named_with_path(self, tmp_path, capsys):
+        raw = {**data_io.default_config()["scenarios"]["no-intervention"], "n0": HUGE}
+        path = self.write_scenario(tmp_path, json.dumps(raw))
+        code, err = self.simulate(path, tmp_path, capsys)
+        assert code == 1
+        assert err.startswith(f"error: {path}.n0: expected a finite number")
+
     def test_params_top_level_list_names_the_file(self, tmp_path, capsys):
         path = tmp_path / "params.json"
         path.write_text("[1, 2]")
@@ -177,6 +186,7 @@ MALFORMED_GRIDS = [
     ("intensity", None, "5,15", "--values[0]"),
     ("intensity", None, "0.05,five", "--values[1]"),
     ("intensity", None, "nan", "--values[0]"),
+    pytest.param("intensity", None, str(HUGE), "--values[0]", id="intensity-None-huge---values[0]"),
     ("duration", None, "4.5", "--values[0]"),
     ("duration", None, "true", "--values[0]"),
     ("duration", None, "4,-4", "--values[1]"),
@@ -234,6 +244,52 @@ class TestMalformedConfigValue:
         assert main([command, "--config", str(config), "--out", str(out / "params.json")]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: {key}: ")
+        assert not out.exists()
+
+
+# malformed config documents: (config override, how the one error line
+# starts after "error: ")
+MALFORMED_CONFIGS = [
+    ({"params": {"betta_daily": 0.9998}}, "unknown configuration key config.params.'betta_daily'"),
+    ({"params": 5}, "config.params: expected an object"),
+    ({"scenarios": [1]}, "config.scenarios: expected an object"),
+    ({"metrics": {"output_ratio_dates": 5}}, "config.metrics.output_ratio_dates: expected a list"),
+    ({"metrics": {"output_ratio_dates": "2030-12-31"}}, "config.metrics.output_ratio_dates: expected a list"),
+    ({"params": {"u": HUGE}}, "config.params: ModelParams.u: expected a finite number"),
+    ({"scenarios": {"no-pandemic": {"n0": HUGE}}}, "config.scenarios.no-pandemic.n0: expected a finite number"),
+    ({"sweeps": {"intensity": {"values": [HUGE]}}}, "config.sweeps.intensity.values[0]: expected a fraction"),
+    ({"data": {"population_fit_years": [2018, 1960]}}, "config.data.population_fit_years: expected"),
+    ({"backtest": {"end_year": 1980}}, "config.backtest.end_year: expected"),
+    ({"backtest": {"horizon": "2005-01-01"}}, "config.backtest.horizon: expected"),
+    ({"data": {"case_population": -5}}, "config.data.case_population: expected"),
+]
+COMMANDS = {
+    "simulate": ["simulate", "--scenario", "no-intervention"],
+    "sweep": ["sweep", "--axis", "intensity"],
+    "calibrate": ["calibrate", "--data", str(DATA_DIR)],
+    "backtest": ["backtest", "--observed", str(DATA_DIR)],
+}
+
+
+class TestMalformedConfig:
+    """Every malformed config document is one error line naming its key,
+    whatever command loads it, before anything is solved or written."""
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("override,message", MALFORMED_CONFIGS)
+    def test_one_line_naming_the_key(self, tmp_path, monkeypatch, capsys, command, override, message):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a scenario was solved before the config was checked")
+
+        monkeypatch.setattr(scenarios, "run_scenario", no_solve)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(override))
+        out = tmp_path / "out"
+        target = out / "params.json" if command == "calibrate" else out
+        assert main([*COMMANDS[command], "--config", str(config), "--out", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {message}")
+        assert "Traceback" not in err
         assert not out.exists()
 
 

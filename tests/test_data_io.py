@@ -328,7 +328,8 @@ class TestParamsDocument:
         assert data_io.read_params(path) == params
         assert json.loads(path.read_text())["provenance"] == {"source": "test"}
 
-    @pytest.mark.parametrize("field,value", [("a1", float("nan")), ("beta_daily", "0.9998")])
+    @pytest.mark.parametrize("field,value", [("a1", float("nan")), ("beta_daily", "0.9998"),
+                                             pytest.param("u", 10 ** 400, id="u-huge")])
     def test_malformed_value_names_the_field(self, tmp_path, field, value):
         doc = {**default_params().to_dict(), field: value}
         path = tmp_path / "params.json"
