@@ -250,6 +250,8 @@ def read_json_object(path, what: str) -> dict:
         doc = json.loads(path.read_text())
     except ValueError as exc:
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise DataFormatError(f"{path}: JSON nested too deeply to read") from None
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: top-level JSON value must be an object, got {type(doc).__name__}")
     return doc

@@ -15,7 +15,7 @@ import json
 import numbers
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields
-from datetime import date
+from datetime import date, timedelta
 from importlib import resources
 
 from .epidemic import MortalityModel, PopGrowthParams, TradeoffModel
@@ -74,9 +74,16 @@ def parse_fraction(raw, where: str) -> float:
     return float(raw)
 
 
+# days in each unit that ``parse_whole`` counts
+_DAYS_IN_UNIT = {"days": 1, "weeks": 7}
+
+
 def parse_whole(raw, where: str, unit: str) -> int:
-    if not (isinstance(raw, numbers.Integral) and not isinstance(raw, bool) and raw >= 0):
-        raise DataFormatError(f"{where}: expected a whole number of {unit} >= 0, got {raw!r}")
+    """A whole number of ``unit`` (a ``_DAYS_IN_UNIT`` key) from 0 to the
+    most whose days fit in a ``timedelta``."""
+    most = timedelta.max.days // _DAYS_IN_UNIT[unit]
+    if not (isinstance(raw, numbers.Integral) and not isinstance(raw, bool) and 0 <= raw <= most):
+        raise DataFormatError(f"{where}: expected a whole number of {unit} from 0 to {most}, got {raw!r}")
     return int(raw)
 
 

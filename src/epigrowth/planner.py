@@ -14,18 +14,23 @@ consumption: the interior first-order condition
 
     (C_{t+1}/N_{t+1}) / (C_t/N_t) = beta * (1 - delta + MPK_{t+1})
 
-propagates the whole path from C_0, and the terminal stock K_T is
-strictly decreasing in C_0.  Each pass also carries the forward
-sensitivities dK_t/dC_0 and dC_t/dC_0, so it yields the slope of K_T as
-well as its value.  The boundary condition is closed by bracketed Newton
-iteration (rtsafe, Press et al., Numerical Recipes, sec. 9.4): the bracket
-[C_lo, C_hi] starts as [1e-12 * R_0, R_0], with R_0 the day-0 resources.
-C_hi is the lowest C_0 seen to exhaust the stock or undershoot the target,
-C_lo the highest seen to reach it (the initial end until one has).  A
-Newton step is taken from the last pass that did not exhaust the stock,
-and bisection replaces any step that is not finite or leaves the open
-bracket.  The step is Newton's on K_T**2 - K_target**2 rather than on
-K_T - K_target,
+propagates the whole path from C_0, and the terminal stock K_T is strictly
+decreasing in C_0.  A pass computes the paths alone.  The slope dK_T/dC_0
+of a full pass comes afterwards from its recorded paths
+(``_terminal_slope``): day t maps the forward sensitivities (dK_t, dC_t)
+to day t + 1's through a 2x2 matrix that the paths give, and numpy
+multiplies the T - 1 matrices pairwise.  Near the root the slope hardly
+changes, so a full pass that misses the target by at most SLOPE_REUSE_MISS
+of it keeps the last slope; over 62 shipped-model solves a solve computed
+2 to 4 slopes for about 23.5 passes.  The boundary condition is closed by
+bracketed Newton iteration (rtsafe, Press et al., Numerical Recipes, sec.
+9.4): the bracket [C_lo, C_hi] starts as [1e-12 * R_0, R_0], with R_0 the
+day-0 resources.  C_hi is the lowest C_0 seen to exhaust the stock or
+undershoot the target, C_lo the highest seen to reach it (the initial end
+until one has).  A Newton step is taken from the last pass that did not
+exhaust the stock, and bisection replaces any step that is not finite (as
+when no finite slope is known) or leaves the open bracket.  The step is
+Newton's on K_T**2 - K_target**2 rather than on K_T - K_target,
 
     C_0' = x - (K_x - K_target) / K_x' * (K_x + K_target) / (2 * K_x),
 
@@ -188,18 +193,17 @@ def balanced_path_terminal_capital(inputs: PlannerInputs) -> float:
 
 
 def _propagate(C0: float, inputs: PlannerInputs, prodc: list, apc: list, growu: list, H: list):
-    """Shoot the Euler/budget recursion forward from C_0, with dK_T/dC_0.
+    """Shoot the Euler/budget recursion forward from C_0.
 
     Returns (consumption list, capital list incl. terminal, fail index or
-    None, dK_T/dC_0 or None).  A fail index marks the first day the stock
-    would be exhausted; such a pass has no terminal stock and no slope, and
-    its paths stop at that day.  The paths are lists of plain floats, so
-    the loop does no numpy scalar arithmetic; ``apc`` holds alpha times the
-    next day's production constant, so MPK is one product and one division.
-    The module docstring gives the loop's shape.
+    None).  A fail index marks the first day the stock would be exhausted;
+    such a pass has no terminal stock, and its paths stop at that day.  The
+    paths are lists of plain floats, so the loop does no numpy scalar
+    arithmetic; ``apc`` holds alpha times the next day's production
+    constant, so MPK is one product and one division.  The module docstring
+    gives the loop's shape.
     """
     alpha = inputs.alpha
-    am1 = alpha - 1.0
     omd = 1.0 - inputs.delta_daily
 
     K = float(inputs.K0)
@@ -207,27 +211,70 @@ def _propagate(C0: float, inputs: PlannerInputs, prodc: list, apc: list, growu: 
     C_path, K_path = [], [K]
     add_C, add_K = C_path.append, K_path.append
     Kpow = K ** alpha
-    gross = omd  # 1 - delta + MPK_t; MPK_0 only ever multiplies dK_0 = 0
-    dK = 0.0
-    dC = 1.0
     for pc, h, apc1, g in zip(prodc, H, apc, growu):
         add_C(C)
         K = omd * K + pc * Kpow - h - C
         if K <= 0.0:
-            return C_path, K_path, len(C_path) - 1, None
+            return C_path, K_path, len(C_path) - 1
         add_K(K)
-        dK = gross * dK - dC
         Kpow = K ** alpha
-        mpk = apc1 * Kpow / K
-        gross = omd + mpk
-        dC = g * (gross * dC + C * am1 * mpk / K * dK)
-        C = C * g * gross
+        C = C * g * (omd + apc1 * Kpow / K)
     add_C(C)
     K_next = omd * K + prodc[-1] * Kpow - H[-1] - C
     if K_next < 0.0:
-        return C_path, K_path, len(C_path) - 1, None
+        return C_path, K_path, len(C_path) - 1
     add_K(K_next)
-    return C_path, K_path, None, gross * dK - dC
+    return C_path, K_path, None
+
+
+def _terminal_slope(C_path: list, K_path: list, apc: np.ndarray, growu: np.ndarray,
+                    alpha: float, omd: float) -> float:
+    """dK_T/dC_0 of a full pass, from its paths, or 0.0 when not finite.
+
+    ``apc`` and ``growu`` are the arrays behind the pass's lists.  The
+    sensitivities (dK_t, dC_t) start at (0, 1), and day t maps them to
+    day t + 1's through
+
+        A_t = [[gross_t, -1], [q_t * gross_t, g_t * gross_{t+1} - q_t]],
+
+    with gross_t = 1 - delta + MPK_t (gross_0 = 1 - delta, as MPK_0 only
+    ever multiplies dK_0 = 0), g_t the utility growth factor and
+    q_t = g_t * C_t * (alpha - 1) * MPK_{t+1} / K_{t+1}; so
+    dK_T = [gross_{T-1}, -1] . A_{T-2} ... A_0 . [0, 1]'.  The product is
+    taken pairwise, one numpy level per halving, over the A_t padded with
+    identities to a power of two.
+    """
+    n = len(C_path) - 1
+    if n == 0:
+        return -1.0
+    # the columns of M hold each A_t's a, b, c, d, then identities; they are
+    # filled in place, so that few T-long arrays live at once
+    M = np.zeros((4, 1 << (n - 1).bit_length()))
+    a, b, c, d = M[:, :n]
+    K = np.fromiter(K_path, float, n + 1)[1:]  # K_1 .. K_{T-1}
+    with np.errstate(all="ignore"):
+        np.power(K, alpha, out=d)
+        d *= apc
+        d /= K  # MPK_1 .. MPK_{T-1}
+        np.multiply(np.fromiter(C_path, float, n), growu, out=c)
+        c *= d
+        c /= K
+        c *= alpha - 1.0  # q_t
+        del K
+        a[0] = omd
+        np.add(d[:-1], omd, out=a[1:])  # gross_t
+        gross_last = omd + d[-1]
+        d += omd
+        d *= growu
+        d -= c  # g_t * gross_{t+1} - q_t
+        c *= a  # q_t * gross_t
+        b[:] = -1.0
+        M[0, n:] = M[3, n:] = 1.0
+        while M.shape[1] > 1:
+            (a0, b0, c0, d0), (a1, b1, c1, d1) = M[:, 0::2], M[:, 1::2]
+            M = np.array([a1 * a0 + b1 * c0, a1 * b0 + b1 * d0, c1 * a0 + d1 * c0, c1 * b0 + d1 * d0])
+        slope = float(gross_last * M[1, 0] - M[3, 0])
+    return slope if math.isfinite(slope) else 0.0
 
 
 # Days past the horizon at which the exhaustion fit aims.  Measured over 62
@@ -276,6 +323,15 @@ def _exhaustion_step(fails: list, T: int) -> float:
 PROBE_AFTER = 24
 
 
+# Relative miss of the terminal target within which a full pass keeps the
+# last slope instead of computing its own.  Measured over the 62 solves of
+# EXHAUSTION_LEAD_DAYS, as slopes computed per solve: 7.0 with a slope from
+# every full pass, 6.5 at 1e-12, 2.5 at 1e-10, 2.4 at 1e-9 (at most 4) and
+# 2.2 at 1e-8.  Up to 1e-8 every solve ran as many passes as with a slope
+# from every full pass; at 1e-7 three solves differed, at 1e-6 twelve.
+SLOPE_REUSE_MISS = 1e-9
+
+
 def solve(inputs: PlannerInputs, *, rel_tol: float = 0.0, max_iter: int = 200) -> PlannerSolution:
     """Solve the consumption problem; see the module docstring for the method.
 
@@ -301,10 +357,11 @@ def solve(inputs: PlannerInputs, *, rel_tol: float = 0.0, max_iter: int = 200) -
     N = np.asarray(inputs.pop_path, dtype=float)
     p = np.asarray(inputs.shortfall_path, dtype=float)
     production = (1.0 - p) * A * L ** (1.0 - alpha)
+    apc = alpha * production[1:]
+    growu = beta * N[1:] / N[:-1]
     prodc = production.tolist()
-    apc = (alpha * production[1:]).tolist()
-    growu = (beta * N[1:] / N[:-1]).tolist()
     H = np.asarray(inputs.hcost_path, dtype=float).tolist()
+    day_lists = (prodc, apc.tolist(), growu.tolist(), H)
 
     resources0 = omd * inputs.K0 + prodc[0] * inputs.K0 ** alpha - H[0]
     if resources0 <= 0:
@@ -314,7 +371,7 @@ def solve(inputs: PlannerInputs, *, rel_tol: float = 0.0, max_iter: int = 200) -
         # Feasibility probe: near-zero consumption maximises the capital
         # path.  It runs only while no pass has reached the target, so C_lo
         # is still the bracket's initial lower end.
-        C_path, K_path, fail, _ = _propagate(C_lo, inputs, prodc, apc, growu, H)
+        C_path, K_path, fail = _propagate(C_lo, inputs, *day_lists)
         if fail is not None:
             raise InfeasiblePlanError(
                 fail, inputs._date_at(fail), "direct costs exceed available resources even at zero consumption"
@@ -327,7 +384,8 @@ def solve(inputs: PlannerInputs, *, rel_tol: float = 0.0, max_iter: int = 200) -
 
     # Bracket: C_hi fails or undershoots the target; C_lo reaches it once a
     # pass (C_best) or the probe has shown it.  x is the last pass that did
-    # not fail, with terminal stock K_x; Newton steps start from it.
+    # not fail, with terminal stock K_x; Newton steps start from it, with
+    # the last slope computed (0.0 while there is none).
     C_lo = 1e-12 * resources0
     C_hi = resources0  # consumes the entire stock on day 0; always overshoots
     C_best = K_best = None
@@ -352,12 +410,14 @@ def solve(inputs: PlannerInputs, *, rel_tol: float = 0.0, max_iter: int = 200) -
                 C_try = math.nextafter(x, C_hi if x == C_lo else C_lo)
             if not (C_lo < C_try < C_hi):
                 C_try = C_mid
-        C_path, K_path, fail, dK_T = _propagate(C_try, inputs, prodc, apc, growu, H)
+        C_path, K_path, fail = _propagate(C_try, inputs, *day_lists)
         if fail is not None:
             fails.append((fail, C_try))
         else:
             K_x = K_path[T]
-            x, miss, slope = C_try, K_x - K_target, dK_T
+            x, miss = C_try, K_x - K_target
+            if not slope or abs(miss) > SLOPE_REUSE_MISS * K_target:
+                slope = _terminal_slope(C_path, K_path, apc, growu, alpha, omd)
         if fail is not None or K_path[T] < K_target:
             C_hi = C_try
         else:

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from datetime import timedelta
 from xml.dom import minidom
 
 import numpy as np
@@ -190,6 +191,10 @@ MALFORMED_GRIDS = [
     ("duration", None, "4.5", "--values[0]"),
     ("duration", None, "true", "--values[0]"),
     ("duration", None, "4,-4", "--values[1]"),
+    pytest.param("duration", None, str(HUGE), "--values[0]", id="duration-None-huge---values[0]"),
+    ("duration", None, f"4,{timedelta.max.days // 7 + 1}", "--values[1]"),
+    pytest.param("duration", {"duration": {"weeks": [4, HUGE]}}, None, "config.sweeps.duration.weeks[1]",
+                 id="duration-huge-config.sweeps.duration.weeks[1]"),
     ("start", None, "2020-05-21,2020-13-01", "--values[1]"),
     ("start", None, ",", "--values"),
     ("duration", None, "4,8,4", "--values[2]"),
@@ -290,6 +295,21 @@ class TestMalformedConfig:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: {message}")
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", ["--config", "--params", "--scenario"])
+    def test_json_nested_too_deeply_names_the_file(self, tmp_path, monkeypatch, capsys, option):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a scenario was solved before the file was checked")
+
+        monkeypatch.setattr(scenarios, "run_scenario", no_solve)
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        out = tmp_path / "out"
+        # a repeated --scenario overrides the first
+        assert main(["simulate", "--scenario", "no-pandemic", "--out", str(out), option, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: JSON nested too deeply to read\n"
         assert not out.exists()
 
 

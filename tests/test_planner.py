@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import statistics
+import warnings
 from datetime import date, timedelta
 
 import numpy as np
@@ -468,8 +469,10 @@ class TestTruncationSensitivity:
 
 def oracle_propagate(C0: float, inputs: PlannerInputs, prodc: list, growu: list, H: list):
     """The shooting pass as the solver once ran it, one indexed day at a
-    time with the last day inside the loop: ``planner._propagate`` must
-    match it bit for bit."""
+    time with the last day inside the loop and the forward sensitivities
+    dK_t/dC_0 and dC_t/dC_0 carried along: ``planner._propagate`` must match
+    its paths and fail index bit for bit, and ``planner._terminal_slope``
+    its dK_T/dC_0 to rounding."""
     T = inputs.horizon
     alpha = inputs.alpha
     am1 = alpha - 1.0
@@ -599,21 +602,21 @@ def shooting_lists(inputs: PlannerInputs) -> tuple:
 
 
 def oracle_pass(C0: float, inputs: PlannerInputs, prodc: list, apc: list, growu: list, H: list):
-    """``oracle_propagate`` called with ``_propagate``'s arguments; it
-    ignores ``apc``."""
-    return oracle_propagate(C0, inputs, prodc, growu, H)
+    """``oracle_propagate`` called with ``_propagate``'s arguments and
+    returning what it returns: the paths and the fail index.  It ignores
+    ``apc``."""
+    return oracle_propagate(C0, inputs, prodc, growu, H)[:3]
 
 
 def assert_same_pass(new, old) -> None:
     """``_propagate``'s result ``new`` is the oracle's ``old``, bit for bit;
     an exhausting pass's paths may stop at its fail day."""
-    C_path, K_path, fail, dK_T = new
-    C_old, K_old, fail_old, dK_old = old
+    C_path, K_path, fail = new
+    C_old, K_old, fail_old = old
     assert fail == fail_old
     if fail is None:
-        assert (bits(C_path), bits(K_path), bits(dK_T)) == (bits(C_old), bits(K_old), bits(dK_old))
+        assert (bits(C_path), bits(K_path)) == (bits(C_old), bits(K_old))
     else:
-        assert (dK_T, dK_old) == (None, None)
         assert bits(C_path) == bits(C_old[:fail + 1])
         assert bits(K_path) == bits(K_old[:fail + 1])
 
@@ -634,14 +637,16 @@ def recorded_solve(inputs: PlannerInputs, propagate, monkeypatch) -> tuple:
     return solution, passes
 
 
-class TestShootingPassOracle:
-    @pytest.fixture(scope="class")
-    def cases(self, params):
-        shipped = [scenarios.no_pandemic_scenario(), scenarios.no_intervention_scenario()]
-        seeded = [scenarios.no_intervention_scenario(schedule=schedule, name=f"seeded-{i}")
-                  for i, schedule in enumerate(seeded_schedules(0, 12))]
-        return [planner_inputs(scenario, params) for scenario in shipped + seeded]
+@pytest.fixture(scope="module")
+def cases(params):
+    """The inputs of both baselines and of the 12 seeded interventions."""
+    shipped = [scenarios.no_pandemic_scenario(), scenarios.no_intervention_scenario()]
+    seeded = [scenarios.no_intervention_scenario(schedule=schedule, name=f"seeded-{i}")
+              for i, schedule in enumerate(seeded_schedules(0, 12))]
+    return [planner_inputs(scenario, params) for scenario in shipped + seeded]
 
+
+class TestShootingPassOracle:
     def test_solves_try_the_same_c0_and_match_bitwise(self, cases, monkeypatch):
         real = planner._propagate
         for inputs in cases:
@@ -687,3 +692,139 @@ class TestShootingPassOracle:
         assert_same_pass(planner._propagate(C0, inputs, *lists), old)
         above = math.nextafter(C0, math.inf)
         assert_same_pass(planner._propagate(above, inputs, *lists), oracle_pass(above, inputs, *lists))
+
+
+def oracle_slope(C0: float, inputs: PlannerInputs) -> float:
+    """dK_T/dC_0 of the pass from C0, carried through the days as the
+    solver once carried it."""
+    prodc, _, growu, H = shooting_lists(inputs)
+    return oracle_propagate(C0, inputs, prodc, growu, H)[3]
+
+
+def terminal_slope(C0: float, inputs: PlannerInputs) -> float:
+    """``planner._terminal_slope`` of the full pass from C0."""
+    lists = shooting_lists(inputs)
+    C_path, K_path, fail = planner._propagate(C0, inputs, *lists)
+    assert fail is None
+    return planner._terminal_slope(C_path, K_path, np.array(lists[1]), np.array(lists[2]),
+                                   inputs.alpha, 1.0 - inputs.delta_daily)
+
+
+def steady_state_inputs(T: int) -> PlannerInputs:
+    """A flat economy whose steady state the recursion keeps exactly, with
+    capital 4 and consumption 2**33 - 6 on every day.  MPK is 2**30 - 1/2,
+    so dK_T/dC_0 grows about 2**30-fold a day and overflows a double by
+    T = 40."""
+    return flat_inputs(T=T, A=2.0 ** 32 - 2.0, K0=4.0, beta=2.0 ** -30, alpha=0.5, delta=0.5, terminal=4.0)
+
+
+STEADY_STATE_C0 = 2.0 ** 33 - 6.0
+
+
+class TestTerminalSlope:
+    # Relative gap to the in-loop recursion: the two take the same products
+    # in different orders; the largest measured over the cases below is
+    # 2.1e-14.
+    REL_BOUND = 1e-13
+
+    def test_matches_the_in_loop_sensitivity(self, cases):
+        for inputs in cases:
+            root = float(solve(inputs).consumption_path[0])
+            for C0 in (root, root * (1.0 - 1e-6), 0.5 * root):
+                expected = oracle_slope(C0, inputs)
+                assert terminal_slope(C0, inputs) == pytest.approx(expected, rel=self.REL_BOUND, abs=0.0)
+
+    @pytest.mark.parametrize("T", [1, 2, 3])
+    @pytest.mark.parametrize("C0", [1e-12, 0.1, 0.5, 0.9])
+    def test_short_horizons(self, T, C0):
+        inputs = flat_inputs(T=T, K0=1.0, hcost=np.full(T, 0.05), shortfall=np.linspace(0.0, 0.2, T))
+        expected = oracle_slope(C0, inputs)
+        assert terminal_slope(C0, inputs) == pytest.approx(expected, rel=self.REL_BOUND, abs=0.0)
+
+    def test_overflow_is_no_slope(self):
+        inputs = steady_state_inputs(40)
+        assert oracle_slope(STEADY_STATE_C0, inputs) == -math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert terminal_slope(STEADY_STATE_C0, inputs) == 0.0
+        # ten days in it is still finite
+        short = steady_state_inputs(10)
+        assert terminal_slope(STEADY_STATE_C0, short) == pytest.approx(oracle_slope(STEADY_STATE_C0, short),
+                                                                     rel=self.REL_BOUND, abs=0.0)
+
+    def test_search_without_a_slope_bisects_to_the_oracle_solution(self, monkeypatch):
+        # every slope the search asks for is the overflowing steady-state
+        # one, so each step falls back to bisection
+        inputs = steady_state_inputs(40)
+        lists = shooting_lists(inputs)
+        steady = planner._propagate(STEADY_STATE_C0, inputs, *lists)
+        real = planner._terminal_slope
+        slopes = []
+
+        def overflowing(C_path, K_path, *rest):
+            slopes.append(real(*steady[:2], *rest))
+            return slopes[-1]
+
+        monkeypatch.setattr(planner, "_terminal_slope", overflowing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            solution = solve(inputs)
+        assert slopes and set(slopes) == {0.0}
+        expected = oracle_solve(inputs)
+        for name in ("consumption_path", "capital_path", "welfare", "euler_residuals"):
+            assert bits(getattr(solution, name)) == bits(getattr(expected, name)), name
+
+    @pytest.fixture(scope="class")
+    def counted_solves(self, cases):
+        """Per case: the shooting passes and fresh slopes of ``solve``; then
+        the passes, full passes and slopes of the same search with a slope
+        from every full pass, carried through the days as the solver once
+        did."""
+        counts = []
+        with pytest.MonkeyPatch.context() as mp:
+            passes = count_passes(mp)
+            real = planner._terminal_slope
+            slopes = []
+
+            def counted(*args):
+                slopes.append(args)
+                return real(*args)
+
+            mp.setattr(planner, "_terminal_slope", counted)
+            for inputs in cases:
+                passes.clear()
+                slopes.clear()
+                solve(inputs)
+                counts.append((len(passes), len(slopes)))
+            mp.setattr(planner, "SLOPE_REUSE_MISS", -1.0)  # never reuse a slope
+            full = []
+            counted_pass = planner._propagate
+
+            def recorded(C0, *rest):
+                result = counted_pass(C0, *rest)
+                full.extend([C0] if result[2] is None else [])
+                return result
+
+            mp.setattr(planner, "_propagate", recorded)
+            for n, inputs in enumerate(cases):
+
+                def in_loop(C_path, K_path, *rest, inputs=inputs):
+                    slopes.append(C_path[0])
+                    return oracle_slope(C_path[0], inputs)
+
+                mp.setattr(planner, "_terminal_slope", in_loop)
+                passes.clear()
+                slopes.clear()
+                full.clear()
+                solve(inputs)
+                counts[n] += (len(passes), full[:], slopes[:])
+        return counts
+
+    def test_fresh_slopes_per_solve(self, counted_solves):
+        # 2 or 3 over these 14 solves, 2.1 in the mean
+        assert all(1 <= slopes <= 4 for _, slopes, *_ in counted_solves)
+
+    def test_pass_count_as_with_a_slope_from_every_pass(self, counted_solves):
+        for passes, _, every_passes, full, slopes in counted_solves:
+            assert slopes == full  # the reference search took a slope at each full pass
+            assert passes == every_passes

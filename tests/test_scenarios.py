@@ -497,6 +497,18 @@ class TestScenarioValidation:
             schedule = PolicySchedule(start_date=start, intensity_p=0.10, duration_days=182)
             dataclasses.replace(base, schedule=schedule).validate()
 
+    def test_duration_bounded_by_the_longest_timedelta(self):
+        most_weeks = timedelta.max.days // 7
+        assert scenarios.parse_sweep_values("duration", [most_weeks], "weeks") == [most_weeks]
+        with pytest.raises(DataFormatError, match=rf"^weeks\[1\]: expected a whole number of weeks from 0 to {most_weeks}"):
+            scenarios.parse_sweep_values("duration", [4, most_weeks + 1], "weeks")
+        base = no_intervention_scenario()
+        schedule = PolicySchedule(start_date=base.start_date, intensity_p=0.1, duration_days=timedelta.max.days)
+        dataclasses.replace(base, schedule=schedule).validate()
+        schedule = dataclasses.replace(schedule, duration_days=timedelta.max.days + 1)
+        with pytest.raises(DataFormatError, match=r"^PolicySchedule\.duration_days: "):
+            dataclasses.replace(base, schedule=schedule).validate()
+
 
 class TestDomainAndTolerance:
     def test_population_collapse_is_a_domain_error(self, params):
