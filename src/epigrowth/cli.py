@@ -118,12 +118,15 @@ def _ratio_dates(config: data_io.RunConfig, scenario: scenarios.Scenario,
 
 
 def _token(text: str):
-    """A --values item as an int or a float where it reads as one."""
+    """A --values item as an int or a float where it reads as one.  Digits
+    that ``int`` refuses (more than 4,300 of them) stay text rather than
+    becoming the float inf, so an error echoes what was typed."""
     for kind in (int, float):
         try:
             return kind(text)
         except ValueError:
-            pass
+            if text.strip().lstrip("+-").isdigit():
+                break
     return text
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .calibration import AnnualSeries, CaseSeries
 from .params import (DataFormatError, ModelParams, default_config, parse_date, parse_file_name, parse_list,
-                     parse_number, parse_section, parse_year)
+                     parse_number, parse_section, parse_year, shown)
 from .scenarios import SWEEP_AXES, Scenario, Trajectory, parse_sweep
 
 log = logging.getLogger(__name__)
@@ -78,9 +78,9 @@ def _parse_float(raw: str, path: Path, row_number: int, column: str) -> float:
     try:
         value = float(raw)
     except (TypeError, ValueError):
-        raise DataFormatError(f"{path}: row {row_number}: non-numeric {column!r} value {raw!r}") from None
+        raise DataFormatError(f"{path}: row {row_number}: non-numeric {column!r} value {shown(raw)}") from None
     if not math.isfinite(value):
-        raise DataFormatError(f"{path}: row {row_number}: non-finite {column!r} value {raw!r}")
+        raise DataFormatError(f"{path}: row {row_number}: non-finite {column!r} value {shown(raw)}")
     return value
 
 
@@ -118,7 +118,7 @@ def load_annual_series(manifest: DatasetManifest) -> AnnualSeries:
         try:
             year = int(raw)
         except (TypeError, ValueError):
-            raise DataFormatError(f"{path}: row {row_number}: non-numeric 'year' value {raw!r}") from None
+            raise DataFormatError(f"{path}: row {row_number}: non-numeric 'year' value {shown(raw)}") from None
         if year in seen:
             raise DataFormatError(
                 f"{path}: row {row_number}: duplicate year {year} (first seen at row {seen[year]})")
@@ -274,14 +274,14 @@ def write_json(obj, path) -> None:
 def _year_span(raw, where: str) -> tuple[int, int]:
     years = parse_list(raw, where, parse_year)
     if not (len(years) == 2 and years[0] < years[1]):
-        raise DataFormatError(f"{where}: expected [first year, last year], first before last, got {raw!r}")
+        raise DataFormatError(f"{where}: expected [first year, last year], first before last, got {shown(raw)}")
     return tuple(years)
 
 
 def _positive_number(raw, where: str) -> float:
     value = parse_number(raw, where)
     if not value > 0:
-        raise DataFormatError(f"{where}: expected a number > 0, got {raw!r}")
+        raise DataFormatError(f"{where}: expected a number > 0, got {shown(raw)}")
     return value
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import numbers
+import reprlib
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields
 from datetime import date, timedelta
@@ -32,13 +33,24 @@ def is_finite_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
+def shown(raw) -> str:
+    """``repr(raw)`` for a parse error, cut to 80 characters and '...', so
+    a long number or a deeply nested list stays one short line; a list
+    nested too deeply for ``repr`` shows its first levels."""
+    try:
+        text = repr(raw)
+    except RecursionError:
+        text = reprlib.repr(raw)
+    return text if len(text) <= 80 else text[:80] + "..."
+
+
 def parse_section(raw, where: str, parser_for, required=()) -> dict:
     """The object ``raw`` at ``where``, each value through its key's parser
     ``parser_for(key)``, called as ``parse(value, dotted key)``; a
     non-object, a key whose parser is None and a missing ``required`` key
     are each an error naming the dotted path."""
     if not isinstance(raw, dict):
-        raise DataFormatError(f"{where}: expected an object, got {raw!r}")
+        raise DataFormatError(f"{where}: expected an object, got {shown(raw)}")
     unknown = sorted(key for key in raw if parser_for(key) is None)
     if unknown:
         raise DataFormatError(f"unknown configuration key {where}.{unknown[0]!r}")
@@ -51,7 +63,7 @@ def parse_section(raw, where: str, parser_for, required=()) -> dict:
 def parse_list(raw, where: str, parse) -> list:
     """The list ``raw`` at ``where``, each item through ``parse``; item i is named ``where[i]``."""
     if not isinstance(raw, list):
-        raise DataFormatError(f"{where}: expected a list, got {raw!r}")
+        raise DataFormatError(f"{where}: expected a list, got {shown(raw)}")
     return [parse(item, f"{where}[{i}]") for i, item in enumerate(raw)]
 
 
@@ -59,18 +71,18 @@ def parse_date(raw, where: str) -> date:
     try:
         return date.fromisoformat(raw)
     except (TypeError, ValueError):
-        raise DataFormatError(f"{where}: unparseable date {raw!r}") from None
+        raise DataFormatError(f"{where}: unparseable date {shown(raw)}") from None
 
 
 def parse_number(raw, where: str) -> float:
     if not is_finite_real(raw):
-        raise DataFormatError(f"{where}: expected a finite number, got {raw!r}")
+        raise DataFormatError(f"{where}: expected a finite number, got {shown(raw)}")
     return float(raw)
 
 
 def parse_fraction(raw, where: str) -> float:
     if not (is_finite_real(raw) and 0.0 <= raw < 1.0):
-        raise DataFormatError(f"{where}: expected a fraction in [0, 1), got {raw!r}; write 5% as 0.05")
+        raise DataFormatError(f"{where}: expected a fraction in [0, 1), got {shown(raw)}; write 5% as 0.05")
     return float(raw)
 
 
@@ -83,19 +95,19 @@ def parse_whole(raw, where: str, unit: str) -> int:
     most whose days fit in a ``timedelta``."""
     most = timedelta.max.days // _DAYS_IN_UNIT[unit]
     if not (isinstance(raw, numbers.Integral) and not isinstance(raw, bool) and 0 <= raw <= most):
-        raise DataFormatError(f"{where}: expected a whole number of {unit} from 0 to {most}, got {raw!r}")
+        raise DataFormatError(f"{where}: expected a whole number of {unit} from 0 to {most}, got {shown(raw)}")
     return int(raw)
 
 
 def parse_year(raw, where: str) -> int:
     if not (isinstance(raw, numbers.Integral) and not isinstance(raw, bool) and 1 <= raw <= 9999):
-        raise DataFormatError(f"{where}: expected a year from 1 to 9999, got {raw!r}")
+        raise DataFormatError(f"{where}: expected a year from 1 to 9999, got {shown(raw)}")
     return int(raw)
 
 
 def parse_file_name(raw, where: str) -> str:
     if not (isinstance(raw, str) and raw):
-        raise DataFormatError(f"{where}: expected a file name, got {raw!r}")
+        raise DataFormatError(f"{where}: expected a file name, got {shown(raw)}")
     return raw
 
 
@@ -105,7 +117,7 @@ def parse_run_name(raw, where: str) -> str:
     if not isinstance(raw, str) or raw in ("", ".", "..") or "/" in raw or "\\" in raw:
         raise DataFormatError(
             f"{where}: expected a run name that is not empty, '.' or '..' and has no "
-            f"'/' or '\\', got {raw!r}")
+            f"'/' or '\\', got {shown(raw)}")
     return raw
 
 

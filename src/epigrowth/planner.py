@@ -15,64 +15,48 @@ consumption: the interior first-order condition
     (C_{t+1}/N_{t+1}) / (C_t/N_t) = beta * (1 - delta + MPK_{t+1})
 
 propagates the whole path from C_0, and the terminal stock K_T is strictly
-decreasing in C_0.  A pass computes the paths alone.  The slope dK_T/dC_0
-of a full pass comes afterwards from its recorded paths
-(``_terminal_slope``): day t maps the forward sensitivities (dK_t, dC_t)
-to day t + 1's through a 2x2 matrix that the paths give, and numpy
-multiplies the T - 1 matrices pairwise.  Near the root the slope hardly
-changes, so a full pass that misses the target by at most SLOPE_REUSE_MISS
-of it keeps the last slope; over 62 shipped-model solves a solve computed
-2 to 4 slopes for about 23.5 passes.  The boundary condition is closed by
-bracketed Newton iteration (rtsafe, Press et al., Numerical Recipes, sec.
-9.4): the bracket [C_lo, C_hi] starts as [1e-12 * R_0, R_0], with R_0 the
-day-0 resources.  C_hi is the lowest C_0 seen to exhaust the stock or
-undershoot the target, C_lo the highest seen to reach it (the initial end
-until one has).  A Newton step is taken from the last pass that did not
-exhaust the stock, and bisection replaces any step that is not finite (as
-when no finite slope is known) or leaves the open bracket.  The step is
-Newton's on K_T**2 - K_target**2 rather than on K_T - K_target,
+decreasing in C_0.  Forward shooting on a saddle path is badly conditioned
+(Judd 1998; Brunner & Strulik 2002, JEDC 26): a C_0 above the stable
+path's leaves it at the unstable rate, so a search from a cold bracket
+spends most of its passes closing in.  So the search starts at the C_0 of
+the stacked-time system (``_stacked_estimate``; Fair-Taylor, Laffargue
+1990, Juillard 1996): Newton on all days' Euler residuals at once, each
+step one cyclic reduction of a tridiagonal Jacobian.  Over 202
+shipped-model solves (both baselines and 20 seeded interventions from
+each of seeds 0-9 of the scenario-loop benchmark) the estimate lay within
+1.02e-13 of the root, and a solve ran 5.2 full passes (at most 10) against
+27.1 from the cold bracket.  An estimate that is not finite or not
+strictly inside the bracket is dropped, and the search starts as from the
+cold bracket; one whose pass exhausts the stock or misses the target
+moves an end of the bracket like any other pass.
 
-    C_0' = x - (K_x - K_target) / K_x' * (K_x + K_target) / (2 * K_x),
+The slope dK_T/dC_0 of a full pass comes from its recorded paths
+(``_terminal_slope``); a full pass that misses the target by at most
+SLOPE_REUSE_MISS of it keeps the last slope, so each of the 202 solves
+computed one.  The boundary condition is closed by bracketed Newton
+iteration (rtsafe, Press et al., Numerical Recipes, sec. 9.4): the bracket
+[C_lo, C_hi] starts as [1e-12 * R_0, R_0], with R_0 the day-0 resources.
+C_hi is the lowest C_0 seen to exhaust the stock or undershoot the target,
+C_lo the highest seen to reach it (the initial end until one has).  A
+Newton step is taken from the last pass that did not exhaust the stock,
+and bisection replaces any step that is not finite (as when no finite
+slope is known) or leaves the open bracket.  The step is Newton's on
+K_T**2 - K_target**2, whose secant slope near the root varies about 1%
+over C_0 +- 1e-5 (relative) where that of K_T varies about 20%:
 
-for the pass at x with terminal stock K_x and slope K_x'.  Near the root
-the secant slope of K_T**2 varies about 1% over C_0 +- 1e-5 (relative) in
-the no-pandemic solve, that of K_T about 20%, so the step lands closer:
-over 62 shipped-model solves a solve's passes ran 9.6 horizons of days,
-against 10.3 with the step on K_T.  Iteration stops when no double lies
-strictly between the two ends, so C_0 is the largest double that still
-reaches the target, whichever points the search visited.  Paths produced
-this way satisfy the Euler condition exactly by construction, so the
-residual diagnostics sit at rounding level.
+    C_0' = x - (K_x - K_target) / K_x' * (K_x + K_target) / (2 * K_x)
+
+for the pass at x with terminal stock K_x and slope K_x'.  Iteration stops
+when no double lies strictly between the two ends, so C_0 is the largest
+double that still reaches the target, whichever points the search visited,
+and the Euler residuals sit at rounding level by construction.
 
 The feasibility probe, a pass at C_lo = 1e-12 * R_0 (near-zero consumption
 maximises the capital path), runs only while no pass has reached the
 target: after PROBE_AFTER search passes, or after the search ends.  It
 raises InfeasiblePlanError with the day the stock runs out or with an
 unreachable target; otherwise its path is the answer until a search pass
-reaches the target.  On the shipped model the search reaches it within
-PROBE_AFTER passes, so the probe never runs, and infeasible inputs cost
-at most PROBE_AFTER + 1 passes.
-
-A pass (``_propagate``) is one loop over days 0 to T - 2, zipping each
-day's production constant and cost with alpha times the next day's
-production constant (``apc``, built once per solve) and the utility growth
-factor, so no day indexes a list.  The last day is peeled off after the
-loop: it has no next day, and its stock may end at exactly 0, where any
-earlier day's stock must stay positive.
-
-Forward shooting on a saddle path is badly conditioned (Judd 1998,
-Numerical Methods in Economics; Brunner & Strulik 2002, JEDC 26):
-a C_0 above the stable path's C_b leaves it at the unstable rate lam, so
-the gap grows like (C_0 - C_b)*exp(lam*t) and exhausts the stock on a day
-t_f with C_0 ~ C_b + b*exp(-lam*t_f).  Far above the root, where Newton
-steps overshoot into exhaustion, bisection alone spends many long passes
-closing in.  So after an exhausting pass the last three exhausting passes'
-(t_f, C_0) are fitted to that curve, and the next pass tries the C_0 it
-predicts would run out EXHAUSTION_LEAD_DAYS after the horizon; the Newton
-step or the midpoint is used when there are fewer than three such passes,
-the fit has no decaying solution, or its C_0 leaves the open bracket.  The
-bracket and the stop rule are the same either way, so the step changes how
-many days the passes run, not the answer.
+reaches the target.
 """
 
 from __future__ import annotations
@@ -200,8 +184,10 @@ def _propagate(C0: float, inputs: PlannerInputs, prodc: list, apc: list, growu: 
     such a pass has no terminal stock, and its paths stop at that day.  The
     paths are lists of plain floats, so the loop does no numpy scalar
     arithmetic; ``apc`` holds alpha times the next day's production
-    constant, so MPK is one product and one division.  The module docstring
-    gives the loop's shape.
+    constant, so MPK is one product and one division.  The loop zips the
+    day lists, so no day indexes a list, and stops before the last day: it
+    has no next day, and its stock may end at exactly 0, where any earlier
+    day's stock must stay positive.
     """
     alpha = inputs.alpha
     omd = 1.0 - inputs.delta_daily
@@ -277,58 +263,76 @@ def _terminal_slope(C_path: list, K_path: list, apc: np.ndarray, growu: np.ndarr
     return slope if math.isfinite(slope) else 0.0
 
 
-# Days past the horizon at which the exhaustion fit aims.  Measured over 62
-# solves (both baselines and 30 seeded interventions from each of seeds 0
-# and 1 of the scenario-loop benchmark), as mean pass-days per solve in
-# horizons: 13.7 at a lead of 0 days, 12.1 at 2,000, 11.3 at 3,000, 10.8 at
-# 5,000, 11.0 at 6,000 and 8,000 and 11.2 at 10,000, against 16.6 without
-# the fit.  The optimum is flat, so any lead from 3,000 to 8,000 days serves.
-EXHAUSTION_LEAD_DAYS = 5000
+def _solve_tridiagonal(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """x with a_i*x_{i-1} + b_i*x_i + c_i*x_{i+1} = d_i in each row i (a_0 and
+    c_{n-1} ignored), by cyclic reduction: the rows, padded with identity
+    rows to 2**k - 1, are halved k - 1 times, one numpy level each, then the
+    unknowns are filled back in level by level.  There is no pivoting, so
+    the system should be diagonally dominant, as the Euler Jacobian is."""
+    n = len(b)
+    m = (1 << n.bit_length()) - 1
+    a, b, c, d = (np.concatenate((v, np.full(m - n, pad))) for v, pad in ((a, 0.0), (b, 1.0), (c, 0.0), (d, 0.0)))
+    a[0] = c[n - 1] = 0.0
+    levels = []
+    while len(b) > 1:
+        levels.append((a, b, c, d))
+        lo, hi = -a[1::2] / b[:-1:2], -c[1::2] / b[2::2]
+        a, b, c, d = (lo * a[:-1:2], b[1::2] + lo * c[:-1:2] + hi * a[2::2], hi * c[2::2],
+                      d[1::2] + lo * d[:-1:2] + hi * d[2::2])
+    x = d / b
+    for a, b, c, d in reversed(levels):
+        even = d[::2].copy()
+        even[1:] -= a[2::2] * x
+        even[:-1] -= c[:-1:2] * x
+        full = np.empty(len(b))
+        full[1::2], full[::2] = x, even / b[::2]
+        x = full
+    return x[:n]
 
 
-def _exhaustion_step(fails: list, T: int) -> float:
-    """C_0 that the last three exhausting passes predict would exhaust the
-    stock EXHAUSTION_LEAD_DAYS after the horizon T, or NaN.
+def _stacked_estimate(inputs: PlannerInputs, production: np.ndarray, growu: np.ndarray, K_target: float) -> float:
+    """C_0 of Newton's solution of the stacked Euler residuals, the shooting
+    search's start; not finite, or off, where Newton fails.
 
-    ``fails`` holds (fail day, C_0) of the exhausting passes in the order
-    they ran.  The three are fitted to C_0 = C_b + b*exp(-lam*t_f); there is
-    no estimate unless the fail days rise while C_0 falls and lam > 0.
-    """
-    (t1, x1), (t2, x2), (t3, x3) = fails[-3:]
-    if not (t1 < t2 < t3 and x1 > x2 > x3):
-        return math.nan
-    d1, d2 = t2 - t1, t3 - t2
-    ratio = (x1 - x2) / (x2 - x3)
-    # the fitted ratio expm1(lam*d1) / -expm1(-lam*d2) rises strictly from
-    # d1/d2 at lam = 0 and exceeds expm1(lam*d1), so the root lies in (0, hi]
-    if not ratio > d1 / d2:
-        return math.nan
-    lo, hi = 0.0, math.log1p(ratio) / d1
-    while True:
-        lam = 0.5 * (lo + hi)
-        if not lo < lam < hi:
+    The unknowns are K_1 .. K_{T-1}, with K_T = K_target and
+    C_t = (1 - delta)*K_t + pc_t*K_t**alpha - H_t - K_{t+1}.  The residual
+    F_t = C_{t+1} - g_t*C_t*G_{t+1}, t = 0 .. T - 2, with G = 1 - delta + MPK,
+    has a tridiagonal Jacobian: -g_t*G_t*G_{t+1}, -1 and, on the diagonal,
+    G_{t+1}*(1 + g_t) - g_t*C_t*(alpha - 1)*MPK_{t+1}/K_{t+1}.  Newton runs
+    from K_0*(K_target/K_0)**(t/T) for 8 steps, or to one below 1e-10 relative."""
+    T, alpha, omd = inputs.horizon, inputs.alpha, 1.0 - inputs.delta_daily
+    H = np.asarray(inputs.hcost_path, dtype=float)
+    K = np.append(inputs.K0 * (K_target / inputs.K0) ** (np.arange(T) / T), K_target)
+    Kn = K[1:T]  # the unknowns, a view of K
+    for _ in range(8 if T > 1 else 0):
+        Kpow = K[:T] ** alpha
+        C = omd * K[:T] + production * Kpow - H - K[1:]
+        mpk = alpha * production * Kpow / K[:T]
+        G = omd + mpk
+        gC = growu * C[:-1]
+        step = _solve_tridiagonal(-growu * G[:-1] * G[1:], G[1:] * (1.0 + growu) - gC * (alpha - 1.0) * mpk[1:] / Kn,
+                                  np.full(T - 1, -1.0), gC * G[1:] - C[1:])
+        Kn += step
+        if not np.max(np.abs(step) / Kn) >= 1e-10:  # converged, or not finite
             break
-        if math.expm1(lam * d1) / -math.expm1(-lam * d2) < ratio:
-            lo = lam
-        else:
-            hi = lam
-    return x3 + (x2 - x3) * math.expm1(-lam * (T + EXHAUSTION_LEAD_DAYS - t3)) / math.expm1(lam * d2)
+    return float(omd * inputs.K0 + production[0] * inputs.K0 ** alpha - H[0] - K[1])
 
 
 # Search passes after which, if none has reached the target yet, the
 # feasibility probe runs, so infeasible inputs cost a bounded number of
-# passes.  Over 202 solves of the shipped model (both baselines and 25
-# seeded interventions from each of seeds 0-7 of the scenario-loop
-# benchmark) the first pass to reach the target was pass 17, 18 or 19.
+# passes.  Over 202 shipped-model solves the first pass to reach the
+# target is pass 1 to 10 from the stacked estimate, and pass 10 from the
+# cold bracket, where a solve runs 27.1 passes (at most 36).
 PROBE_AFTER = 24
 
 
 # Relative miss of the terminal target within which a full pass keeps the
-# last slope instead of computing its own.  Measured over the 62 solves of
-# EXHAUSTION_LEAD_DAYS, as slopes computed per solve: 7.0 with a slope from
-# every full pass, 6.5 at 1e-12, 2.5 at 1e-10, 2.4 at 1e-9 (at most 4) and
-# 2.2 at 1e-8.  Up to 1e-8 every solve ran as many passes as with a slope
-# from every full pass; at 1e-7 three solves differed, at 1e-6 twelve.
+# last slope instead of computing its own.  Measured over 62 shipped-model
+# solves from the cold bracket, with an exhaustion fit since removed, as
+# slopes computed per solve: 7.0 with a slope from every full pass, 6.5 at
+# 1e-12, 2.5 at 1e-10, 2.4 at 1e-9 (at most 4) and 2.2 at 1e-8.  Up to 1e-8
+# every solve ran as many passes as with a slope from every full pass; at
+# 1e-7 three solves differed, at 1e-6 twelve.
 SLOPE_REUSE_MISS = 1e-9
 
 
@@ -385,22 +389,20 @@ def solve(inputs: PlannerInputs, *, rel_tol: float = 0.0, max_iter: int = 200) -
     # Bracket: C_hi fails or undershoots the target; C_lo reaches it once a
     # pass (C_best) or the probe has shown it.  x is the last pass that did
     # not fail, with terminal stock K_x; Newton steps start from it, with
-    # the last slope computed (0.0 while there is none).
+    # the last slope computed (0.0 while there is none).  Each pass moves an
+    # end to C_try, so the stacked estimate is tried only as the first pass.
     C_lo = 1e-12 * resources0
     C_hi = resources0  # consumes the entire stock on day 0; always overshoots
     C_best = K_best = None
     x = miss = slope = K_x = 0.0
-    fail = None
-    fails = []  # (fail day, C_0) of each exhausting pass, in order
+    with np.errstate(all="ignore"):
+        C_try = _stacked_estimate(inputs, production, growu, K_target)
     for n in range(max_iter):
         if n == PROBE_AFTER and C_best is None:
             C_best, K_best = probe()
         C_mid = 0.5 * (C_lo + C_hi)
         if not (C_lo < C_mid < C_hi):
             break
-        C_try = math.nan
-        if fail is not None and len(fails) >= 3:
-            C_try = _exhaustion_step(fails, T)
         if not (C_lo < C_try < C_hi):
             # Newton on K_T**2 - K_target**2, which is nearer linear in C_0
             C_try = x - miss / slope * (K_x + K_target) / (2.0 * K_x) if slope and K_x else math.nan
@@ -411,9 +413,7 @@ def solve(inputs: PlannerInputs, *, rel_tol: float = 0.0, max_iter: int = 200) -
             if not (C_lo < C_try < C_hi):
                 C_try = C_mid
         C_path, K_path, fail = _propagate(C_try, inputs, *day_lists)
-        if fail is not None:
-            fails.append((fail, C_try))
-        else:
+        if fail is None:
             K_x = K_path[T]
             x, miss = C_try, K_x - K_target
             if not slope or abs(miss) > SLOPE_REUSE_MISS * K_target:
@@ -427,8 +427,8 @@ def solve(inputs: PlannerInputs, *, rel_tol: float = 0.0, max_iter: int = 200) -
     if C_best is None:
         C_best, K_best = probe()
 
-    consumption = np.array(C_best)
-    capital = np.array(K_best)
+    consumption = np.fromiter(C_best, float, len(C_best))
+    capital = np.fromiter(K_best, float, len(K_best))
     residuals = _euler_residuals(consumption, capital, inputs, production)
     W = welfare(consumption, N, beta)
     return PlannerSolution(

@@ -39,6 +39,7 @@ from .params import (
     parse_run_name,
     parse_section,
     parse_whole,
+    shown,
 )
 
 NO_PANDEMIC = "no-pandemic"
@@ -473,7 +474,7 @@ def parse_sweep_values(axis: str, raw, where: str) -> list:
     _, setting, member_name = SWEEP_AXES[axis]
     values = parse_list(raw, where, SCHEDULE_SETTINGS[setting])
     if not values:
-        raise DataFormatError(f"{where}: expected a non-empty list, got {raw!r}")
+        raise DataFormatError(f"{where}: expected a non-empty list, got {shown(raw)}")
     names = [member_name(value) for value in values]
     for i, name in enumerate(names):
         if name in names[:i]:

@@ -1,15 +1,19 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from datetime import timedelta
+from pathlib import Path
 from xml.dom import minidom
 
 import numpy as np
 import pytest
 
+import epigrowth
 from epigrowth import data_io, plotting, scenarios
 from epigrowth.cli import main
-from epigrowth.params import default_params
+from epigrowth.params import default_params, shown
 from tests.conftest import DATA_DIR
 
 HUGE = 10 ** 400  # a JSON integer beyond the float range
@@ -220,6 +224,44 @@ class TestMalformedGrid:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {key}: ")
         assert not out.exists()
+
+
+class TestEchoedValue:
+    """An error echoes at most 80 characters of the value it rejects."""
+
+    def test_digits_int_refuses_stay_text(self, tmp_path, capsys):
+        # int() refuses more than 4,300 digits, and float() reads them as inf
+        nines = "9" * 5000
+        assert main(["sweep", "--axis", "duration", "--values", nines, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --values[0]: ") and f"got '{'9' * 79}..." in err
+        assert "inf" not in err
+
+    def test_value_nested_too_deeply_for_repr(self):
+        deep = []
+        for _ in range(100_000):
+            deep = [deep]
+        assert shown(deep) == "[" * 7 + "..." + "]" * 7  # reprlib's six levels, then an elided one
+        assert shown("x" * 100) == "'" + "x" * 79 + "..."
+
+    @pytest.mark.parametrize("argv,config,key", [
+        (["sweep", "--axis", "duration", "--values", "9" * 400], None, "--values[0]"),
+        (["simulate", "--scenario", "no-pandemic"], '{"params": ' + "[" * 980 + "]" * 980 + "}", "config.params"),
+    ], ids=["400-digit-values-item", "params-nested-980-deep"])
+    def test_one_short_line_naming_the_key(self, tmp_path, argv, config, key):
+        # in a fresh process: under pytest's deeper stack, JSON nested 980
+        # deep is already too deep to read
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(config)
+            argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+        src = str(Path(epigrowth.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-m", "epigrowth.cli", *argv, "--out", str(tmp_path / "out")],
+                             capture_output=True, env=env, timeout=120)
+        assert run.returncode == 1
+        assert run.stderr.count(b"\n") == 1 and run.stderr.startswith(f"error: {key}: ".encode())
+        assert len(run.stderr) <= 200
+        assert not (tmp_path / "out").exists()
 
 
 # config values checked at load: (config override, the dotted key the error names)

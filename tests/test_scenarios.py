@@ -101,6 +101,25 @@ class TestDecoupling:
             assert np.array_equal(a, b)
 
 
+class TestHorizon:
+    """``run_scenario``'s claim that the solver horizon, decades past the
+    reported window, cannot distort it: moved from 2060 out to 2070 and
+    2080, window C moves by 5.5e-9 to 8.6e-7 relative, K by at most 2.0e-6."""
+
+    @pytest.mark.parametrize("year", [2070, 2080])
+    @pytest.mark.parametrize("which", [0, 1], ids=["no-pandemic", "no-intervention"])
+    def test_window_barely_moves(self, params, baselines, which, year):
+        reference = baselines[which]
+        make = (scenarios.no_pandemic_scenario, scenarios.no_intervention_scenario)[which]
+        moved = run_scenario(make(horizon=date(year, 12, 31)), params)
+        assert moved.days == reference.days
+        for name in ("C", "K", "Y"):
+            gap = np.max(np.abs(getattr(moved, name) / getattr(reference, name) - 1.0))
+            assert gap <= 1e-5, name
+        for name in ("N", "S", "I", "R", "D"):
+            assert getattr(moved, name).tobytes() == getattr(reference, name).tobytes(), name
+
+
 class TestEpidemicKernel:
     def test_pass_matches_checked_daily_steps(self, params):
         # reference: the public, checked epi_step applied day by day
