@@ -20,8 +20,8 @@ The equations are written once, in ``run_days``.  It runs them over a
 list of constant-rate segments, each a number of days with its (b, m):
 a scenario's pass is at most three segments (before, in and after the
 intervention window), and ``epi_step`` is one segment of one day.  The
-day loop is the bare equations on plain floats, with no per-day call or
-rate lookup.
+day loop carries only N, S and I, on plain floats with no per-day call
+or rate lookup; F, R and D follow from their columns with the same bits.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date, timedelta
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -119,36 +121,49 @@ def run_days(state: tuple, segments: list, r: float, a1: float, a2: float):
     R, D) over ``segments``, a list of (days, b, m) with the rates in force
     on those days.
 
-    Returns the columns N, S, I, R, D and F of the days run, as lists
+    Returns the columns N, S, I, R, D and F of the days run, as arrays
     holding each day's counts as it starts and its new infections, and the
-    (N, S, I, R, D) after the last day.
+    (N, S, I, R, D) after the last day.  The loop carries only N, S and I:
+    F = b*S*I, replaced by S where S < F, and R and D, summed by
+    ``np.add.accumulate`` strictly in sequence as the loop adds (``np.sum``
+    adds pairwise), follow from their columns with the loop's bits and,
+    like the float loop, warn of no overflow.
     """
     N, S, I, R, D = state
-    columns = [], [], [], [], [], []
-    add_N, add_S, add_I, add_R, add_D, add_F = (column.append for column in columns)
+    columns = [], [], []
+    add_N, add_S, add_I = (column.append for column in columns)
     growth = a1 - 1.0
     for days, b, m in segments:
         for _ in range(days):
             add_N(N)
             add_S(S)
             add_I(I)
-            add_R(R)
-            add_D(D)
             births = growth * N + a2 * N * N
             infections = b * S * I
             if S < infections:  # min(b*S*I, S), NaN included
                 infections = S
-            add_F(infections)
-            recoveries = r * I
             deaths = m * I
             N = N + births - deaths
             S = S + births - infections
-            I = I + infections - recoveries - deaths
+            I = I + infections - r * I - deaths
             if I < 0.0:  # a subnormal I can round to just below zero
                 I = 0.0
-            R = R + recoveries
-            D = D + deaths
-    return columns, (N, S, I, R, D)
+    T = len(columns[0])
+    Ns, Ss, Is = (np.fromiter(column, float, T) for column in columns)
+    Fs, Rs, Ds = np.empty(T), np.empty(T + 1), np.empty(T + 1)
+    Rs[0], Ds[0] = R, D  # then each day's change, accumulated
+    with np.errstate(all="ignore"):
+        np.multiply(r, Is, out=Rs[1:])
+        lo = 0
+        for days, b, m in segments:
+            np.multiply(b, Ss[lo:lo + days], out=Fs[lo:lo + days])
+            Fs[lo:lo + days] *= Is[lo:lo + days]
+            np.multiply(m, Is[lo:lo + days], out=Ds[lo + 1:lo + days + 1])
+            lo += days
+        np.copyto(Fs, Ss, where=Ss < Fs)
+        np.add.accumulate(Rs, out=Rs)
+        np.add.accumulate(Ds, out=Ds)
+    return (Ns, Ss, Is, Rs[:T], Ds[:T], Fs), (N, S, I, float(Rs[T]), float(Ds[T]))
 
 
 def epi_step(state: EpiState, rates: EpiRates, pop: PopGrowthParams) -> EpiState:

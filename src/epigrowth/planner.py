@@ -23,12 +23,14 @@ the stacked-time system (``_stacked_estimate``; Fair-Taylor, Laffargue
 1990, Juillard 1996): Newton on all days' Euler residuals at once, each
 step one cyclic reduction of a tridiagonal Jacobian.  Over 202
 shipped-model solves (both baselines and 20 seeded interventions from
-each of seeds 0-9 of the scenario-loop benchmark) the estimate lay within
-1.02e-13 of the root, and a solve ran 5.2 full passes (at most 10) against
-27.1 from the cold bracket.  An estimate that is not finite or not
-strictly inside the bracket is dropped, and the search starts as from the
-cold bracket; one whose pass exhausts the stock or misses the target
-moves an end of the bracket like any other pass.
+each of seeds 0-9 of the scenario-loop benchmark) the estimate lay a
+median 8 and at most 68 ulps (1.4e-14) from the root, and a solve ran 4.3
+full passes (at most 8) against 27.1 from the cold bracket.  An estimate
+that is not finite or not strictly inside the bracket is dropped, and the
+search starts as from the cold bracket; one whose pass misses the target
+moves an end of the bracket like any other pass.  While no pass has
+reached the target, a pass that exhausts the stock is followed by one at
+C_hi - d, d being 64 ulps of the first such C_0, doubled at each next one.
 
 The slope dK_T/dC_0 of a full pass comes from its recorded paths
 (``_terminal_slope``); a full pass that misses the target by at most
@@ -299,7 +301,11 @@ def _stacked_estimate(inputs: PlannerInputs, production: np.ndarray, growu: np.n
     F_t = C_{t+1} - g_t*C_t*G_{t+1}, t = 0 .. T - 2, with G = 1 - delta + MPK,
     has a tridiagonal Jacobian: -g_t*G_t*G_{t+1}, -1 and, on the diagonal,
     G_{t+1}*(1 + g_t) - g_t*C_t*(alpha - 1)*MPK_{t+1}/K_{t+1}.  Newton runs
-    from K_0*(K_target/K_0)**(t/T) for 8 steps, or to one below 1e-10 relative."""
+    from K_0*(K_target/K_0)**(t/T) for 8 steps, or to one below 1e-10 relative.
+    It returns the mean over t = 0 .. min(T - 1, 1000) of the Euler-implied
+    C_t / prod_{s<t} g_s*G_{s+1}, each rounded on its own; the day-0 budget
+    alone would carry K_1's rounding, ~1,000 ulps of C_0 as K/C is ~3,000.
+    1000 days gave the least median error of 1, 10, 100, 300, 1000, 2000, 3000."""
     T, alpha, omd = inputs.horizon, inputs.alpha, 1.0 - inputs.delta_daily
     H = np.asarray(inputs.hcost_path, dtype=float)
     K = np.append(inputs.K0 * (K_target / inputs.K0) ** (np.arange(T) / T), K_target)
@@ -315,14 +321,19 @@ def _stacked_estimate(inputs: PlannerInputs, production: np.ndarray, growu: np.n
         Kn += step
         if not np.max(np.abs(step) / Kn) >= 1e-10:  # converged, or not finite
             break
-    return float(omd * inputs.K0 + production[0] * inputs.K0 ** alpha - H[0] - K[1])
+    n = min(T - 1, 1000)
+    Kpow = K[:n + 1] ** alpha
+    C = omd * K[:n + 1] + production[:n + 1] * Kpow - H[:n + 1] - K[1:n + 2]
+    G = omd + alpha * production[1:n + 1] * Kpow[1:] / K[1:n + 1]
+    return float(np.mean(C / np.cumprod(np.append(1.0, growu[:n] * G))))
 
 
 # Search passes after which, if none has reached the target yet, the
 # feasibility probe runs, so infeasible inputs cost a bounded number of
-# passes.  Over 202 shipped-model solves the first pass to reach the
-# target is pass 1 to 10 from the stacked estimate, and pass 10 from the
-# cold bracket, where a solve runs 27.1 passes (at most 36).
+# passes, exhausting ones stepping down as the module docstring says.  Over
+# 202 shipped-model solves the first pass to reach the target is pass 1 to 8
+# from the stacked estimate (4.3 passes a solve), and pass 10 from the cold
+# bracket (27.1, at most 36).
 PROBE_AFTER = 24
 
 
@@ -390,11 +401,12 @@ def solve(inputs: PlannerInputs, *, rel_tol: float = 0.0, max_iter: int = 200) -
     # pass (C_best) or the probe has shown it.  x is the last pass that did
     # not fail, with terminal stock K_x; Newton steps start from it, with
     # the last slope computed (0.0 while there is none).  Each pass moves an
-    # end to C_try, so the stacked estimate is tried only as the first pass.
+    # end to C_try, so only the stacked estimate and a step down from an
+    # exhausting pass (``down``, doubling) are tried without a Newton step.
     C_lo = 1e-12 * resources0
     C_hi = resources0  # consumes the entire stock on day 0; always overshoots
     C_best = K_best = None
-    x = miss = slope = K_x = 0.0
+    x = miss = slope = K_x = down = 0.0
     with np.errstate(all="ignore"):
         C_try = _stacked_estimate(inputs, production, growu, K_target)
     for n in range(max_iter):
@@ -422,6 +434,9 @@ def solve(inputs: PlannerInputs, *, rel_tol: float = 0.0, max_iter: int = 200) -
             C_hi = C_try
         else:
             C_lo, C_best, K_best = C_try, C_path, K_path
+        if fail is not None and C_best is None:
+            down = 2.0 * down if down else 64.0 * math.ulp(C_try)
+            C_try -= down
         if rel_tol > 0.0 and (C_hi - C_lo) <= rel_tol * C_hi:
             break
     if C_best is None:

@@ -268,7 +268,7 @@ def _epidemic_pass(scenario: Scenario, params: ModelParams):
         [(lo, *base), (hi - lo, *active), (T - hi, *base)],
         params.r, params.a1, params.a2,
     )
-    N, S, I, R, D, F = map(np.array, columns)
+    N, S, I, R, D, F = columns
     first_day = scenario.start_date.toordinal()
     days = range(first_day, first_day + T)
 

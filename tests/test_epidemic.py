@@ -1,5 +1,6 @@
 from datetime import date
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -12,6 +13,7 @@ from epigrowth.epidemic import (
     effective_rates,
     epi_step,
     policy_to_infection_reduction,
+    run_days,
 )
 
 DAY0 = date(2020, 1, 22)
@@ -92,6 +94,51 @@ def test_invariants_along_random_trajectories(s, i, r, d, b, rec, mor, a1, a2_fr
         assert nxt.R >= prev.R and nxt.D >= prev.D
         assert abs((nxt.N - (nxt.S + nxt.I + nxt.R)) - gap0) <= 1e-6 * scale
         prev = nxt
+
+
+def float_loop(state, segments, r, a1, a2):
+    """``run_days`` as a plain float loop carrying all five states and F:
+    the columns N, S, I, R, D and F, and the state after the last day."""
+    N, S, I, R, D = state
+    rows = []
+    for days, b, m in segments:
+        for _ in range(days):
+            births = (a1 - 1.0) * N + a2 * N * N
+            infections = b * S * I
+            if S < infections:
+                infections = S
+            rows.append((N, S, I, R, D, infections))
+            recoveries = r * I
+            deaths = m * I
+            N, S, I = N + births - deaths, S + births - infections, I + infections - recoveries - deaths
+            R, D = R + recoveries, D + deaths
+            if I < 0.0:
+                I = 0.0
+    return [np.array([row[k] for row in rows], dtype=float) for k in range(6)], (N, S, I, R, D)
+
+
+NAN = float("nan")
+SUBNORMAL = 5e-324
+
+
+@pytest.mark.parametrize("state, segments, r, a1, a2", [
+    # b*S*I overflows to inf, and N, S and I to inf and NaN after it
+    ((1e200, 1e200, 1e200, 0.0, 0.0), [(3, 1.0, 0.01)], 0.1, 1.0001, -1e-9),
+    ((1e3, NAN, 10.0, 1.0, 0.5), [(2, 1e-3, 0.01)], 0.1, 1.0001, -1e-9),
+    # r*I and m*I each round 1.5 * 5e-324 up to 2 * 5e-324, so I would fall below 0 and is held at 0
+    ((10.0, 10.0, 3 * SUBNORMAL, 0.0, 0.0), [(2, 0.0, 0.5)], 0.5, 1.0, 0.0),
+    ((1e3, 990.0, 10.0, 0.0, 0.0), [(3, 1e-4, 0.01), (0, 1.0, 0.1), (2, 2e-4, 0.02)], 0.1, 1.0001, -1e-9),
+    ((1e3, 990.0, 10.0, 0.0, 0.0), [], 0.1, 1.0001, -1e-9),
+    ((1e3, 990.0, 10.0, 0.0, 0.0), [(0, 1e-4, 0.01)], 0.1, 1.0001, -1e-9),
+    ((1e3, 990.0, 10.0, 2.0, 1.0), [(1, 1e-4, 0.01)], 0.1, 1.0001, -1e-9),
+], ids=["overflow", "nan-S", "subnormal-I", "zero-day-segment", "no-segment", "T-0", "T-1"])
+def test_run_days_matches_a_float_loop_bitwise(state, segments, r, a1, a2):
+    columns, final = run_days(state, segments, r, a1, a2)
+    expected_columns, expected_final = float_loop(state, segments, r, a1, a2)
+    for name, new, old in zip("NSIRDF", columns, expected_columns):
+        assert (new.dtype, new.shape, new.tobytes()) == (old.dtype, old.shape, old.tobytes()), name
+    assert np.array(final).tobytes() == np.array(expected_final).tobytes()
+    assert all(type(value) is float for value in final)
 
 
 def test_invalid_rates_rejected():

@@ -321,17 +321,17 @@ class TestShooting:
     def test_no_intervention_pass_count(self, no_intervention_inputs, monkeypatch):
         passes = count_passes(monkeypatch)
         solve(no_intervention_inputs)
-        assert len(passes) <= 10  # 7 from the stacked estimate, 27 from the cold bracket
+        assert len(passes) <= 6  # 5 from the stacked estimate, 27 from the cold bracket
 
     def test_pass_days_per_solve(self, seeded_solves, params, monkeypatch):
         # pass-days in horizons; from the stacked estimate every pass runs
-        # to the horizon, and the seeded mean is 5.5, the no-pandemic solve
-        # 8; from the cold bracket they are 16.6 and 19.3
-        assert statistics.mean(horizons for *_, horizons in seeded_solves) <= 8
+        # to the horizon, and the seeded mean is 4.25, the no-pandemic solve
+        # 5; from the cold bracket they are 16.6 and 19.3
+        assert statistics.mean(horizons for *_, horizons in seeded_solves) <= 5
         inputs = planner_inputs(scenarios.no_pandemic_scenario(), params)
         days = count_passes(monkeypatch)
         solve(inputs)
-        assert sum(days) / inputs.horizon <= 8
+        assert sum(days) / inputs.horizon <= 6
 
     def test_relative_tolerance_stops_early_and_feasible(self, shooting_case):
         full = float(solve(shooting_case).consumption_path[0])
@@ -829,12 +829,25 @@ class TestStackedEstimate:
             np.testing.assert_allclose(x, expected, rtol=1e-12, atol=1e-12)
 
     def test_estimate_lies_at_the_root(self, cases, monkeypatch):
-        # measured at most 1.0e-13 over these 14 solves
+        # measured 4 and 2 ulps on the baselines, at most 68 over both
+        # baselines and 200 seeded interventions
         estimates = recorded_estimates(monkeypatch)
         for inputs in cases:
             root = float(solve(inputs).consumption_path[0])
-            assert estimates[-1] == pytest.approx(root, rel=1e-12, abs=0.0)
+            assert abs(estimates[-1] - root) <= 128 * math.ulp(root)
         assert len(estimates) == len(cases)
+
+    @pytest.mark.parametrize("T", [200, 400])
+    def test_exhausting_estimate_steps_down(self, T, monkeypatch):
+        # the estimate lies 12 and 16 ulps above the root, and its pass runs
+        # out of stock; bisecting up from the cold bracket's low end took 54
+        inputs = flat_inputs(T=T, K0=2.0, terminal=1.5)
+        solution, passes = recorded_solve(inputs, planner._propagate, monkeypatch)
+        assert passes[0][1][2] is not None
+        assert len(passes) <= 10
+        expected = oracle_solve(inputs)
+        for name in ("consumption_path", "capital_path", "welfare", "euler_residuals"):
+            assert bits(getattr(solution, name)) == bits(getattr(expected, name)), name
 
     @pytest.mark.parametrize("estimate", ["nan", "C_lo", "C_hi", "exhausting"])
     def test_rejected_estimate_gives_the_oracle_solution(self, no_intervention_inputs, no_intervention_oracle,
