@@ -147,27 +147,29 @@ def to_daily(a1_y: float, a2_y: float) -> tuple[float, float]:
     return 1.0 + (a1_y - 1.0) / DAYS_PER_YEAR, a2_y / DAYS_PER_YEAR
 
 
+def _population_design(series: AnnualSeries) -> tuple[np.ndarray, np.ndarray]:
+    """The population model's regressors (N, N**2) and next-year response."""
+    if len(series) < 3:
+        raise ValueError(f"need at least 3 years of data, got {len(series)}")
+    series.require_contiguous()
+    N = series.values
+    return np.column_stack([N[:-1], N[:-1] ** 2]), N[1:]
+
+
 def fit_population(series: AnnualSeries) -> tuple[float, float]:
     """No-intercept least squares of next-year population on (N, N**2).
 
     Uses the minimum-norm solution, so the degenerate constant-population
     design still yields coefficients reproducing the fixed point.
     """
-    if len(series) < 3:
-        raise ValueError(f"need at least 3 years of data, got {len(series)}")
-    series.require_contiguous()
-    N = series.values
-    X = np.column_stack([N[:-1], N[:-1] ** 2])
-    y = N[1:]
-    coef, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
+    coef, _, _, _ = np.linalg.lstsq(*_population_design(series), rcond=None)
     return float(coef[0]), float(coef[1])
 
 
 def population_fit_report(series: AnnualSeries) -> OlsFit:
-    """Full regression table for the population model (full-rank designs)."""
-    series.require_contiguous()
-    N = series.values
-    return ols(np.column_stack([N[:-1], N[:-1] ** 2]), N[1:], intercept=False)
+    """Full regression table for the population model (full-rank designs);
+    its coefficients are ``fit_population``'s, from the same ``lstsq``."""
+    return ols(*_population_design(series), intercept=False)
 
 
 def steady_state_k_init(gcf: AnnualSeries, delta_annual: float, lookahead_years: int = 10) -> float:
@@ -324,9 +326,8 @@ def calibrate(
     intermediate values (JSON-serialisable).
     """
     c = constants
-    pop_window = population.window(*c.population_fit_years)
-    a1_y, a2_y = fit_population(pop_window)
-    pop_fit = population_fit_report(pop_window)
+    pop_fit = population_fit_report(population.window(*c.population_fit_years))
+    a1_y, a2_y = (float(v) for v in pop_fit.coefficients)
     a1, a2 = to_daily(a1_y, a2_y)
 
     k_init = steady_state_k_init(gcf, c.delta_annual)

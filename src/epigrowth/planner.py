@@ -32,12 +32,14 @@ moves an end of the bracket like any other pass.  While no pass has
 reached the target, a pass that exhausts the stock is followed by one at
 C_hi - d, d being 64 ulps of the first such C_0, doubled at each next one.
 
-The slope dK_T/dC_0 of a full pass comes from its recorded paths
-(``_terminal_slope``); a full pass that misses the target by at most
-SLOPE_REUSE_MISS of it keeps the last slope, so each of the 202 solves
-computed one.  The boundary condition is closed by bracketed Newton
-iteration (rtsafe, Press et al., Numerical Recipes, sec. 9.4): the bracket
-[C_lo, C_hi] starts as [1e-12 * R_0, R_0], with R_0 the day-0 resources.
+The slope dK_T/dC_0 is one more tridiagonal solve with the same Jacobian
+(``_slope``).  The estimate returns the slope at its last Newton iterate,
+and a full pass that misses the target by more than SLOPE_REUSE_MISS of it
+takes the slope at its own capital path; no pass of the 202 solves did, so
+a shipped solve computes no slope inside its loop.  The boundary condition
+is closed by bracketed Newton iteration (rtsafe, Press et al., Numerical
+Recipes, sec. 9.4): the bracket [C_lo, C_hi] starts as [1e-12 * R_0, R_0],
+with R_0 the day-0 resources.
 C_hi is the lowest C_0 seen to exhaust the stock or undershoot the target,
 C_lo the highest seen to reach it (the initial end until one has).  A
 Newton step is taken from the last pass that did not exhaust the stock,
@@ -215,56 +217,6 @@ def _propagate(C0: float, inputs: PlannerInputs, prodc: list, apc: list, growu: 
     return C_path, K_path, None
 
 
-def _terminal_slope(C_path: list, K_path: list, apc: np.ndarray, growu: np.ndarray,
-                    alpha: float, omd: float) -> float:
-    """dK_T/dC_0 of a full pass, from its paths, or 0.0 when not finite.
-
-    ``apc`` and ``growu`` are the arrays behind the pass's lists.  The
-    sensitivities (dK_t, dC_t) start at (0, 1), and day t maps them to
-    day t + 1's through
-
-        A_t = [[gross_t, -1], [q_t * gross_t, g_t * gross_{t+1} - q_t]],
-
-    with gross_t = 1 - delta + MPK_t (gross_0 = 1 - delta, as MPK_0 only
-    ever multiplies dK_0 = 0), g_t the utility growth factor and
-    q_t = g_t * C_t * (alpha - 1) * MPK_{t+1} / K_{t+1}; so
-    dK_T = [gross_{T-1}, -1] . A_{T-2} ... A_0 . [0, 1]'.  The product is
-    taken pairwise, one numpy level per halving, over the A_t padded with
-    identities to a power of two.
-    """
-    n = len(C_path) - 1
-    if n == 0:
-        return -1.0
-    # the columns of M hold each A_t's a, b, c, d, then identities; they are
-    # filled in place, so that few T-long arrays live at once
-    M = np.zeros((4, 1 << (n - 1).bit_length()))
-    a, b, c, d = M[:, :n]
-    K = np.fromiter(K_path, float, n + 1)[1:]  # K_1 .. K_{T-1}
-    with np.errstate(all="ignore"):
-        np.power(K, alpha, out=d)
-        d *= apc
-        d /= K  # MPK_1 .. MPK_{T-1}
-        np.multiply(np.fromiter(C_path, float, n), growu, out=c)
-        c *= d
-        c /= K
-        c *= alpha - 1.0  # q_t
-        del K
-        a[0] = omd
-        np.add(d[:-1], omd, out=a[1:])  # gross_t
-        gross_last = omd + d[-1]
-        d += omd
-        d *= growu
-        d -= c  # g_t * gross_{t+1} - q_t
-        c *= a  # q_t * gross_t
-        b[:] = -1.0
-        M[0, n:] = M[3, n:] = 1.0
-        while M.shape[1] > 1:
-            (a0, b0, c0, d0), (a1, b1, c1, d1) = M[:, 0::2], M[:, 1::2]
-            M = np.array([a1 * a0 + b1 * c0, a1 * b0 + b1 * d0, c1 * a0 + d1 * c0, c1 * b0 + d1 * d0])
-        slope = float(gross_last * M[1, 0] - M[3, 0])
-    return slope if math.isfinite(slope) else 0.0
-
-
 def _solve_tridiagonal(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
     """x with a_i*x_{i-1} + b_i*x_i + c_i*x_{i+1} = d_i in each row i (a_0 and
     c_{n-1} ignored), by cyclic reduction: the rows, padded with identity
@@ -292,17 +244,47 @@ def _solve_tridiagonal(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarra
     return x[:n]
 
 
-def _stacked_estimate(inputs: PlannerInputs, production: np.ndarray, growu: np.ndarray, K_target: float) -> float:
-    """C_0 of Newton's solution of the stacked Euler residuals, the shooting
-    search's start; not finite, or off, where Newton fails.
+def _euler_system(K: np.ndarray, production: np.ndarray, growu: np.ndarray, H: np.ndarray,
+                  alpha: float, omd: float) -> tuple:
+    """(-F, sub, main) at the capital path K = K_0 .. K_T: the negated stacked
+    Euler residuals F_t = C_{t+1} - g_t*C_t*G_{t+1}, t = 0 .. T - 2, with
+    C_t = (1 - delta)*K_t + pc_t*K_t**alpha - H_t - K_{t+1} and
+    G = 1 - delta + MPK, and the diagonals of their Jacobian in K_1 .. K_{T-1}:
+    -g_t*G_t*G_{t+1} below, G_{t+1}*(1 + g_t) - g_t*C_t*(alpha - 1)*MPK_{t+1}/K_{t+1}
+    on it and -1 above."""
+    T = len(K) - 1
+    Kpow = K[:T] ** alpha
+    C = omd * K[:T] + production * Kpow - H - K[1:]
+    mpk = alpha * production * Kpow / K[:T]
+    G = omd + mpk
+    gC = growu * C[:-1]
+    return gC * G[1:] - C[1:], -growu * G[:-1] * G[1:], G[1:] * (1.0 + growu) - gC * (alpha - 1.0) * mpk[1:] / K[1:T]
 
-    The unknowns are K_1 .. K_{T-1}, with K_T = K_target and
-    C_t = (1 - delta)*K_t + pc_t*K_t**alpha - H_t - K_{t+1}.  The residual
-    F_t = C_{t+1} - g_t*C_t*G_{t+1}, t = 0 .. T - 2, with G = 1 - delta + MPK,
-    has a tridiagonal Jacobian: -g_t*G_t*G_{t+1}, -1 and, on the diagonal,
-    G_{t+1}*(1 + g_t) - g_t*C_t*(alpha - 1)*MPK_{t+1}/K_{t+1}.  Newton runs
-    from K_0*(K_target/K_0)**(t/T) for 8 steps, or to one below 1e-10 relative.
-    It returns the mean over t = 0 .. min(T - 1, 1000) of the Euler-implied
+
+def _slope(sub: np.ndarray, main: np.ndarray) -> float:
+    """dK_T/dC_0 on a path that meets every Euler equation, from the
+    diagonals of ``_euler_system`` at it, or 0.0 when not finite.
+
+    Moving K_T keeps the path on the Euler equations, and F_{T-2} falls by 1
+    per unit of K_T, so x = dK_{1..T-1}/dK_T solves J*x = e_last; the day-0
+    budget gives dC_0/dK_T = -x_0, so the slope is -1/x_0 (-1 when T = 1)."""
+    n = len(main)
+    if n == 0:
+        return -1.0
+    x0 = float(_solve_tridiagonal(sub, main, np.full(n, -1.0), np.append(np.zeros(n - 1), 1.0))[0])
+    slope = -1.0 / x0 if x0 else math.inf
+    return slope if math.isfinite(slope) else 0.0
+
+
+def _stacked_estimate(inputs: PlannerInputs, production: np.ndarray, growu: np.ndarray, K_target: float) -> tuple:
+    """(C_0, slope) of Newton's solution of the stacked Euler residuals
+    (``_euler_system``), the shooting search's start: C_0 is not finite,
+    or off, and the slope 0.0, where Newton fails.
+
+    The unknowns are K_1 .. K_{T-1}, with K_T = K_target.  Newton runs from
+    K_0*(K_target/K_0)**(t/T) for 8 steps, or to one below 1e-10 relative;
+    the slope is ``_slope`` of the last step's Jacobian.  C_0 is the mean
+    over t = 0 .. min(T - 1, 1000) of the Euler-implied
     C_t / prod_{s<t} g_s*G_{s+1}, each rounded on its own; the day-0 budget
     alone would carry K_1's rounding, ~1,000 ulps of C_0 as K/C is ~3,000.
     1000 days gave the least median error of 1, 10, 100, 300, 1000, 2000, 3000."""
@@ -310,22 +292,20 @@ def _stacked_estimate(inputs: PlannerInputs, production: np.ndarray, growu: np.n
     H = np.asarray(inputs.hcost_path, dtype=float)
     K = np.append(inputs.K0 * (K_target / inputs.K0) ** (np.arange(T) / T), K_target)
     Kn = K[1:T]  # the unknowns, a view of K
+    sub = main = Kn  # empty when T = 1, where no Newton step runs
+    change = 0.0
     for _ in range(8 if T > 1 else 0):
-        Kpow = K[:T] ** alpha
-        C = omd * K[:T] + production * Kpow - H - K[1:]
-        mpk = alpha * production * Kpow / K[:T]
-        G = omd + mpk
-        gC = growu * C[:-1]
-        step = _solve_tridiagonal(-growu * G[:-1] * G[1:], G[1:] * (1.0 + growu) - gC * (alpha - 1.0) * mpk[1:] / Kn,
-                                  np.full(T - 1, -1.0), gC * G[1:] - C[1:])
+        rhs, sub, main = _euler_system(K, production, growu, H, alpha, omd)
+        step = _solve_tridiagonal(sub, main, np.full(T - 1, -1.0), rhs)
         Kn += step
-        if not np.max(np.abs(step) / Kn) >= 1e-10:  # converged, or not finite
+        change = np.max(np.abs(step) / Kn)
+        if not change >= 1e-10:  # converged, or not finite
             break
     n = min(T - 1, 1000)
     Kpow = K[:n + 1] ** alpha
     C = omd * K[:n + 1] + production[:n + 1] * Kpow - H[:n + 1] - K[1:n + 2]
     G = omd + alpha * production[1:n + 1] * Kpow[1:] / K[1:n + 1]
-    return float(np.mean(C / np.cumprod(np.append(1.0, growu[:n] * G))))
+    return float(np.mean(C / np.cumprod(np.append(1.0, growu[:n] * G)))), _slope(sub, main) if change < 1e-10 else 0.0
 
 
 # Search passes after which, if none has reached the target yet, the
@@ -338,12 +318,9 @@ PROBE_AFTER = 24
 
 
 # Relative miss of the terminal target within which a full pass keeps the
-# last slope instead of computing its own.  Measured over 62 shipped-model
-# solves from the cold bracket, with an exhaustion fit since removed, as
-# slopes computed per solve: 7.0 with a slope from every full pass, 6.5 at
-# 1e-12, 2.5 at 1e-10, 2.4 at 1e-9 (at most 4) and 2.2 at 1e-8.  Up to 1e-8
-# every solve ran as many passes as with a slope from every full pass; at
-# 1e-7 three solves differed, at 1e-6 twelve.
+# last slope instead of taking its own.  Over 62 shipped-model solves from
+# the cold bracket, up to 1e-8 every solve ran as many passes as with a
+# slope from every full pass; at 1e-7 three differed, at 1e-6 twelve.
 SLOPE_REUSE_MISS = 1e-9
 
 
@@ -372,13 +349,12 @@ def solve(inputs: PlannerInputs, *, rel_tol: float = 0.0, max_iter: int = 200) -
     N = np.asarray(inputs.pop_path, dtype=float)
     p = np.asarray(inputs.shortfall_path, dtype=float)
     production = (1.0 - p) * A * L ** (1.0 - alpha)
-    apc = alpha * production[1:]
     growu = beta * N[1:] / N[:-1]
+    H = np.asarray(inputs.hcost_path, dtype=float)
     prodc = production.tolist()
-    H = np.asarray(inputs.hcost_path, dtype=float).tolist()
-    day_lists = (prodc, apc.tolist(), growu.tolist(), H)
+    day_lists = (prodc, (alpha * production[1:]).tolist(), growu.tolist(), H.tolist())
 
-    resources0 = omd * inputs.K0 + prodc[0] * inputs.K0 ** alpha - H[0]
+    resources0 = omd * inputs.K0 + prodc[0] * inputs.K0 ** alpha - float(H[0])
     if resources0 <= 0:
         raise InfeasiblePlanError(0, inputs._date_at(0), "day-0 resources are exhausted by direct costs")
 
@@ -400,15 +376,15 @@ def solve(inputs: PlannerInputs, *, rel_tol: float = 0.0, max_iter: int = 200) -
     # Bracket: C_hi fails or undershoots the target; C_lo reaches it once a
     # pass (C_best) or the probe has shown it.  x is the last pass that did
     # not fail, with terminal stock K_x; Newton steps start from it, with
-    # the last slope computed (0.0 while there is none).  Each pass moves an
-    # end to C_try, so only the stacked estimate and a step down from an
+    # the last slope, the estimate's at first (0.0 for none).  Each pass moves
+    # an end to C_try, so only the stacked estimate and a step down from an
     # exhausting pass (``down``, doubling) are tried without a Newton step.
     C_lo = 1e-12 * resources0
     C_hi = resources0  # consumes the entire stock on day 0; always overshoots
     C_best = K_best = None
-    x = miss = slope = K_x = down = 0.0
+    x = miss = K_x = down = 0.0
     with np.errstate(all="ignore"):
-        C_try = _stacked_estimate(inputs, production, growu, K_target)
+        C_try, slope = _stacked_estimate(inputs, production, growu, K_target)
     for n in range(max_iter):
         if n == PROBE_AFTER and C_best is None:
             C_best, K_best = probe()
@@ -429,7 +405,8 @@ def solve(inputs: PlannerInputs, *, rel_tol: float = 0.0, max_iter: int = 200) -
             K_x = K_path[T]
             x, miss = C_try, K_x - K_target
             if not slope or abs(miss) > SLOPE_REUSE_MISS * K_target:
-                slope = _terminal_slope(C_path, K_path, apc, growu, alpha, omd)
+                with np.errstate(all="ignore"):
+                    slope = _slope(*_euler_system(np.array(K_path), production, growu, H, alpha, omd)[1:])
         if fail is not None or K_path[T] < K_target:
             C_hi = C_try
         else:

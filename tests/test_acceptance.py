@@ -97,6 +97,25 @@ class TestCriterion3OrdinalFindings:
             f" minimum at {best}",
         )
 
+    def test_start_at_the_inflection_beats_a_week_either_side(self, params, baselines):
+        # The abstract puts the best start where active infections grow at
+        # their highest rate: the inflection day of the no-intervention run
+        # (measured 2020-05-31, deaths 9.7065e8 from it against 1.00560e9 a
+        # week before and 1.00479e9 a week after, at 10% for 26 weeks)
+        no_pandemic, no_intervention, _ = baselines
+        inflection = no_intervention.day(int(np.argmax(np.diff(no_intervention.I))))
+        week = timedelta(days=7)
+        runs = scenarios.sweep_start_dates(params, [inflection - week, inflection, inflection + week],
+                                           reference=no_pandemic, intensity=0.1, duration_weeks=26)
+        deaths = {r.scenario.schedule.start_date: r.metrics.total_deaths for r in runs}
+        before, on, after = deaths[inflection - week], deaths[inflection], deaths[inflection + week]
+        criterion(
+            "3a-inflection", "a start on the inflection day of active infections",
+            on < min(before, after),
+            f"inflection {inflection.isoformat()}; deaths {on:.5e} from it, {before:.5e} a week"
+            f" before, {after:.5e} a week after",
+        )
+
     def test_intensity_near_indifference(self, intensity_sweep):
         deaths = [r.metrics.total_deaths for r in intensity_sweep]
         spread = (max(deaths) - min(deaths)) / min(deaths)
