@@ -84,7 +84,7 @@ def gen_population(rng) -> calibration.AnnualSeries:
         series = N
     years = np.arange(POP_YEARS[0], POP_YEARS[1] + 1)
     out = calibration.AnnualSeries(years, series)
-    a1, a2 = calibration.fit_population(out)
+    a1, a2 = calibration.population_fit_report(out).coefficients
     assert abs(a1 / POP_A1 - 1.0) < 1e-9 and abs(a2 / POP_A2 - 1.0) < 1e-9, (a1, a2)
     return out
 
@@ -188,8 +188,8 @@ def gen_tradeoff(rng):
                 for wi, week in enumerate(weeks):
                     rows.append((country, week, x[idx], y[idx]))
                     idx += 1
-            fit = calibration.fit_tradeoff(x, y)
-            assert abs(fit.log_q1 - LOG_Q1) < 1e-9 and abs(fit.q2 - Q2) < 1e-9
+            log_q1, q2 = calibration.loglog_fit(x, y)[0].coefficients
+            assert abs(log_q1 - LOG_Q1) < 1e-9 and abs(q2 - Q2) < 1e-9
             return rows
     raise RuntimeError("no acceptable trade-off panel draw found")
 

@@ -1,24 +1,27 @@
 """Parameter estimation: population growth, capital imputation, TFP,
 epidemic rate extraction, and the mortality and policy trade-off fits.
 
-Every estimated quantity flows into a ModelParams bundle; constants that
-are assumed rather than estimated (depreciation, capital elasticity, the
-discount rate, hospital cost and admission share) enter through
-CalibrationConstants.
+Every estimated quantity flows into a ModelParams bundle; what is assumed
+rather than estimated enters through CalibrationConstants: the annual
+depreciation and discount rates, and a params bundle (the configuration's)
+that supplies the capital elasticity, hospital cost, admission share,
+solver settings and the daily depreciation and discount factor, which must
+be the annual rates converted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .epidemic import MortalityModel, PopGrowthParams, TradeoffModel
+from .epidemic import PopGrowthParams
 from .params import (
     DAYS_PER_YEAR,
     ModelParams,
     annual_to_daily_depreciation,
     annual_to_daily_growth,
+    default_params,
     discount_factor_from_annual_rate,
 )
 
@@ -156,19 +159,9 @@ def _population_design(series: AnnualSeries) -> tuple[np.ndarray, np.ndarray]:
     return np.column_stack([N[:-1], N[:-1] ** 2]), N[1:]
 
 
-def fit_population(series: AnnualSeries) -> tuple[float, float]:
-    """No-intercept least squares of next-year population on (N, N**2).
-
-    Uses the minimum-norm solution, so the degenerate constant-population
-    design still yields coefficients reproducing the fixed point.
-    """
-    coef, _, _, _ = np.linalg.lstsq(*_population_design(series), rcond=None)
-    return float(coef[0]), float(coef[1])
-
-
 def population_fit_report(series: AnnualSeries) -> OlsFit:
-    """Full regression table for the population model (full-rank designs);
-    its coefficients are ``fit_population``'s, from the same ``lstsq``."""
+    """No-intercept least squares of next-year population on (N, N**2),
+    with its regression table; a rank-deficient design is an error."""
     return ols(*_population_design(series), intercept=False)
 
 
@@ -285,29 +278,19 @@ def loglog_fit(x, y) -> tuple[OlsFit, int]:
     return fit, dropped
 
 
-def fit_mortality(b_series, m_series) -> MortalityModel:
-    """Log-log regression of the daily mortality rate on the infection rate."""
-    fit, _ = loglog_fit(b_series, m_series)
-    return MortalityModel(log_k1=float(fit.coefficients[0]), k2=float(fit.coefficients[1]))
-
-
-def fit_tradeoff(gdp_shortfall_pct, infection_reduction_pct) -> TradeoffModel:
-    """Log-log regression of infection-rate reductions on GDP shortfalls."""
-    fit, _ = loglog_fit(gdp_shortfall_pct, infection_reduction_pct)
-    return TradeoffModel(log_q1=float(fit.coefficients[0]), q2=float(fit.coefficients[1]))
-
-
 @dataclass(frozen=True)
 class CalibrationConstants:
-    """Quantities assumed rather than estimated from the bundled datasets."""
+    """Quantities assumed rather than estimated from the bundled datasets.
 
+    ``assumed`` supplies every params field that ``calibrate`` does not
+    estimate.
+    """
+
+    population_fit_years: tuple[int, int]
     delta_annual: float = 0.0446
-    alpha: float = 0.3
     rho_annual: float = 0.08
-    u: float = 5722.078
-    h: float = 0.147
-    population_fit_years: tuple[int, int] = (1960, 2018)
     infection_rate_quantile: float = 0.75
+    assumed: ModelParams = field(default_factory=default_params)
 
 
 def calibrate(
@@ -318,21 +301,34 @@ def calibrate(
     tradeoff_shortfall_pct,
     tradeoff_reduction_pct,
     case_population: float,
-    constants: CalibrationConstants = CalibrationConstants(),
+    constants: CalibrationConstants,
 ) -> tuple[ModelParams, dict]:
-    """Run every estimation step and assemble the parameter bundle.
+    """Run every estimation step and assemble the parameter bundle:
+    ``constants.assumed`` with the estimates replaced. Its ``delta_daily``
+    and ``beta_daily`` must be the daily conversions of ``delta_annual``
+    (which also drives the capital imputation) and ``rho_annual``; both
+    annual rates go into the report.
 
     Returns the params plus a report dict holding the regression tables and
     intermediate values (JSON-serialisable).
     """
     c = constants
+    for name, annual, converted in (
+        ("delta_daily", f"delta_annual {c.delta_annual}", annual_to_daily_depreciation(c.delta_annual)),
+        ("beta_daily", f"rho_annual {c.rho_annual}", discount_factor_from_annual_rate(c.rho_annual)),
+    ):
+        if getattr(c.assumed, name) != converted:
+            raise ValueError(
+                f"params.{name} {getattr(c.assumed, name)!r} is not {converted!r}, "
+                f"the daily conversion of the calibration's {annual}"
+            )
     pop_fit = population_fit_report(population.window(*c.population_fit_years))
     a1_y, a2_y = (float(v) for v in pop_fit.coefficients)
     a1, a2 = to_daily(a1_y, a2_y)
 
     k_init = steady_state_k_init(gcf, c.delta_annual)
     capital = impute_capital(gcf, c.delta_annual, k_init)
-    tfp_series, g_daily = estimate_tfp(gdp, capital, population, c.alpha)
+    tfp_series, g_daily = estimate_tfp(gdp, capital, population, c.assumed.alpha)
 
     rates = extract_epi_rates(cases, PopGrowthParams(a1=a1, a2=a2), case_population)
     b0 = quantile(rates.b, c.infection_rate_quantile)
@@ -340,15 +336,11 @@ def calibrate(
     mortality_fit, mortality_dropped = loglog_fit(rates.b, rates.m)
     tradeoff_fit, tradeoff_dropped = loglog_fit(tradeoff_shortfall_pct, tradeoff_reduction_pct)
 
-    params = ModelParams(
+    params = replace(
+        c.assumed,
         a1=a1,
         a2=a2,
-        delta_daily=annual_to_daily_depreciation(c.delta_annual),
-        alpha=c.alpha,
         g_daily=g_daily,
-        beta_daily=discount_factor_from_annual_rate(c.rho_annual),
-        u=c.u,
-        h=c.h,
         r=r,
         b0=b0,
         log_k1=float(mortality_fit.coefficients[0]),
@@ -392,10 +384,10 @@ def calibrate(
         | {"n_dropped": tradeoff_dropped},
         "assumed": {
             "delta_annual": c.delta_annual,
-            "alpha": c.alpha,
+            "alpha": c.assumed.alpha,
             "rho_annual": c.rho_annual,
-            "u": c.u,
-            "h": c.h,
+            "u": c.assumed.u,
+            "h": c.assumed.h,
         },
     }
     return params, report

@@ -71,7 +71,8 @@ def cmd_calibrate(args) -> int:
     cases, repairs = data_io.load_case_series(manifests["cases"])
     shortfall, reduction = data_io.load_tradeoff_panel(manifests["tradeoff"])
 
-    constants = calibration.CalibrationConstants(population_fit_years=config.data["population_fit_years"])
+    constants = calibration.CalibrationConstants(
+        population_fit_years=config.data["population_fit_years"], assumed=config.params)
     params, report = calibration.calibrate(
         population, gdp, gcf, cases, shortfall, reduction,
         case_population=config.data["case_population"], constants=constants,
@@ -79,11 +80,11 @@ def cmd_calibrate(args) -> int:
     report["case_data_repairs"] = repairs
 
     out = Path(args.out)
-    data_io.write_params(params, out, provenance={
+    data_io.write_json({**params.to_dict(), "provenance": {
         "source": "epigrowth calibrate",
         "data_dir": str(data_dir),
         "digest": params.digest(),
-    })
+    }}, out)
     report_path = Path(args.report) if args.report else out.with_name(out.stem + "_report.json")
     data_io.write_json(report, report_path)
     print(f"wrote {out} and {report_path}")

@@ -233,13 +233,6 @@ def read_trajectory(path, scenario_name: str | None = None) -> Trajectory:
     )
 
 
-def write_params(params: ModelParams, path, provenance: dict | None = None) -> None:
-    doc = params.to_dict()
-    if provenance:
-        doc["provenance"] = provenance
-    atomic_write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", Path(path))
-
-
 def read_json_object(path, what: str) -> dict:
     """The JSON object stored in ``path``, a ``what`` file; each error names
     the file."""

@@ -276,14 +276,20 @@ def _slope(sub: np.ndarray, main: np.ndarray) -> float:
     return slope if math.isfinite(slope) else 0.0
 
 
+# Newton steps after which ``_stacked_estimate`` gives up.  Every shipped
+# and seeded solve takes 4 or 5; the input farthest from the geometric start
+# path among the tests, from K_0 = 0.01 to a target of 5, takes 10.
+NEWTON_STEPS = 16
+
+
 def _stacked_estimate(inputs: PlannerInputs, production: np.ndarray, growu: np.ndarray, K_target: float) -> tuple:
     """(C_0, slope) of Newton's solution of the stacked Euler residuals
     (``_euler_system``), the shooting search's start: C_0 is not finite,
     or off, and the slope 0.0, where Newton fails.
 
     The unknowns are K_1 .. K_{T-1}, with K_T = K_target.  Newton runs from
-    K_0*(K_target/K_0)**(t/T) for 8 steps, or to one below 1e-10 relative;
-    the slope is ``_slope`` of the last step's Jacobian.  C_0 is the mean
+    K_0*(K_target/K_0)**(t/T) for ``NEWTON_STEPS`` steps, or to one below
+    1e-10 relative; the slope is ``_slope`` of the last step's Jacobian.  C_0 is the mean
     over t = 0 .. min(T - 1, 1000) of the Euler-implied
     C_t / prod_{s<t} g_s*G_{s+1}, each rounded on its own; the day-0 budget
     alone would carry K_1's rounding, ~1,000 ulps of C_0 as K/C is ~3,000.
@@ -294,7 +300,7 @@ def _stacked_estimate(inputs: PlannerInputs, production: np.ndarray, growu: np.n
     Kn = K[1:T]  # the unknowns, a view of K
     sub = main = Kn  # empty when T = 1, where no Newton step runs
     change = 0.0
-    for _ in range(8 if T > 1 else 0):
+    for _ in range(NEWTON_STEPS if T > 1 else 0):
         rhs, sub, main = _euler_system(K, production, growu, H, alpha, omd)
         step = _solve_tridiagonal(sub, main, np.full(T - 1, -1.0), rhs)
         Kn += step

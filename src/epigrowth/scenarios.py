@@ -46,7 +46,7 @@ NO_PANDEMIC = "no-pandemic"
 NO_INTERVENTION = "no-intervention"
 
 # numeric Scenario fields; a scenario table spells them in lower case
-_SCENARIO_NUMBERS = ("N0", "I0", "R0", "D0", "b0", "A0", "K0")
+_SCENARIO_NUMBERS = ("N0", "I0", "R0", "D0", "A0", "K0")
 
 
 # schedule setting, as a config spells it -> parser of one value; each
@@ -84,7 +84,8 @@ class PolicySchedule:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Initial conditions plus an optional intervention schedule."""
+    """Initial conditions plus an optional intervention schedule; the
+    infection rate is the run's ``ModelParams.b0``."""
 
     name: str
     start_date: date
@@ -92,7 +93,6 @@ class Scenario:
     I0: float
     R0: float
     D0: float
-    b0: float
     A0: float
     K0: float
     schedule: PolicySchedule | None
@@ -110,8 +110,6 @@ class Scenario:
         for name in ("A0", "K0"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"Scenario.{name} must be > 0, got {getattr(self, name)!r}")
-        if self.b0 < 0:
-            raise ValueError(f"Scenario.b0 must be >= 0, got {self.b0!r}")
         if self.schedule is not None:
             self.schedule.validate()
             if not self.start_date <= self.schedule.start_date <= self.horizon:
@@ -245,7 +243,7 @@ def _epidemic_pass(scenario: Scenario, params: ModelParams):
     """
     T = scenario.n_days()
     mm = MortalityModel(log_k1=params.log_k1, k2=params.k2)
-    base_rates = effective_rates(scenario.b0, 0.0, mm, params.r)
+    base_rates = effective_rates(params.b0, 0.0, mm, params.r)
     active_rates = base_rates
     lo = hi = 0  # the window's days [lo, hi), clipped to [0, T)
     intensity = 0.0
@@ -254,7 +252,7 @@ def _epidemic_pass(scenario: Scenario, params: ModelParams):
         intensity = schedule.intensity_p
         tm = TradeoffModel(log_q1=params.log_q1, q2=params.q2)
         reduction = policy_to_infection_reduction(intensity * 100.0, tm)
-        active_rates = effective_rates(scenario.b0, reduction, mm, params.r)
+        active_rates = effective_rates(params.b0, reduction, mm, params.r)
         first = (schedule.start_date - scenario.start_date).days
         lo = min(max(first, 0), T)
         hi = min(max(first + schedule.duration_days, lo), T)
@@ -577,7 +575,6 @@ def backtest(
         start_date=date(start_year, 1, 1),
         N0=population.value_at(start_year),
         I0=0.0, R0=0.0, D0=0.0,
-        b0=0.0,
         A0=tfp_series.value_at(start_year),
         K0=capital.value_at(start_year),
         schedule=None,

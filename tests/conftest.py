@@ -89,6 +89,8 @@ def calibrated(datasets, config):
         datasets["tradeoff_shortfall"],
         datasets["tradeoff_reduction"],
         case_population=float(config.data["case_population"]),
+        constants=calibration.CalibrationConstants(
+            population_fit_years=config.data["population_fit_years"], assumed=config.params),
     )
 
 

@@ -96,31 +96,31 @@ class TestFitPopulation:
 
     def test_recovers_exact_logistic(self):
         series = self.synthetic(1.03, -2e-12)
-        a1, a2 = cal.fit_population(series)
+        a1, a2 = cal.population_fit_report(series).coefficients
         assert a1 == pytest.approx(1.03, rel=1e-9)
         assert a2 == pytest.approx(-2e-12, rel=1e-9)
 
-    def test_constant_population_reproduces_fixed_point(self):
+    def test_constant_population_rejected(self):
         series = cal.AnnualSeries(np.arange(2000, 2010), np.full(10, 5e9))
-        a1, a2 = cal.fit_population(series)
-        assert a1 * 5e9 + a2 * (5e9) ** 2 == pytest.approx(5e9, rel=1e-9)
+        with pytest.raises(ValueError, match="rank deficient"):
+            cal.population_fit_report(series)
 
     def test_insufficient_data(self):
         with pytest.raises(ValueError):
-            cal.fit_population(cal.AnnualSeries(np.array([2000, 2001]), np.array([1.0, 2.0])))
+            cal.population_fit_report(cal.AnnualSeries(np.array([2000, 2001]), np.array([1.0, 2.0])))
 
     def test_year_gap_rejected(self):
         series = cal.AnnualSeries(np.array([2000, 2001, 2003, 2004]), np.ones(4))
         with pytest.raises(ValueError, match="gap"):
-            cal.fit_population(series)
+            cal.population_fit_report(series)
 
     def test_fixture_reproduces_published_coefficients(self, datasets, config):
         window = datasets["population"].window(*config.data["population_fit_years"])
-        a1, a2 = cal.fit_population(window)
+        fit = cal.population_fit_report(window)
+        a1, a2 = fit.coefficients
         # three significant figures
         assert abs(a1 - 1.028) < 5e-4
         assert abs(a2 - (-2.282e-12)) < 5e-16
-        fit = cal.population_fit_report(window)
         assert fit.n_obs == 58
         assert fit.r_squared > 0.999
 
@@ -251,13 +251,13 @@ class TestLogLogFits:
     def test_mortality_synthetic_exact(self):
         b = np.geomspace(1e-12, 1e-10, 30)
         m = math.e ** 10 * b ** 0.5
-        model = cal.fit_mortality(b, m)
-        assert model.log_k1 == pytest.approx(10.0, rel=1e-9)
-        assert model.k2 == pytest.approx(0.5, rel=1e-9)
+        log_k1, k2 = cal.loglog_fit(b, m)[0].coefficients
+        assert log_k1 == pytest.approx(10.0, rel=1e-9)
+        assert k2 == pytest.approx(0.5, rel=1e-9)
 
     def test_degenerate_regressor_rejected(self):
         with pytest.raises(ValueError, match="rank deficient"):
-            cal.fit_mortality(np.full(10, 2e-11), np.full(10, 6e-3))
+            cal.loglog_fit(np.full(10, 2e-11), np.full(10, 6e-3))
 
     def test_nonpositive_pairs_dropped(self):
         b = np.array([1e-11, 2e-11, 0.0, 3e-11, -1e-12])
@@ -268,34 +268,34 @@ class TestLogLogFits:
 
     def test_too_few_positive_pairs(self):
         with pytest.raises(ValueError, match="positive pairs"):
-            cal.fit_mortality(np.array([1e-11, 2e-11]), np.array([1e-3, 2e-3]))
+            cal.loglog_fit(np.array([1e-11, 2e-11]), np.array([1e-3, 2e-3]))
 
     def test_mortality_fixture_reproduces_published_fit(self, datasets, params):
         out = cal.extract_epi_rates(
             datasets["cases"], PopGrowthParams(params.a1, params.a2), N0=7.718e9
         )
-        model = cal.fit_mortality(out.b, out.m)
-        assert model.log_k1 == pytest.approx(12.561, rel=0.10)
-        assert model.k2 == pytest.approx(0.717, rel=0.10)
+        log_k1, k2 = cal.loglog_fit(out.b, out.m)[0].coefficients
+        assert log_k1 == pytest.approx(12.561, rel=0.10)
+        assert k2 == pytest.approx(0.717, rel=0.10)
         # the reconstruction is much closer than the acceptance tolerance
-        assert model.log_k1 == pytest.approx(12.561, rel=0.02)
-        assert model.k2 == pytest.approx(0.717, rel=0.02)
+        assert log_k1 == pytest.approx(12.561, rel=0.02)
+        assert k2 == pytest.approx(0.717, rel=0.02)
 
     def test_tradeoff_synthetic_exact(self):
         x = np.linspace(1.0, 20.0, 25)
         y = math.e ** 3 * x ** 0.3
-        model = cal.fit_tradeoff(x, y)
-        assert model.log_q1 == pytest.approx(3.0, rel=1e-9)
-        assert model.q2 == pytest.approx(0.3, rel=1e-9)
+        log_q1, q2 = cal.loglog_fit(x, y)[0].coefficients
+        assert log_q1 == pytest.approx(3.0, rel=1e-9)
+        assert q2 == pytest.approx(0.3, rel=1e-9)
 
     def test_tradeoff_single_observation_rejected(self):
         with pytest.raises(ValueError):
-            cal.fit_tradeoff(np.array([5.0]), np.array([58.0]))
+            cal.loglog_fit(np.array([5.0]), np.array([58.0]))
 
     def test_tradeoff_fixture_exact(self, datasets):
-        model = cal.fit_tradeoff(datasets["tradeoff_shortfall"], datasets["tradeoff_reduction"])
-        assert model.log_q1 == pytest.approx(3.677, rel=1e-6)
-        assert model.q2 == pytest.approx(0.238, rel=1e-6)
+        log_q1, q2 = cal.loglog_fit(datasets["tradeoff_shortfall"], datasets["tradeoff_reduction"])[0].coefficients
+        assert log_q1 == pytest.approx(3.677, rel=1e-6)
+        assert q2 == pytest.approx(0.238, rel=1e-6)
 
 
 class TestDailyConversionInverses:
@@ -304,6 +304,15 @@ class TestDailyConversionInverses:
 
     def test_discounting(self, params):
         assert params.beta_daily ** 365 == pytest.approx(1 / 1.08, rel=1e-12)
+
+    def test_shipped_daily_rates_are_the_annual_constants_converted(self, params, config):
+        # calibrate rejects a config whose daily rates are not these two
+        # conversions, so the shipped ones must agree bit for bit
+        from epigrowth.params import annual_to_daily_depreciation, discount_factor_from_annual_rate
+
+        constants = cal.CalibrationConstants(population_fit_years=config.data["population_fit_years"])
+        assert params.delta_daily == annual_to_daily_depreciation(constants.delta_annual)
+        assert params.beta_daily == discount_factor_from_annual_rate(constants.rho_annual)
 
     def test_growth(self):
         from epigrowth.params import annual_to_daily_growth
@@ -332,7 +341,23 @@ class TestCalibrateEndToEnd:
         assert params.q2 == pytest.approx(ref.q2, rel=1e-6)
         assert params.delta_daily == ref.delta_daily
         assert params.beta_daily == ref.beta_daily
-        assert params.u == ref.u and params.h == ref.h
+        # the assumed values are the config's, which ship the published ones
+        assert (params.alpha, params.u, params.h) == (0.3, 5722.078, 0.147)
+
+    @pytest.mark.parametrize("name", ["delta_daily", "beta_daily"])
+    def test_daily_rate_off_the_annual_conversion_rejected(self, name, datasets, config):
+        from dataclasses import replace
+
+        constants = cal.CalibrationConstants(
+            population_fit_years=config.data["population_fit_years"],
+            assumed=replace(config.params, **{name: getattr(config.params, name) * 1.5}),
+        )
+        with pytest.raises(ValueError, match=rf"params\.{name} .* daily conversion"):
+            cal.calibrate(
+                datasets["population"], datasets["gdp"], datasets["gcf"], datasets["cases"],
+                datasets["tradeoff_shortfall"], datasets["tradeoff_reduction"],
+                case_population=float(config.data["case_population"]), constants=constants,
+            )
 
     def test_report_tables_complete(self, calibrated):
         _, report = calibrated

@@ -69,6 +69,29 @@ class TestCalibrate:
         code = main(["calibrate", "--data", str(DATA_DIR), "--out", str(out)])
         assert code == 1
 
+    def test_assumed_values_come_from_the_config(self, tmp_path):
+        # alpha, u, h and the solver settings are the config's params; a
+        # calibration without --config writes the shipped u, 5722.078
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"params": {"u": 1000.0, "h": 0.5, "euler_tol": 1e-7}}))
+        out = tmp_path / "params.json"
+        assert main(["calibrate", "--data", str(DATA_DIR), "--out", str(out), "--config", str(config)]) == 0
+        params = data_io.read_params(out)
+        assert (params.u, params.h, params.euler_tol) == (1000.0, 0.5, 1e-7)
+        assert params.alpha == default_params().alpha
+
+    @pytest.mark.parametrize("name", ["delta_daily", "beta_daily"])
+    def test_daily_rate_override_rejected(self, tmp_path, capsys, name):
+        # calibrate derives these from its annual rates; a config that sets
+        # another value fails instead of being overwritten in the bundle
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"params": {name: 0.5}}))
+        out = tmp_path / "params.json"
+        assert main(["calibrate", "--data", str(DATA_DIR), "--out", str(out), "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"params.{name} 0.5 is not" in err
+        assert not out.exists()
+
     def test_data_dir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EPIGROWTH_DATA_DIR", str(DATA_DIR))
         out = tmp_path / "params.json"
@@ -98,6 +121,21 @@ class TestSimulate:
         assert abs(metrics["total_deaths"] / 1.75e9 - 1.0) <= 0.15
         assert metrics["peak_date"].startswith("2020-06")
 
+    def test_params_b0_reaches_the_run(self, tmp_path, fast_config):
+        # every run takes its infection rate from the params: 1e-9, 49 times
+        # the shipped rate, changes the no-intervention trajectory
+        params_file = tmp_path / "params.json"
+        data_io.write_json({**default_params().to_dict(), "b0": 1e-9}, params_file)
+        paths = {}
+        for name, extra in (("default", []), ("fast-spread", ["--params", str(params_file)])):
+            out = tmp_path / name
+            assert main(["simulate", "--scenario", "no-intervention", "--out", str(out),
+                         "--config", fast_config, *extra]) == 0
+            paths[name] = out / "no-intervention_trajectory.csv"
+        assert paths["default"].read_bytes() != paths["fast-spread"].read_bytes()
+        default, fast = (data_io.read_trajectory(path) for path in paths.values())
+        assert fast.D[-1] > default.D[-1]
+
     def test_unknown_scenario_lists_known(self, tmp_path, capsys):
         code = main(["simulate", "--scenario", "mystery", "--out", str(tmp_path / "x")])
         assert code == 1
@@ -109,7 +147,7 @@ class TestSimulate:
         scenario_file.write_text(json.dumps({
             "name": "custom-policy",
             "start_date": "2020-01-22", "n0": 7.718e9, "i0": 510, "r0": 28, "d0": 17,
-            "b0": 2.041e-11, "a0": 1.906, "k0": 2.827e14,
+            "a0": 1.906, "k0": 2.827e14,
             "end_of_interest": "2023-12-31", "horizon": "2030-12-31",
             "schedule": {"start_date": "2020-05-21", "intensity": 0.1, "duration_weeks": 26},
         }))
@@ -156,6 +194,14 @@ class TestScenarioFile:
         code, err = self.simulate(path, tmp_path, capsys)
         assert code == 1
         assert err.startswith(f"error: {path}.n0: expected a finite number")
+
+    def test_b0_key_rejected(self, tmp_path, capsys):
+        # the infection rate is a params field, not a scenario setting
+        raw = {**data_io.default_config()["scenarios"]["no-intervention"], "b0": 2.041e-11}
+        path = self.write_scenario(tmp_path, json.dumps(raw))
+        code, err = self.simulate(path, tmp_path, capsys)
+        assert code == 1
+        assert err == f"error: unknown configuration key {path}.'b0'\n"
 
     def test_params_top_level_list_names_the_file(self, tmp_path, capsys):
         path = tmp_path / "params.json"
@@ -309,6 +355,8 @@ MALFORMED_CONFIGS = [
     ({"backtest": {"end_year": 1980}}, "config.backtest.end_year: expected"),
     ({"backtest": {"horizon": "2005-01-01"}}, "config.backtest.horizon: expected"),
     ({"data": {"case_population": -5}}, "config.data.case_population: expected"),
+    ({"scenarios": {"no-intervention": {"b0": 2.041e-11}}},
+     "unknown configuration key config.scenarios.no-intervention.'b0'"),
 ]
 COMMANDS = {
     "simulate": ["simulate", "--scenario", "no-intervention"],

@@ -324,7 +324,7 @@ class TestParamsDocument:
     def test_round_trip_with_provenance(self, tmp_path):
         params = default_params()
         path = tmp_path / "params.json"
-        data_io.write_params(params, path, provenance={"source": "test"})
+        data_io.write_json({**params.to_dict(), "provenance": {"source": "test"}}, path)
         assert data_io.read_params(path) == params
         assert json.loads(path.read_text())["provenance"] == {"source": "test"}
 
@@ -371,13 +371,15 @@ class TestConfig:
     def test_defaults_document_matches_published_values(self):
         config = data_io.load_config()
         assert config.params == default_params()
+        assert config.params.b0 == 2.041e-11 and config.params.alpha == 0.3
+        assert config.params.u == 5722.078 and config.params.h == 0.147
         scenario = config.scenario("no-pandemic")
         assert scenario.K0 == 2.775e14
         assert scenario.A0 == 1.880
         assert scenario.start_date == date(2019, 1, 1)
         ni = config.scenario("no-intervention")
         assert ni.N0 == 7.718e9 and ni.I0 == 510 and ni.R0 == 28 and ni.D0 == 17
-        assert ni.b0 == 2.041e-11 and ni.K0 == 2.827e14 and ni.A0 == 1.906
+        assert ni.K0 == 2.827e14 and ni.A0 == 1.906
 
     def test_empty_object_keeps_defaults(self, tmp_path):
         path = write(tmp_path, "cfg.json", "{}")
@@ -406,7 +408,7 @@ class TestConfig:
             "scenarios": {
                 "mild-policy": {
                     "start_date": "2020-01-22", "n0": 7.718e9, "i0": 510, "r0": 28, "d0": 17,
-                    "b0": 2.041e-11, "a0": 1.906, "k0": 2.827e14,
+                    "a0": 1.906, "k0": 2.827e14,
                     "end_of_interest": "2030-12-31", "horizon": "2060-12-31",
                     "schedule": {"start_date": "2020-03-12", "intensity": 0.05, "duration_weeks": 26},
                 }

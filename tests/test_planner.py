@@ -899,10 +899,23 @@ class TestStackedEstimate:
         for name in ("consumption_path", "capital_path", "welfare", "euler_residuals"):
             assert bits(getattr(solution, name)) == bits(getattr(no_intervention_oracle, name)), name
 
+    def test_far_start_takes_two_passes(self, monkeypatch):
+        # from K_0 = 0.01 to a target of 5 Newton needs 10 steps; with the
+        # cap at 8 the estimate lay 1.3e-6 off with no slope, and the solve
+        # took 48 passes
+        inputs = flat_inputs(T=200, K0=0.01, terminal=5.0)
+        solution, passes = recorded_solve(inputs, planner._propagate, monkeypatch)
+        assert len(passes) <= 2
+        expected = oracle_solve(inputs)
+        for name in ("consumption_path", "capital_path", "welfare", "euler_residuals"):
+            assert bits(getattr(solution, name)) == bits(getattr(expected, name)), name
+
     def test_unconverged_newton_offers_no_slope(self, monkeypatch):
         # from K_0 = 0.01 to a target of 5, Newton's eighth update is still
-        # 9.6e-4 relative (it needs 10 steps): the C_0 is finite, but a slope
-        # off the Euler path is not offered, and the first full pass takes its own
+        # 9.6e-4 relative (it needs 10 steps): with the cap at 8 the C_0 is
+        # finite, but a slope off the Euler path is not offered, and the
+        # first full pass takes its own
+        monkeypatch.setattr(planner, "NEWTON_STEPS", 8)
         inputs = flat_inputs(T=200, K0=0.01, terminal=5.0)
         estimates = recorded_estimates(monkeypatch)
         solution = solve(inputs)
