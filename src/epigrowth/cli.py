@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import calibration, data_io, plotting, scenarios
@@ -58,6 +59,10 @@ def _metrics_row(run: scenarios.SweepRun) -> dict:
 
 
 def cmd_calibrate(args) -> int:
+    out = Path(args.out)
+    report_path = Path(args.report) if args.report else out.with_name(out.stem + "_report.json")
+    if out.resolve() == report_path.resolve():
+        raise data_io.DataFormatError(f"--out {args.out} and --report {args.report} name the same file")
     config = data_io.load_config(args.config)
     data_dir = _data_dir(args)
     manifests = data_io.data_manifests(data_dir, config)
@@ -79,13 +84,11 @@ def cmd_calibrate(args) -> int:
     )
     report["case_data_repairs"] = repairs
 
-    out = Path(args.out)
     data_io.write_json({**params.to_dict(), "provenance": {
         "source": "epigrowth calibrate",
         "data_dir": str(data_dir),
         "digest": params.digest(),
     }}, out)
-    report_path = Path(args.report) if args.report else out.with_name(out.stem + "_report.json")
     data_io.write_json(report, report_path)
     print(f"wrote {out} and {report_path}")
     for name, table in report.items():
@@ -107,15 +110,6 @@ def _resolve_scenario(value: str, config: data_io.RunConfig) -> scenarios.Scenar
         f"unknown scenario {value!r} (not a config scenario or a readable file); "
         f"known scenarios: {sorted(config.scenarios)}"
     )
-
-
-def _ratio_dates(config: data_io.RunConfig, scenario: scenarios.Scenario,
-                 reference: scenarios.Trajectory) -> list | None:
-    """The configured output-ratio dates that both ``scenario``'s reported
-    window and ``reference`` cover, or None when there are none."""
-    return [d for d in config.ratio_dates()
-            if max(scenario.start_date, reference.day(0)) <= d
-            <= min(scenario.end_of_interest, reference.day(-1))] or None
 
 
 def _token(text: str):
@@ -143,9 +137,10 @@ def cmd_simulate(args) -> int:
         reference = trajectory
     else:
         reference = scenarios.run_scenario(config.scenario(scenarios.NO_PANDEMIC), params)
-    metrics = scenarios.summarize(trajectory, reference, _ratio_dates(config, scenario, reference))
+    metrics = scenarios.summarize(
+        trajectory, reference, scenarios.covered_dates(config.ratio_dates(), scenario, reference))
 
-    traj_name = f"{scenario.name}_trajectory.csv"
+    traj_name = scenarios.TRAJECTORY_CSV.format(scenario.name)
     metrics_name = f"{scenario.name}_metrics.json"
     data_io.write_trajectory(trajectory, out_dir / traj_name)
     data_io.write_json(metrics.to_dict(), out_dir / metrics_name)
@@ -164,41 +159,34 @@ def cmd_sweep(args) -> int:
     config = data_io.load_config(args.config)
     params = _load_params(args, config)
     grid = config.sweeps[args.axis]
-    values = grid.values
     if args.values is not None:
         tokens = [_token(item) for item in args.values.split(",") if item != ""]
-        values = scenarios.parse_sweep_values(args.axis, tokens, "--values")
+        grid = replace(grid, values=scenarios.parse_sweep_values(args.axis, tokens, "--values"))
     if args.jobs < 1:
         raise data_io.DataFormatError(f"--jobs: expected a whole number >= 1, got {args.jobs}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    base = config.scenario(scenarios.NO_INTERVENTION)
-    members = scenarios.sweep_members(args.axis, values, **grid.fixed, base=base)
-    # the process that solves a member writes its trajectory CSV; the
-    # baselines write none
-    csv_names = [f"{member.name}_trajectory.csv" for member in members]
-    runs = scenarios.solve_runs(
-        [config.scenario(scenarios.NO_PANDEMIC), base, *members], params, args.jobs,
-        [None, None, *(out_dir / name for name in csv_names)])
     # a failed baseline stops the sweep; a failed member only fills its row's error
-    reference, _ = (run.baseline() for run in runs[:2])
-    ratio_dates = _ratio_dates(config, base, reference)
-    runs = [run.measured(reference, ratio_dates) for run in runs[1:]]
-
-    errors = [run for run in runs if run.error]
+    reference, runs = scenarios.sweep(
+        params, args.axis, grid, config.scenario(scenarios.NO_PANDEMIC),
+        config.scenario(scenarios.NO_INTERVENTION), config.ratio_dates(),
+        jobs=args.jobs, out_dir=out_dir)
+    members = runs[1:]
+    errors = [run for run in members if run.error]
     for run in errors:
         print(f"error in {run.scenario.name}: {run.error}", file=sys.stderr)
     if len(errors) == len(members):
         raise RuntimeError("every sweep member failed")
 
-    files = [name for name, run in zip(csv_names, runs[1:]) if run.trajectory is not None]
+    solved = [run.trajectory for run in runs if run.trajectory is not None]
+    files = [scenarios.TRAJECTORY_CSV.format(run.scenario.name)
+             for run in members if run.trajectory is not None]
     rows = [_metrics_row(run) for run in runs]
-    plot_series = [reference, *(run.trajectory for run in runs if run.trajectory is not None)]
     data_io.write_table(rows, out_dir / "comparison.csv")
     data_io.write_json(rows, out_dir / "comparison.json")
     files.extend(["comparison.csv", "comparison.json"])
-    files.extend(plotting.emit_plots(plot_series, SWEEP_CHARTS, out_dir, args.jobs))
+    files.extend(plotting.emit_plots([reference, *solved], SWEEP_CHARTS, out_dir, args.jobs))
     _write_manifest(out_dir, f"sweep --axis {args.axis}", files,
                     {"params_digest": params.digest()})
     print(f"wrote {len(files)} files to {out_dir}")

@@ -393,6 +393,18 @@ def summarize(
     )
 
 
+def covered_dates(dates: list, scenario: Scenario, reference: Trajectory) -> list | None:
+    """The ``dates`` that both ``scenario``'s reported window and
+    ``reference`` cover, or None when there are none."""
+    return [d for d in dates
+            if max(scenario.start_date, reference.day(0)) <= d
+            <= min(scenario.end_of_interest, reference.day(-1))] or None
+
+
+# the file name of a run's trajectory CSV, from the run's name
+TRAJECTORY_CSV = "{}_trajectory.csv"
+
+
 @dataclass(frozen=True)
 class SweepRun:
     scenario: Scenario
@@ -490,57 +502,41 @@ def parse_sweep(axis: str, section: dict, where: str) -> SweepGrid:
     return SweepGrid(values=fixed.pop(values_key), fixed=fixed)
 
 
-def sweep_members(
-    axis: str,
-    values: list,
-    *,
-    start_date: date | None = None,
-    intensity: float | None = None,
-    duration_weeks: int | None = None,
-    base: Scenario | None = None,
-) -> list:
-    """One scenario per value along ``axis`` (a ``SWEEP_AXES`` key), sorted
-    by name: ``base`` (default: the no-intervention baseline) with the swept
-    schedule.  The other two schedule settings are fixed; one left as None
-    comes from the shipped config's section for ``axis``."""
+def sweep_members(axis: str, grid: SweepGrid, base: Scenario) -> list:
+    """One scenario per value of ``grid`` along ``axis`` (a ``SWEEP_AXES``
+    key), sorted by name: ``base`` with the swept schedule, whose other two
+    settings are the grid's fixed ones."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {sorted(SWEEP_AXES)}")
     _, setting, member_name = SWEEP_AXES[axis]
-    given = {"start_date": start_date, "intensity": intensity, "duration_weeks": duration_weeks}
-    shipped = parse_sweep(axis, default_config()["sweeps"][axis], f"default_config.sweeps.{axis}")
-    fixed = {**shipped.fixed, **{key: value for key, value in given.items() if value is not None}}
-    template = base if base is not None else no_intervention_scenario()
     members = [
-        replace(template, name=member_name(value),
-                schedule=PolicySchedule.from_settings({**fixed, setting: value}))
-        for value in values
+        replace(base, name=member_name(value),
+                schedule=PolicySchedule.from_settings({**grid.fixed, setting: value}))
+        for value in grid.values
     ]
     return sorted(members, key=lambda sc: sc.name)
 
 
-def sweep(params: ModelParams, axis: str, values: list, *, reference: Trajectory | None = None,
-          ratio_dates: list | None = None, jobs: int = 1, **settings) -> list:
-    """The runs of ``sweep_members(axis, values, **settings)``, solved in up
-    to ``jobs`` processes, with metrics against ``reference`` (default: the
-    shipped no-pandemic run, solved in the same batch).  Values are not
-    checked: a member that raises is kept with its error."""
-    batch = sweep_members(axis, values, **settings)
-    runs = solve_runs(batch if reference is not None else [no_pandemic_scenario(), *batch], params, jobs)
-    if reference is None:
-        reference = runs.pop(0).baseline()
-    return [run.measured(reference, ratio_dates) for run in runs]
+def sweep(params: ModelParams, axis: str, grid: SweepGrid, reference: Scenario, base: Scenario,
+          ratio_dates: list, *, jobs: int = 1, out_dir=None) -> tuple[Trajectory, list]:
+    """Solve ``reference``, ``base`` and the members of ``grid`` along
+    ``axis`` in one batch of up to ``jobs`` processes; the process that
+    solves a member writes its trajectory CSV into the directory
+    ``out_dir`` (a ``Path``) when one is given.  Returns the reference
+    trajectory and the runs of ``base`` and the members, measured against
+    it at the ``ratio_dates`` that both cover.  A failed reference or base
+    raises RuntimeError; a member that raises is kept with its error."""
+    members = sweep_members(axis, grid, base)
+    csv_paths = None if out_dir is None else [
+        None, None, *(out_dir / TRAJECTORY_CSV.format(member.name) for member in members)]
+    runs = solve_runs([reference, base, *members], params, jobs, csv_paths)
+    reference_run, _ = (run.baseline() for run in runs[:2])
+    dates = covered_dates(ratio_dates, base, reference_run)
+    return reference_run, [run.measured(reference_run, dates) for run in runs[1:]]
 
 
-def sweep_start_dates(params: ModelParams, dates: list, **kwargs) -> list:
-    return sweep(params, "start", dates, **kwargs)
-
-
-def sweep_intensity(params: ModelParams, intensities: list, **kwargs) -> list:
-    return sweep(params, "intensity", intensities, **kwargs)
-
-
-def sweep_duration(params: ModelParams, durations_weeks: list, **kwargs) -> list:
-    return sweep(params, "duration", durations_weeks, **kwargs)
+# bench/tracing.py wraps these three names; ROADMAP item 1 removes them
+sweep_start_dates = sweep_intensity = sweep_duration = sweep
 
 
 def backtest(
@@ -562,6 +558,10 @@ def backtest(
     for name, series in (("population", population), ("gdp", gdp), ("gcf", gcf)):
         if len(series) == 0:
             raise ValueError(f"observed {name} series is empty")
+    years = list(range(start_year, end_year + 1))
+    missing = [y for y in years if y not in gdp.years]
+    if missing:
+        raise ValueError(f"observed GDP is missing years {missing}")
     if horizon is None:
         horizon = date(start_year + 50, 12, 31)
 
@@ -582,11 +582,6 @@ def backtest(
         horizon=horizon,
     )
     trajectory = run_scenario(scenario, params)
-
-    years = [y for y in range(start_year, end_year + 1)]
-    missing = [y for y in years if y not in gdp.years]
-    if missing:
-        raise ValueError(f"observed GDP is missing years {missing}")
 
     year_index = np.array([d.year for d in trajectory.dates])
     rows = []

@@ -1,7 +1,9 @@
+import dataclasses
 import time
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from epigrowth import data_io, scenarios
@@ -32,30 +34,45 @@ def baselines(params):
 
 
 @pytest.fixture(scope="session")
-def start_date_sweep(params, baselines):
-    reference = baselines[0]
-    return scenarios.sweep_start_dates(
-        params,
-        [date(2020, 4, 9), date(2020, 5, 21), date(2020, 7, 2)],
-        reference=reference,
-        ratio_dates=[date(2030, 12, 31)],
-    )
+def run_sweep(params, config):
+    """``scenarios.sweep`` as ``epigrowth sweep`` runs it: the configured
+    grid for ``axis`` with its values replaced, against the configured
+    baselines unless ``base`` or ``reference`` is given, at the configured
+    ratio dates.  Returns the members' runs."""
+    def run(axis, values, *, params=params, base=None, reference=None, jobs=1, out_dir=None):
+        grid = dataclasses.replace(config.sweeps[axis], values=values)
+        _, runs = scenarios.sweep(
+            params, axis, grid, reference or config.scenario(scenarios.NO_PANDEMIC),
+            base or config.scenario(scenarios.NO_INTERVENTION), config.ratio_dates(),
+            jobs=jobs, out_dir=out_dir)
+        return runs[1:]
+    return run
 
 
 @pytest.fixture(scope="session")
-def intensity_sweep(params, baselines):
-    reference = baselines[0]
-    return scenarios.sweep_intensity(
-        params, [0.05, 0.15, 0.25], reference=reference, ratio_dates=[date(2030, 12, 31)]
-    )
+def start_date_sweep(run_sweep):
+    return run_sweep("start", [date(2020, 4, 9), date(2020, 5, 21), date(2020, 7, 2)])
 
 
 @pytest.fixture(scope="session")
-def duration_sweep(params, baselines):
-    reference = baselines[0]
-    return scenarios.sweep_duration(
-        params, [4, 28, 52, 76], reference=reference, ratio_dates=[date(2030, 12, 31)]
-    )
+def intensity_sweep(run_sweep):
+    return run_sweep("intensity", [0.05, 0.15, 0.25])
+
+
+@pytest.fixture(scope="session")
+def duration_sweep(run_sweep):
+    return run_sweep("duration", [4, 28, 52, 76])
+
+
+@pytest.fixture(scope="session")
+def inflection_start_sweep(baselines, run_sweep):
+    """The inflection day of active infections in the no-intervention run,
+    and the deaths by start date of the configured start grid's policy
+    started on each day from a week before it to a week after."""
+    no_intervention = baselines[1]
+    inflection = no_intervention.day(int(np.argmax(np.diff(no_intervention.I))))
+    runs = run_sweep("start", [inflection + timedelta(days=k) for k in range(-7, 8)])
+    return inflection, {run.scenario.schedule.start_date: run.metrics.total_deaths for run in runs}
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ from datetime import date, timedelta
 import numpy as np
 
 from epigrowth import calibration as cal
-from epigrowth import data_io, scenarios
+from epigrowth import scenarios
 from epigrowth.epidemic import (
     EpiRates,
     EpiState,
@@ -97,23 +97,33 @@ class TestCriterion3OrdinalFindings:
             f" minimum at {best}",
         )
 
-    def test_start_at_the_inflection_beats_a_week_either_side(self, params, baselines):
+    def test_start_at_the_inflection_beats_a_week_either_side(self, inflection_start_sweep):
         # The abstract puts the best start where active infections grow at
         # their highest rate: the inflection day of the no-intervention run
         # (measured 2020-05-31, deaths 9.7065e8 from it against 1.00560e9 a
         # week before and 1.00479e9 a week after, at 10% for 26 weeks)
-        no_pandemic, no_intervention, _ = baselines
-        inflection = no_intervention.day(int(np.argmax(np.diff(no_intervention.I))))
+        inflection, deaths = inflection_start_sweep
         week = timedelta(days=7)
-        runs = scenarios.sweep_start_dates(params, [inflection - week, inflection, inflection + week],
-                                           reference=no_pandemic, intensity=0.1, duration_weeks=26)
-        deaths = {r.scenario.schedule.start_date: r.metrics.total_deaths for r in runs}
         before, on, after = deaths[inflection - week], deaths[inflection], deaths[inflection + week]
         criterion(
             "3a-inflection", "a start on the inflection day of active infections",
             on < min(before, after),
             f"inflection {inflection.isoformat()}; deaths {on:.5e} from it, {before:.5e} a week"
             f" before, {after:.5e} a week after",
+        )
+
+    def test_start_at_the_inflection_beats_every_day_within_a_week(self, inflection_start_sweep):
+        # On a daily grid the minimum falls on the inflection day itself
+        # (measured 9.70651e8, against 9.71609e8 on 2020-05-30 and 9.71216e8
+        # on 2020-06-01)
+        inflection, deaths = inflection_start_sweep
+        others = {day: d for day, d in deaths.items() if day != inflection}
+        nearest = min(others, key=others.get)
+        criterion(
+            "3a-daily", "a start on the inflection day beats every daily start within a week",
+            deaths[inflection] < others[nearest],
+            f"inflection {inflection.isoformat()}; deaths {deaths[inflection]:.6e} from it, "
+            f"next lowest {others[nearest]:.6e} from {nearest.isoformat()}",
         )
 
     def test_intensity_near_indifference(self, intensity_sweep):
@@ -317,19 +327,17 @@ class TestCriterion5PropertySuites:
             "zero-intensity schedule reproduces the no-intervention run exactly",
         )
 
-    def test_determinism_across_parallel_runs(self, params, tmp_path):
+    def test_determinism_across_parallel_runs(self, run_sweep, tmp_path):
         base = scenarios.no_intervention_scenario(
             end_of_interest=date(2022, 12, 31), horizon=date(2024, 12, 31), name="det"
         )
-        reference = scenarios.run_scenario(base, params)
-        serial = scenarios.sweep_duration(params, [4, 8], base=base, reference=reference, jobs=1)
-        parallel = scenarios.sweep_duration(params, [4, 8], base=base, reference=reference, jobs=2)
-        identical = True
-        for a, b in zip(serial, parallel):
-            pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
-            data_io.write_trajectory(a.trajectory, pa)
-            data_io.write_trajectory(b.trajectory, pb)
-            identical = identical and pa.read_bytes() == pb.read_bytes()
+        written = {}
+        for jobs in (1, 2):
+            out_dir = tmp_path / f"jobs-{jobs}"
+            out_dir.mkdir()
+            run_sweep("duration", [4, 8], base=base, reference=base, jobs=jobs, out_dir=out_dir)
+            written[jobs] = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+        identical = len(written[1]) == 2 and written[1] == written[2]
         criterion(
             "5g", "determinism across parallel runs",
             identical,

@@ -92,6 +92,17 @@ class TestCalibrate:
         assert err.count("\n") == 1 and f"params.{name} 0.5 is not" in err
         assert not out.exists()
 
+    def test_report_on_the_params_file_rejected(self, tmp_path, capsys, monkeypatch):
+        # the report would overwrite the params it follows; two spellings
+        # of one file are caught too
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "params.json"
+        assert main(["calibrate", "--data", str(DATA_DIR), "--out", str(out),
+                     "--report", "./params.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--out" in err and "--report" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_data_dir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EPIGROWTH_DATA_DIR", str(DATA_DIR))
         out = tmp_path / "params.json"
@@ -449,6 +460,23 @@ class TestSweep:
             assert (out / name).exists(), name
         manifest = json.loads((out / "manifest.json").read_text())
         assert "comparison.csv" in manifest["files"]
+
+    def test_config_settings_reach_the_rows(self, tmp_path, fast_config):
+        # the grid's fixed settings and the ratio dates come from --config;
+        # a ratio date after the shortened window gets no column
+        body = json.loads(Path(fast_config).read_text())
+        body["sweeps"] = {"duration": {"intensity": 0.2, "start_date": "2020-04-01"}}
+        body["metrics"] = {"output_ratio_dates": ["2024-06-30", "2030-12-31"]}
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(body))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--axis", "duration", "--values", "4", "--out", str(out),
+                     "--config", str(config)]) == 0
+        base, member = csv.DictReader(open(out / "comparison.csv"))
+        assert (member["scenario"], member["intensity"], member["policy_start"]) == (
+            "duration-004wk", "0.2", "2020-04-01")
+        assert [key for key in member if key.startswith("output_ratio_")] == ["output_ratio_2024-06-30"]
+        assert base["output_ratio_2024-06-30"] != "" and member["output_ratio_2024-06-30"] != ""
 
     def test_reproducible_byte_identical(self, tmp_path, fast_config):
         out1, out2 = tmp_path / "a", tmp_path / "b"

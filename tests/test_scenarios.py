@@ -29,10 +29,9 @@ from epigrowth.scenarios import (
     run_scenario,
     solve_runs,
     summarize,
+    SweepGrid,
     sweep,
-    sweep_duration,
-    sweep_intensity,
-    sweep_start_dates,
+    sweep_members,
     _epidemic_pass,
 )
 
@@ -275,11 +274,10 @@ class TestDeterminism:
             assert np.array_equal(col, two.columns()[name]), name
         assert one.welfare == two.welfare
 
-    def test_parallel_sweep_matches_serial(self, params):
+    def test_parallel_sweep_matches_serial(self, run_sweep):
         base = short_scenario()
-        serial = sweep_duration(params, [4, 8], base=base, reference=run_scenario(base, params))
-        parallel = sweep_duration(params, [4, 8], base=base, jobs=2,
-                                  reference=run_scenario(base, params))
+        serial = run_sweep("duration", [4, 8], base=base, reference=base)
+        parallel = run_sweep("duration", [4, 8], base=base, reference=base, jobs=2)
         for a, b in zip(serial, parallel):
             assert a.scenario.name == b.scenario.name
             assert np.array_equal(a.trajectory.D, b.trajectory.D)
@@ -325,8 +323,8 @@ class TestSweeps:
         deaths = {r.scenario.name: r.metrics.total_deaths for r in start_date_sweep}
         assert min(deaths, key=deaths.get) == "start-2020-05-21"
 
-    def test_start_after_extinction_changes_only_consumption(self, params, baselines):
-        runs = sweep_start_dates(params, [date(2024, 1, 1)], reference=baselines[0])
+    def test_start_after_extinction_changes_only_consumption(self, baselines, run_sweep):
+        runs = run_sweep("start", [date(2024, 1, 1)])
         run = runs[0]
         reference = summarize(baselines[1], baselines[0])
         assert run.metrics.total_deaths == pytest.approx(reference.total_deaths, rel=1e-12)
@@ -370,32 +368,28 @@ class TestSweeps:
         assert deaths[1] > deaths[2] > deaths[3]
         assert deaths[3] < 0.65 * deaths[0]
 
-    def test_duration_strictly_reduces_deaths_without_births(self, params):
+    def test_duration_strictly_reduces_deaths_without_births(self, params, run_sweep):
         # With births off (a1 = 1, a2 = 0, the no-growth case), a delayed
         # wave gains no new susceptibles, so every longer window saves lives,
         # the 4 -> 28 week step included.  With births on, 28 weeks lands
         # 0.16% above 4 weeks.
         no_births = dataclasses.replace(params, a1=1.0, a2=0.0)
-        runs = sweep_duration(no_births, [4, 28, 52, 76])
+        runs = run_sweep("duration", [4, 28, 52, 76], params=no_births)
         deaths = [r.metrics.total_deaths for r in runs]
         assert all(a > b for a, b in zip(deaths, deaths[1:])), deaths
 
-    def test_per_run_errors_collected_not_fatal(self, params):
+    def test_per_run_errors_collected_not_fatal(self, run_sweep):
         base = short_scenario()
-        reference = run_scenario(base, params)
-        runs = sweep_intensity(params, [0.05, 1.2], base=base, reference=reference,
-                               start_date=date(2020, 3, 12))
+        runs = run_sweep("intensity", [0.05, 1.2], base=base, reference=base)
         by_name = {r.scenario.name: r for r in runs}
         good = by_name["intensity-00.0500"]
         bad = by_name["intensity-01.2000"]
         assert good.error is None and good.metrics is not None
         assert bad.error is not None and bad.trajectory is None
 
-    def test_member_starting_outside_run_keeps_its_error(self, params):
+    def test_member_starting_outside_run_keeps_its_error(self, run_sweep):
         base = short_scenario()  # runs to 2024-12-31
-        reference = run_scenario(base, params)
-        runs = sweep_start_dates(params, [date(2020, 3, 12), date(2030, 1, 1)], base=base,
-                                 reference=reference)
+        runs = run_sweep("start", [date(2020, 3, 12), date(2030, 1, 1)], base=base, reference=base)
         by_name = {r.scenario.name: r for r in runs}
         assert by_name["start-2020-03-12"].error is None
         late = by_name["start-2030-01-01"]
@@ -428,27 +422,24 @@ class TestSweeps:
         solve_runs([], params, jobs=64)
         assert started == [2]  # no pool for a batch of one run or none
 
-    def test_sweep_without_reference_measures_against_no_pandemic(self, params, baselines):
-        run, = sweep_duration(params, [4], base=short_scenario(), start_date=date(2020, 3, 12))
+    def test_sweep_without_reference_measures_against_no_pandemic(self, baselines, run_sweep):
+        run, = run_sweep("duration", [4], base=short_scenario(), reference=no_pandemic_scenario())
         expected = summarize(run.trajectory, baselines[0])
         assert run.metrics == expected
         assert run.metrics.reference_name == "no-pandemic"
 
-    def test_fixed_settings_default_to_shipped_config(self, params):
+    def test_grid_fixed_settings_reach_each_member(self):
         base = short_scenario()
-        reference = run_scenario(base, params)
-        shipped = default_config()["sweeps"]["duration"]
-        default, = sweep_duration(params, [4], base=base, reference=reference)
-        assert default.scenario.schedule == PolicySchedule(
-            date.fromisoformat(shipped["start_date"]), shipped["intensity"], 28)
-        given, = sweep_duration(params, [4], base=base, reference=reference, intensity=0.2)
-        assert given.scenario.schedule == PolicySchedule(
-            date.fromisoformat(shipped["start_date"]), 0.2, 28)
+        grid = SweepGrid(values=[4, 8], fixed={"start_date": date(2020, 4, 1), "intensity": 0.2})
+        members = sweep_members("duration", grid, base)
+        assert [member.schedule for member in members] == [
+            PolicySchedule(date(2020, 4, 1), 0.2, 28), PolicySchedule(date(2020, 4, 1), 0.2, 56)]
+        assert all(member == dataclasses.replace(base, name=member.name, schedule=member.schedule)
+                   for member in members)
 
-    def test_results_ordered_by_scenario_key(self, params):
+    def test_results_ordered_by_scenario_key(self, run_sweep):
         base = short_scenario()
-        reference = run_scenario(base, params)
-        runs = sweep_duration(params, [12, 4, 8], base=base, reference=reference)
+        runs = run_sweep("duration", [12, 4, 8], base=base, reference=base)
         names = [r.scenario.name for r in runs]
         assert names == sorted(names)
 
@@ -473,6 +464,18 @@ class TestBacktest:
         empty = AnnualSeries(np.array([], dtype=int), np.array([]))
         with pytest.raises(ValueError, match="empty"):
             backtest(params, datasets["population"], empty, datasets["gcf"])
+
+    def test_missing_gdp_years_rejected_before_any_solve(self, params, datasets, monkeypatch):
+        from epigrowth.calibration import AnnualSeries
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a scenario was solved before the observed years were checked")
+
+        monkeypatch.setattr(scenarios, "run_scenario", no_solve)
+        gdp = datasets["gdp"]
+        to_2005 = AnnualSeries(gdp.years[gdp.years <= 2005], gdp.values[gdp.years <= 2005])
+        with pytest.raises(ValueError, match=r"^observed GDP is missing years \[2006, 2007, 2008, 2009, 2010\]$"):
+            backtest(params, datasets["population"], to_2005, datasets["gcf"])
 
 
 class TestInfeasibility:
@@ -503,9 +506,13 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="intensity_p"):
             run_scenario(short_scenario(schedule=schedule), params)
 
-    def test_unknown_sweep_axis_rejected(self, params):
+    def test_unknown_sweep_axis_rejected(self, params, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a scenario was solved before the axis was checked")
+
+        monkeypatch.setattr(scenarios, "run_scenario", no_solve)
         with pytest.raises(ValueError, match="axis"):
-            sweep(params, "weather", [1])
+            sweep(params, "weather", SweepGrid([1], {}), no_pandemic_scenario(), short_scenario(), [])
 
     def test_policy_start_outside_run_rejected(self):
         base = no_intervention_scenario()
