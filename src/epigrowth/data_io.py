@@ -18,7 +18,7 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
-from functools import partial
+from functools import lru_cache, partial
 from operator import itemgetter
 from pathlib import Path
 
@@ -179,15 +179,22 @@ def write_table(rows: list, path) -> None:
     atomic_write_text(text.getvalue(), Path(path))
 
 
+@lru_cache(maxsize=4)
+def iso_dates(days: range) -> tuple[str, ...]:
+    """The ISO-8601 date of each day number (``date.toordinal``) in
+    ``days``.  The last four ranges are kept: the files of a sweep, or of
+    a chart's data, cover two or three."""
+    return tuple(map(date.isoformat, map(date.fromordinal, days)))
+
+
 def write_trajectory(trajectory: Trajectory, path) -> None:
     """One CSV row per day; floats via repr, so reading back is lossless.
-    Each column goes through ``tolist`` once and each row is formatted as
-    it is joined."""
+    Each column goes through ``tolist`` once, the dates come from
+    ``iso_dates`` and each row is formatted as it is joined."""
     cols = trajectory.columns()
     fields = [map(repr, np.asarray(cols[name], dtype=float).tolist()) for name in TRAJECTORY_HEADER[1:]]
-    dates = map(date.isoformat, map(date.fromordinal, trajectory.days))
     lines = [",".join(TRAJECTORY_HEADER)]
-    lines += map(",".join, zip(dates, *fields))
+    lines += map(",".join, zip(iso_dates(trajectory.days), *fields))
     atomic_write_text("\n".join(lines) + "\n", Path(path))
 
 

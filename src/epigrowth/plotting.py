@@ -14,7 +14,9 @@ from datetime import date
 from itertools import repeat
 from pathlib import Path
 
-from .data_io import atomic_write_text
+import numpy as np
+
+from .data_io import atomic_write_text, iso_dates
 from .scenarios import pool_map
 
 RENDERER_VERSION = "epigrowth-svg/1"
@@ -153,14 +155,17 @@ def _write_data_csv(series: list, path: Path) -> None:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(["date"] + [name for name, _, _ in series])
     for start, stop in spans:
-        dates = map(date.isoformat, map(date.fromordinal, range(start, stop)))
         cells = [column[start - first:stop - first] for column in columns]
-        buf.write("\n".join(map(",".join, zip(dates, *cells))) + "\n")
+        buf.write("\n".join(map(",".join, zip(iso_dates(range(start, stop)), *cells))) + "\n")
     atomic_write_text(buf.getvalue(), path)
 
 
 def render_svg(series: list, var: str) -> str:
-    """The SVG chart of ``var`` over ``series``, as for ``chart``."""
+    """The SVG chart of ``var`` over ``series``, as for ``chart``; each
+    series holds one value per day.  A series' polyline is one ``%`` on a
+    template of its day range's x coordinates, formatted once per chart,
+    with the y coordinates from one array expression that runs the
+    per-point arithmetic in its order, so each is the same float."""
     x_min = min(days[0] for _, days, _ in series)
     x_max = max(days[-1] for _, days, _ in series)
     x_span = max(x_max - x_min, 1)
@@ -222,16 +227,15 @@ def render_svg(series: list, var: str) -> str:
     )
 
     # the polyline points spell out sx and sy, operation for operation, so
-    # each coordinate is the same float; each distinct days range's x
-    # coordinates are formatted once
+    # each coordinate is the same float
     y_span = y_max - y_min
-    x_strings = {}
+    templates = {}
     for i, (name, days, values) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
-        if days not in x_strings:
-            x_strings[days] = [f"{MARGIN_L + plot_w * (d - x_min) / x_span:.2f}," for d in days]
-        points = " ".join([f"{x}{MARGIN_T + plot_h * (1.0 - (v - y_min) / y_span):.2f}"
-                           for x, v in zip(x_strings[days], values.tolist())])
+        if days not in templates:
+            templates[days] = " ".join([f"{MARGIN_L + plot_w * (d - x_min) / x_span:.2f},%.2f" for d in days])
+        ys = MARGIN_T + plot_h * (1.0 - (np.asarray(values, dtype=float) - y_min) / y_span)
+        points = templates[days] % tuple(ys.tolist())
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

@@ -169,6 +169,13 @@ class Trajectory:
     p: np.ndarray
     welfare: float
 
+    def __post_init__(self):
+        # the writers zip a column with the days, which would drop the extra
+        for name, column in self.columns().items():
+            if len(column) != len(self.days):
+                raise ValueError(f"Trajectory {self.scenario_name!r}: column {name!r} holds {len(column)} "
+                                 f"values for {len(self.days)} days")
+
     @property
     def dates(self) -> list:
         return list(map(date.fromordinal, self.days))

@@ -245,6 +245,15 @@ class TestTrajectoryBytes:
         fields = path.read_text().splitlines()[1].split(",")
         assert {"-0.0", "5e-324", "1.7e+308", "-1.7e+308"} <= set(fields)
 
+    @pytest.mark.parametrize("length", [3, 6])
+    def test_column_of_another_length_rejected(self, length):
+        # zipped with the days, a shorter column once cut every output
+        # written from the trajectory to its length
+        columns = {name: np.ones(5) for name in data_io.TRAJECTORY_HEADER[1:]}
+        columns["C"] = np.ones(length)
+        with pytest.raises(ValueError, match=f"column 'C' holds {length} values for 5 days"):
+            trajectory_of(columns, date(2020, 1, 1))
+
     @given(n=st.integers(1, 50), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_write_then_read_is_bit_exact(self, tmp_path_factory, n, data):

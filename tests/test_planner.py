@@ -881,21 +881,26 @@ class TestStackedEstimate:
         for name in ("consumption_path", "capital_path", "welfare", "euler_residuals"):
             assert bits(getattr(solution, name)) == bits(getattr(expected, name)), name
 
-    @pytest.mark.parametrize("estimate", ["nan", "C_lo", "C_hi", "exhausting"])
+    @pytest.mark.parametrize("estimate", ["nan", "C_lo", "C_hi", "exhausting", "exhausting-near"])
     def test_rejected_estimate_gives_the_oracle_solution(self, no_intervention_inputs, no_intervention_oracle,
                                                          monkeypatch, estimate):
+        # C_0 is about 0.001 of the day-0 resources, so both exhausting
+        # estimates, and the cold bracket's midpoint, lie far above it; with
+        # the step down from an exhausting pass doubled from 64 ulps each
+        # time, 0.5 and 0.01 of the resources took 51 and 50 passes
         inputs = no_intervention_inputs
         prodc, _, _, H = shooting_lists(inputs)
         resources0 = (1.0 - inputs.delta_daily) * inputs.K0 + prodc[0] * inputs.K0 ** inputs.alpha - H[0]
         value = {"nan": math.nan, "C_lo": 1e-12 * resources0, "C_hi": resources0,
-                 "exhausting": 0.5 * resources0}[estimate]
+                 "exhausting": 0.5 * resources0, "exhausting-near": 0.01 * resources0}[estimate]
         monkeypatch.setattr(planner, "_stacked_estimate", lambda *args: (value, 0.0))
         solution, passes = recorded_solve(inputs, planner._propagate, monkeypatch)
         first_C0, first = passes[0]
-        if estimate == "exhausting":
+        if estimate.startswith("exhausting"):
             assert first_C0 == value and first[2] is not None
         else:
             assert first_C0 == 0.5 * (1e-12 * resources0 + resources0)  # the cold bracket's midpoint
+        assert len(passes) <= 30
         for name in ("consumption_path", "capital_path", "welfare", "euler_residuals"):
             assert bits(getattr(solution, name)) == bits(getattr(no_intervention_oracle, name)), name
 

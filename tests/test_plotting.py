@@ -1,12 +1,14 @@
 import csv
 import io
+import math
 import re
 from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from epigrowth import plotting
+from epigrowth import data_io, plotting
 
 
 def oracle_data_csv(series: list) -> bytes:
@@ -109,6 +111,85 @@ class TestChartBytes:
         assert (tmp_path / "x.csv").read_text().splitlines()[1:] == [
             "2021-02-27,-0.0,", "2021-02-28,5e-324,", "2021-03-01,1.7e+308,-1.7e+308",
             "2021-03-02,-1.7e+308,"]
+
+
+# finite values with -0.0, subnormals and magnitudes near the largest double
+# drawn often, each of which the coordinate arithmetic must carry as before
+CHART_VALUES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e3, 1e3),
+)
+
+
+@st.composite
+def chart_series(draw) -> list:
+    """1 to 3 series, each starting where the one before overlaps, touches
+    or leaves a gap after the last one's days."""
+    first = date(2020, 2, 27).toordinal() + draw(st.integers(0, 400))
+    days = range(first, first + draw(st.integers(1, 30)))
+    series = []
+    for k in range(draw(st.integers(1, 3))):
+        if k:
+            start = {"overlapping": days.start + draw(st.integers(0, len(days) - 1)),
+                     "touching": days.stop,
+                     "disjoint": days.stop + draw(st.integers(1, 400))}[
+                draw(st.sampled_from(["overlapping", "touching", "disjoint"]))]
+            days = range(start, start + draw(st.integers(1, 30)))
+        values = np.array(draw(st.lists(CHART_VALUES, min_size=len(days), max_size=len(days))))
+        series.append((f"s{k}", days, values))
+    return series
+
+
+class TestPolylines:
+    @given(series=chart_series())
+    @settings(max_examples=300, deadline=None)
+    def test_polylines_match_oracle(self, series):
+        # a RuntimeWarning from the array arithmetic fails the test
+        try:
+            plotting.value_axis([values for _, _, values in series])
+        except ValueError:  # no axis holds these values; the chart is refused
+            return
+        assert polyline_points(plotting.render_svg(series, "Y")) == oracle_polyline_points(series)
+
+    def test_coordinates_on_rounding_ties(self):
+        # values from 0.7 to 1.3 give the axis [0.6000000000000001, 1.4],
+        # whose rounding shows a change in the order of the operations; each
+        # value between puts its y coordinate exactly on a tie of the
+        # two-decimal rounding (k + 1/8, k + 3/8, ...), where one ulp either
+        # way changes the digits, so only the same floats print the same points
+        ticks = plotting._nice_ticks(0.7, 1.3)
+        y_min, y_span = ticks[0], ticks[-1] - ticks[0]
+        plot_h = plotting.HEIGHT - plotting.MARGIN_T - plotting.MARGIN_B
+
+        def sy(v: float) -> float:
+            return plotting.MARGIN_T + plot_h * (1.0 - (v - y_min) / y_span)
+
+        values = [0.7, 1.3]
+        for j in range(8 * 100 + 1, 8 * 428, 2):
+            tie = j / 8
+            v = y_min + y_span * (1.0 - (tie - plotting.MARGIN_T) / plot_h)
+            v -= 8 * math.ulp(v)
+            for _ in range(17):
+                if sy(v) == tie:
+                    values.append(v)
+                    break
+                v = math.nextafter(v, math.inf)
+        assert len(values) > 500 and 0.7 <= min(values) and max(values) <= 1.3
+        series = [("ties", days_from(date(2020, 1, 1), len(values)), np.array(values))]
+        assert polyline_points(plotting.render_svg(series, "Y")) == oracle_polyline_points(series)
+
+
+class TestIsoDates:
+    @pytest.mark.parametrize("first,last", [
+        (date.min, date(1, 3, 1)), (date(9999, 11, 30), date.max), (date(2000, 2, 27), date(2000, 3, 2)),
+        (date(1900, 2, 27), date(1900, 3, 2)), (date(2020, 2, 28), date(2020, 3, 1)),
+        (date(2019, 12, 30), date(2020, 1, 2)), (date(2020, 1, 1), date(2020, 1, 1)),
+    ])
+    def test_matches_isoformat(self, first, last):
+        days = range(first.toordinal(), last.toordinal() + 1)
+        assert data_io.iso_dates(days) == tuple(date.fromordinal(d).isoformat() for d in days)
 
 
 class TestNiceTicks:
