@@ -233,12 +233,17 @@ def cmd_report(args) -> int:
     variables = [v for v in (args.variables or "").split(",") if v]
     if not variables:
         raise data_io.DataFormatError("no variables given; use --variables Y,C,I")
+    named = ", ".join(args.trajectories)
+    try:
+        plotting.check_variables(variables, data_io.TRAJECTORY_HEADER[1:])
+    except ValueError as exc:
+        raise data_io.DataFormatError(f"{named}: {exc}") from None
     trajectories = [data_io.read_trajectory(p) for p in args.trajectories]
     out_dir = Path(args.out)
     try:
         files = plotting.emit_plots(trajectories, variables, out_dir)
     except ValueError as exc:
-        raise data_io.DataFormatError(f"{', '.join(args.trajectories)}: {exc}") from None
+        raise data_io.DataFormatError(f"{named}: {exc}") from None
     _write_manifest(out_dir, "report", files)
     print(f"wrote {len(files)} files to {out_dir}")
     return 0

@@ -14,11 +14,13 @@ import json
 import logging
 import math
 import os
+import re
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
 from functools import lru_cache, partial
+from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -198,33 +200,92 @@ def write_trajectory(trajectory: Trajectory, path) -> None:
     atomic_write_text("\n".join(lines) + "\n", Path(path))
 
 
+_ISO_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_HEADER_LINE = ",".join(TRAJECTORY_HEADER) + "\n"
+# numpy's text reader strips "\x1c"-"\x1f" around a number as whitespace,
+# where float() rejects them; a "\r" line end, which the writer never
+# writes, is left to the csv module's rules
+_NOT_BULK = "\r\x1c\x1d\x1e\x1f"
+
+
+def _iso_day(cell: str) -> date:
+    """The day whose ``isoformat()`` is ``cell``.  Python 3.11 widened
+    ``date.fromisoformat`` to other ISO 8601 spellings (``20200101``,
+    ``2020-W01-3``); here they are a ValueError on every version, worded
+    as 3.10 words it."""
+    if not _ISO_DATE.fullmatch(cell):
+        raise ValueError(f"Invalid isoformat string: {shown(cell)}")
+    return date.fromisoformat(cell)
+
+
+def _parse_written_form(lines: list):
+    """``(first day number, values)`` of the trajectory CSV whose lines
+    are ``lines``, if it is in the form ``write_trajectory`` writes, with
+    ``values`` one row per column: the header line, then lines of 11 commas
+    whose date cells are consecutive days in ``YYYY-MM-DD``.  The numbers
+    are parsed in one ``np.loadtxt`` call, with no Python loop over rows.
+    None for a file in any other form, or with a cell that is not a
+    number."""
+    body = lines[1:]
+    if not body or lines[0] != _HEADER_LINE or any(map("".join(body).__contains__, _NOT_BULK)):
+        return None
+    commas = len(TRAJECTORY_HEADER) - 1
+    if set(map(str.count, body, repeat(","))) != {commas} or set(map(str.find, body, repeat(","))) != {10}:
+        return None
+    try:
+        first = _iso_day(body[0][:10]).toordinal()
+        if tuple(map(itemgetter(slice(10)), body)) != iso_dates(range(first, first + len(body))):
+            return None
+        values = np.loadtxt(body, delimiter=",", usecols=range(1, commas + 1), comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return first, values.T
+
+
+def _parse_rows(fh, path: Path):
+    """``(first day number, values)`` of the trajectory CSV open as ``fh``,
+    read one row at a time with the csv module; the first row that is not
+    a date and 11 numbers, or not the day after the row before it, is an
+    error naming it."""
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if header != TRAJECTORY_HEADER:
+        raise DataFormatError(f"{path}: unexpected header {header}, want {TRAJECTORY_HEADER}")
+    days, rows = [], []
+    for i, row in enumerate(reader):
+        if len(row) != len(TRAJECTORY_HEADER):
+            raise DataFormatError(f"{path}: row {i + 2}: expected {len(TRAJECTORY_HEADER)} fields")
+        try:
+            day = _iso_day(row[0]).toordinal()
+            rows.append(list(map(float, row[1:])))
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: row {i + 2}: {exc}") from None
+        if days and day != days[-1] + 1:
+            raise DataFormatError(
+                f"{path}: row {i + 2}: date {row[0]} does not follow "
+                f"{date.fromordinal(days[-1]).isoformat()} by one day")
+        days.append(day)
+    if not rows:
+        raise DataFormatError(f"{path}: no data rows")
+    return days[0], np.array(rows).T
+
+
 def read_trajectory(path, scenario_name: str | None = None) -> Trajectory:
     """Inverse of write_trajectory.  Run metadata is not stored in the CSV,
     so the name defaults to the file stem and welfare is NaN.  The rows
-    must be consecutive days, oldest first."""
+    must be consecutive days, oldest first, each dated ``YYYY-MM-DD``.  A
+    file in the form ``write_trajectory`` writes is parsed in bulk by
+    numpy's text reader; any other file, or one with a cell that is not a
+    number, is read row by row, which accepts what the csv module and
+    ``float`` accept (quoted cells, ``1_000``, padded numbers) and names the
+    first bad row."""
     path = Path(path)
     with _open_text(path, "trajectory") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRAJECTORY_HEADER:
-            raise DataFormatError(f"{path}: unexpected header {header}, want {TRAJECTORY_HEADER}")
-        days, rows = [], []
-        for i, row in enumerate(reader):
-            if len(row) != len(TRAJECTORY_HEADER):
-                raise DataFormatError(f"{path}: row {i + 2}: expected {len(TRAJECTORY_HEADER)} fields")
-            try:
-                day = date.fromisoformat(row[0]).toordinal()
-                rows.append(list(map(float, row[1:])))
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: row {i + 2}: {exc}") from None
-            if days and day != days[-1] + 1:
-                raise DataFormatError(
-                    f"{path}: row {i + 2}: date {row[0]} does not follow "
-                    f"{date.fromordinal(days[-1]).isoformat()} by one day")
-            days.append(day)
-    if not rows:
-        raise DataFormatError(f"{path}: no data rows")
-    data = np.array(rows).T
+        parsed = _parse_written_form(fh.readlines())
+        if parsed is None:
+            fh.seek(0)
+            parsed = _parse_rows(fh, path)
+    first, data = parsed
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         column, row = bad[np.argmin(bad[:, 1])]
@@ -234,7 +295,7 @@ def read_trajectory(path, scenario_name: str | None = None) -> Trajectory:
     named = dict(zip(TRAJECTORY_HEADER[1:], data))
     return Trajectory(
         scenario_name=scenario_name or path.stem,
-        days=range(days[0], days[-1] + 1),
+        days=range(first, first + data.shape[1]),
         welfare=float("nan"),
         **named,
     )

@@ -94,6 +94,15 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
+def check_variables(variables: list, valid) -> None:
+    """ValueError unless each of ``variables`` is one of ``valid``, named once."""
+    for var in variables:
+        if var not in valid:
+            raise ValueError(f"unknown variable {var!r}; valid variables: {sorted(valid)}")
+        if variables.count(var) > 1:
+            raise ValueError(f"variable {var!r} is named more than once")
+
+
 def emit_plots(trajectories: list, variables: list, out_dir, jobs: int = 1) -> list:
     """One SVG per variable with one line per trajectory, plus a CSV of the
     plotted columns, with each variable's chart a task on up to ``jobs``
@@ -105,12 +114,8 @@ def emit_plots(trajectories: list, variables: list, out_dir, jobs: int = 1) -> l
     names = [t.scenario_name for t in trajectories]
     if len(set(names)) != len(names):
         raise ValueError(f"trajectory names must be unique, got {names}")
-    valid = set(trajectories[0].columns())
+    check_variables(variables, trajectories[0].columns())
     for var in variables:
-        if var not in valid:
-            raise ValueError(f"unknown variable {var!r}; valid variables: {sorted(valid)}")
-        if variables.count(var) > 1:
-            raise ValueError(f"variable {var!r} is named more than once")
         try:
             value_axis([t.columns()[var] for t in trajectories])
         except ValueError as exc:

@@ -668,6 +668,20 @@ class TestReport:
         assert "variable 'Y' is named more than once" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("variables,message", [
+        ("Q", "unknown variable 'Q'; valid variables: ['A', 'C', 'D', 'H', 'I', 'K', 'N', 'R', 'S', 'Y', 'p']"),
+        ("Y,I,Y", "variable 'Y' is named more than once"),
+    ], ids=["unknown", "repeated"])
+    def test_variables_checked_before_any_read(self, tmp_path, capsys, monkeypatch, variables, message):
+        def no_read(path, scenario_name=None):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(data_io, "read_trajectory", no_read)
+        missing = tmp_path / "missing.csv"
+        code = main(["report", str(missing), "--variables", variables, "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {missing}: {message}\n"
+
     def test_no_variables_rejected(self, tmp_path, two_trajectories, capsys):
         code = main(["report", str(two_trajectories[0]), "--variables", "",
                      "--out", str(tmp_path / "x")])

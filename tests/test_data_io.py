@@ -1,6 +1,8 @@
 import csv
 import json
-from datetime import date
+from datetime import date, timedelta
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,10 +32,70 @@ def oracle_trajectory_csv(trajectory: Trajectory) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+def oracle_read_trajectory(path, scenario_name=None) -> Trajectory:
+    """The trajectory CSV read one row at a time with the csv module, as
+    the reader once did: ``read_trajectory`` must give the same columns
+    and days, or the same error."""
+    path = Path(path)
+    with data_io._open_text(path, "trajectory") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != data_io.TRAJECTORY_HEADER:
+            raise DataFormatError(f"{path}: unexpected header {header}, want {data_io.TRAJECTORY_HEADER}")
+        days, rows = [], []
+        for i, row in enumerate(reader):
+            if len(row) != len(data_io.TRAJECTORY_HEADER):
+                raise DataFormatError(f"{path}: row {i + 2}: expected {len(data_io.TRAJECTORY_HEADER)} fields")
+            try:
+                day = date.fromisoformat(row[0]).toordinal()
+                rows.append(list(map(float, row[1:])))
+            except ValueError as exc:
+                raise DataFormatError(f"{path}: row {i + 2}: {exc}") from None
+            if days and day != days[-1] + 1:
+                raise DataFormatError(
+                    f"{path}: row {i + 2}: date {row[0]} does not follow "
+                    f"{date.fromordinal(days[-1]).isoformat()} by one day")
+            days.append(day)
+    if not rows:
+        raise DataFormatError(f"{path}: no data rows")
+    data = np.array(rows).T
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        column, row = bad[np.argmin(bad[:, 1])]
+        raise DataFormatError(
+            f"{path}: row {row + 2}: non-finite {data_io.TRAJECTORY_HEADER[column + 1]!r} "
+            f"value {data[column, row]!r}")
+    named = dict(zip(data_io.TRAJECTORY_HEADER[1:], data))
+    return Trajectory(scenario_name=scenario_name or path.stem, days=range(days[0], days[-1] + 1),
+                      welfare=float("nan"), **named)
+
+
 def trajectory_of(columns: dict, first_day: date, name: str = "t") -> Trajectory:
     n = len(next(iter(columns.values())))
     start = first_day.toordinal()
     return Trajectory(scenario_name=name, days=range(start, start + n), welfare=0.0, **columns)
+
+
+@st.composite
+def written_trajectories(draw, rows=st.integers(1, 50)):
+    """Trajectories of any finite values from 2020-02-28 on, across a leap day."""
+    n = draw(rows)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    columns = {name: np.array(draw(st.lists(finite, min_size=n, max_size=n)))
+               for name in data_io.TRAJECTORY_HEADER[1:]}
+    return trajectory_of(columns, date(2020, 2, 28))
+
+
+def write_trajectory_file(tmp_path_factory, trajectory: Trajectory):
+    path = tmp_path_factory.mktemp("prop") / "t.csv"
+    data_io.write_trajectory(trajectory, path)
+    return path
+
+
+def assert_bit_equal(loaded: Trajectory, trajectory: Trajectory) -> None:
+    assert loaded.days == trajectory.days
+    for name, col in trajectory.columns().items():
+        assert loaded.columns()[name].tobytes() == np.asarray(col, dtype=float).tobytes(), name
 
 
 # -0.0, the smallest subnormal and the largest finite magnitudes, each of
@@ -254,20 +316,12 @@ class TestTrajectoryBytes:
         with pytest.raises(ValueError, match=f"column 'C' holds {length} values for 5 days"):
             trajectory_of(columns, date(2020, 1, 1))
 
-    @given(n=st.integers(1, 50), data=st.data())
+    @given(trajectory=written_trajectories())
     @settings(max_examples=60, deadline=None)
-    def test_write_then_read_is_bit_exact(self, tmp_path_factory, n, data):
-        finite = st.floats(allow_nan=False, allow_infinity=False)
-        columns = {name: np.array(data.draw(st.lists(finite, min_size=n, max_size=n), label=name))
-                   for name in data_io.TRAJECTORY_HEADER[1:]}
-        trajectory = trajectory_of(columns, date(2020, 2, 28))
-        path = tmp_path_factory.mktemp("prop") / "t.csv"
-        data_io.write_trajectory(trajectory, path)
+    def test_write_then_read_is_bit_exact(self, tmp_path_factory, trajectory):
+        path = write_trajectory_file(tmp_path_factory, trajectory)
         assert path.read_bytes() == oracle_trajectory_csv(trajectory)
-        loaded = data_io.read_trajectory(path)
-        assert loaded.days == trajectory.days
-        for name, col in columns.items():
-            assert loaded.columns()[name].tobytes() == col.tobytes(), name
+        assert_bit_equal(data_io.read_trajectory(path), trajectory)
 
 
 class TestReadTrajectoryErrors:
@@ -302,6 +356,24 @@ class TestReadTrajectoryErrors:
                            match=r"when\.csv: row 3: Invalid isoformat string: '2020/01/02'$"):
             data_io.read_trajectory(path)
 
+    @pytest.mark.parametrize("days", [("20200101", "20200102"), ("2020-W01-3", "2020-W01-4")],
+                             ids=["basic", "week"])
+    def test_other_iso_spellings_rejected(self, tmp_path, days):
+        # Python 3.11 widened date.fromisoformat to both spellings of
+        # 2020-01-01 and 2020-01-02; they fail alike on every version
+        lines = [self.HEADER] + [day + ",1.0" * 11 for day in days]
+        path = write(tmp_path, "when.csv", "\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError) as err:
+            data_io.read_trajectory(path)
+        assert str(err.value) == f"{path}: row 2: Invalid isoformat string: '{days[0]}'"
+
+    def test_long_date_cell_is_cut(self, tmp_path):
+        cell = "2020-01-02" + "0" * 200
+        path = write(tmp_path, "when.csv", self.rows(cell, *["2.0"] * 11))
+        with pytest.raises(DataFormatError) as err:
+            data_io.read_trajectory(path)
+        assert str(err.value) == f"{path}: row 3: Invalid isoformat string: {repr(cell)[:80]}..."
+
     def test_header_without_rows_names_the_file(self, tmp_path):
         path = write(tmp_path, "empty.csv", self.HEADER + "\n")
         with pytest.raises(DataFormatError, match=r"empty\.csv: no data rows$"):
@@ -311,6 +383,144 @@ class TestReadTrajectoryErrors:
         loaded = data_io.read_trajectory(write(tmp_path, "ok.csv", self.rows()))
         assert loaded.dates == [date(2020, 1, 1), date(2020, 1, 2), date(2020, 1, 3)]
         assert loaded.Y.tolist() == [1.0, 2.0, 3.0]
+
+
+def outcome(read, path):
+    """What ``read(path)`` gives: the days and each column's dtype and
+    bytes, or the text of its DataFormatError."""
+    try:
+        trajectory = read(path)
+    except DataFormatError as exc:
+        return str(exc)
+    return trajectory.days, [(c.dtype.str, c.tobytes()) for c in trajectory.columns().values()]
+
+
+def edited(lines, r, edit):
+    """``lines`` with the cells of line ``r`` replaced by ``edit(cells)``."""
+    return lines[:r] + [",".join(edit(lines[r].split(",")))] + lines[r + 1:]
+
+
+def put(c, cell):
+    """An edit that sets cell ``c`` to ``cell(old cell)``."""
+    return lambda cells: cells[:c] + [cell(cells[c])] + cells[c + 1:]
+
+
+def joined(lines, end="\n"):
+    return "".join(line + end for line in lines)
+
+
+def dated(lines, r, day: str):
+    """``lines`` with line ``r`` dated ``day``."""
+    return edited(lines, r, put(0, lambda _: day))
+
+
+def day_later(line: str) -> str:
+    return (date.fromisoformat(line[:10]) + timedelta(days=1)).isoformat() + line[10:]
+
+
+def other_row(r):
+    """A data line next to line ``r`` of a file of four data lines."""
+    return r - 1 if r > 1 else r + 1
+
+
+# each change to the lines of a written trajectory CSV of four rows, given
+# a data line r and a column c, -> the changed file's text; a lone
+# surrogate is written as the byte it escapes
+MUTATIONS = {
+    "field-dropped": lambda lines, r, c: joined(edited(lines, r, lambda cells: cells[:c] + cells[c + 1:])),
+    "field-added": lambda lines, r, c: joined(edited(lines, r, lambda cells: cells[:c] + ["1.0"] + cells[c:])),
+    "blank-line": lambda lines, r, c: joined(lines[:r] + [""] + lines[r:]),
+    "no-final-newline": lambda lines, r, c: "\n".join(lines),
+    "crlf": lambda lines, r, c: joined(lines, "\r\n"),
+    "cr": lambda lines, r, c: joined(lines, "\r"),
+    "cr-in-line": lambda lines, r, c: joined(edited(lines, r, put(c, lambda cell: cell + "\r"))),
+    "bom": lambda lines, r, c: "\ufeff" + joined(lines),
+    "quoted-cell": lambda lines, r, c: joined(edited(lines, r, put(c, lambda cell: f'"{cell}"'))),
+    "underscore": lambda lines, r, c: joined(edited(lines, r, put(c, lambda _: "1_000"))),
+    "padded": lambda lines, r, c: joined(edited(lines, r, put(c, lambda _: " 1.5 "))),
+    "separator-padded": lambda lines, r, c: joined(edited(lines, r, put(c, lambda cell: cell + "\x1c"))),
+    "nan": lambda lines, r, c: joined(edited(lines, r, put(c, lambda _: "nan"))),
+    "inf": lambda lines, r, c: joined(edited(lines, r, put(c, lambda _: "inf"))),
+    "empty-cell": lambda lines, r, c: joined(edited(lines, r, put(c, lambda _: ""))),
+    "gap": lambda lines, r, c: joined(lines[:max(r, 2)] + list(map(day_later, lines[max(r, 2):]))),
+    "repeated-day": lambda lines, r, c: joined(dated(lines, r, lines[other_row(r)][:10])),
+    "reversed-days": lambda lines, r, c: joined(
+        dated(dated(lines, r, lines[other_row(r)][:10]), other_row(r), lines[r][:10])),
+    "slashed-date": lambda lines, r, c: joined(dated(lines, r, "2020/01/02")),
+    "big-quoted-field": lambda lines, r, c: joined(
+        edited(lines, r, put(c, lambda _: '"' + "x" * 200_000 + '"'))),
+    "not-utf-8": lambda lines, r, c: joined(edited(lines, r, put(c, lambda cell: cell + "\udcff"))),
+    # past the first 8 KB, where a reader that decodes the whole file at
+    # once reports another byte offset than one that decodes in chunks
+    "not-utf-8-late": lambda lines, r, c: joined(
+        edited(lines, r, put(c, lambda cell: " " * 9000 + cell + "\udcff"))),
+    "basic-date": lambda lines, r, c: joined(dated(lines, r, lines[r][:10].replace("-", ""))),
+    "week-date": lambda lines, r, c: joined(
+        dated(lines, r, date.fromisoformat(lines[r][:10]).strftime("%G-W%V-%u"))),
+}
+
+# spellings that Python 3.11 added to date.fromisoformat: the oracle loads
+# them there, while read_trajectory rejects them on every version
+WIDENED_DATES = {"basic-date", "week-date"}
+
+
+class TestReaderMatchesOracle:
+    """``read_trajectory`` gives what ``oracle_read_trajectory`` gives: the
+    same days and column bits, or the same error text, except for the date
+    spellings of ``WIDENED_DATES``, which are checked on their own."""
+
+    @given(trajectory=written_trajectories())
+    @settings(max_examples=60, deadline=None)
+    def test_written_files(self, tmp_path_factory, trajectory):
+        path = write_trajectory_file(tmp_path_factory, trajectory)
+        assert outcome(data_io.read_trajectory, path) == outcome(oracle_read_trajectory, path)
+
+    @pytest.mark.parametrize("kind", sorted(MUTATIONS))
+    @given(trajectory=written_trajectories(rows=st.just(4)), r=st.integers(1, 4), c=st.integers(0, 11))
+    @settings(max_examples=15, deadline=None)
+    def test_mutated_files(self, tmp_path_factory, kind, trajectory, r, c):
+        path = write_trajectory_file(tmp_path_factory, trajectory)
+        lines = path.read_text().splitlines()
+        path.write_bytes(MUTATIONS[kind](lines, r, c).encode("utf-8", "surrogateescape"))
+        got = outcome(data_io.read_trajectory, path)
+        if kind in WIDENED_DATES:
+            cell = path.read_text().splitlines()[r].split(",")[0]
+            assert got == f"{path}: row {r + 1}: Invalid isoformat string: {cell!r}"
+            return
+        assert got == outcome(oracle_read_trajectory, path)
+
+
+def row_loop_patched():
+    """The row loop's entry point patched to fail."""
+    return mock.patch.object(data_io.csv, "reader", side_effect=AssertionError("read row by row"))
+
+
+class TestWrittenFilesLoadInBulk:
+    """The program's own files load without the row loop, so a change that
+    sends them back to it fails here while every result stays the same."""
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["no-pandemic", "no-intervention"])
+    def test_baselines(self, tmp_path, baselines, which):
+        path = tmp_path / "t.csv"
+        data_io.write_trajectory(baselines[which], path)
+        with row_loop_patched():
+            loaded = data_io.read_trajectory(path)
+        assert_bit_equal(loaded, baselines[which])
+
+    @given(trajectory=written_trajectories())
+    @settings(max_examples=30, deadline=None)
+    def test_written_files(self, tmp_path_factory, trajectory):
+        path = write_trajectory_file(tmp_path_factory, trajectory)
+        with row_loop_patched():
+            loaded = data_io.read_trajectory(path)
+        assert_bit_equal(loaded, trajectory)
+
+    def test_patch_reaches_the_row_loop(self, tmp_path):
+        # a quoted cell is read row by row, so the tests above would see it
+        header = ",".join(data_io.TRAJECTORY_HEADER)
+        path = write(tmp_path, "t.csv", header + '\n2020-01-01,"1.0"' + ",1.0" * 10 + "\n")
+        with row_loop_patched(), pytest.raises(AssertionError, match="read row by row"):
+            data_io.read_trajectory(path)
 
 
 class TestWriteTable:
