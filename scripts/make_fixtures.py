@@ -40,6 +40,8 @@ POP_1960 = 3.032160e9
 POP_YEARS = (1960, 2018)
 
 K_2019_ANCHOR = 2.72e14
+# the annual depreciation rate the committed data/ files were generated
+# with; the model's own rate is the config's delta_daily
 DELTA_ANNUAL = 0.0446
 GCF_YEARS = (1970, 2018)
 

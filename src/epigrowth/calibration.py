@@ -1,12 +1,12 @@
 """Parameter estimation: population growth, capital imputation, TFP,
 epidemic rate extraction, and the mortality and policy trade-off fits.
 
-Every estimated quantity flows into a ModelParams bundle; what is assumed
-rather than estimated enters through CalibrationConstants: the annual
-depreciation and discount rates, and a params bundle (the configuration's)
-that supplies the capital elasticity, hospital cost, admission share,
-solver settings and the daily depreciation and discount factor, which must
-be the annual rates converted.
+Every estimated quantity flows into a ModelParams bundle; everything
+assumed rather than estimated comes from one params bundle (the
+configuration's, through CalibrationConstants): the daily depreciation
+fraction, which also drives the capital imputation at its annual
+equivalent, the daily discount factor, the capital elasticity, the
+hospital cost and admission share, and the solver settings.
 """
 
 from __future__ import annotations
@@ -19,11 +19,13 @@ from .epidemic import PopGrowthParams
 from .params import (
     DAYS_PER_YEAR,
     ModelParams,
-    annual_to_daily_depreciation,
+    annual_depreciation,
     annual_to_daily_growth,
     default_params,
-    discount_factor_from_annual_rate,
 )
+
+# quantile of the extracted daily infection rates taken as b0
+INFECTION_RATE_QUANTILE = 0.75
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,9 @@ class OlsFit:
 
 
 def ols(design, response, intercept: bool = False) -> OlsFit:
-    """Least squares via QR (numpy lstsq), with classical standard errors.
+    """Least squares via numpy lstsq, with classical standard errors; a
+    design whose rank, as lstsq finds it, is below its column count is an
+    error.
 
     With an intercept the R-squared is centered, otherwise uncentered.
     """
@@ -115,9 +119,9 @@ def ols(design, response, intercept: bool = False) -> OlsFit:
     n, k = X.shape
     if n < k:
         raise ValueError(f"need at least as many rows ({n}) as columns ({k})")
-    if np.linalg.matrix_rank(X) < k:
+    coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
+    if rank < k:
         raise ValueError("design matrix is rank deficient")
-    coef, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
     resid = y - X @ coef
     rss = float(resid @ resid)
     df = n - k
@@ -280,16 +284,12 @@ def loglog_fit(x, y) -> tuple[OlsFit, int]:
 
 @dataclass(frozen=True)
 class CalibrationConstants:
-    """Quantities assumed rather than estimated from the bundled datasets.
-
-    ``assumed`` supplies every params field that ``calibrate`` does not
-    estimate.
+    """The calibration's settings: the years of the population fit, and
+    ``assumed``, which supplies every params field that ``calibrate`` does
+    not estimate.
     """
 
     population_fit_years: tuple[int, int]
-    delta_annual: float = 0.0446
-    rho_annual: float = 0.08
-    infection_rate_quantile: float = 0.75
     assumed: ModelParams = field(default_factory=default_params)
 
 
@@ -304,34 +304,25 @@ def calibrate(
     constants: CalibrationConstants,
 ) -> tuple[ModelParams, dict]:
     """Run every estimation step and assemble the parameter bundle:
-    ``constants.assumed`` with the estimates replaced. Its ``delta_daily``
-    and ``beta_daily`` must be the daily conversions of ``delta_annual``
-    (which also drives the capital imputation) and ``rho_annual``; both
-    annual rates go into the report.
+    ``constants.assumed`` with the estimates replaced.  The capital stock
+    is imputed at the annual equivalent of its ``delta_daily``, and the
+    report lists the assumed values used.
 
     Returns the params plus a report dict holding the regression tables and
     intermediate values (JSON-serialisable).
     """
     c = constants
-    for name, annual, converted in (
-        ("delta_daily", f"delta_annual {c.delta_annual}", annual_to_daily_depreciation(c.delta_annual)),
-        ("beta_daily", f"rho_annual {c.rho_annual}", discount_factor_from_annual_rate(c.rho_annual)),
-    ):
-        if getattr(c.assumed, name) != converted:
-            raise ValueError(
-                f"params.{name} {getattr(c.assumed, name)!r} is not {converted!r}, "
-                f"the daily conversion of the calibration's {annual}"
-            )
     pop_fit = population_fit_report(population.window(*c.population_fit_years))
     a1_y, a2_y = (float(v) for v in pop_fit.coefficients)
     a1, a2 = to_daily(a1_y, a2_y)
 
-    k_init = steady_state_k_init(gcf, c.delta_annual)
-    capital = impute_capital(gcf, c.delta_annual, k_init)
+    delta_annual = annual_depreciation(c.assumed.delta_daily)
+    k_init = steady_state_k_init(gcf, delta_annual)
+    capital = impute_capital(gcf, delta_annual, k_init)
     tfp_series, g_daily = estimate_tfp(gdp, capital, population, c.assumed.alpha)
 
     rates = extract_epi_rates(cases, PopGrowthParams(a1=a1, a2=a2), case_population)
-    b0 = quantile(rates.b, c.infection_rate_quantile)
+    b0 = quantile(rates.b, INFECTION_RATE_QUANTILE)
     r = quantile(rates.r, 0.5)
     mortality_fit, mortality_dropped = loglog_fit(rates.b, rates.m)
     tradeoff_fit, tradeoff_dropped = loglog_fit(tradeoff_shortfall_pct, tradeoff_reduction_pct)
@@ -382,12 +373,7 @@ def calibrate(
         | {"n_dropped": mortality_dropped},
         "tradeoff_fit": _table(tradeoff_fit, ["constant", "ln_gdp_shortfall_pct"])
         | {"n_dropped": tradeoff_dropped},
-        "assumed": {
-            "delta_annual": c.delta_annual,
-            "alpha": c.assumed.alpha,
-            "rho_annual": c.rho_annual,
-            "u": c.assumed.u,
-            "h": c.assumed.h,
-        },
+        "assumed": {name: getattr(c.assumed, name)
+                    for name in ("delta_daily", "beta_daily", "alpha", "u", "h")},
     }
     return params, report

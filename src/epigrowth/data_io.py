@@ -14,7 +14,6 @@ import json
 import logging
 import math
 import os
-import re
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -27,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import AnnualSeries, CaseSeries
-from .params import (DataFormatError, ModelParams, default_config, parse_date, parse_file_name, parse_list,
-                     parse_number, parse_section, parse_year, shown)
+from .params import (DataFormatError, ModelParams, default_config, iso_day, parse_date, parse_file_name,
+                     parse_list, parse_number, parse_section, parse_year, shown)
 from .scenarios import SWEEP_AXES, Scenario, Trajectory, parse_sweep
 
 log = logging.getLogger(__name__)
@@ -200,22 +199,11 @@ def write_trajectory(trajectory: Trajectory, path) -> None:
     atomic_write_text("\n".join(lines) + "\n", Path(path))
 
 
-_ISO_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _HEADER_LINE = ",".join(TRAJECTORY_HEADER) + "\n"
 # numpy's text reader strips "\x1c"-"\x1f" around a number as whitespace,
 # where float() rejects them; a "\r" line end, which the writer never
 # writes, is left to the csv module's rules
 _NOT_BULK = "\r\x1c\x1d\x1e\x1f"
-
-
-def _iso_day(cell: str) -> date:
-    """The day whose ``isoformat()`` is ``cell``.  Python 3.11 widened
-    ``date.fromisoformat`` to other ISO 8601 spellings (``20200101``,
-    ``2020-W01-3``); here they are a ValueError on every version, worded
-    as 3.10 words it."""
-    if not _ISO_DATE.fullmatch(cell):
-        raise ValueError(f"Invalid isoformat string: {shown(cell)}")
-    return date.fromisoformat(cell)
 
 
 def _parse_written_form(lines: list):
@@ -233,7 +221,7 @@ def _parse_written_form(lines: list):
     if set(map(str.count, body, repeat(","))) != {commas} or set(map(str.find, body, repeat(","))) != {10}:
         return None
     try:
-        first = _iso_day(body[0][:10]).toordinal()
+        first = iso_day(body[0][:10]).toordinal()
         if tuple(map(itemgetter(slice(10)), body)) != iso_dates(range(first, first + len(body))):
             return None
         values = np.loadtxt(body, delimiter=",", usecols=range(1, commas + 1), comments=None, ndmin=2)
@@ -256,7 +244,7 @@ def _parse_rows(fh, path: Path):
         if len(row) != len(TRAJECTORY_HEADER):
             raise DataFormatError(f"{path}: row {i + 2}: expected {len(TRAJECTORY_HEADER)} fields")
         try:
-            day = _iso_day(row[0]).toordinal()
+            day = iso_day(row[0]).toordinal()
             rows.append(list(map(float, row[1:])))
         except ValueError as exc:
             raise DataFormatError(f"{path}: row {i + 2}: {exc}") from None

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import numbers
+import re
 import reprlib
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -67,9 +68,23 @@ def parse_list(raw, where: str, parse) -> list:
     return [parse(item, f"{where}[{i}]") for i, item in enumerate(raw)]
 
 
+_ISO_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def iso_day(text: str) -> date:
+    """The day whose ``isoformat()`` is ``text``.  Python 3.11 widened
+    ``date.fromisoformat`` to other ISO 8601 spellings (``20200101``,
+    ``2020-W01-3``); here they are a ValueError on every version, worded
+    as 3.10 words it."""
+    if not _ISO_DATE.fullmatch(text):
+        raise ValueError(f"Invalid isoformat string: {shown(text)}")
+    return date.fromisoformat(text)
+
+
 def parse_date(raw, where: str) -> date:
+    """A ``YYYY-MM-DD`` date, as ``iso_day`` reads it."""
     try:
-        return date.fromisoformat(raw)
+        return iso_day(raw)
     except (TypeError, ValueError):
         raise DataFormatError(f"{where}: unparseable date {shown(raw)}") from None
 
@@ -133,14 +148,9 @@ def annual_to_daily_growth(g_annual: float) -> float:
     return (1.0 + g_annual) ** (1.0 / DAYS_PER_YEAR) - 1.0
 
 
-def annual_to_daily_depreciation(delta_annual: float) -> float:
-    """Daily depreciation fraction compounding to the annual fraction."""
-    return 1.0 - (1.0 - delta_annual) ** (1.0 / DAYS_PER_YEAR)
-
-
-def discount_factor_from_annual_rate(rho_annual: float) -> float:
-    """Per-day discount factor implied by an annual utility discount rate."""
-    return (1.0 + rho_annual) ** (-1.0 / DAYS_PER_YEAR)
+def annual_depreciation(delta_daily: float) -> float:
+    """Annual depreciation fraction that the daily fraction compounds to."""
+    return 1.0 - (1.0 - delta_daily) ** DAYS_PER_YEAR
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,9 @@ from .epidemic import (
     run_days,
 )
 from .params import (
-    DAYS_PER_YEAR,
     DataFormatError,
     ModelParams,
+    annual_depreciation,
     default_config,
     parse_date,
     parse_fraction,
@@ -572,7 +572,7 @@ def backtest(
     if horizon is None:
         horizon = date(start_year + 50, 12, 31)
 
-    delta_annual = 1.0 - (1.0 - params.delta_daily) ** DAYS_PER_YEAR
+    delta_annual = annual_depreciation(params.delta_daily)
     k_init = calibration.steady_state_k_init(gcf, delta_annual)
     capital = calibration.impute_capital(gcf, delta_annual, k_init)
     tfp_series, _ = calibration.estimate_tfp(gdp, capital, population, params.alpha)

@@ -305,14 +305,16 @@ class TestDailyConversionInverses:
     def test_discounting(self, params):
         assert params.beta_daily ** 365 == pytest.approx(1 / 1.08, rel=1e-12)
 
-    def test_shipped_daily_rates_are_the_annual_constants_converted(self, params, config):
-        # calibrate rejects a config whose daily rates are not these two
-        # conversions, so the shipped ones must agree bit for bit
-        from epigrowth.params import annual_to_daily_depreciation, discount_factor_from_annual_rate
+    def test_shipped_daily_rates_are_the_published_annual_rates_converted(self, params):
+        # the paper's 4.46% depreciation and 8% discount rate, compounded
+        # daily; the config is their only source, so they agree bit for bit
+        assert params.delta_daily == 1.0 - (1.0 - 0.0446) ** (1.0 / 365)
+        assert params.beta_daily == (1.0 + 0.08) ** (-1.0 / 365)
 
-        constants = cal.CalibrationConstants(population_fit_years=config.data["population_fit_years"])
-        assert params.delta_daily == annual_to_daily_depreciation(constants.delta_annual)
-        assert params.beta_daily == discount_factor_from_annual_rate(constants.rho_annual)
+    def test_annual_depreciation_inverts_the_daily_conversion(self, params):
+        from epigrowth.params import annual_depreciation
+
+        assert annual_depreciation(params.delta_daily) == pytest.approx(0.0446, rel=1e-12)
 
     def test_growth(self):
         from epigrowth.params import annual_to_daily_growth
@@ -344,20 +346,32 @@ class TestCalibrateEndToEnd:
         # the assumed values are the config's, which ship the published ones
         assert (params.alpha, params.u, params.h) == (0.3, 5722.078, 0.147)
 
-    @pytest.mark.parametrize("name", ["delta_daily", "beta_daily"])
-    def test_daily_rate_off_the_annual_conversion_rejected(self, name, datasets, config):
+    @pytest.mark.parametrize("name,value", [("delta_daily", 2e-4), ("beta_daily", 0.9997)])
+    def test_daily_rate_override_reaches_the_bundle(self, name, value, datasets, config):
         from dataclasses import replace
+
+        from epigrowth.params import annual_depreciation
 
         constants = cal.CalibrationConstants(
             population_fit_years=config.data["population_fit_years"],
-            assumed=replace(config.params, **{name: getattr(config.params, name) * 1.5}),
+            assumed=replace(config.params, **{name: value}),
         )
-        with pytest.raises(ValueError, match=rf"params\.{name} .* daily conversion"):
-            cal.calibrate(
-                datasets["population"], datasets["gdp"], datasets["gcf"], datasets["cases"],
-                datasets["tradeoff_shortfall"], datasets["tradeoff_reduction"],
-                case_population=float(config.data["case_population"]), constants=constants,
-            )
+        params, report = cal.calibrate(
+            datasets["population"], datasets["gdp"], datasets["gcf"], datasets["cases"],
+            datasets["tradeoff_shortfall"], datasets["tradeoff_reduction"],
+            case_population=float(config.data["case_population"]), constants=constants,
+        )
+        assert getattr(params, name) == value
+        assert report["assumed"][name] == value
+        # the capital stock is imputed at the annual equivalent of the
+        # bundle's delta_daily, whichever of the two was overridden
+        k_init = cal.steady_state_k_init(datasets["gcf"], annual_depreciation(params.delta_daily))
+        assert report["capital_imputation"]["k_init"] == k_init
+
+    def test_report_lists_the_assumed_values(self, calibrated, config):
+        _, report = calibrated
+        assert report["assumed"] == {name: getattr(config.params, name)
+                                     for name in ("delta_daily", "beta_daily", "alpha", "u", "h")}
 
     def test_report_tables_complete(self, calibrated):
         _, report = calibrated

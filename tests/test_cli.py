@@ -19,6 +19,12 @@ from tests.conftest import DATA_DIR
 HUGE = 10 ** 400  # a JSON integer beyond the float range
 
 
+def csv_rows(path) -> list:
+    """The rows of the CSV file at ``path``, as dicts."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 @pytest.fixture(scope="module")
 def fast_config(tmp_path_factory):
     """Configuration with shortened horizons so CLI runs stay quick; the
@@ -80,17 +86,17 @@ class TestCalibrate:
         assert (params.u, params.h, params.euler_tol) == (1000.0, 0.5, 1e-7)
         assert params.alpha == default_params().alpha
 
-    @pytest.mark.parametrize("name", ["delta_daily", "beta_daily"])
-    def test_daily_rate_override_rejected(self, tmp_path, capsys, name):
-        # calibrate derives these from its annual rates; a config that sets
-        # another value fails instead of being overwritten in the bundle
+    @pytest.mark.parametrize("name,value", [("delta_daily", 2e-4), ("beta_daily", 0.9997)])
+    def test_daily_rate_override_written_to_the_bundle(self, tmp_path, name, value):
+        # the daily rates are assumed, as u and h are: the config's value
+        # is the bundle's, and the report lists it
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"params": {name: 0.5}}))
+        config.write_text(json.dumps({"params": {name: value}}))
         out = tmp_path / "params.json"
-        assert main(["calibrate", "--data", str(DATA_DIR), "--out", str(out), "--config", str(config)]) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and f"params.{name} 0.5 is not" in err
-        assert not out.exists()
+        assert main(["calibrate", "--data", str(DATA_DIR), "--out", str(out), "--config", str(config)]) == 0
+        assert getattr(data_io.read_params(out), name) == value
+        report = json.loads(out.with_name("params_report.json").read_text())
+        assert report["assumed"][name] == value
 
     def test_report_on_the_params_file_rejected(self, tmp_path, capsys, monkeypatch):
         # the report would overwrite the params it follows; two spellings
@@ -257,6 +263,9 @@ MALFORMED_GRIDS = [
     pytest.param("duration", {"duration": {"weeks": [4, HUGE]}}, None, "config.sweeps.duration.weeks[1]",
                  id="duration-huge-config.sweeps.duration.weeks[1]"),
     ("start", None, "2020-05-21,2020-13-01", "--values[1]"),
+    ("start", None, "2020-05-21,2020-W22-4", "--values[1]"),
+    ("start", None, "20200521", "--values[0]"),
+    ("start", {"start": {"dates": ["2020-05-21", "20200528"]}}, None, "config.sweeps.start.dates[1]"),
     ("start", None, ",", "--values"),
     ("duration", None, "4,8,4", "--values[2]"),
     ("intensity", None, "0.05,0.050001", "--values[1]"),
@@ -359,6 +368,11 @@ MALFORMED_CONFIGS = [
     ({"scenarios": [1]}, "config.scenarios: expected an object"),
     ({"metrics": {"output_ratio_dates": 5}}, "config.metrics.output_ratio_dates: expected a list"),
     ({"metrics": {"output_ratio_dates": "2030-12-31"}}, "config.metrics.output_ratio_dates: expected a list"),
+    ({"metrics": {"output_ratio_dates": ["20301231"]}},
+     "config.metrics.output_ratio_dates[0]: unparseable date '20301231'"),
+    ({"backtest": {"horizon": "2060-W52-7"}}, "config.backtest.horizon: unparseable date '2060-W52-7'"),
+    ({"scenarios": {"no-intervention": {"start_date": "2020-W04-3"}}},
+     "config.scenarios.no-intervention.start_date: unparseable date '2020-W04-3'"),
     ({"params": {"u": HUGE}}, "config.params: ModelParams.u: expected a finite number"),
     ({"scenarios": {"no-pandemic": {"n0": HUGE}}}, "config.scenarios.no-pandemic.n0: expected a finite number"),
     ({"sweeps": {"intensity": {"values": [HUGE]}}}, "config.sweeps.intensity.values[0]: expected a fraction"),
@@ -453,7 +467,7 @@ class TestSweep:
         code = main(["sweep", "--axis", "duration", "--values", "4,16", "--out", str(out),
                      "--config", fast_config])
         assert code == 0
-        rows = list(csv.DictReader(open(out / "comparison.csv")))
+        rows = csv_rows(out / "comparison.csv")
         names = [r["scenario"] for r in rows]
         assert names == ["no-intervention", "duration-004wk", "duration-016wk"]
         for name in ("I.svg", "I_data.csv", "D.svg", "Y.svg", "C.svg"):
@@ -472,7 +486,7 @@ class TestSweep:
         out = tmp_path / "sweep"
         assert main(["sweep", "--axis", "duration", "--values", "4", "--out", str(out),
                      "--config", str(config)]) == 0
-        base, member = csv.DictReader(open(out / "comparison.csv"))
+        base, member = csv_rows(out / "comparison.csv")
         assert (member["scenario"], member["intensity"], member["policy_start"]) == (
             "duration-004wk", "0.2", "2020-04-01")
         assert [key for key in member if key.startswith("output_ratio_")] == ["output_ratio_2024-06-30"]
@@ -502,7 +516,7 @@ class TestSweep:
         code = main(["sweep", "--axis", "start", "--values", "2020-05-21", "--out", str(out),
                      "--config", fast_config])
         assert code == 0
-        rows = list(csv.DictReader(open(out / "comparison.csv")))
+        rows = csv_rows(out / "comparison.csv")
         assert len(rows) == 2  # no-intervention reference plus the single run
 
     def test_policy_start_outside_run_fills_its_row_error(self, tmp_path, fast_config):
@@ -510,7 +524,7 @@ class TestSweep:
         code = main(["sweep", "--axis", "start", "--values", "2020-05-21,2070-01-01",
                      "--out", str(out), "--config", fast_config])
         assert code == 0
-        rows = {r["scenario"]: r for r in csv.DictReader(open(out / "comparison.csv"))}
+        rows = {r["scenario"]: r for r in csv_rows(out / "comparison.csv")}
         assert rows["start-2020-05-21"]["error"] == ""
         late = rows["start-2070-01-01"]
         assert late["error"].startswith("Scenario.schedule.start_date")
@@ -608,7 +622,7 @@ class TestBacktestCommand:
         report = json.loads((out / "backtest_report.json").read_text())
         assert report["within_tolerance"] is True
         assert report["start_year"] == 1990 and report["end_year"] == 2000
-        rows = list(csv.DictReader(open(out / "backtest_table.csv")))
+        rows = csv_rows(out / "backtest_table.csv")
         assert len(rows) == 11
 
     def test_missing_observed_dataset(self, tmp_path, capsys):
@@ -640,7 +654,7 @@ class TestReport:
         out = tmp_path / "plots"
         assert main(["report", str(two_trajectories[1]), "--variables", "D", "--out", str(out)]) == 0
         trajectory = data_io.read_trajectory(two_trajectories[1])
-        rows = list(csv.DictReader(open(out / "D_data.csv")))
+        rows = csv_rows(out / "D_data.csv")
         assert len(rows) == len(trajectory.dates)
         got = np.array([float(r["no-intervention_trajectory"]) for r in rows])
         assert np.array_equal(got, trajectory.D)

@@ -173,6 +173,15 @@ class TestLoadCaseSeries:
         with pytest.raises(DataFormatError, match="row 2"):
             data_io.load_case_series(DatasetManifest(path=path, kind="cases"))
 
+    @pytest.mark.parametrize("cell", ["20200123", "2020-W04-4"], ids=["basic", "week"])
+    def test_other_iso_spellings_name_the_row(self, tmp_path, cell):
+        # Python 3.11 widened date.fromisoformat to both spellings of
+        # 2020-01-23; they fail alike on every version
+        path = write(tmp_path, "cases.csv", self.HEADER + f"2020-01-22,1,0,0\n{cell},2,0,0\n")
+        with pytest.raises(DataFormatError) as err:
+            data_io.load_case_series(DatasetManifest(path=path, kind="cases"))
+        assert str(err.value) == f"{path}: row 3: unparseable date '{cell}'"
+
     def test_rows_come_back_sorted_by_date(self, tmp_path):
         path = write(tmp_path, "cases.csv",
                      self.HEADER + "2020-01-23,120,13,2\n2020-01-22,100,10,1\n")

@@ -457,6 +457,27 @@ class TestBacktest:
         assert report["systematic_drift"]
         assert report["mean_gdp_error"] < -0.05
 
+    def test_capital_imputed_at_the_annual_equivalent_of_delta_daily(self, params, datasets, monkeypatch):
+        # the helper calibrate imputes with, so both read gcf.csv alike
+        from epigrowth.calibration import impute_capital, steady_state_k_init
+        from epigrowth.params import annual_depreciation
+
+        class Solved(Exception):
+            pass
+
+        def record(scenario, params):
+            raise Solved(scenario)
+
+        monkeypatch.setattr(scenarios, "run_scenario", record)
+        gcf = datasets["gcf"]
+        for delta_daily in (params.delta_daily, 2e-4):
+            with pytest.raises(Solved) as solved:
+                backtest(dataclasses.replace(params, delta_daily=delta_daily),
+                         datasets["population"], datasets["gdp"], gcf)
+            delta_annual = annual_depreciation(delta_daily)
+            capital = impute_capital(gcf, delta_annual, steady_state_k_init(gcf, delta_annual))
+            assert solved.value.args[0].K0 == capital.value_at(1990)
+
     def test_empty_observed_series_rejected(self, params, datasets):
         import numpy as np
         from epigrowth.calibration import AnnualSeries
@@ -581,3 +602,16 @@ class TestMalformedNumbers:
         raw = {**default_config()["scenarios"]["no-intervention"], field.lower(): bad}
         with pytest.raises(DataFormatError, match=rf"\.{field.lower()}\b"):
             Scenario.from_dict("broken", raw, "scenarios.broken")
+
+
+class TestScenarioDates:
+    @pytest.mark.parametrize("key", ["start_date", "end_of_interest", "horizon"])
+    @pytest.mark.parametrize("spelling", ["%Y%m%d", "%G-W%V-%u"], ids=["basic", "week"])
+    def test_other_iso_date_spellings(self, key, spelling):
+        # Python 3.11 widened date.fromisoformat to these; they fail alike
+        # on every version, naming the key
+        raw = dict(default_config()["scenarios"]["no-intervention"])
+        text = date.fromisoformat(raw[key]).strftime(spelling)
+        with pytest.raises(DataFormatError) as err:
+            Scenario.from_dict("broken", {**raw, key: text}, "scenarios.broken")
+        assert str(err.value) == f"scenarios.broken.{key}: unparseable date '{text}'"
