@@ -26,6 +26,8 @@ from .params import (
 
 # quantile of the extracted daily infection rates taken as b0
 INFECTION_RATE_QUANTILE = 0.75
+# years after the first over which investment's trend growth is averaged
+K_INIT_LOOKAHEAD_YEARS = 10
 
 
 @dataclass(frozen=True)
@@ -169,11 +171,11 @@ def population_fit_report(series: AnnualSeries) -> OlsFit:
     return ols(*_population_design(series), intercept=False)
 
 
-def steady_state_k_init(gcf: AnnualSeries, delta_annual: float, lookahead_years: int = 10) -> float:
+def steady_state_k_init(gcf: AnnualSeries, delta_annual: float) -> float:
     """Initial stock heuristic: first-year investment over (delta + trend
     growth of investment across the first decade)."""
     gcf.require_contiguous()
-    head = gcf.values[: min(lookahead_years + 1, len(gcf))]
+    head = gcf.values[: min(K_INIT_LOOKAHEAD_YEARS + 1, len(gcf))]
     growth = float(np.mean(head[1:] / head[:-1] - 1.0)) if len(head) > 1 else 0.0
     denom = delta_annual + growth
     if denom <= 0:

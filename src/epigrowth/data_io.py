@@ -3,7 +3,8 @@
 All loaders either return a fully validated object or raise
 DataFormatError naming the offending row or key; they never return a
 partial series.  Numeric values are serialised with ``repr`` so CSV and
-JSON round-trips are lossless, and dates are ISO-8601.
+JSON round-trips are lossless, and dates are ISO-8601.  ``write_columns``
+writes every dated float CSV: the trajectories and the charts' data.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
 from functools import lru_cache, partial
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -188,15 +189,34 @@ def iso_dates(days: range) -> tuple[str, ...]:
     return tuple(map(date.isoformat, map(date.fromordinal, days)))
 
 
+def write_columns(series: list, path) -> None:
+    """CSV of one float column per series (name, days, values), ``days`` a
+    range of day numbers (``date.toordinal``): a header of ``date`` and the
+    names, csv-quoted, then a row per day that some series covers, oldest
+    first, each cell the ``repr`` of its value (so reading back is
+    lossless), or empty outside the series' days."""
+    spans = []  # the days the series cover, as merged [start, stop) pairs
+    for start, stop in sorted((days.start, days.stop) for _, days, _ in series if days):
+        if spans and start <= spans[-1][1]:
+            spans[-1][1] = max(spans[-1][1], stop)
+        else:
+            spans.append([start, stop])
+    header = io.StringIO()
+    csv.writer(header, lineterminator="\n").writerow(["date"] + [name for name, _, _ in series])
+    parts = [header.getvalue()]
+    for start, stop in spans:
+        # a series lies wholly inside one span; zip stops with the span's dates
+        cells = [chain(repeat("", days.start - start), map(repr, np.asarray(values, dtype=float).tolist()),
+                       repeat("")) if start <= days.start < stop else repeat("")
+                 for _, days, values in series]
+        parts += ["\n".join(map(",".join, zip(iso_dates(range(start, stop)), *cells))), "\n"]
+    atomic_write_text("".join(parts), Path(path))
+
+
 def write_trajectory(trajectory: Trajectory, path) -> None:
-    """One CSV row per day; floats via repr, so reading back is lossless.
-    Each column goes through ``tolist`` once, the dates come from
-    ``iso_dates`` and each row is formatted as it is joined."""
+    """The trajectory's ``TRAJECTORY_HEADER`` columns, by ``write_columns``."""
     cols = trajectory.columns()
-    fields = [map(repr, np.asarray(cols[name], dtype=float).tolist()) for name in TRAJECTORY_HEADER[1:]]
-    lines = [",".join(TRAJECTORY_HEADER)]
-    lines += map(",".join, zip(iso_dates(trajectory.days), *fields))
-    atomic_write_text("\n".join(lines) + "\n", Path(path))
+    write_columns([(name, trajectory.days, cols[name]) for name in TRAJECTORY_HEADER[1:]], path)
 
 
 _HEADER_LINE = ",".join(TRAJECTORY_HEADER) + "\n"

@@ -1,4 +1,5 @@
-"""Dependency-free SVG line charts plus the exact plotted data as CSV.
+"""Dependency-free SVG line charts plus the exact plotted data as CSV,
+written by ``data_io.write_columns`` in the trajectory CSVs' format.
 
 The renderer is deliberately minimal and fully deterministic: given the
 same inputs it emits byte-identical files (the version string below is
@@ -7,8 +8,6 @@ embedded in every SVG so output stability is checkable).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from datetime import date
 from itertools import repeat
@@ -16,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_io import atomic_write_text, iso_dates
+from .data_io import atomic_write_text, write_columns
 from .scenarios import pool_map
 
 RENDERER_VERSION = "epigrowth-svg/1"
@@ -28,6 +27,7 @@ PALETTE = [
 
 WIDTH, HEIGHT = 960, 540
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 24, 44, 56
+TICK_COUNT = 5  # about this many value-axis ticks
 
 
 def _xml_text(text: str) -> str:
@@ -38,8 +38,8 @@ def _xml_text(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _nice_ticks(y_min: float, y_max: float, n: int = 5) -> list:
-    """About ``n`` round values, evenly spaced, that cover [y_min, y_max].
+def _nice_ticks(y_min: float, y_max: float) -> list:
+    """About ``TICK_COUNT`` round values, evenly spaced, that cover [y_min, y_max].
     ValueError when the axis they span is wider than the largest double."""
     lo, hi = y_min, y_max
     if lo == hi:
@@ -48,7 +48,7 @@ def _nice_ticks(y_min: float, y_max: float, n: int = 5) -> list:
             lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
     span = hi - lo
     if math.isfinite(span):
-        raw = span / n
+        raw = span / TICK_COUNT
         # 10.0 ** -324 underflows to 0: no step is below the smallest double
         mag = max(10.0 ** int(f"{raw:e}".split("e")[1]), math.ulp(0.0))
         for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -115,66 +115,47 @@ def emit_plots(trajectories: list, variables: list, out_dir, jobs: int = 1) -> l
     if len(set(names)) != len(names):
         raise ValueError(f"trajectory names must be unique, got {names}")
     check_variables(variables, trajectories[0].columns())
-    for var in variables:
+    tasks = [[(t.scenario_name, t.days, t.columns()[var]) for t in trajectories] for var in variables]
+    axes = []
+    for var, series in zip(variables, tasks):
         try:
-            value_axis([t.columns()[var] for t in trajectories])
+            axes.append(value_axis([values for _, _, values in series]))
         except ValueError as exc:
             raise ValueError(f"variable {var!r} of {', '.join(names)}: {exc}") from None
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [[(t.scenario_name, t.days, t.columns()[var]) for t in trajectories] for var in variables]
-    written = pool_map(_chart, jobs, tasks, variables, repeat(out_dir))
+    written = pool_map(_chart, jobs, tasks, variables, repeat(out_dir), axes)
     return [name for pair in written for name in pair]
 
 
-def _chart(series: list, var: str, out_dir) -> list:
+def _chart(series: list, var: str, out_dir, axis: tuple) -> list:
     # the pool task: it looks ``chart`` up in the process that runs it
-    return chart(series, var, out_dir)
+    return chart(series, var, out_dir, axis)
 
 
-def chart(series: list, var: str, out_dir) -> list:
+def chart(series: list, var: str, out_dir, axis: tuple) -> list:
     """Write ``{var}.svg`` with one line per series and ``{var}_data.csv``
-    with the plotted values, into the existing ``out_dir``.  Each series is
-    (name, days, values): a range of day numbers (``date.toordinal``) and
-    the float array of ``var`` on those days.  Returns the two file names."""
+    with the plotted values (``data_io.write_columns``), into the existing
+    ``out_dir``.  Each series is (name, days, values): a range of day
+    numbers (``date.toordinal``) and the float array of ``var`` on those
+    days; ``axis`` is their ``value_axis``.  Returns the two file names."""
     out_dir = Path(out_dir)
     svg_name, csv_name = f"{var}.svg", f"{var}_data.csv"
-    _write_data_csv(series, out_dir / csv_name)
-    atomic_write_text(render_svg(series, var), out_dir / svg_name)
+    write_columns(series, out_dir / csv_name)
+    atomic_write_text(render_svg(series, var, axis), out_dir / svg_name)
     return [svg_name, csv_name]
 
 
-def _write_data_csv(series: list, path: Path) -> None:
-    # one row per day that some series covers, with a series' cells outside
-    # its days empty; only the run names in the header can need CSV quoting
-    spans = []  # the days the series cover, as merged [start, stop) pairs
-    for start, stop in sorted((days.start, days.stop) for _, days, _ in series):
-        if spans and start <= spans[-1][1]:
-            spans[-1][1] = max(spans[-1][1], stop)
-        else:
-            spans.append([start, stop])
-    first, end = spans[0][0], spans[-1][1]
-    columns = [[""] * (days.start - first) + list(map(repr, values.tolist())) + [""] * (end - days.stop)
-               for _, days, values in series]
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(["date"] + [name for name, _, _ in series])
-    for start, stop in spans:
-        cells = [column[start - first:stop - first] for column in columns]
-        buf.write("\n".join(map(",".join, zip(iso_dates(range(start, stop)), *cells))) + "\n")
-    atomic_write_text(buf.getvalue(), path)
-
-
-def render_svg(series: list, var: str) -> str:
-    """The SVG chart of ``var`` over ``series``, as for ``chart``; each
-    series holds one value per day.  A series' polyline is one ``%`` on a
-    template of its day range's x coordinates, formatted once per chart,
-    with the y coordinates from one array expression that runs the
-    per-point arithmetic in its order, so each is the same float."""
+def render_svg(series: list, var: str, axis: tuple) -> str:
+    """The SVG chart of ``var`` over ``series`` on ``axis``, as for
+    ``chart``.  A series' polyline is one ``%`` on a template of its day
+    range's x coordinates, formatted once per chart, with its y coordinates
+    from ``sy`` on its array: the floats ``sy`` gives each value alone."""
     x_min = min(days[0] for _, days, _ in series)
     x_max = max(days[-1] for _, days, _ in series)
     x_span = max(x_max - x_min, 1)
-    y_min, y_max, ticks = value_axis([values for _, _, values in series])
+    y_min, y_max, ticks = axis
     y_min = min(y_min, ticks[0])
     y_max = max(y_max, ticks[-1])
     if y_max == y_min:  # the next double up, where 1 is below y_min's resolution
@@ -231,16 +212,12 @@ def render_svg(series: list, var: str) -> str:
         f'fill="none" stroke="#333333" stroke-width="1"/>'
     )
 
-    # the polyline points spell out sx and sy, operation for operation, so
-    # each coordinate is the same float
-    y_span = y_max - y_min
     templates = {}
     for i, (name, days, values) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
         if days not in templates:
-            templates[days] = " ".join([f"{MARGIN_L + plot_w * (d - x_min) / x_span:.2f},%.2f" for d in days])
-        ys = MARGIN_T + plot_h * (1.0 - (np.asarray(values, dtype=float) - y_min) / y_span)
-        points = templates[days] % tuple(ys.tolist())
+            templates[days] = " ".join([f"{sx(d):.2f},%.2f" for d in days])
+        points = templates[days] % tuple(sy(np.asarray(values, dtype=float)).tolist())
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

@@ -6,7 +6,7 @@ from datetime import date
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from epigrowth import data_io, plotting
 
@@ -35,8 +35,8 @@ def oracle_polyline_points(series: list) -> list:
     ticks = plotting._nice_ticks(y_min, y_max)
     y_min = min(y_min, ticks[0])
     y_max = max(y_max, ticks[-1])
-    if y_max == y_min:
-        y_max = y_min + 1.0
+    if y_max == y_min:  # the next double up, where 1 is below y_min's resolution
+        y_max = max(y_min + 1.0, math.nextafter(y_min, math.inf))
     plot_w = plotting.WIDTH - plotting.MARGIN_L - plotting.MARGIN_R
     plot_h = plotting.HEIGHT - plotting.MARGIN_T - plotting.MARGIN_B
 
@@ -58,8 +58,12 @@ def days_from(first: date, n: int) -> range:
     return range(first.toordinal(), first.toordinal() + n)
 
 
+def axis_of(series: list) -> tuple:
+    return plotting.value_axis([values for _, _, values in series])
+
+
 def assert_chart_matches_oracle(series, tmp_path):
-    assert plotting.chart(series, "Y", tmp_path) == ["Y.svg", "Y_data.csv"]
+    assert plotting.chart(series, "Y", tmp_path, axis_of(series)) == ["Y.svg", "Y_data.csv"]
     assert (tmp_path / "Y_data.csv").read_bytes() == oracle_data_csv(series)
     assert polyline_points((tmp_path / "Y.svg").read_text()) == oracle_polyline_points(series)
 
@@ -106,7 +110,7 @@ class TestChartBytes:
         values = np.array([-0.0, 5e-324, 1.7e308, -1.7e308])
         series = [("x", days_from(date(2021, 2, 27), 4), values),
                   ("y", days_from(date(2021, 3, 1), 1), values[3:])]
-        plotting._write_data_csv(series, tmp_path / "x.csv")
+        data_io.write_columns(series, tmp_path / "x.csv")
         assert (tmp_path / "x.csv").read_bytes() == oracle_data_csv(series)
         assert (tmp_path / "x.csv").read_text().splitlines()[1:] == [
             "2021-02-27,-0.0,", "2021-02-28,5e-324,", "2021-03-01,1.7e+308,-1.7e+308",
@@ -144,14 +148,16 @@ def chart_series(draw) -> list:
 
 class TestPolylines:
     @given(series=chart_series())
+    # one value, so large that y_min + 1 is y_min: the axis ends at the next double up
+    @example(series=[("s0", days_from(date(2020, 2, 27), 1), np.array([3.6710311671743647e+230]))])
     @settings(max_examples=300, deadline=None)
     def test_polylines_match_oracle(self, series):
         # a RuntimeWarning from the array arithmetic fails the test
         try:
-            plotting.value_axis([values for _, _, values in series])
+            axis = axis_of(series)
         except ValueError:  # no axis holds these values; the chart is refused
             return
-        assert polyline_points(plotting.render_svg(series, "Y")) == oracle_polyline_points(series)
+        assert polyline_points(plotting.render_svg(series, "Y", axis)) == oracle_polyline_points(series)
 
     def test_coordinates_on_rounding_ties(self):
         # values from 0.7 to 1.3 give the axis [0.6000000000000001, 1.4],
@@ -178,7 +184,7 @@ class TestPolylines:
                 v = math.nextafter(v, math.inf)
         assert len(values) > 500 and 0.7 <= min(values) and max(values) <= 1.3
         series = [("ties", days_from(date(2020, 1, 1), len(values)), np.array(values))]
-        assert polyline_points(plotting.render_svg(series, "Y")) == oracle_polyline_points(series)
+        assert polyline_points(plotting.render_svg(series, "Y", axis_of(series))) == oracle_polyline_points(series)
 
 
 class TestIsoDates:
@@ -202,7 +208,8 @@ class TestNiceTicks:
         # leaves v as it is: the ticks still end, each once
         ticks = plotting._nice_ticks(lo, hi)
         assert ticks and ticks == sorted(set(ticks))
-        svg = plotting.render_svg([("run", days_from(date(2020, 1, 1), 2), np.array([lo, hi]))], "Y")
+        series = [("run", days_from(date(2020, 1, 1), 2), np.array([lo, hi]))]
+        svg = plotting.render_svg(series, "Y", axis_of(series))
         assert "nan" not in svg and "inf" not in svg
 
     @pytest.mark.parametrize("lo,hi", [(-1e308, 1e308), (0.0, 1.7e308), (-8e307, 8e307),
