@@ -2,8 +2,8 @@
 
 All data outputs are deterministic for identical inputs and flags.  The
 directory-oriented commands index everything they write in a
-manifest.json.  The data directory comes from --data, or the
-EPIGROWTH_DATA_DIR environment variable, or ./data.
+manifest.json.  calibrate and backtest read their datasets from --data,
+or the EPIGROWTH_DATA_DIR environment variable, or ./data.
 """
 
 from __future__ import annotations
@@ -18,17 +18,21 @@ from . import calibration, data_io, plotting, scenarios
 from .params import ModelParams
 
 
-def _data_dir(args) -> Path:
-    if getattr(args, "data", None):
-        return Path(args.data)
-    env = os.environ.get("EPIGROWTH_DATA_DIR")
-    if env:
-        return Path(env)
-    return Path("data")
+def _datasets(args, config: data_io.RunConfig, keys) -> tuple:
+    """The data directory and the manifests of the datasets ``keys`` in it,
+    in that order; DataFormatError naming every one of them that is
+    missing, so a command stops before it loads any."""
+    data_dir = Path(args.data or os.environ.get("EPIGROWTH_DATA_DIR") or "data")
+    manifests = data_io.data_manifests(data_dir, config)
+    manifests = {key: manifests[key] for key in keys}
+    missing = [str(m.path) for m in manifests.values() if not m.path.exists()]
+    if missing:
+        raise data_io.DataFormatError(f"missing datasets: {missing}")
+    return data_dir, manifests
 
 
 def _load_params(args, config: data_io.RunConfig) -> ModelParams:
-    if getattr(args, "params", None):
+    if args.params:
         return data_io.read_params(args.params)
     return config.params
 
@@ -64,15 +68,8 @@ def cmd_calibrate(args) -> int:
     if out.resolve() == report_path.resolve():
         raise data_io.DataFormatError(f"--out {args.out} and --report {args.report} name the same file")
     config = data_io.load_config(args.config)
-    data_dir = _data_dir(args)
-    manifests = data_io.data_manifests(data_dir, config)
-    missing = [str(m.path) for m in manifests.values() if not m.path.exists()]
-    if missing:
-        raise data_io.DataFormatError(f"missing datasets: {missing}")
-
-    population = data_io.load_annual_series(manifests["population"])
-    gdp = data_io.load_annual_series(manifests["gdp"])
-    gcf = data_io.load_annual_series(manifests["gcf"])
+    data_dir, manifests = _datasets(args, config, data_io.DATASETS)
+    population, gdp, gcf = (data_io.load_annual_series(manifests[key]) for key in ("population", "gdp", "gcf"))
     cases, repairs = data_io.load_case_series(manifests["cases"])
     shortfall, reduction = data_io.load_tradeoff_panel(manifests["tradeoff"])
 
@@ -196,15 +193,10 @@ def cmd_sweep(args) -> int:
 def cmd_backtest(args) -> int:
     config = data_io.load_config(args.config)
     params = _load_params(args, config)
-    observed_dir = Path(args.observed) if args.observed else _data_dir(args)
-    manifests = data_io.data_manifests(observed_dir, config)
-    observed = [manifests[key] for key in ("population", "gdp", "gcf")]
-    for manifest in observed:
-        if not manifest.path.exists():
-            raise data_io.DataFormatError(f"missing observed dataset: {manifest.path}")
+    _, observed = _datasets(args, config, ("population", "gdp", "gcf"))
     bt = config.backtest
     trajectory, report = scenarios.backtest(
-        params, *map(data_io.load_annual_series, observed),
+        params, *map(data_io.load_annual_series, observed.values()),
         start_year=bt["start_year"], end_year=bt["end_year"], horizon=bt["horizon"],
     )
     tolerance = bt["tolerance"]
@@ -255,23 +247,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Pandemic-in-a-growth-economy simulator and policy experiment runner.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="configuration overrides (JSON)")
+    params = argparse.ArgumentParser(add_help=False)
+    params.add_argument("--params", help="params JSON from calibrate (default: built-in values)")
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--data", help="dataset directory (default: $EPIGROWTH_DATA_DIR or ./data)")
 
-    p = sub.add_parser("calibrate", help="estimate all model parameters from the bundled datasets")
-    p.add_argument("--data", help="dataset directory (default: $EPIGROWTH_DATA_DIR or ./data)")
+    p = sub.add_parser("calibrate", parents=[config, data],
+                       help="estimate all model parameters from the bundled datasets")
     p.add_argument("--out", required=True, help="output params JSON file")
     p.add_argument("--report", help="regression report JSON (default: <out>_report.json)")
-    p.add_argument("--config", help="configuration overrides (JSON)")
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("simulate", help="run one scenario and write its trajectory and metrics")
-    p.add_argument("--params", help="params JSON from calibrate (default: built-in values)")
+    p = sub.add_parser("simulate", parents=[config, params],
+                       help="run one scenario and write its trajectory and metrics")
     p.add_argument("--scenario", required=True, help="scenario name or scenario JSON file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", help="configuration overrides (JSON)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("sweep", help="run a policy sweep along one axis")
-    p.add_argument("--params", help="params JSON from calibrate (default: built-in values)")
+    p = sub.add_parser("sweep", parents=[config, params], help="run a policy sweep along one axis")
     p.add_argument("--axis", required=True, choices=list(scenarios.SWEEP_AXES))
     p.add_argument("--values", help="comma-separated values (default: configured grid); "
                                     "dates for start, fractions for intensity, weeks for duration")
@@ -279,15 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="solve both baselines and every member, write the members' "
                         "trajectory CSVs and render the charts in up to N processes")
-    p.add_argument("--config", help="configuration overrides (JSON)")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("backtest", help="historical no-pandemic run scored against observed data")
-    p.add_argument("--params", help="params JSON from calibrate (default: built-in values)")
-    p.add_argument("--observed", help="directory with observed series (default: data dir)")
-    p.add_argument("--data", help="dataset directory fallback")
+    p = sub.add_parser("backtest", parents=[config, params, data],
+                       help="historical no-pandemic run scored against observed data")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", help="configuration overrides (JSON)")
     p.set_defaults(func=cmd_backtest)
 
     p = sub.add_parser("report", help="render SVG charts from trajectory CSVs")

@@ -278,9 +278,9 @@ def _parse_rows(fh, path: Path):
     return days[0], np.array(rows).T
 
 
-def read_trajectory(path, scenario_name: str | None = None) -> Trajectory:
+def read_trajectory(path) -> Trajectory:
     """Inverse of write_trajectory.  Run metadata is not stored in the CSV,
-    so the name defaults to the file stem and welfare is NaN.  The rows
+    so the run is named after the file stem and welfare is NaN.  The rows
     must be consecutive days, oldest first, each dated ``YYYY-MM-DD``.  A
     file in the form ``write_trajectory`` writes is parsed in bulk by
     numpy's text reader; any other file, or one with a cell that is not a
@@ -302,7 +302,7 @@ def read_trajectory(path, scenario_name: str | None = None) -> Trajectory:
         )
     named = dict(zip(TRAJECTORY_HEADER[1:], data))
     return Trajectory(
-        scenario_name=scenario_name or path.stem,
+        scenario_name=path.stem,
         days=range(first, first + data.shape[1]),
         welfare=float("nan"),
         **named,

@@ -3,7 +3,8 @@ written by ``data_io.write_columns`` in the trajectory CSVs' format.
 
 The renderer is deliberately minimal and fully deterministic: given the
 same inputs it emits byte-identical files (the version string below is
-embedded in every SVG so output stability is checkable).
+embedded in every SVG so output stability is checkable).  Value-axis
+ticks are labelled with the fewest significant digits (6 to 17) that tell them apart.
 """
 
 from __future__ import annotations
@@ -90,8 +91,13 @@ def value_axis(columns: list) -> tuple:
     return y_min, y_max, _nice_ticks(y_min, y_max)
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.6g}"
+def tick_labels(ticks: list) -> list:
+    """``%g`` labels with the fewest significant digits, 6 to 17, that tell the ticks apart."""
+    for digits in range(6, 18):
+        labels = [f"{v:.{digits}g}" for v in ticks]
+        if len(set(labels)) == len(labels):
+            break
+    return labels
 
 
 def check_variables(variables: list, valid) -> None:
@@ -150,8 +156,9 @@ def chart(series: list, var: str, out_dir, axis: tuple) -> list:
 def render_svg(series: list, var: str, axis: tuple) -> str:
     """The SVG chart of ``var`` over ``series`` on ``axis``, as for
     ``chart``.  A series' polyline is one ``%`` on a template of its day
-    range's x coordinates, formatted once per chart, with its y coordinates
-    from ``sy`` on its array: the floats ``sy`` gives each value alone."""
+    range's x coordinates, ``sx`` on the range's array, formatted once per
+    chart, with its y coordinates ``sy`` on its value array: on an array,
+    each gives the floats it gives each day or value alone."""
     x_min = min(days[0] for _, days, _ in series)
     x_max = max(days[-1] for _, days, _ in series)
     x_span = max(x_max - x_min, 1)
@@ -179,7 +186,7 @@ def render_svg(series: list, var: str, axis: tuple) -> str:
         f'font-weight="bold">{_xml_text(var)}</text>',
     ]
 
-    for v in ticks:
+    for v, label in zip(ticks, tick_labels(ticks)):
         y = sy(v)
         parts.append(
             f'<line x1="{MARGIN_L}" y1="{y:.2f}" x2="{WIDTH - MARGIN_R}" y2="{y:.2f}" '
@@ -187,7 +194,7 @@ def render_svg(series: list, var: str, axis: tuple) -> str:
         )
         parts.append(
             f'<text x="{MARGIN_L - 6}" y="{y + 4:.2f}" font-family="sans-serif" font-size="11" '
-            f'text-anchor="end">{_fmt(v)}</text>'
+            f'text-anchor="end">{label}</text>'
         )
 
     first_year, last_year = date.fromordinal(x_min).year, date.fromordinal(x_max).year
@@ -216,7 +223,8 @@ def render_svg(series: list, var: str, axis: tuple) -> str:
     for i, (name, days, values) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
         if days not in templates:
-            templates[days] = " ".join([f"{sx(d):.2f},%.2f" for d in days])
+            templates[days] = " ".join(["%.2f,%%.2f"] * len(days)) % tuple(
+                sx(np.arange(days.start, days.stop)).tolist())
         points = templates[days] % tuple(sy(np.asarray(values, dtype=float)).tolist())
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'

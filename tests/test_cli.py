@@ -63,11 +63,6 @@ class TestCalibrate:
         assert report["tradeoff_fit"]["n_obs"] == 45
         assert "std_errors" in report["mortality_fit"]
 
-    def test_missing_data_dir_lists_datasets(self, tmp_path, capsys):
-        code = main(["calibrate", "--data", str(tmp_path), "--out", str(tmp_path / "p.json")])
-        assert code == 1
-        assert "missing datasets" in capsys.readouterr().err
-
     def test_unwritable_output_fails(self, tmp_path):
         blocker = tmp_path / "file.txt"
         blocker.write_text("x")
@@ -387,7 +382,7 @@ COMMANDS = {
     "simulate": ["simulate", "--scenario", "no-intervention"],
     "sweep": ["sweep", "--axis", "intensity"],
     "calibrate": ["calibrate", "--data", str(DATA_DIR)],
-    "backtest": ["backtest", "--observed", str(DATA_DIR)],
+    "backtest": ["backtest", "--data", str(DATA_DIR)],
 }
 
 
@@ -616,7 +611,7 @@ class TestSweep:
 class TestBacktestCommand:
     def test_report_and_table(self, tmp_path, fast_config):
         out = tmp_path / "bt"
-        code = main(["backtest", "--observed", str(DATA_DIR), "--out", str(out),
+        code = main(["backtest", "--data", str(DATA_DIR), "--out", str(out),
                      "--config", fast_config])
         assert code == 0
         report = json.loads((out / "backtest_report.json").read_text())
@@ -625,10 +620,45 @@ class TestBacktestCommand:
         rows = csv_rows(out / "backtest_table.csv")
         assert len(rows) == 11
 
-    def test_missing_observed_dataset(self, tmp_path, capsys):
-        code = main(["backtest", "--observed", str(tmp_path), "--out", str(tmp_path / "x")])
-        assert code == 1
-        assert "missing observed dataset" in capsys.readouterr().err
+    def test_data_dir_from_environment(self, tmp_path, monkeypatch, fast_config):
+        monkeypatch.setenv("EPIGROWTH_DATA_DIR", str(DATA_DIR))
+        out = tmp_path / "bt"
+        assert main(["backtest", "--out", str(out), "--config", fast_config]) == 0
+        assert (out / "manifest.json").exists()
+
+    def test_observed_flag_retired(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["backtest", "--observed", str(DATA_DIR), "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --observed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestMissingDatasets:
+    """calibrate and backtest stop with one error line naming every missing
+    dataset they read, before any dataset is loaded or anything written."""
+
+    FILES = {key: data_io.load_config().data[key] for key in data_io.DATASETS}
+    READS = {"calibrate": list(data_io.DATASETS), "backtest": ["population", "gdp", "gcf"]}
+
+    @pytest.mark.parametrize("present", [(), ("population",), ("cases", "tradeoff")])
+    @pytest.mark.parametrize("command", ["calibrate", "backtest"])
+    def test_one_line_naming_each_missing_path(self, tmp_path, monkeypatch, capsys, command, present):
+        def no_load(*args, **kwargs):
+            raise AssertionError("a dataset was loaded before the directory was checked")
+
+        for attr in ("load_annual_series", "load_case_series", "load_tradeoff_panel"):
+            monkeypatch.setattr(data_io, attr, no_load)
+        data = tmp_path / "data"
+        data.mkdir()
+        for key in present:
+            (data / self.FILES[key]).write_bytes((DATA_DIR / self.FILES[key]).read_bytes())
+        out = tmp_path / "out"
+        target = out / "params.json" if command == "calibrate" else out
+        assert main([command, "--data", str(data), "--out", str(target)]) == 1
+        missing = [str(data / self.FILES[key]) for key in self.READS[command] if key not in present]
+        assert capsys.readouterr().err == f"error: missing datasets: {missing}\n"
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -32,7 +32,7 @@ def oracle_trajectory_csv(trajectory: Trajectory) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def oracle_read_trajectory(path, scenario_name=None) -> Trajectory:
+def oracle_read_trajectory(path) -> Trajectory:
     """The trajectory CSV read one row at a time with the csv module, as
     the reader once did: ``read_trajectory`` must give the same columns
     and days, or the same error."""
@@ -66,7 +66,7 @@ def oracle_read_trajectory(path, scenario_name=None) -> Trajectory:
             f"{path}: row {row + 2}: non-finite {data_io.TRAJECTORY_HEADER[column + 1]!r} "
             f"value {data[column, row]!r}")
     named = dict(zip(data_io.TRAJECTORY_HEADER[1:], data))
-    return Trajectory(scenario_name=scenario_name or path.stem, days=range(days[0], days[-1] + 1),
+    return Trajectory(scenario_name=path.stem, days=range(days[0], days[-1] + 1),
                       welfare=float("nan"), **named)
 
 

@@ -2,7 +2,7 @@ import csv
 import io
 import math
 import re
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -185,6 +185,59 @@ class TestPolylines:
         assert len(values) > 500 and 0.7 <= min(values) and max(values) <= 1.3
         series = [("ties", days_from(date(2020, 1, 1), len(values)), np.array(values))]
         assert polyline_points(plotting.render_svg(series, "Y", axis_of(series))) == oracle_polyline_points(series)
+
+    @pytest.mark.parametrize("offset", [None, 1234], ids=["one-series", "offset-start"])
+    @pytest.mark.parametrize("n", [1, 3997, 4383, 14955])
+    def test_long_day_ranges(self, n, offset):
+        # day spans as long as the shipped runs' horizons, with a second
+        # series whose first day is not the chart's first day
+        values = np.linspace(-1.0, 3.0, n)
+        series = [("a", days_from(date(2020, 2, 27), n), values)]
+        if offset is not None:
+            series.append(("b", days_from(date(2020, 2, 27) + timedelta(days=offset), n), values[::-1]))
+        assert polyline_points(plotting.render_svg(series, "Y", axis_of(series))) == oracle_polyline_points(series)
+
+
+def tick_labels(svg: str) -> list:
+    return re.findall(r'text-anchor="end">([^<]*)</text>', svg)
+
+
+class TestTickLabels:
+    def assert_fewest_distinct_digits(self, series):
+        axis = axis_of(series)
+        labels = tick_labels(plotting.render_svg(series, "Y", axis))
+        assert len(labels) == len(axis[2]) > 1 and len(set(labels)) == len(labels)
+        digits = next(d for d in range(6, 18) if labels == [f"{v:.{d}g}" for v in axis[2]])
+        if digits > 6:
+            fewer = [f"{v:.{digits - 1}g}" for v in axis[2]]
+            assert len(set(fewer)) < len(fewer)
+        return labels
+
+    def test_one_row_trajectory(self, baselines):
+        # a one-day run's axis spans 2 around a value near 3.4e11, whose
+        # ticks all read the same at 6 digits
+        t = baselines[1]
+        series = [(t.scenario_name, t.days[:1], t.Y[:1])]
+        labels = self.assert_fewest_distinct_digits(series)
+        assert all(len(label.replace(".", "")) > 6 for label in labels)
+
+    def test_two_near_constant_values(self):
+        series = [("run", days_from(date(2020, 1, 1), 2), np.array([1.0, 1.0 + 4e-9]))]
+        labels = self.assert_fewest_distinct_digits(series)
+        assert labels[0] == "1" and len(labels[1]) > 8
+
+    def test_six_digits_where_they_differ(self, baselines):
+        t = baselines[1]
+        series = [(t.scenario_name, t.days, t.Y)]
+        assert tick_labels(plotting.render_svg(series, "Y", axis_of(series))) == [
+            f"{v:.6g}" for v in axis_of(series)[2]]
+
+    @given(lo=st.floats(-1e300, 1e300), width=st.floats(0.0, 1e300))
+    @settings(max_examples=200, deadline=None)
+    def test_labels_always_distinct(self, lo, width):
+        ticks = plotting._nice_ticks(lo, lo + width)
+        labels = plotting.tick_labels(ticks)
+        assert len(set(labels)) == len(labels) == len(ticks)
 
 
 class TestIsoDates:
