@@ -31,6 +31,15 @@ def _datasets(args, config: data_io.RunConfig, keys) -> tuple:
     return data_dir, manifests
 
 
+def _refuse_overwrite(outputs, inputs) -> None:
+    """DataFormatError naming both paths when one of ``outputs`` is one of
+    ``inputs``, so that a command stops before it writes anything."""
+    sources = {Path(path).resolve(): path for path in inputs}
+    for out in outputs:
+        if Path(out).resolve() in sources:
+            raise data_io.DataFormatError(f"output {out} would overwrite the input {sources[Path(out).resolve()]}")
+
+
 def _load_params(args, config: data_io.RunConfig) -> ModelParams:
     if args.params:
         return data_io.read_params(args.params)
@@ -69,6 +78,7 @@ def cmd_calibrate(args) -> int:
         raise data_io.DataFormatError(f"--out {args.out} and --report {args.report} name the same file")
     config = data_io.load_config(args.config)
     data_dir, manifests = _datasets(args, config, data_io.DATASETS)
+    _refuse_overwrite([out, report_path], [m.path for m in manifests.values()])
     population, gdp, gcf = (data_io.load_annual_series(manifests[key]) for key in ("population", "gdp", "gcf"))
     cases, repairs = data_io.load_case_series(manifests["cases"])
     shortfall, reduction = data_io.load_tradeoff_panel(manifests["tradeoff"])
@@ -230,8 +240,10 @@ def cmd_report(args) -> int:
         plotting.check_variables(variables, data_io.TRAJECTORY_HEADER[1:])
     except ValueError as exc:
         raise data_io.DataFormatError(f"{named}: {exc}") from None
-    trajectories = [data_io.read_trajectory(p) for p in args.trajectories]
     out_dir = Path(args.out)
+    _refuse_overwrite([out_dir / name.format(var) for var in variables for name in plotting.CHART_FILES]
+                      + [out_dir / "manifest.json"], args.trajectories)
+    trajectories = [data_io.read_trajectory(p) for p in args.trajectories]
     try:
         files = plotting.emit_plots(trajectories, variables, out_dir)
     except ValueError as exc:

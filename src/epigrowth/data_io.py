@@ -4,7 +4,8 @@ All loaders either return a fully validated object or raise
 DataFormatError naming the offending row or key; they never return a
 partial series.  Numeric values are serialised with ``repr`` so CSV and
 JSON round-trips are lossless, and dates are ISO-8601.  ``write_columns``
-writes every dated float CSV: the trajectories and the charts' data.
+writes every dated float CSV, and ``read_trajectory`` reads a trajectory
+back only in the form it writes.
 """
 
 from __future__ import annotations
@@ -16,12 +17,11 @@ import logging
 import math
 import os
 import tempfile
-from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
 from functools import lru_cache, partial
 from itertools import chain, repeat
-from operator import itemgetter
+from operator import add, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -62,20 +62,6 @@ class DatasetManifest:
         object.__setattr__(self, "path", Path(self.path))
 
 
-@contextmanager
-def _open_text(path: Path, what: str):
-    """``path``, a ``what`` file, open as UTF-8 text for the csv module; a
-    missing file, a byte that is not UTF-8 and a line the csv module cannot
-    split (a field over its size limit) are each an error naming the file."""
-    if not path.exists():
-        raise DataFormatError(f"{what} file not found: {path}")
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            yield fh
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
-
-
 def _parse_float(raw: str, path: Path, row_number: int, column: str) -> float:
     try:
         value = float(raw)
@@ -90,20 +76,27 @@ def _read_columns(manifest: DatasetManifest, parse_key=None) -> tuple[list, list
     """A dataset's key column and its float columns, in the order of
     ``KIND_COLUMNS``.  ``parse_key(raw, row_number)`` parses the keys, and
     the rows come back sorted by key; without it the key is one more float
-    column and the rows keep the file's order."""
+    column and the rows keep the file's order.  A missing file, a byte that
+    is not UTF-8 and a line the csv module cannot split (a field over its
+    size limit) are each an error naming the file."""
     path = manifest.path
     key_column, *value_columns = wanted = KIND_COLUMNS[manifest.kind]
-    with _open_text(path, "dataset") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [column for column in wanted if column not in header]
-        if missing:
-            raise DataFormatError(f"{path}: missing columns {missing} (header is {header})")
-        records = []
-        for row_number, row in enumerate(reader, start=2):  # header is row 1
-            key = row[key_column]
-            key = parse_key(key, row_number) if parse_key else _parse_float(key, path, row_number, key_column)
-            records.append((key, *[_parse_float(row[c], path, row_number, c) for c in value_columns]))
+    if not path.exists():
+        raise DataFormatError(f"dataset file not found: {path}")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or []
+            missing = [column for column in wanted if column not in header]
+            if missing:
+                raise DataFormatError(f"{path}: missing columns {missing} (header is {header})")
+            records = []
+            for row_number, row in enumerate(reader, start=2):  # header is row 1
+                key = row[key_column]
+                key = parse_key(key, row_number) if parse_key else _parse_float(key, path, row_number, key_column)
+                records.append((key, *[_parse_float(row[c], path, row_number, c) for c in value_columns]))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
     if not records:
         raise DataFormatError(f"{path}: no data rows")
     if parse_key:
@@ -219,104 +212,93 @@ def write_trajectory(trajectory: Trajectory, path) -> None:
     write_columns([(name, trajectory.days, cols[name]) for name in TRAJECTORY_HEADER[1:]], path)
 
 
-_HEADER_LINE = ",".join(TRAJECTORY_HEADER) + "\n"
-# numpy's text reader strips "\x1c"-"\x1f" around a number as whitespace,
-# where float() rejects them; a "\r" line end, which the writer never
-# writes, is left to the csv module's rules
-_NOT_BULK = "\r\x1c\x1d\x1e\x1f"
+_HEADER_LINE = ",".join(TRAJECTORY_HEADER)
+_VALUE_COLUMNS = range(1, len(TRAJECTORY_HEADER))
+# the writer writes printable ASCII and "\n"; numpy's text reader would take
+# other spaces, "\x1c"-"\x1f" and "\xa0" among them, for whitespace
+_WRITTEN_BYTES = bytes(range(32, 127)) + b"\n"
+_loadtxt = partial(np.loadtxt, delimiter=",", usecols=_VALUE_COLUMNS, comments=None, ndmin=2)
 
 
-def _parse_written_form(lines: list):
-    """``(first day number, values)`` of the trajectory CSV whose lines
-    are ``lines``, if it is in the form ``write_trajectory`` writes, with
-    ``values`` one row per column: the header line, then lines of 11 commas
-    whose date cells are consecutive days in ``YYYY-MM-DD``.  The numbers
-    are parsed in one ``np.loadtxt`` call, with no Python loop over rows.
-    None for a file in any other form, or with a cell that is not a
-    number."""
-    body = lines[1:]
-    if not body or lines[0] != _HEADER_LINE or any(map("".join(body).__contains__, _NOT_BULK)):
-        return None
-    commas = len(TRAJECTORY_HEADER) - 1
-    if set(map(str.count, body, repeat(","))) != {commas} or set(map(str.find, body, repeat(","))) != {10}:
-        return None
+def _refuses(line: str, columns=_VALUE_COLUMNS) -> bool:
+    """Whether ``np.loadtxt`` refuses a cell of ``columns`` in ``line``."""
     try:
-        first = iso_day(body[0][:10]).toordinal()
-        if tuple(map(itemgetter(slice(10)), body)) != iso_dates(range(first, first + len(body))):
-            return None
-        values = np.loadtxt(body, delimiter=",", usecols=range(1, commas + 1), comments=None, ndmin=2)
+        _loadtxt([line], usecols=columns)
     except ValueError:
-        return None
-    return first, values.T
-
-
-def _parse_rows(fh, path: Path):
-    """``(first day number, values)`` of the trajectory CSV open as ``fh``,
-    read one row at a time with the csv module; the first row that is not
-    a date and 11 numbers, or not the day after the row before it, is an
-    error naming it."""
-    reader = csv.reader(fh)
-    header = next(reader, None)
-    if header != TRAJECTORY_HEADER:
-        raise DataFormatError(f"{path}: unexpected header {header}, want {TRAJECTORY_HEADER}")
-    days, rows = [], []
-    for i, row in enumerate(reader):
-        if len(row) != len(TRAJECTORY_HEADER):
-            raise DataFormatError(f"{path}: row {i + 2}: expected {len(TRAJECTORY_HEADER)} fields")
-        try:
-            day = iso_day(row[0]).toordinal()
-            rows.append(list(map(float, row[1:])))
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: row {i + 2}: {exc}") from None
-        if days and day != days[-1] + 1:
-            raise DataFormatError(
-                f"{path}: row {i + 2}: date {row[0]} does not follow "
-                f"{date.fromordinal(days[-1]).isoformat()} by one day")
-        days.append(day)
-    if not rows:
-        raise DataFormatError(f"{path}: no data rows")
-    return days[0], np.array(rows).T
+        return True
+    return False
 
 
 def read_trajectory(path) -> Trajectory:
     """Inverse of write_trajectory.  Run metadata is not stored in the CSV,
-    so the run is named after the file stem and welfare is NaN.  The rows
-    must be consecutive days, oldest first, each dated ``YYYY-MM-DD``.  A
-    file in the form ``write_trajectory`` writes is parsed in bulk by
-    numpy's text reader; any other file, or one with a cell that is not a
-    number, is read row by row, which accepts what the csv module and
-    ``float`` accept (quoted cells, ``1_000``, padded numbers) and names the
-    first bad row."""
+    so the run is named after the file stem and welfare is NaN.  The file
+    must be in the writer's form: printable ASCII lines; the header; 11
+    commas a line; ``YYYY-MM-DD`` dates on consecutive days; numbers that
+    one ``np.loadtxt`` call reads as finite floats.  Each rule is checked
+    over all lines at once; an error names the file, the first line that
+    breaks the rule (the header is row 1) and the rule."""
     path = Path(path)
-    with _open_text(path, "trajectory") as fh:
-        parsed = _parse_written_form(fh.readlines())
-        if parsed is None:
-            fh.seek(0)
-            parsed = _parse_rows(fh, path)
-    first, data = parsed
+    if not path.exists():
+        raise DataFormatError(f"trajectory file not found: {path}")
+    raw = path.read_bytes()
+    stray = raw.translate(None, _WRITTEN_BYTES)[:1]
+    if stray:
+        row = raw.count(b"\n", 0, raw.index(stray)) + 1
+        raise DataFormatError(f"{path}: row {row}: unexpected byte {stray!r}")
+    header, *body = raw.decode("ascii").splitlines() or [""]
+    if header != _HEADER_LINE:
+        raise DataFormatError(f"{path}: row 1: unexpected header {header.split(',')}, want {TRAJECTORY_HEADER}")
+    if not body:
+        raise DataFormatError(f"{path}: no data rows")
+    if set(map(str.count, body, repeat(","))) != {len(_VALUE_COLUMNS)}:
+        row = next(n for n, line in enumerate(body, start=2) if line.count(",") != len(_VALUE_COLUMNS))
+        raise DataFormatError(f"{path}: row {row}: expected {len(TRAJECTORY_HEADER)} fields")
+    row = 2
+    try:  # the date cells: the first, then the first one not the next day
+        first = iso_day(body[0][:body[0].find(",")]).toordinal()
+        days = iso_dates(range(first, first + len(body)))
+        dated = list(map(str.startswith, body, map(add, days, repeat(","))))
+        if not all(dated):
+            row = dated.index(False) + 2
+            iso_day(body[row - 2][:body[row - 2].find(",")])
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: row {row}: {exc}") from None
+    if not all(dated):
+        raise DataFormatError(
+            f"{path}: row {row}: date {body[row - 2][:10]} does not follow {days[row - 3]} by one day")
+    try:
+        data = _loadtxt(body).T
+    except ValueError:
+        row, line = next((n, line) for n, line in enumerate(body, start=2) if _refuses(line))
+        column = next(c for c in _VALUE_COLUMNS if _refuses(line, c))
+        raise DataFormatError(f"{path}: row {row}: non-numeric {TRAJECTORY_HEADER[column]!r} value "
+                              f"{shown(line.split(',')[column])}") from None
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         column, row = bad[np.argmin(bad[:, 1])]
         raise DataFormatError(
-            f"{path}: row {row + 2}: non-finite {TRAJECTORY_HEADER[column + 1]!r} value {data[column, row]!r}"
-        )
-    named = dict(zip(TRAJECTORY_HEADER[1:], data))
-    return Trajectory(
-        scenario_name=path.stem,
-        days=range(first, first + data.shape[1]),
-        welfare=float("nan"),
-        **named,
-    )
+            f"{path}: row {row + 2}: non-finite {TRAJECTORY_HEADER[column + 1]!r} value {data[column, row]!r}")
+    return Trajectory(scenario_name=path.stem, days=range(first, first + len(body)), welfare=float("nan"),
+                      **dict(zip(TRAJECTORY_HEADER[1:], data)))
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members; ValueError naming a key that it repeats."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"duplicate key {shown(next(key for key in doc if keys.count(key) > 1))}")
+    return doc
 
 
 def read_json_object(path, what: str) -> dict:
     """The JSON object stored in ``path``, a ``what`` file; each error names
-    the file."""
+    the file, and a key repeated within an object is one."""
     path = Path(path)
     if not path.exists():
         raise DataFormatError(f"{what} file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(), object_pairs_hook=_unique_keys)
     except ValueError as exc:
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
     except RecursionError:

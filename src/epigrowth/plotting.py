@@ -20,6 +20,7 @@ from .data_io import atomic_write_text, write_columns
 from .scenarios import pool_map
 
 RENDERER_VERSION = "epigrowth-svg/1"
+CHART_FILES = ("{}.svg", "{}_data.csv")  # each chart's files, by variable
 
 PALETTE = [
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
@@ -147,7 +148,7 @@ def chart(series: list, var: str, out_dir, axis: tuple) -> list:
     numbers (``date.toordinal``) and the float array of ``var`` on those
     days; ``axis`` is their ``value_axis``.  Returns the two file names."""
     out_dir = Path(out_dir)
-    svg_name, csv_name = f"{var}.svg", f"{var}_data.csv"
+    svg_name, csv_name = (name.format(var) for name in CHART_FILES)
     write_columns(series, out_dir / csv_name)
     atomic_write_text(render_svg(series, var, axis), out_dir / svg_name)
     return [svg_name, csv_name]

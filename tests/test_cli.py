@@ -110,6 +110,20 @@ class TestCalibrate:
         assert main(["calibrate", "--out", str(out)]) == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("option,name", [("--out", "global_cases.csv"), ("--report", "world_gdp.csv")])
+    def test_output_on_a_dataset_rejected(self, tmp_path, capsys, option, name):
+        data = tmp_path / "data"
+        data.mkdir()
+        for source in DATA_DIR.glob("*.csv"):
+            (data / source.name).write_bytes(source.read_bytes())
+        target = data / ".." / "data" / name  # the dataset, spelt another way
+        outputs = {"--out": tmp_path / "params.json", option: target}
+        argv = [item for pair in outputs.items() for item in map(str, pair)]
+        assert main(["calibrate", "--data", str(data), *argv]) == 1
+        assert capsys.readouterr().err == f"error: output {target} would overwrite the input {data / name}\n"
+        assert (data / name).read_bytes() == (DATA_DIR / name).read_bytes()
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["data"]
+
 
 class TestSimulate:
     def test_no_pandemic_zero_deaths(self, tmp_path, fast_config):
@@ -422,23 +436,47 @@ class TestMalformedConfig:
         assert err == f"error: {path}: JSON nested too deeply to read\n"
         assert not out.exists()
 
+    # each JSON option's document with a key given twice, the later value valid
+    @pytest.mark.parametrize("option,key,text", [
+        ("--config", "b0", '{"params": {"b0": 1e-11, "b0": 2.041e-11}}'),
+        ("--params", "b0", '{"b0": 1e-11, ' + json.dumps(default_params().to_dict())[1:]),
+        ("--scenario", "i0", '{"i0": 1, ' + json.dumps(data_io.default_config()["scenarios"]["no-intervention"])[1:]),
+    ], ids=["config", "params", "scenario"])
+    def test_repeated_key_names_the_file_and_key(self, tmp_path, monkeypatch, capsys, option, key, text):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a scenario was solved before the file was checked")
 
-# bytes appended to an input CSV, and what the error must say
-UNREADABLE_TAILS = [(b"\xff", "can't decode byte 0xff"),
-                    (b'"' + b"x" * 200_000, "field larger than field limit")]
+        monkeypatch.setattr(scenarios, "run_scenario", no_solve)
+        path = tmp_path / "repeated.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", "no-pandemic", "--out", str(out), option, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: invalid JSON: duplicate key '{key}'\n"
+        assert not out.exists()
+
+
+# bytes appended to an input CSV -> what the error must say for a dataset,
+# which the csv module splits, and for a trajectory, whose reader takes only
+# ASCII lines of 11 commas and names the line that the bytes start
+UNREADABLE_TAILS = {"not-utf-8": (b"\xff", "can't decode byte 0xff", "unexpected byte b'\\xff'"),
+                    "field-over-limit": (b'"' + b"x" * 200_000, "field larger than field limit",
+                                         "expected 12 fields")}
 
 
 class TestUnreadableInput:
     """A byte that is not UTF-8, or a field over the csv module's size
-    limit, in an input CSV is a one-line error naming the file."""
+    limit, in an input CSV is a one-line error naming the file; for a
+    trajectory CSV, also its line."""
 
     def assert_named(self, capsys, code, path, what):
         err = capsys.readouterr().err
         assert code == 1
         assert err.count("\n") == 1 and err.startswith(f"error: {path}: ") and what in err
 
-    @pytest.mark.parametrize("tail,what", UNREADABLE_TAILS, ids=["not-utf-8", "field-over-limit"])
-    def test_dataset(self, tmp_path, capsys, tail, what):
+    @pytest.mark.parametrize("kind", sorted(UNREADABLE_TAILS))
+    def test_dataset(self, tmp_path, capsys, kind):
+        tail, what, _ = UNREADABLE_TAILS[kind]
         data = tmp_path / "data"
         data.mkdir()
         for source in DATA_DIR.glob("*.csv"):
@@ -448,12 +486,15 @@ class TestUnreadableInput:
         code = main(["calibrate", "--data", str(data), "--out", str(tmp_path / "params.json")])
         self.assert_named(capsys, code, gcf, what)
 
-    @pytest.mark.parametrize("tail,what", UNREADABLE_TAILS, ids=["not-utf-8", "field-over-limit"])
-    def test_trajectory(self, tmp_path, capsys, two_trajectories, tail, what):
+    @pytest.mark.parametrize("kind", sorted(UNREADABLE_TAILS))
+    def test_trajectory(self, tmp_path, capsys, two_trajectories, kind):
+        tail, _, what = UNREADABLE_TAILS[kind]
+        written = two_trajectories[0].read_bytes()
+        tail_row = written.count(b"\n") + 1
         path = tmp_path / "t.csv"
-        path.write_bytes(two_trajectories[0].read_bytes() + tail)
+        path.write_bytes(written + tail)
         code = main(["report", str(path), "--variables", "Y", "--out", str(tmp_path / "plots")])
-        self.assert_named(capsys, code, path, what)
+        self.assert_named(capsys, code, f"{path}: row {tail_row}", what)
 
 
 class TestSweep:
@@ -725,6 +766,18 @@ class TestReport:
         code = main(["report", str(missing), "--variables", variables, "--out", str(tmp_path / "x")])
         assert code == 1
         assert capsys.readouterr().err == f"error: {missing}: {message}\n"
+
+    @pytest.mark.parametrize("name", ["Y.svg", "Y_data.csv", "manifest.json"])
+    def test_output_on_an_input_rejected(self, tmp_path, two_trajectories, capsys, name):
+        out = tmp_path / "plots"
+        out.mkdir()
+        written = two_trajectories[0].read_bytes()
+        path = out / name
+        path.write_bytes(written)
+        code = main(["report", str(two_trajectories[1]), str(path), "--variables", "I,Y", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: output {out / name} would overwrite the input {path}\n"
+        assert path.read_bytes() == written and [p.name for p in out.iterdir()] == [name]
 
     def test_no_variables_rejected(self, tmp_path, two_trajectories, capsys):
         code = main(["report", str(two_trajectories[0]), "--variables", "",

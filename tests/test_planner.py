@@ -90,6 +90,27 @@ class TestSinglePeriod:
         assert sol.welfare == pytest.approx(math.log(Y0), abs=1e-9)
 
 
+class TestMonotoneConsumption:
+    """More capital to start from buys more day-0 consumption, and more
+    capital to leave buys less: C_0 rises strictly with K0 and falls
+    strictly with the target.  Horizons of 150 days or more are left out:
+    there shooting cannot tell targets apart (see ROADMAP item 5)."""
+
+    SCALES = [0.5, 0.9, 1.0, 1.1, 2.0]  # of the modified-golden-rule capital
+
+    @pytest.mark.parametrize("T", [5, 60])
+    def test_rises_with_starting_capital(self, T):
+        K_star = modified_golden_rule_capital(0.96, 0.1, 0.3)
+        C0 = [solve(flat_inputs(T, K0=s * K_star, terminal=K_star)).consumption_path[0] for s in self.SCALES]
+        assert all(a < b for a, b in zip(C0, C0[1:])), C0
+
+    @pytest.mark.parametrize("T", [5, 60])
+    def test_falls_with_the_target(self, T):
+        K_star = modified_golden_rule_capital(0.96, 0.1, 0.3)
+        C0 = [solve(flat_inputs(T, K0=K_star, terminal=s * K_star)).consumption_path[0] for s in self.SCALES]
+        assert all(a > b for a, b in zip(C0, C0[1:])), C0
+
+
 class TestWelfare:
     def test_consumption_equal_to_population_is_zero(self):
         assert welfare([5.0, 6.0, 7.0], [5.0, 6.0, 7.0], 0.99) == 0.0
