@@ -31,7 +31,6 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from epigrowth import calibration
-from epigrowth.epidemic import PopGrowthParams
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -153,7 +152,7 @@ def gen_cases(rng):
     m = np.exp(LOG_K1 + K2 * np.log(b) + m_noise)
 
     conf, rec, dead, N = 555.0, 28.0, 17.0, CASE_N0
-    pop = PopGrowthParams(*calibration.to_daily(POP_A1, POP_A2))
+    a1, a2 = calibration.to_daily(POP_A1, POP_A2)
     rows = [(CASE_START, conf, rec, dead)]
     for k in range(n_rates):
         I = conf - rec - dead
@@ -164,7 +163,7 @@ def gen_cases(rng):
         conf += new_conf
         rec += new_rec
         dead += new_dead
-        N = pop.a1 * N + pop.a2 * N * N - new_dead
+        N = a1 * N + a2 * N * N - new_dead
         rows.append((CASE_START + timedelta(days=k + 1), conf, rec, dead))
     return [(d, round(c), round(rv), round(dv)) for d, c, rv, dv in rows]
 
@@ -251,7 +250,7 @@ def main() -> None:
             recovered=np.array([row[2] for row in cases], dtype=float),
             deaths=np.array([row[3] for row in cases], dtype=float),
         ),
-        PopGrowthParams(*calibration.to_daily(POP_A1, POP_A2)),
+        *calibration.to_daily(POP_A1, POP_A2),
         CASE_N0,
     )
     print(f"  b q75     = {calibration.quantile(rates.b, 0.75):.6e} (target {B_Q75:.6e})")

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .epidemic import PopGrowthParams
 from .params import (
     DAYS_PER_YEAR,
     ModelParams,
@@ -233,15 +232,15 @@ class ExtractedRates:
     skipped_dates: list = field(default_factory=list)
 
 
-def extract_epi_rates(cases: CaseSeries, pop_model: PopGrowthParams, N0: float) -> ExtractedRates:
+def extract_epi_rates(cases: CaseSeries, a1: float, a2: float, N0: float) -> ExtractedRates:
     """Invert the daily transition equations for (b, r, m).
 
     r and m are recovery and death increments over active cases; b solves
     the infection transition, with susceptibles taken as the modelled
-    population (logistic growth net of observed deaths) minus active and
-    recovered cases.  Days with no active cases are skipped and reported.
+    population (logistic growth with daily coefficients a1 and a2, net of
+    observed deaths) minus active and recovered cases.  Days with no active
+    cases are skipped and reported.
     """
-    pop_model.validate()
     if len(cases) < 2:
         raise ValueError("need at least two days of case data")
     I = cases.active()
@@ -249,7 +248,7 @@ def extract_epi_rates(cases: CaseSeries, pop_model: PopGrowthParams, N0: float) 
     N = np.empty(n)
     N[0] = N0
     for t in range(n - 1):
-        N[t + 1] = pop_model.a1 * N[t] + pop_model.a2 * N[t] ** 2 - (cases.deaths[t + 1] - cases.deaths[t])
+        N[t + 1] = a1 * N[t] + a2 * N[t] ** 2 - (cases.deaths[t + 1] - cases.deaths[t])
     S = N - I - cases.recovered
 
     dates, bs, rs, ms, skipped = [], [], [], [], []
@@ -308,7 +307,9 @@ def calibrate(
     """Run every estimation step and assemble the parameter bundle:
     ``constants.assumed`` with the estimates replaced.  The capital stock
     is imputed at the annual equivalent of its ``delta_daily``, and the
-    report lists the assumed values used.
+    report lists the assumed values used.  A bundle that breaks a
+    ``ModelParams`` rule, such as a convex trade-off fit (q2 >= 1), is a
+    ValueError naming the field.
 
     Returns the params plus a report dict holding the regression tables and
     intermediate values (JSON-serialisable).
@@ -323,7 +324,7 @@ def calibrate(
     capital = impute_capital(gcf, delta_annual, k_init)
     tfp_series, g_daily = estimate_tfp(gdp, capital, population, c.assumed.alpha)
 
-    rates = extract_epi_rates(cases, PopGrowthParams(a1=a1, a2=a2), case_population)
+    rates = extract_epi_rates(cases, a1, a2, case_population)
     b0 = quantile(rates.b, INFECTION_RATE_QUANTILE)
     r = quantile(rates.r, 0.5)
     mortality_fit, mortality_dropped = loglog_fit(rates.b, rates.m)
@@ -341,6 +342,7 @@ def calibrate(
         log_q1=float(tradeoff_fit.coefficients[0]),
         q2=float(tradeoff_fit.coefficients[1]),
     )
+    params.validate()
 
     def _table(fit: OlsFit, names: list) -> dict:
         return {

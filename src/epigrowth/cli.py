@@ -85,10 +85,13 @@ def cmd_calibrate(args) -> int:
 
     constants = calibration.CalibrationConstants(
         population_fit_years=config.data["population_fit_years"], assumed=config.params)
-    params, report = calibration.calibrate(
-        population, gdp, gcf, cases, shortfall, reduction,
-        case_population=config.data["case_population"], constants=constants,
-    )
+    try:
+        params, report = calibration.calibrate(
+            population, gdp, gcf, cases, shortfall, reduction,
+            case_population=config.data["case_population"], constants=constants,
+        )
+    except ValueError as exc:
+        raise data_io.DataFormatError(f"{data_dir}: {exc}") from None
     report["case_data_repairs"] = repairs
 
     data_io.write_json({**params.to_dict(), "provenance": {

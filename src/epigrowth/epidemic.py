@@ -12,9 +12,15 @@ State transitions (one day):
 
 The clamp on F keeps S nonnegative for extreme infection rates; it never
 binds at calibrated magnitudes.  N - (S + I + R) is invariant under the
-step.  Policy enters through ``policy_to_infection_reduction`` (output
-shortfall -> percentage cut in b) and ``effective_rates`` (reduced b ->
-mortality via the fitted log-log model).
+step.
+
+The rate laws are plain functions of a ``ModelParams`` bundle, whose
+``validate`` holds every rule on their coefficients (a1 >= 1, a2 <= 0,
+k2 in (0, 1], q2 in (0, 1)):
+
+    db% = min(exp(log_q1) * dGDP%**q2, 100)   policy_to_infection_reduction
+    b   = b0 * (1 - db%/100)                  effective_rates
+    m   = exp(log_k1 + k2*ln(b)), 0 at b = 0  mortality
 
 The equations are written once, in ``run_days``.  It runs them over a
 list of constant-rate segments, each a number of days with its (b, m):
@@ -31,6 +37,8 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 
 import numpy as np
+
+from .params import ModelParams
 
 
 @dataclass(frozen=True)
@@ -66,54 +74,6 @@ class EpiRates:
             raise ValueError(f"r and m must lie in [0, 1], got r={self.r!r}, m={self.m!r}")
         if self.r + self.m > 1.0:
             raise ValueError(f"r + m must not exceed 1, got {self.r + self.m!r}")
-
-
-@dataclass(frozen=True)
-class PopGrowthParams:
-    """Daily logistic growth coefficients: births = (a1-1)*N + a2*N**2."""
-
-    a1: float
-    a2: float
-
-    def validate(self) -> None:
-        # a1 == 1, a2 == 0 is the degenerate no-growth case used in tests
-        if self.a1 < 1.0:
-            raise ValueError(f"a1 must be >= 1, got {self.a1!r}")
-        if self.a2 > 0.0:
-            raise ValueError(f"a2 must be <= 0, got {self.a2!r}")
-
-
-@dataclass(frozen=True)
-class MortalityModel:
-    """Log-log mortality response m = exp(log_k1 + k2*ln(b))."""
-
-    log_k1: float
-    k2: float
-
-    def validate(self) -> None:
-        if not (0.0 < self.k2 <= 1.0):
-            raise ValueError(f"k2 must lie in (0, 1], got {self.k2!r}")
-
-    def mortality(self, b: float) -> float:
-        """Daily mortality fraction for infection rate b; 0 when b is 0."""
-        if b < 0:
-            raise ValueError(f"infection rate must be >= 0, got {b!r}")
-        if b == 0.0:
-            return 0.0
-        return math.exp(self.log_k1 + self.k2 * math.log(b))
-
-
-@dataclass(frozen=True)
-class TradeoffModel:
-    """Concave response of the infection rate to foregone output:
-    db% = exp(log_q1) * dGDP%**q2, capped at 100."""
-
-    log_q1: float
-    q2: float
-
-    def validate(self) -> None:
-        if not (0.0 < self.q2 < 1.0):
-            raise ValueError(f"q2 must lie in (0, 1), got {self.q2!r}")
 
 
 def run_days(state: tuple, segments: list, r: float, a1: float, a2: float):
@@ -166,13 +126,13 @@ def run_days(state: tuple, segments: list, r: float, a1: float, a2: float):
     return (Ns, Ss, Is, Rs[:T], Ds[:T], Fs), (N, S, I, float(Rs[T]), float(Ds[T]))
 
 
-def epi_step(state: EpiState, rates: EpiRates, pop: PopGrowthParams) -> EpiState:
+def epi_step(state: EpiState, rates: EpiRates, params: ModelParams) -> EpiState:
     """Advance the epidemic one day, checking the inputs and the result."""
     state.validate()
     rates.validate()
-    pop.validate()
+    params.validate()
     _, (N, S, I, R, D) = run_days(
-        (state.N, state.S, state.I, state.R, state.D), [(1, rates.b, rates.m)], rates.r, pop.a1, pop.a2
+        (state.N, state.S, state.I, state.R, state.D), [(1, rates.b, rates.m)], rates.r, params.a1, params.a2
     )
     if S < 0 or N < 0:
         # only reachable far beyond the logistic carrying capacity
@@ -180,24 +140,35 @@ def epi_step(state: EpiState, rates: EpiRates, pop: PopGrowthParams) -> EpiState
     return EpiState(date=state.date + timedelta(days=1), N=N, S=S, I=I, R=R, D=D)
 
 
-def policy_to_infection_reduction(gdp_shortfall_pct: float, t: TradeoffModel) -> float:
+def mortality(b: float, params: ModelParams) -> float:
+    """Daily mortality fraction m = exp(log_k1 + k2*ln(b)) for infection
+    rate b; 0 when b is 0."""
+    if b < 0:
+        raise ValueError(f"infection rate must be >= 0, got {b!r}")
+    if b == 0.0:
+        return 0.0
+    return math.exp(params.log_k1 + params.k2 * math.log(b))
+
+
+def policy_to_infection_reduction(gdp_shortfall_pct: float, params: ModelParams) -> float:
     """Percentage reduction in the infection rate bought by a GDP shortfall
-    of ``gdp_shortfall_pct`` percent.  Returns 0 at 0 and never exceeds 100."""
-    t.validate()
+    of ``gdp_shortfall_pct`` percent, exp(log_q1) * shortfall**q2.  Returns
+    0 at 0 and never exceeds 100."""
     if gdp_shortfall_pct < 0:
         raise ValueError(f"GDP shortfall must be >= 0, got {gdp_shortfall_pct!r}")
     if gdp_shortfall_pct == 0.0:
         return 0.0
-    reduction = math.exp(t.log_q1) * gdp_shortfall_pct ** t.q2
+    reduction = math.exp(params.log_q1) * gdp_shortfall_pct ** params.q2
     return min(reduction, 100.0)
 
 
-def effective_rates(b0: float, reduction_pct: float, mm: MortalityModel, r: float) -> EpiRates:
-    """Rates in force given a base infection rate and a percentage reduction.
+def effective_rates(params: ModelParams, reduction_pct: float) -> EpiRates:
+    """Rates in force when the base infection rate b0 is cut by
+    ``reduction_pct`` percent.
 
     Mortality follows the reduced infection rate; recovery passes through.
     """
     if not (0.0 <= reduction_pct <= 100.0):
         raise ValueError(f"reduction_pct must lie in [0, 100], got {reduction_pct!r}")
-    b = b0 * (1.0 - reduction_pct / 100.0)
-    return EpiRates(b=b, r=r, m=mm.mortality(b))
+    b = params.b0 * (1.0 - reduction_pct / 100.0)
+    return EpiRates(b=b, r=params.r, m=mortality(b, params))

@@ -1,5 +1,5 @@
-"""Model parameter bundle, the shipped configuration, and annual/daily rate
-conversions.
+"""Model parameter bundle with every rule on its fields, the shipped
+configuration, and annual/daily rate conversions.
 
 The simulator runs at daily resolution, so every annually quoted rate is
 converted with geometric compounding, except the logistic population
@@ -19,8 +19,6 @@ import sys
 from dataclasses import MISSING, asdict, dataclass, fields
 from datetime import date, timedelta
 from importlib import resources
-
-from .epidemic import MortalityModel, PopGrowthParams, TradeoffModel
 
 DAYS_PER_YEAR = 365
 
@@ -195,7 +193,10 @@ class ModelParams:
             parse_number(getattr(self, f.name), f"ModelParams.{f.name}")
         if not isinstance(self.max_bisection_iter, numbers.Integral):
             raise ValueError(f"ModelParams.max_bisection_iter must be an int, got {self.max_bisection_iter!r}")
+        # a1 == 1, a2 == 0 is the degenerate no-growth case used in tests
         ranges = (
+            ("a1", self.a1 >= 1.0, "be >= 1"),
+            ("a2", self.a2 <= 0.0, "be <= 0"),
             ("alpha", 0.0 < self.alpha < 1.0, "lie in (0, 1)"),
             ("delta_daily", 0.0 < self.delta_daily < 1.0, "lie in (0, 1)"),
             ("g_daily", self.g_daily >= 0.0, "be >= 0"),
@@ -204,15 +205,15 @@ class ModelParams:
             ("h", 0.0 <= self.h <= 1.0, "lie in [0, 1]"),
             ("r", 0.0 <= self.r <= 1.0, "lie in [0, 1]"),
             ("b0", self.b0 >= 0.0, "be >= 0"),
+            ("k2", 0.0 < self.k2 <= 1.0, "lie in (0, 1]"),
+            ("q2", 0.0 < self.q2 < 1.0, "lie in (0, 1)"),
             ("euler_tol", self.euler_tol >= 0.0, "be >= 0"),
             ("bisection_rel_tol", self.bisection_rel_tol >= 0.0, "be >= 0"),
+            ("max_bisection_iter", self.max_bisection_iter >= 1, "be >= 1"),
         )
         for name, ok, rule in ranges:
             if not ok:
                 raise ValueError(f"ModelParams.{name} must {rule}, got {getattr(self, name)!r}")
-        PopGrowthParams(a1=self.a1, a2=self.a2).validate()
-        MortalityModel(log_k1=self.log_k1, k2=self.k2).validate()
-        TradeoffModel(log_q1=self.log_q1, q2=self.q2).validate()
 
     def to_dict(self) -> dict:
         return asdict(self)

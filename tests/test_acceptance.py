@@ -10,14 +10,8 @@ import numpy as np
 
 from epigrowth import calibration as cal
 from epigrowth import scenarios
-from epigrowth.epidemic import (
-    EpiRates,
-    EpiState,
-    PopGrowthParams,
-    TradeoffModel,
-    epi_step,
-    policy_to_infection_reduction,
-)
+from epigrowth.epidemic import EpiRates, EpiState, epi_step, policy_to_infection_reduction
+from epigrowth.params import default_params
 
 
 def criterion(number: str, label: str, ok: bool, detail: str) -> None:
@@ -27,7 +21,7 @@ def criterion(number: str, label: str, ok: bool, detail: str) -> None:
 
 class TestCriterion1TradeoffReproduction:
     def test_policy_curve_matches_published_reductions(self):
-        model = TradeoffModel(log_q1=3.677, q2=0.238)
+        model = dataclasses.replace(default_params(), log_q1=3.677, q2=0.238)
         at5 = policy_to_infection_reduction(5.0, model)
         at10 = policy_to_infection_reduction(10.0, model)
         criterion(
@@ -183,9 +177,7 @@ class TestCriterion4CalibrationGoldens:
         )
 
     def test_mortality_fit(self, datasets, params):
-        rates = cal.extract_epi_rates(
-            datasets["cases"], PopGrowthParams(params.a1, params.a2), N0=7.718e9
-        )
+        rates = cal.extract_epi_rates(datasets["cases"], params.a1, params.a2, N0=7.718e9)
         log_k1, k2 = cal.loglog_fit(rates.b, rates.m)[0].coefficients
         ok = abs(log_k1 / 12.561 - 1.0) <= 0.10 and abs(k2 / 0.717 - 1.0) <= 0.10
         criterion(
@@ -273,12 +265,11 @@ class TestCriterion5PropertySuites:
         )
 
     def test_rate_extraction_round_trip(self, params):
-        pop = PopGrowthParams(params.a1, params.a2)
         state = EpiState(date=date(2020, 1, 22), N=7.718e9, S=7.718e9 - 510.0, I=510.0, R=0.0, D=0.0)
         rates = EpiRates(b=2.041e-11, r=0.02099, m=6.17e-3)
         states = [state]
         for _ in range(80):
-            state = epi_step(state, rates, pop)
+            state = epi_step(state, rates, params)
             states.append(state)
         cases = cal.CaseSeries(
             dates=[s.date for s in states],
@@ -286,7 +277,7 @@ class TestCriterion5PropertySuites:
             recovered=np.array([s.R for s in states]),
             deaths=np.array([s.D for s in states]),
         )
-        out = cal.extract_epi_rates(cases, pop, N0=7.718e9)
+        out = cal.extract_epi_rates(cases, params.a1, params.a2, N0=7.718e9)
         err = max(
             np.max(np.abs(out.b / rates.b - 1)),
             np.max(np.abs(out.r / rates.r - 1)),

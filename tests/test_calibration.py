@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from datetime import date, timedelta
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epigrowth import calibration as cal
-from epigrowth.epidemic import EpiRates, EpiState, PopGrowthParams, epi_step
+from epigrowth.epidemic import EpiRates, EpiState, epi_step
 from epigrowth.params import default_params
 
 
@@ -198,8 +199,8 @@ class TestEstimateTfp:
 
 
 class TestExtractEpiRates:
-    def test_round_trip_through_epidemic_step(self):
-        pop = PopGrowthParams(a1=1.00005, a2=-1e-15)
+    def test_round_trip_through_epidemic_step(self, params):
+        pop = dataclasses.replace(params, a1=1.00005, a2=-1e-15)
         rates = EpiRates(b=2e-11, r=0.021, m=0.006)
         state = EpiState(date=date(2020, 1, 22), N=7.7e9, S=7.7e9 - 1000.0, I=1000.0, R=0.0, D=0.0)
         states = [state]
@@ -212,7 +213,7 @@ class TestExtractEpiRates:
             recovered=np.array([s.R for s in states]),
             deaths=np.array([s.D for s in states]),
         )
-        out = cal.extract_epi_rates(cases, pop, N0=7.7e9)
+        out = cal.extract_epi_rates(cases, pop.a1, pop.a2, N0=7.7e9)
         assert not out.skipped_dates
         np.testing.assert_allclose(out.b, 2e-11, rtol=1e-9)
         np.testing.assert_allclose(out.r, 0.021, rtol=1e-9)
@@ -225,7 +226,7 @@ class TestExtractEpiRates:
             recovered=np.array([40.0, 42.1]),
             deaths=np.array([10.0, 10.0]),
         )
-        out = cal.extract_epi_rates(cases, PopGrowthParams(1.0, 0.0), N0=1e6)
+        out = cal.extract_epi_rates(cases, 1.0, 0.0, N0=1e6)
         assert out.r[0] == pytest.approx(2.1 / 100.0)
 
     def test_days_without_active_cases_skipped(self):
@@ -235,14 +236,12 @@ class TestExtractEpiRates:
             recovered=np.array([5.0, 10.0, 10.0]),
             deaths=np.array([0.0, 0.0, 0.0]),
         )
-        out = cal.extract_epi_rates(cases, PopGrowthParams(1.0, 0.0), N0=1e6)
+        out = cal.extract_epi_rates(cases, 1.0, 0.0, N0=1e6)
         assert out.skipped_dates == [date(2020, 3, 2)]
         assert len(out.b) == 1
 
     def test_fixture_quantiles_match_published_rates(self, datasets, params):
-        out = cal.extract_epi_rates(
-            datasets["cases"], PopGrowthParams(params.a1, params.a2), N0=7.718e9
-        )
+        out = cal.extract_epi_rates(datasets["cases"], params.a1, params.a2, N0=7.718e9)
         assert cal.quantile(out.b, 0.75) == pytest.approx(2.041e-11, rel=5e-3)
         assert cal.quantile(out.r, 0.5) == pytest.approx(0.02099, rel=5e-3)
 
@@ -271,9 +270,7 @@ class TestLogLogFits:
             cal.loglog_fit(np.array([1e-11, 2e-11]), np.array([1e-3, 2e-3]))
 
     def test_mortality_fixture_reproduces_published_fit(self, datasets, params):
-        out = cal.extract_epi_rates(
-            datasets["cases"], PopGrowthParams(params.a1, params.a2), N0=7.718e9
-        )
+        out = cal.extract_epi_rates(datasets["cases"], params.a1, params.a2, N0=7.718e9)
         log_k1, k2 = cal.loglog_fit(out.b, out.m)[0].coefficients
         assert log_k1 == pytest.approx(12.561, rel=0.10)
         assert k2 == pytest.approx(0.717, rel=0.10)

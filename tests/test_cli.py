@@ -3,7 +3,7 @@ import json
 import os
 import subprocess
 import sys
-from datetime import timedelta
+from datetime import date, timedelta
 from pathlib import Path
 from xml.dom import minidom
 
@@ -125,6 +125,24 @@ class TestCalibrate:
         assert sorted(path.name for path in tmp_path.iterdir()) == ["data"]
 
 
+    def test_bundle_that_breaks_a_rule_not_written(self, tmp_path, capsys):
+        # a convex trade-off panel, reduction = 0.2 * shortfall**2, fits
+        # q2 = 2 (to 7e-16), which every command that loads params refuses
+        data = tmp_path / "data"
+        data.mkdir()
+        for source in DATA_DIR.glob("*.csv"):
+            (data / source.name).write_bytes(source.read_bytes())
+        shortfalls = [1.0 + 0.5 * k for k in range(29)]
+        (data / "tradeoff_panel.csv").write_text(
+            "country,week_start,gdp_shortfall_pct,infection_reduction_pct\n"
+            + "".join(f"France,{(date(2020, 3, 2) + timedelta(weeks=k)).isoformat()},{x!r},{0.2 * x * x!r}\n"
+                      for k, x in enumerate(shortfalls)))
+        assert main(["calibrate", "--data", str(data), "--out", str(tmp_path / "params.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {data}: ModelParams.q2 must lie in (0, 1), got 1.99")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["data"]
+
+
 class TestSimulate:
     def test_no_pandemic_zero_deaths(self, tmp_path, fast_config):
         out = tmp_path / "np"
@@ -161,6 +179,20 @@ class TestSimulate:
         assert paths["default"].read_bytes() != paths["fast-spread"].read_bytes()
         default, fast = (data_io.read_trajectory(path) for path in paths.values())
         assert fast.D[-1] > default.D[-1]
+
+    @pytest.mark.parametrize("passes", [1, 2])
+    def test_plan_that_misses_the_terminal_target_refused(self, tmp_path, capsys, passes):
+        # too few search passes to reach the target: the solver returns the
+        # feasibility probe's near-zero consumption, 11.9 targets of capital
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"params": {"max_bisection_iter": passes}}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", "no-pandemic", "--out", str(out), "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: scenario 'no-pandemic': terminal capital 9.62789e+15 misses its target "
+                              "7.45093e+14 by 11.9 of it, more than 1e-09")
+        assert list(out.iterdir()) == []
 
     def test_unknown_scenario_lists_known(self, tmp_path, capsys):
         code = main(["simulate", "--scenario", "mystery", "--out", str(tmp_path / "x")])
@@ -391,6 +423,8 @@ MALFORMED_CONFIGS = [
     ({"data": {"case_population": -5}}, "config.data.case_population: expected"),
     ({"scenarios": {"no-intervention": {"b0": 2.041e-11}}},
      "unknown configuration key config.scenarios.no-intervention.'b0'"),
+    ({"params": {"q2": 1.5}}, "config.params: ModelParams.q2 must lie in (0, 1), got 1.5"),
+    ({"params": {"max_bisection_iter": -1}}, "config.params: ModelParams.max_bisection_iter must be >= 1, got -1"),
 ]
 COMMANDS = {
     "simulate": ["simulate", "--scenario", "no-intervention"],

@@ -67,9 +67,11 @@ class TestStateAndParams:
 
     @pytest.mark.parametrize("field,value", [
         ("alpha", 1.0), ("g_daily", -1e-5), ("delta_daily", 0.0), ("u", -1.0), ("h", 1.5),
+        ("a1", 0.999), ("a2", 1e-15), ("k2", 0.0), ("k2", 1.5), ("q2", 1.0), ("q2", 0.0),
+        ("max_bisection_iter", 0), ("max_bisection_iter", -1),
     ])
     def test_out_of_range_params_rejected(self, params, field, value):
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ValueError, match=rf"^ModelParams\.{field} must "):
             dataclasses.replace(params, **{field: value}).validate()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 from datetime import date
 
 import numpy as np
@@ -7,19 +8,19 @@ from hypothesis import example, given, settings, strategies as st
 from epigrowth.epidemic import (
     EpiRates,
     EpiState,
-    MortalityModel,
-    PopGrowthParams,
-    TradeoffModel,
     effective_rates,
     epi_step,
+    mortality,
     policy_to_infection_reduction,
     run_days,
 )
+from epigrowth.params import default_params
 
 DAY0 = date(2020, 1, 22)
-NO_GROWTH = PopGrowthParams(a1=1.0, a2=0.0)
-MORTALITY = MortalityModel(log_k1=12.561, k2=0.717)
-TRADEOFF = TradeoffModel(log_q1=3.677, q2=0.238)
+# the published rates and fits, spelt out so that a config change moves no test
+PUBLISHED = dataclasses.replace(default_params(), b0=2.041e-11, r=0.02099,
+                                log_k1=12.561, k2=0.717, log_q1=3.677, q2=0.238)
+NO_GROWTH = dataclasses.replace(PUBLISHED, a1=1.0, a2=0.0)
 
 
 def make_state(S, I, R, D, N=None):
@@ -84,12 +85,12 @@ def test_invariants_along_random_trajectories(s, i, r, d, b, rec, mor, a1, a2_fr
     state = make_state(S=s, I=i, R=r, D=d)
     rates = EpiRates(b=b, r=rec, m=mor)
     # keep the carrying capacity (a1-1)/|a2| far above any generated N
-    pop = PopGrowthParams(a1=a1, a2=-(a1 - 1.0) * a2_frac / 1e10)
+    params = dataclasses.replace(NO_GROWTH, a1=a1, a2=-(a1 - 1.0) * a2_frac / 1e10)
     gap0 = state.N - (state.S + state.I + state.R)
     scale = max(state.N, 1.0)
     prev = state
     for _ in range(steps):
-        nxt = epi_step(prev, rates, pop)
+        nxt = epi_step(prev, rates, params)
         assert nxt.S >= 0 and nxt.I >= 0 and nxt.R >= 0 and nxt.D >= 0 and nxt.N >= 0
         assert nxt.R >= prev.R and nxt.D >= prev.D
         assert abs((nxt.N - (nxt.S + nxt.I + nxt.R)) - gap0) <= 1e-6 * scale
@@ -149,6 +150,12 @@ def test_invalid_rates_rejected():
         epi_step(state, EpiRates(b=-1.0, r=0.1, m=0.1), NO_GROWTH)
 
 
+def test_invalid_params_rejected():
+    state = make_state(S=10.0, I=1.0, R=0.0, D=0.0)
+    with pytest.raises(ValueError, match="ModelParams.a1"):
+        epi_step(state, EpiRates(b=1e-4, r=0.1, m=0.1), dataclasses.replace(NO_GROWTH, a1=0.999))
+
+
 def test_invalid_state_rejected():
     bad = EpiState(date=DAY0, N=10.0, S=-1.0, I=1.0, R=0.0, D=0.0)
     with pytest.raises(ValueError):
@@ -157,63 +164,63 @@ def test_invalid_state_rejected():
 
 class TestPolicyToInfectionReduction:
     def test_five_percent_shortfall(self):
-        reduction = policy_to_infection_reduction(5.0, TRADEOFF)
+        reduction = policy_to_infection_reduction(5.0, PUBLISHED)
         assert reduction == pytest.approx(58.0, abs=0.5)
         assert 55.0 <= reduction <= 62.0
 
     def test_ten_percent_shortfall(self):
-        reduction = policy_to_infection_reduction(10.0, TRADEOFF)
+        reduction = policy_to_infection_reduction(10.0, PUBLISHED)
         assert reduction == pytest.approx(68.4, abs=0.5)
         assert 65.0 <= reduction <= 72.0
 
     def test_zero_is_zero(self):
-        assert policy_to_infection_reduction(0.0, TRADEOFF) == 0.0
+        assert policy_to_infection_reduction(0.0, PUBLISHED) == 0.0
 
     def test_capped_at_hundred(self):
-        assert policy_to_infection_reduction(60.0, TRADEOFF) == 100.0
+        assert policy_to_infection_reduction(60.0, PUBLISHED) == 100.0
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            policy_to_infection_reduction(-1.0, TRADEOFF)
+            policy_to_infection_reduction(-1.0, PUBLISHED)
 
     @given(x=st.floats(0.01, 45.0), dx=st.floats(0.01, 2.0))
     @settings(max_examples=100, deadline=None)
     def test_strictly_increasing_below_cap(self, x, dx):
-        assert policy_to_infection_reduction(x + dx, TRADEOFF) > policy_to_infection_reduction(x, TRADEOFF)
+        assert policy_to_infection_reduction(x + dx, PUBLISHED) > policy_to_infection_reduction(x, PUBLISHED)
 
     @given(x=st.floats(0.5, 40.0), dx=st.floats(0.1, 2.0))
     @settings(max_examples=100, deadline=None)
     def test_concave_below_cap(self, x, dx):
-        lo = policy_to_infection_reduction(x, TRADEOFF)
-        mid = policy_to_infection_reduction(x + dx, TRADEOFF)
-        hi = policy_to_infection_reduction(x + 2 * dx, TRADEOFF)
+        lo = policy_to_infection_reduction(x, PUBLISHED)
+        mid = policy_to_infection_reduction(x + dx, PUBLISHED)
+        hi = policy_to_infection_reduction(x + 2 * dx, PUBLISHED)
         assert (hi - mid) < (mid - lo)
 
 
 class TestEffectiveRates:
     def test_no_reduction(self):
-        rates = effective_rates(2.041e-11, 0.0, MORTALITY, r=0.02099)
+        rates = effective_rates(PUBLISHED, 0.0)
         assert rates.b == 2.041e-11
         assert rates.m == pytest.approx(6.17e-3, rel=2e-3)
         assert rates.r == 0.02099
 
     def test_full_suppression(self):
-        rates = effective_rates(2.041e-11, 100.0, MORTALITY, r=0.02099)
+        rates = effective_rates(PUBLISHED, 100.0)
         assert rates.b == 0.0
         assert rates.m == 0.0
 
     def test_partial_reduction(self):
-        rates = effective_rates(2.041e-11, 58.0, MORTALITY, r=0.02099)
+        rates = effective_rates(PUBLISHED, 58.0)
         assert rates.b == pytest.approx(8.57e-12, rel=1e-3)
         assert rates.m == pytest.approx(3.32e-3, rel=3e-3)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            effective_rates(1e-11, 101.0, MORTALITY, r=0.02)
+            effective_rates(PUBLISHED, 101.0)
         with pytest.raises(ValueError):
-            effective_rates(1e-11, -5.0, MORTALITY, r=0.02)
+            effective_rates(PUBLISHED, -5.0)
 
     @given(b1=st.floats(1e-13, 1e-9), factor=st.floats(1.01, 100.0))
     @settings(max_examples=100, deadline=None)
     def test_mortality_strictly_increasing_in_b(self, b1, factor):
-        assert MORTALITY.mortality(b1 * factor) > MORTALITY.mortality(b1)
+        assert mortality(b1 * factor, PUBLISHED) > mortality(b1, PUBLISHED)

@@ -912,6 +912,55 @@ class TestEulerJacobian:
             assert np.max(np.abs(fd_sub[1:] / sub[1:] - 1.0)) < self.REL_BOUND
 
 
+@pytest.fixture(scope="module")
+def optimality_cases(params):
+    """(inputs, solution, euler_tol) for both baselines and the first 5
+    seed-0 scenario-loop interventions, the inputs as ``run_scenario``
+    builds them."""
+    runs = [scenarios.no_pandemic_scenario(), scenarios.no_intervention_scenario()]
+    runs += [scenarios.no_intervention_scenario(schedule=schedule, name=f"seeded-{i}")
+             for i, schedule in enumerate(seeded_schedules(0, 5))]
+    return [(inputs, solve(inputs), params.euler_tol)
+            for inputs in (planner_inputs(scenario, params) for scenario in runs)]
+
+
+class TestPlannerOptimality:
+    """The model's optimality conditions on the shipped model's solves,
+    whatever the method: the Euler equation, the terminal target and the
+    budget.  Measured over these 7 solves: the largest Euler residual is
+    6.7e-16 and K_T lies 1.3e-13 to 1.2e-11 above its target."""
+
+    RESIDUAL_BOUND = 1e-14
+    TERMINAL_BOUND = 1e-10
+
+    def test_euler_residuals(self, optimality_cases):
+        for inputs, solution, euler_tol in optimality_cases:
+            T, alpha = inputs.horizon, inputs.alpha
+            C, K = solution.consumption_path, solution.capital_path
+            p, A, L, N = (np.asarray(x, dtype=float) for x in (
+                inputs.shortfall_path, inputs.tfp_path, inputs.labor_path, inputs.pop_path))
+            mpk = alpha * (1.0 - p[1:]) * A[1:] * K[1:T] ** (alpha - 1.0) * L[1:] ** (1.0 - alpha)
+            growth = (C[1:] / N[1:]) / (C[:-1] / N[:-1])
+            largest = np.max(np.abs(growth / (inputs.beta_daily * (1.0 - inputs.delta_daily + mpk)) - 1.0))
+            assert largest <= euler_tol and largest <= self.RESIDUAL_BOUND
+
+    def test_terminal_capital_reaches_the_target(self, optimality_cases):
+        for inputs, solution, _ in optimality_cases:
+            target = balanced_path_terminal_capital(inputs)
+            assert 0.0 <= solution.capital_path[-1] / target - 1.0 <= self.TERMINAL_BOUND
+
+    def test_budget_holds_exactly(self, optimality_cases):
+        # K_{t+1} = (1 - delta)*K_t + pc_t*K_t**alpha - H_t - C_t, in float
+        # order, with pc_t = (1 - p_t)*A_t*L_t**(1 - alpha)
+        for inputs, solution, _ in optimality_cases:
+            prodc, _, _, H = shooting_lists(inputs)
+            omd, alpha = 1.0 - inputs.delta_daily, inputs.alpha
+            K, C = solution.capital_path.tolist(), solution.consumption_path.tolist()
+            assert len(K) == len(C) + 1 == inputs.horizon + 1
+            for t, (pc, h, c) in enumerate(zip(prodc, H, C)):
+                assert K[t + 1] == omd * K[t] + pc * K[t] ** alpha - h - c, t
+
+
 def recorded_estimates(monkeypatch) -> list:
     """Record each (C_0, slope) that ``planner._stacked_estimate`` returns."""
     estimates = []

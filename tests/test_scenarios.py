@@ -11,9 +11,6 @@ from epigrowth import scenarios
 from epigrowth.epidemic import (
     EpiRates,
     EpiState,
-    MortalityModel,
-    PopGrowthParams,
-    TradeoffModel,
     effective_rates,
     epi_step,
     policy_to_infection_reduction,
@@ -125,20 +122,18 @@ class TestEpidemicKernel:
         schedule = PolicySchedule(start_date=date(2020, 3, 12), intensity_p=0.10, duration_days=182)
         scenario = short_scenario(schedule=schedule)
         days, N, S, I, R, D, p, F = _epidemic_pass(scenario, params)
-        mm = MortalityModel(log_k1=params.log_k1, k2=params.k2)
-        pop = PopGrowthParams(a1=params.a1, a2=params.a2)
-        reduction = policy_to_infection_reduction(10.0, TradeoffModel(log_q1=params.log_q1, q2=params.q2))
+        reduction = policy_to_infection_reduction(10.0, params)
         end = schedule.start_date + timedelta(days=schedule.duration_days)
         state = scenario.initial_epi_state()
         for t, day in enumerate(map(date.fromordinal, days)):
             assert state.date == day
             assert (state.N, state.S, state.I, state.R, state.D) == (N[t], S[t], I[t], R[t], D[t]), day
             active = schedule.start_date <= day < end
-            rates = effective_rates(params.b0, reduction if active else 0.0, mm, params.r)
+            rates = effective_rates(params, reduction if active else 0.0)
             assert p[t] == (0.10 if active else 0.0), day
             assert F[t] == min(rates.b * state.S * state.I, state.S), day
             if t < len(days) - 1:
-                state = epi_step(state, rates, pop)
+                state = epi_step(state, rates, params)
 
 
 def oracle_epidemic_pass(scenario: Scenario, params: ModelParams):
@@ -161,17 +156,15 @@ def oracle_epidemic_pass(scenario: Scenario, params: ModelParams):
         )
 
     T = scenario.n_days()
-    mm = MortalityModel(log_k1=params.log_k1, k2=params.k2)
-    base_rates = effective_rates(params.b0, 0.0, mm, params.r)
+    base_rates = effective_rates(params, 0.0)
     active_rates = base_rates
     in_window = np.zeros(T, dtype=bool)
     intensity = 0.0
     schedule = scenario.schedule
     if schedule is not None and schedule.intensity_p > 0:
         intensity = schedule.intensity_p
-        tm = TradeoffModel(log_q1=params.log_q1, q2=params.q2)
-        reduction = policy_to_infection_reduction(intensity * 100.0, tm)
-        active_rates = effective_rates(params.b0, reduction, mm, params.r)
+        reduction = policy_to_infection_reduction(intensity * 100.0, params)
+        active_rates = effective_rates(params, reduction)
         first = (schedule.start_date - scenario.start_date).days
         days = np.arange(T)
         in_window = (days >= first) & (days < first + schedule.duration_days)
@@ -249,10 +242,10 @@ class TestEpidemicPassOracle:
         _, N, S, I, R, D, p, F = _epidemic_pass(clamp, dataclasses.replace(params, **changes))
         assert np.any(F == S)
 
-    def test_epi_step_is_one_oracle_day(self):
+    def test_epi_step_is_one_oracle_day(self, params):
         state = EpiState(date=date(2020, 1, 1), N=1000.0, S=990.0, I=10.0, R=0.0, D=0.0)
         for rates in (EpiRates(b=1e-4, r=0.1, m=0.01), EpiRates(b=1.0, r=0.3, m=0.1)):
-            pop = PopGrowthParams(a1=1.0001, a2=-1e-9)
+            pop = dataclasses.replace(params, a1=1.0001, a2=-1e-9)
             nxt = epi_step(state, rates, pop)
             births = (pop.a1 - 1.0) * state.N + pop.a2 * state.N * state.N
             F = min(rates.b * state.S * state.I, state.S)
