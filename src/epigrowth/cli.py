@@ -33,8 +33,9 @@ def _datasets(args, config: data_io.RunConfig, keys) -> tuple:
 
 def _refuse_overwrite(outputs, inputs) -> None:
     """DataFormatError naming both paths when one of ``outputs`` is one of
-    ``inputs``, so that a command stops before it writes anything."""
-    sources = {Path(path).resolve(): path for path in inputs}
+    ``inputs`` (None for an input not given), so that a command stops
+    before it writes anything."""
+    sources = {Path(path).resolve(): path for path in inputs if path is not None}
     for out in outputs:
         if Path(out).resolve() in sources:
             raise data_io.DataFormatError(f"output {out} would overwrite the input {sources[Path(out).resolve()]}")
@@ -73,9 +74,7 @@ def _metrics_row(run: scenarios.SweepRun) -> dict:
 
 def cmd_calibrate(args) -> int:
     out = Path(args.out)
-    report_path = Path(args.report) if args.report else out.with_name(out.stem + "_report.json")
-    if out.resolve() == report_path.resolve():
-        raise data_io.DataFormatError(f"--out {args.out} and --report {args.report} name the same file")
+    report_path = out.with_name(out.stem + "_report.json")
     config = data_io.load_config(args.config)
     data_dir, manifests = _datasets(args, config, data_io.DATASETS)
     _refuse_overwrite([out, report_path], [m.path for m in manifests.values()])
@@ -137,21 +136,22 @@ def _token(text: str):
 
 def cmd_simulate(args) -> int:
     config = data_io.load_config(args.config)
-    params = _load_params(args, config)
     scenario = _resolve_scenario(args.scenario, config)
     out_dir = Path(args.out)
+    traj_name = scenarios.TRAJECTORY_CSV.format(scenario.name)
+    metrics_name = f"{scenario.name}_metrics.json"
+    scenario_file = None if args.scenario in config.scenarios else args.scenario
+    _refuse_overwrite([out_dir / name for name in (traj_name, metrics_name, "manifest.json")],
+                      [args.config, args.params, scenario_file])
+    params = _load_params(args, config)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     trajectory = scenarios.run_scenario(scenario, params)
-    if scenario.name == scenarios.NO_PANDEMIC:
-        reference = trajectory
-    else:
-        reference = scenarios.run_scenario(config.scenario(scenarios.NO_PANDEMIC), params)
+    baseline = config.scenario(scenarios.NO_PANDEMIC)
+    reference = trajectory if scenario == baseline else scenarios.run_scenario(baseline, params)
     metrics = scenarios.summarize(
         trajectory, reference, scenarios.covered_dates(config.ratio_dates(), scenario, reference))
 
-    traj_name = scenarios.TRAJECTORY_CSV.format(scenario.name)
-    metrics_name = f"{scenario.name}_metrics.json"
     data_io.write_trajectory(trajectory, out_dir / traj_name)
     data_io.write_json(metrics.to_dict(), out_dir / metrics_name)
     _write_manifest(out_dir, "simulate", [traj_name, metrics_name],
@@ -167,7 +167,6 @@ SWEEP_CHARTS = ["I", "D", "Y", "C"]
 
 def cmd_sweep(args) -> int:
     config = data_io.load_config(args.config)
-    params = _load_params(args, config)
     grid = config.sweeps[args.axis]
     if args.values is not None:
         tokens = [_token(item) for item in args.values.split(",") if item != ""]
@@ -175,6 +174,12 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise data_io.DataFormatError(f"--jobs: expected a whole number >= 1, got {args.jobs}")
     out_dir = Path(args.out)
+    members = scenarios.sweep_members(args.axis, grid, config.scenario(scenarios.NO_INTERVENTION))
+    _refuse_overwrite([out_dir / name for name in (
+        *(scenarios.TRAJECTORY_CSV.format(member.name) for member in members),
+        *(name.format(var) for var in SWEEP_CHARTS for name in plotting.CHART_FILES),
+        "comparison.csv", "comparison.json", "manifest.json")], [args.config, args.params])
+    params = _load_params(args, config)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # a failed baseline stops the sweep; a failed member only fills its row's error
@@ -203,10 +208,16 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+BACKTEST_FILES = ["backtest_trajectory.csv", "backtest_report.json", "backtest_table.csv"]
+
+
 def cmd_backtest(args) -> int:
     config = data_io.load_config(args.config)
-    params = _load_params(args, config)
     _, observed = _datasets(args, config, ("population", "gdp", "gcf"))
+    out_dir = Path(args.out)
+    _refuse_overwrite([out_dir / name for name in (*BACKTEST_FILES, "manifest.json")],
+                      [args.config, args.params, *(m.path for m in observed.values())])
+    params = _load_params(args, config)
     bt = config.backtest
     trajectory, report = scenarios.backtest(
         params, *map(data_io.load_annual_series, observed.values()),
@@ -216,14 +227,12 @@ def cmd_backtest(args) -> int:
     report["tolerance"] = tolerance
     report["within_tolerance"] = bool(report["max_abs_gdp_error"] <= tolerance)
 
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    data_io.write_trajectory(trajectory, out_dir / "backtest_trajectory.csv")
-    data_io.write_json(report, out_dir / "backtest_report.json")
-    data_io.write_table(report["rows"], out_dir / "backtest_table.csv")
-    _write_manifest(out_dir, "backtest",
-                    ["backtest_trajectory.csv", "backtest_report.json", "backtest_table.csv"],
-                    {"params_digest": params.digest()})
+    trajectory_csv, report_json, table_csv = (out_dir / name for name in BACKTEST_FILES)
+    data_io.write_trajectory(trajectory, trajectory_csv)
+    data_io.write_json(report, report_json)
+    data_io.write_table(report["rows"], table_csv)
+    _write_manifest(out_dir, "backtest", BACKTEST_FILES, {"params_digest": params.digest()})
 
     for row in report["rows"]:
         flag = "" if abs(row["gdp_relative_error"]) <= tolerance else "  <-- outside tolerance"
@@ -240,7 +249,7 @@ def cmd_report(args) -> int:
         raise data_io.DataFormatError("no variables given; use --variables Y,C,I")
     named = ", ".join(args.trajectories)
     try:
-        plotting.check_variables(variables, data_io.TRAJECTORY_HEADER[1:])
+        plotting.check_variables(variables, scenarios.TRAJECTORY_COLUMNS)
     except ValueError as exc:
         raise data_io.DataFormatError(f"{named}: {exc}") from None
     out_dir = Path(args.out)
@@ -271,8 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", parents=[config, data],
                        help="estimate all model parameters from the bundled datasets")
-    p.add_argument("--out", required=True, help="output params JSON file")
-    p.add_argument("--report", help="regression report JSON (default: <out>_report.json)")
+    p.add_argument("--out", required=True,
+                   help="output params JSON file; the regression report goes beside it, "
+                        "as <out stem>_report.json")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("simulate", parents=[config, params],

@@ -29,7 +29,7 @@ import numpy as np
 from .calibration import AnnualSeries, CaseSeries
 from .params import (DataFormatError, ModelParams, default_config, iso_day, parse_date, parse_file_name,
                      parse_list, parse_number, parse_section, parse_year, shown)
-from .scenarios import SWEEP_AXES, Scenario, Trajectory, parse_sweep
+from .scenarios import SWEEP_AXES, TRAJECTORY_COLUMNS, Scenario, Trajectory, parse_sweep
 
 log = logging.getLogger(__name__)
 
@@ -46,7 +46,7 @@ KIND_COLUMNS = {
 DATASETS = {"population": "population", "gdp": "gdp", "gcf": "gcf", "cases": "cases",
             "tradeoff": "tradeoff-panel"}
 
-TRAJECTORY_HEADER = ["date", "N", "S", "I", "R", "D", "A", "K", "Y", "C", "H", "p"]
+TRAJECTORY_HEADER = ["date", *TRAJECTORY_COLUMNS]
 
 
 @dataclass(frozen=True)
@@ -207,9 +207,8 @@ def write_columns(series: list, path) -> None:
 
 
 def write_trajectory(trajectory: Trajectory, path) -> None:
-    """The trajectory's ``TRAJECTORY_HEADER`` columns, by ``write_columns``."""
-    cols = trajectory.columns()
-    write_columns([(name, trajectory.days, cols[name]) for name in TRAJECTORY_HEADER[1:]], path)
+    """The trajectory's ``TRAJECTORY_COLUMNS``, by ``write_columns``."""
+    write_columns([(name, trajectory.days, column) for name, column in trajectory.columns().items()], path)
 
 
 _HEADER_LINE = ",".join(TRAJECTORY_HEADER)
@@ -277,9 +276,9 @@ def read_trajectory(path) -> Trajectory:
     if bad.size:
         column, row = bad[np.argmin(bad[:, 1])]
         raise DataFormatError(
-            f"{path}: row {row + 2}: non-finite {TRAJECTORY_HEADER[column + 1]!r} value {data[column, row]!r}")
+            f"{path}: row {row + 2}: non-finite {TRAJECTORY_COLUMNS[column]!r} value {data[column, row]!r}")
     return Trajectory(scenario_name=path.stem, days=range(first, first + len(body)), welfare=float("nan"),
-                      **dict(zip(TRAJECTORY_HEADER[1:], data)))
+                      **dict(zip(TRAJECTORY_COLUMNS, data)))
 
 
 def _unique_keys(pairs: list) -> dict:

@@ -16,7 +16,7 @@ import numbers
 import re
 import reprlib
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from datetime import date, timedelta
 from importlib import resources
 
@@ -183,9 +183,9 @@ class ModelParams:
     log_q1: float
     q2: float
     # solver settings; a zero bisection tolerance means machine resolution
-    euler_tol: float = 1e-6
-    bisection_rel_tol: float = 0.0
-    max_bisection_iter: int = 200
+    euler_tol: float
+    bisection_rel_tol: float
+    max_bisection_iter: int
 
     def validate(self) -> None:
         """Types and ranges of every field; raises ValueError naming the field."""
@@ -220,11 +220,10 @@ class ModelParams:
 
     @classmethod
     def from_dict(cls, raw, where: str = "params") -> "ModelParams":
-        """Parse a params object at ``where``; its values are checked as a
-        whole by ``validate``, whose error is prefixed with ``where``."""
+        """Parse a params object at ``where`` that holds every field; its values
+        are checked as a whole by ``validate``, whose error is prefixed with ``where``."""
         parsers = {f.name: lambda value, _: value for f in fields(cls)}
-        required = [f.name for f in fields(cls) if f.default is MISSING]
-        params = cls(**parse_section(raw, where, parsers.get, required))
+        params = cls(**parse_section(raw, where, parsers.get, parsers))
         try:
             params.validate()
         except ValueError as exc:

@@ -40,6 +40,8 @@ NO_INTERVENTION = "no-intervention"
 
 # numeric Scenario fields; a scenario table spells them in lower case
 _SCENARIO_NUMBERS = ("N0", "I0", "R0", "D0", "A0", "K0")
+# a Trajectory's daily columns, in the order its CSV holds them
+TRAJECTORY_COLUMNS = ("N", "S", "I", "R", "D", "A", "K", "Y", "C", "H", "p")
 
 
 # schedule setting, as a config spells it -> parser of one value; each
@@ -186,11 +188,7 @@ class Trajectory:
         return offset
 
     def columns(self) -> dict:
-        return {
-            "N": self.N, "S": self.S, "I": self.I, "R": self.R, "D": self.D,
-            "A": self.A, "K": self.K, "Y": self.Y, "C": self.C, "H": self.H,
-            "p": self.p,
-        }
+        return {name: getattr(self, name) for name in TRAJECTORY_COLUMNS}
 
 
 @dataclass(frozen=True)
@@ -560,12 +558,13 @@ def backtest(
     gdp: calibration.AnnualSeries,
     gcf: calibration.AnnualSeries,
     *,
-    start_year: int = 1990,
-    end_year: int = 2010,
-    horizon: date | None = None,
+    start_year: int,
+    end_year: int,
+    horizon: date,
 ) -> tuple[Trajectory, dict]:
     """Pandemic-free run from historical initial conditions, scored
-    against observed annual output.
+    against observed annual output from ``start_year`` to ``end_year``;
+    the planner solves to ``horizon``.
 
     The initial capital stock is imputed by perpetual inventory and the
     initial TFP level matches observed output in the starting year.
@@ -577,8 +576,6 @@ def backtest(
     missing = [y for y in years if y not in gdp.years]
     if missing:
         raise ValueError(f"observed GDP is missing years {missing}")
-    if horizon is None:
-        horizon = date(start_year + 50, 12, 31)
 
     delta_annual = annual_depreciation(params.delta_daily)
     k_init = calibration.steady_state_k_init(gcf, delta_annual)

@@ -112,5 +112,11 @@ def calibrated(datasets, config):
 
 
 @pytest.fixture(scope="session")
-def backtest_result(params, datasets):
-    return scenarios.backtest(params, datasets["population"], datasets["gdp"], datasets["gcf"])
+def backtest_window(config):
+    """``scenarios.backtest``'s window keywords, from the shipped config."""
+    return {key: config.backtest[key] for key in ("start_year", "end_year", "horizon")}
+
+
+@pytest.fixture(scope="session")
+def backtest_result(params, datasets, backtest_window):
+    return scenarios.backtest(params, datasets["population"], datasets["gdp"], datasets["gcf"], **backtest_window)

@@ -93,15 +93,13 @@ class TestCalibrate:
         report = json.loads(out.with_name("params_report.json").read_text())
         assert report["assumed"][name] == value
 
-    def test_report_on_the_params_file_rejected(self, tmp_path, capsys, monkeypatch):
-        # the report would overwrite the params it follows; two spellings
-        # of one file are caught too
-        monkeypatch.chdir(tmp_path)
-        out = tmp_path / "params.json"
-        assert main(["calibrate", "--data", str(DATA_DIR), "--out", str(out),
-                     "--report", "./params.json"]) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "--out" in err and "--report" in err
+    def test_report_flag_retired(self, tmp_path, capsys):
+        # the report always goes beside --out, as <stem>_report.json
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate", "--data", str(DATA_DIR), "--out", str(tmp_path / "params.json"),
+                  "--report", str(tmp_path / "report.json")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --report" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_data_dir_from_environment(self, tmp_path, monkeypatch):
@@ -110,20 +108,24 @@ class TestCalibrate:
         assert main(["calibrate", "--out", str(out)]) == 0
         assert out.exists()
 
-    @pytest.mark.parametrize("option,name", [("--out", "global_cases.csv"), ("--report", "world_gdp.csv")])
+    @pytest.mark.parametrize("option,name", [("--out", "global_cases.csv"), ("report", "params_report.json")])
     def test_output_on_a_dataset_rejected(self, tmp_path, capsys, option, name):
+        # the report goes beside --out as <stem>_report.json, so it meets a
+        # dataset of that name: here the GDP series, renamed by the config
         data = tmp_path / "data"
         data.mkdir()
         for source in DATA_DIR.glob("*.csv"):
             (data / source.name).write_bytes(source.read_bytes())
-        target = data / ".." / "data" / name  # the dataset, spelt another way
-        outputs = {"--out": tmp_path / "params.json", option: target}
-        argv = [item for pair in outputs.items() for item in map(str, pair)]
-        assert main(["calibrate", "--data", str(data), *argv]) == 1
+        (data / "world_gdp.csv").rename(data / "params_report.json")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"data": {"gdp": "params_report.json"}}))
+        datasets = {path: path.read_bytes() for path in data.iterdir()}
+        out = data / ".." / "data" / ("params.json" if option == "report" else name)  # spelt another way
+        target = out.with_name(name)
+        assert main(["calibrate", "--data", str(data), "--config", str(config), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: output {target} would overwrite the input {data / name}\n"
-        assert (data / name).read_bytes() == (DATA_DIR / name).read_bytes()
-        assert sorted(path.name for path in tmp_path.iterdir()) == ["data"]
-
+        assert {path: path.read_bytes() for path in data.iterdir()} == datasets
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json", "data"]
 
     def test_bundle_that_breaks_a_rule_not_written(self, tmp_path, capsys):
         # a convex trade-off panel, reduction = 0.2 * shortfall**2, fits
@@ -214,6 +216,101 @@ class TestSimulate:
                      "--config", fast_config])
         assert code == 0
         assert (out / "custom-policy_trajectory.csv").exists()
+
+
+class TestSimulateReference:
+    def test_baseline_is_its_own_reference_only_when_it_is_the_configured_one(
+            self, tmp_path, monkeypatch, fast_config):
+        # the shipped no-pandemic scenario with K0 halved is measured against
+        # the configured baseline under its own name as under any other
+        solves, run_scenario = [], scenarios.run_scenario
+
+        def counted(scenario, params):
+            solves.append(scenario.name)
+            return run_scenario(scenario, params)
+
+        monkeypatch.setattr(scenarios, "run_scenario", counted)
+        assert main(["simulate", "--scenario", "no-pandemic", "--config", fast_config,
+                     "--out", str(tmp_path / "shipped")]) == 0
+        assert solves == ["no-pandemic"]
+        shipped = data_io.load_config(fast_config).scenario(scenarios.NO_PANDEMIC)
+        raw = {**data_io.default_config()["scenarios"]["no-pandemic"], "k0": shipped.K0 / 2,
+               "end_of_interest": shipped.end_of_interest.isoformat(), "horizon": shipped.horizon.isoformat()}
+        metrics = {}
+        for name in ("no-pandemic", "halved-capital"):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"name": name, **raw}))
+            solves.clear()
+            assert main(["simulate", "--scenario", str(path), "--config", fast_config,
+                         "--out", str(tmp_path / name)]) == 0
+            assert solves == [name, "no-pandemic"]
+            metrics[name] = json.loads((tmp_path / name / f"{name}_metrics.json").read_text())
+            assert metrics[name].pop("scenario") == name
+        assert metrics["no-pandemic"] == metrics["halved-capital"]
+        assert metrics["no-pandemic"]["max_output_drop_pct"] > 10.0
+        assert all(ratio < 1.0 for ratio in metrics["no-pandemic"]["output_ratio_at"].values())
+
+
+class TestOutputOnAnInput:
+    """simulate, sweep and backtest refuse to write over a file they read,
+    before any solve: one error line naming both paths, the input's bytes
+    unchanged and nothing written."""
+
+    COMMANDS = {
+        "simulate": ["simulate", "--scenario", "no-intervention"],
+        "sweep": ["sweep", "--axis", "duration", "--values", "4"],
+        "backtest": ["backtest", "--data", str(DATA_DIR)],
+    }
+
+    @pytest.mark.parametrize("command,option,name", [
+        ("simulate", "--config", "manifest.json"),
+        ("simulate", "--params", "no-intervention_metrics.json"),
+        ("simulate", "--scenario", "custom_trajectory.csv"),
+        ("sweep", "--config", "duration-004wk_trajectory.csv"),
+        ("sweep", "--params", "comparison.json"),
+        ("sweep", "--params", "C_data.csv"),
+        ("backtest", "--config", "manifest.json"),
+        ("backtest", "--params", "backtest_report.json"),
+    ])
+    def test_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys, fast_config, command, option, name):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a scenario was solved before the outputs were checked")
+
+        monkeypatch.setattr(scenarios, "run_scenario", no_solve)
+        out = tmp_path / "out"
+        out.mkdir()
+        path = out / name
+        argv = [*self.COMMANDS[command], "--out", str(out)]
+        if option == "--config":
+            path.write_text(Path(fast_config).read_text())
+        else:
+            argv += ["--config", fast_config]
+        if option == "--params":
+            data_io.write_json(default_params().to_dict(), path)
+        if option == "--scenario":
+            path.write_text(json.dumps({**data_io.default_config()["scenarios"]["no-intervention"], "name": "custom"}))
+            argv[2] = str(path)
+        else:
+            argv += [option, str(path)]
+        written = path.read_bytes()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: output {path} would overwrite the input {path}\n"
+        assert path.read_bytes() == written and [p.name for p in out.iterdir()] == [name]
+
+    def test_backtest_dataset_rejected(self, tmp_path, capsys):
+        # a dataset the config names like a backtest output
+        data = tmp_path / "data"
+        data.mkdir()
+        for source in DATA_DIR.glob("*.csv"):
+            (data / source.name).write_bytes(source.read_bytes())
+        (data / "world_gdp.csv").rename(data / "backtest_table.csv")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"data": {"gdp": "backtest_table.csv"}}))
+        datasets = {path: path.read_bytes() for path in data.iterdir()}
+        assert main(["backtest", "--data", str(data), "--config", str(config), "--out", str(data)]) == 1
+        path = data / "backtest_table.csv"
+        assert capsys.readouterr().err == f"error: output {path} would overwrite the input {path}\n"
+        assert {path: path.read_bytes() for path in data.iterdir()} == datasets
 
 
 class TestScenarioFile:

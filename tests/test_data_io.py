@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 from datetime import date, timedelta
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from epigrowth import data_io
 from epigrowth.data_io import DataFormatError, DatasetManifest
-from epigrowth.params import default_params
+from epigrowth.params import ModelParams, default_params
 from epigrowth.scenarios import Trajectory
 from tests.conftest import DATA_DIR
 
@@ -516,6 +517,19 @@ class TestParamsDocument:
         path.write_text(json.dumps(doc))
         with pytest.raises(DataFormatError, match=rf"ModelParams\.{field}\b"):
             data_io.read_params(path)
+
+    @pytest.mark.parametrize("field", ["euler_tol", "bisection_rel_tol", "max_bisection_iter", "b0"])
+    def test_missing_field_named(self, tmp_path, field):
+        # every field is required: the solver settings have no default in
+        # code, so a document without one is refused, not silently filled
+        doc = default_params().to_dict()
+        del doc[field]
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError) as exc:
+            data_io.read_params(path)
+        assert str(exc.value) == f"{path}: missing keys [{field!r}]"
+        assert all(f.default is f.default_factory is dataclasses.MISSING for f in dataclasses.fields(ModelParams))
 
     def test_unknown_field_rejected(self, tmp_path):
         doc = default_params().to_dict()

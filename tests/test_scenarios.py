@@ -444,13 +444,14 @@ class TestBacktest:
         assert len(report["rows"]) == 21
         assert not report["systematic_drift"]
 
-    def test_zero_growth_control_flags_drift(self, params, datasets):
+    def test_zero_growth_control_flags_drift(self, params, datasets, backtest_window):
         slow = dataclasses.replace(params, g_daily=0.0)
-        _, report = backtest(slow, datasets["population"], datasets["gdp"], datasets["gcf"])
+        _, report = backtest(slow, datasets["population"], datasets["gdp"], datasets["gcf"], **backtest_window)
         assert report["systematic_drift"]
         assert report["mean_gdp_error"] < -0.05
 
-    def test_capital_imputed_at_the_annual_equivalent_of_delta_daily(self, params, datasets, monkeypatch):
+    def test_capital_imputed_at_the_annual_equivalent_of_delta_daily(self, params, datasets, backtest_window,
+                                                                     monkeypatch):
         # the helper calibrate imputes with, so both read gcf.csv alike
         from epigrowth.calibration import impute_capital, steady_state_k_init
         from epigrowth.params import annual_depreciation
@@ -466,20 +467,20 @@ class TestBacktest:
         for delta_daily in (params.delta_daily, 2e-4):
             with pytest.raises(Solved) as solved:
                 backtest(dataclasses.replace(params, delta_daily=delta_daily),
-                         datasets["population"], datasets["gdp"], gcf)
+                         datasets["population"], datasets["gdp"], gcf, **backtest_window)
             delta_annual = annual_depreciation(delta_daily)
             capital = impute_capital(gcf, delta_annual, steady_state_k_init(gcf, delta_annual))
             assert solved.value.args[0].K0 == capital.value_at(1990)
 
-    def test_empty_observed_series_rejected(self, params, datasets):
+    def test_empty_observed_series_rejected(self, params, datasets, backtest_window):
         import numpy as np
         from epigrowth.calibration import AnnualSeries
 
         empty = AnnualSeries(np.array([], dtype=int), np.array([]))
         with pytest.raises(ValueError, match="empty"):
-            backtest(params, datasets["population"], empty, datasets["gcf"])
+            backtest(params, datasets["population"], empty, datasets["gcf"], **backtest_window)
 
-    def test_missing_gdp_years_rejected_before_any_solve(self, params, datasets, monkeypatch):
+    def test_missing_gdp_years_rejected_before_any_solve(self, params, datasets, backtest_window, monkeypatch):
         from epigrowth.calibration import AnnualSeries
 
         def no_solve(*args, **kwargs):
@@ -489,7 +490,7 @@ class TestBacktest:
         gdp = datasets["gdp"]
         to_2005 = AnnualSeries(gdp.years[gdp.years <= 2005], gdp.values[gdp.years <= 2005])
         with pytest.raises(ValueError, match=r"^observed GDP is missing years \[2006, 2007, 2008, 2009, 2010\]$"):
-            backtest(params, datasets["population"], to_2005, datasets["gcf"])
+            backtest(params, datasets["population"], to_2005, datasets["gcf"], **backtest_window)
 
 
 class TestInfeasibility:
