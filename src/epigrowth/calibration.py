@@ -221,6 +221,16 @@ def estimate_tfp(
     return AnnualSeries(common, A), annual_to_daily_growth(g_annual)
 
 
+def capital_and_tfp(pop: AnnualSeries, gdp: AnnualSeries, gcf: AnnualSeries, params: ModelParams) -> tuple:
+    """The initial stock, the capital series imputed from it at the annual
+    equivalent of ``params.delta_daily``, and the TFP levels and their
+    daily growth rate at ``params.alpha``: (k_init, capital, tfp, g_daily)."""
+    delta_annual = annual_depreciation(params.delta_daily)
+    k_init = steady_state_k_init(gcf, delta_annual)
+    capital = impute_capital(gcf, delta_annual, k_init)
+    return (k_init, capital, *estimate_tfp(gdp, capital, pop, params.alpha))
+
+
 @dataclass(frozen=True)
 class ExtractedRates:
     """Daily epidemic rates backed out of a cumulative case series."""
@@ -319,10 +329,7 @@ def calibrate(
     a1_y, a2_y = (float(v) for v in pop_fit.coefficients)
     a1, a2 = to_daily(a1_y, a2_y)
 
-    delta_annual = annual_depreciation(c.assumed.delta_daily)
-    k_init = steady_state_k_init(gcf, delta_annual)
-    capital = impute_capital(gcf, delta_annual, k_init)
-    tfp_series, g_daily = estimate_tfp(gdp, capital, population, c.assumed.alpha)
+    k_init, capital, tfp_series, g_daily = capital_and_tfp(population, gdp, gcf, c.assumed)
 
     rates = extract_epi_rates(cases, a1, a2, case_population)
     b0 = quantile(rates.b, INFECTION_RATE_QUANTILE)
@@ -342,7 +349,6 @@ def calibrate(
         log_q1=float(tradeoff_fit.coefficients[0]),
         q2=float(tradeoff_fit.coefficients[1]),
     )
-    params.validate()
 
     def _table(fit: OlsFit, names: list) -> dict:
         return {

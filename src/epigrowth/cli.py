@@ -144,7 +144,6 @@ def cmd_simulate(args) -> int:
     _refuse_overwrite([out_dir / name for name in (traj_name, metrics_name, "manifest.json")],
                       [args.config, args.params, scenario_file])
     params = _load_params(args, config)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     trajectory = scenarios.run_scenario(scenario, params)
     baseline = config.scenario(scenarios.NO_PANDEMIC)
@@ -180,7 +179,6 @@ def cmd_sweep(args) -> int:
         *(name.format(var) for var in SWEEP_CHARTS for name in plotting.CHART_FILES),
         "comparison.csv", "comparison.json", "manifest.json")], [args.config, args.params])
     params = _load_params(args, config)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     # a failed baseline stops the sweep; a failed member only fills its row's error
     reference, runs = scenarios.sweep(
@@ -227,7 +225,6 @@ def cmd_backtest(args) -> int:
     report["tolerance"] = tolerance
     report["within_tolerance"] = bool(report["max_abs_gdp_error"] <= tolerance)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     trajectory_csv, report_json, table_csv = (out_dir / name for name in BACKTEST_FILES)
     data_io.write_trajectory(trajectory, trajectory_csv)
     data_io.write_json(report, report_json)

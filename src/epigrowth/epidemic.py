@@ -14,9 +14,9 @@ The clamp on F keeps S nonnegative for extreme infection rates; it never
 binds at calibrated magnitudes.  N - (S + I + R) is invariant under the
 step.
 
-The rate laws are plain functions of a ``ModelParams`` bundle, whose
-``validate`` holds every rule on their coefficients (a1 >= 1, a2 <= 0,
-k2 in (0, 1], q2 in (0, 1)):
+The rate laws are plain functions of a ``ModelParams`` bundle, which
+checks every rule on their coefficients when it is built (a1 >= 1,
+a2 <= 0, k2 in (0, 1], q2 in (0, 1)):
 
     db% = min(exp(log_q1) * dGDP%**q2, 100)   policy_to_infection_reduction
     b   = b0 * (1 - db%/100)                  effective_rates
@@ -53,7 +53,7 @@ class EpiState:
     R: float
     D: float
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("N", "S", "I", "R", "D"):
             if getattr(self, name) < 0:
                 raise ValueError(f"EpiState.{name} must be >= 0, got {getattr(self, name)!r}")
@@ -67,7 +67,7 @@ class EpiRates:
     r: float
     m: float
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.b < 0:
             raise ValueError(f"infection rate b must be >= 0, got {self.b!r}")
         if not (0.0 <= self.r <= 1.0 and 0.0 <= self.m <= 1.0):
@@ -127,10 +127,7 @@ def run_days(state: tuple, segments: list, r: float, a1: float, a2: float):
 
 
 def epi_step(state: EpiState, rates: EpiRates, params: ModelParams) -> EpiState:
-    """Advance the epidemic one day, checking the inputs and the result."""
-    state.validate()
-    rates.validate()
-    params.validate()
+    """Advance the epidemic one day, checking the result (the inputs check themselves)."""
     _, (N, S, I, R, D) = run_days(
         (state.N, state.S, state.I, state.R, state.D), [(1, rates.b, rates.m)], rates.r, params.a1, params.a2
     )

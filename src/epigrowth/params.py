@@ -1,5 +1,5 @@
-"""Model parameter bundle with every rule on its fields, the shipped
-configuration, and annual/daily rate conversions.
+"""Model parameter bundle, which checks every rule on its fields when it
+is built, the shipped configuration, and annual/daily rate conversions.
 
 The simulator runs at daily resolution, so every annually quoted rate is
 converted with geometric compounding, except the logistic population
@@ -153,7 +153,8 @@ def annual_depreciation(delta_daily: float) -> float:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Calibrated constants at daily resolution, plus solver settings.
+    """Calibrated constants at daily resolution, plus solver settings;
+    building one (``dataclasses.replace`` included) checks every field.
 
     a1, a2        logistic population growth coefficients (daily)
     delta_daily   capital depreciation fraction per day
@@ -187,7 +188,7 @@ class ModelParams:
     bisection_rel_tol: float
     max_bisection_iter: int
 
-    def validate(self) -> None:
+    def __post_init__(self):
         """Types and ranges of every field; raises ValueError naming the field."""
         for f in fields(self):
             parse_number(getattr(self, f.name), f"ModelParams.{f.name}")
@@ -220,15 +221,14 @@ class ModelParams:
 
     @classmethod
     def from_dict(cls, raw, where: str = "params") -> "ModelParams":
-        """Parse a params object at ``where`` that holds every field; its values
-        are checked as a whole by ``validate``, whose error is prefixed with ``where``."""
+        """Parse a params object at ``where`` that holds every field; the
+        constructor checks its values, and its error is prefixed with ``where``."""
         parsers = {f.name: lambda value, _: value for f in fields(cls)}
-        params = cls(**parse_section(raw, where, parsers.get, parsers))
+        settings = parse_section(raw, where, parsers.get, parsers)
         try:
-            params.validate()
+            return cls(**settings)
         except ValueError as exc:
             raise DataFormatError(f"{where}: {exc}") from None
-        return params
 
     def digest(self) -> str:
         """Short deterministic hash of the parameter values, for provenance."""

@@ -90,7 +90,7 @@ class InfeasiblePlanError(RuntimeError):
 
 @dataclass(frozen=True)
 class PlannerInputs:
-    """Exogenous daily paths (all length T) and scalar problem data."""
+    """Exogenous daily paths (all length T) and scalar problem data, checked when built."""
 
     labor_path: np.ndarray      # working persons, S_t + R_t
     pop_path: np.ndarray        # living persons, N_t
@@ -108,7 +108,7 @@ class PlannerInputs:
     def horizon(self) -> int:
         return len(self.labor_path)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         T = self.horizon
         for name in ("pop_path", "tfp_path", "hcost_path", "shortfall_path"):
             if len(getattr(self, name)) != T:
@@ -345,7 +345,6 @@ def solve(inputs: PlannerInputs, *, rel_tol: float = 0.0, max_iter: int = 200) -
     counted.  With rel_tol > 0 or a small max_iter the C_0 returned depends
     on the points the search visits.
     """
-    inputs.validate()
     T = inputs.horizon
     alpha = inputs.alpha
     beta = inputs.beta_daily

@@ -23,7 +23,6 @@ from .epidemic import EpiState, effective_rates, policy_to_infection_reduction, 
 from .params import (
     DataFormatError,
     ModelParams,
-    annual_depreciation,
     default_config,
     parse_date,
     parse_fraction,
@@ -62,7 +61,7 @@ class PolicySchedule:
     intensity_p: float
     duration_days: int
 
-    def validate(self) -> None:
+    def __post_init__(self):
         parse_fraction(self.intensity_p, "PolicySchedule.intensity_p")
         parse_whole(self.duration_days, "PolicySchedule.duration_days", "days")
 
@@ -94,32 +93,30 @@ class Scenario:
     end_of_interest: date
     horizon: date
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in _SCENARIO_NUMBERS:
             parse_number(getattr(self, name), f"Scenario.{name}")
         if self.horizon <= self.end_of_interest:
             raise ValueError("solver horizon must lie beyond the end of interest")
         if self.end_of_interest <= self.start_date:
             raise ValueError("end of interest must lie beyond the start date")
-        self.initial_epi_state().validate()
+        self.initial_epi_state()  # its EpiState checks the compartments, S = N0 - I0 - R0 too
         for name in ("A0", "K0"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"Scenario.{name} must be > 0, got {getattr(self, name)!r}")
-        if self.schedule is not None:
-            self.schedule.validate()
-            if not self.start_date <= self.schedule.start_date <= self.horizon:
-                raise ValueError(
-                    f"Scenario.schedule.start_date must lie in [{self.start_date.isoformat()}, "
-                    f"{self.horizon.isoformat()}], got {self.schedule.start_date.isoformat()}")
 
     @classmethod
     def from_dict(cls, name: str, raw: dict, where: str) -> "Scenario":
         """Parse a scenario table entry (keys in ``_SCENARIO_SETTINGS``)
-        named ``name``; errors name the offending key under ``where``."""
+        named ``name``; errors name the offending key under ``where``, and
+        a rule that the values break is prefixed with ``where``."""
         required = set(_SCENARIO_SETTINGS) - {"schedule"}
         settings = {"schedule": None, **parse_section(raw, where, _SCENARIO_SETTINGS.get, required)}
-        return cls(name=parse_run_name(name, f"{where}.name"),
-                   **{f.name: settings[f.name.lower()] for f in fields(cls) if f.name != "name"})
+        settings["name"] = parse_run_name(name, f"{where}.name")
+        try:
+            return cls(**{f.name: settings[f.name.lower()] for f in fields(cls)})
+        except ValueError as exc:
+            raise DataFormatError(f"{where}: {exc}") from None
 
     def initial_epi_state(self) -> EpiState:
         # the deceased are already excluded from the living population N0
@@ -233,27 +230,28 @@ def _epidemic_pass(scenario: Scenario, params: ModelParams):
     """Forward-simulate the epidemic; returns the day numbers, then per-day
     compartment, policy shortfall and new-infection arrays.
 
-    The inputs are checked once, before the first day (``run_scenario``
-    validates the scenario and parameters, this function the two rate
-    sets); the days run as ``run_days`` segments at constant rates, before,
-    in and after the intervention window, and the result is checked once
-    for the model's domain, S and N >= 0.
+    The scenario, the parameters and the two rate sets check themselves
+    when built; the schedule must start within the run, which is checked
+    before the first day.  The days run as ``run_days`` segments at
+    constant rates, before, in and after the intervention window, and the
+    result is checked once for the model's domain, S and N >= 0.
     """
     T = scenario.n_days()
+    schedule = scenario.schedule
+    if schedule is not None and not scenario.start_date <= schedule.start_date <= scenario.horizon:
+        raise ValueError(
+            f"Scenario.schedule.start_date must lie in [{scenario.start_date.isoformat()}, "
+            f"{scenario.horizon.isoformat()}], got {schedule.start_date.isoformat()}")
     base_rates = effective_rates(params, 0.0)
     active_rates = base_rates
-    lo = hi = 0  # the window's days [lo, hi), clipped to [0, T)
+    lo = hi = 0  # the window's days [lo, hi), cut at T
     intensity = 0.0
-    schedule = scenario.schedule
     if schedule is not None and schedule.intensity_p > 0:
         intensity = schedule.intensity_p
         reduction = policy_to_infection_reduction(intensity * 100.0, params)
         active_rates = effective_rates(params, reduction)
-        first = (schedule.start_date - scenario.start_date).days
-        lo = min(max(first, 0), T)
-        hi = min(max(first + schedule.duration_days, lo), T)
-    base_rates.validate()
-    active_rates.validate()
+        lo = (schedule.start_date - scenario.start_date).days
+        hi = min(lo + schedule.duration_days, T)
 
     base, active = (base_rates.b, base_rates.m), (active_rates.b, active_rates.m)
     s0 = scenario.initial_epi_state()
@@ -297,13 +295,12 @@ def run_scenario(scenario: Scenario, params: ModelParams) -> Trajectory:
     regrown susceptibles, which is an artifact, not a result.  The stored
     welfare is the planner objective over the full horizon.
 
-    Raises ValueError naming the field for invalid parameters or initial
-    conditions, before any day is simulated, and RuntimeError when the
-    planner's largest Euler residual exceeds ``params.euler_tol`` or its
-    terminal capital misses the target by more than TERMINAL_MISS of it.
+    ``scenario`` and ``params`` checked their fields when they were built.
+    Raises ValueError for a schedule that starts outside the run, before
+    any day is simulated, and RuntimeError when the planner's largest
+    Euler residual exceeds ``params.euler_tol`` or its terminal capital
+    misses the target by more than TERMINAL_MISS of it.
     """
-    params.validate()
-    scenario.validate()
     T = scenario.n_days()
     days, N, S, I, R, D, p, F = _epidemic_pass(scenario, params)
 
@@ -577,10 +574,7 @@ def backtest(
     if missing:
         raise ValueError(f"observed GDP is missing years {missing}")
 
-    delta_annual = annual_depreciation(params.delta_daily)
-    k_init = calibration.steady_state_k_init(gcf, delta_annual)
-    capital = calibration.impute_capital(gcf, delta_annual, k_init)
-    tfp_series, _ = calibration.estimate_tfp(gdp, capital, population, params.alpha)
+    _, capital, tfp_series, _ = calibration.capital_and_tfp(population, gdp, gcf, params)
 
     scenario = Scenario(
         name=f"backtest-{start_year}",

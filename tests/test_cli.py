@@ -13,7 +13,7 @@ import pytest
 import epigrowth
 from epigrowth import data_io, plotting, scenarios
 from epigrowth.cli import main
-from epigrowth.params import default_params, shown
+from epigrowth.params import default_config, default_params, shown
 from tests.conftest import DATA_DIR
 
 HUGE = 10 ** 400  # a JSON integer beyond the float range
@@ -194,7 +194,7 @@ class TestSimulate:
         assert err.count("\n") == 1
         assert err.startswith("error: scenario 'no-pandemic': terminal capital 9.62789e+15 misses its target "
                               "7.45093e+14 by 11.9 of it, more than 1e-09")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_unknown_scenario_lists_known(self, tmp_path, capsys):
         code = main(["simulate", "--scenario", "mystery", "--out", str(tmp_path / "x")])
@@ -311,6 +311,49 @@ class TestOutputOnAnInput:
         path = data / "backtest_table.csv"
         assert capsys.readouterr().err == f"error: output {path} would overwrite the input {path}\n"
         assert {path: path.read_bytes() for path in data.iterdir()} == datasets
+
+
+# config scenarios that break a Scenario rule: (the "scenarios" override,
+# the scenario it names, the rule's message)
+BROKEN_SCENARIOS = [
+    ({"no-pandemic": {"k0": -1.0}}, "no-pandemic", "Scenario.K0 must be > 0, got -1.0"),
+    ({"no-intervention": {"horizon": "2025-12-31"}}, "no-intervention",
+     "solver horizon must lie beyond the end of interest"),
+]
+
+
+class TestBrokenScenario:
+    """A config or file scenario that breaks a rule is refused as it loads:
+    one error line naming where it came from, no solve and no --out
+    directory."""
+
+    @pytest.fixture(autouse=True)
+    def no_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a scenario was solved before the scenarios were checked")
+
+        monkeypatch.setattr(scenarios, "run_scenario", no_solve)
+
+    @pytest.mark.parametrize("argv", [["simulate", "--scenario", "no-pandemic"],
+                                      ["sweep", "--axis", "start", "--jobs", "1"]], ids=["simulate", "sweep"])
+    @pytest.mark.parametrize("override,name,message", BROKEN_SCENARIOS, ids=["k0", "horizon"])
+    def test_config_scenario_refused_at_load(self, tmp_path, capsys, argv, override, name, message):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"scenarios": override}))
+        out = tmp_path / "out"
+        assert main([*argv, "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: config.scenarios.{name}: {message}\n"
+        assert not out.exists()
+
+    def test_scenario_file_refused_at_load(self, tmp_path, capsys):
+        shipped = default_config()["scenarios"]["no-pandemic"]
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps({**shipped, "k0": -1.0}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: Scenario.K0 must be > 0, got -1.0\n"
+        assert not out.exists()
 
 
 class TestScenarioFile:
@@ -707,6 +750,7 @@ class TestSweep:
         assert "error in start-2070-01-01: Scenario.schedule.start_date" in err
         assert "every sweep member failed" in err
         assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys, jobs):

@@ -51,19 +51,21 @@ def potential_output(t, alpha):
 
 class TestStateAndParams:
     def test_valid_state(self):
-        no_pandemic_scenario().validate()
-        no_intervention_scenario().validate()
+        # building a scenario checks it
+        no_pandemic_scenario()
+        no_intervention_scenario()
 
     def test_nonpositive_tfp_rejected(self):
         with pytest.raises(ValueError, match="A0"):
-            no_pandemic_scenario(A0=0.0).validate()
+            no_pandemic_scenario(A0=0.0)
 
     def test_negative_capital_rejected(self):
         with pytest.raises(ValueError, match="K0"):
-            no_pandemic_scenario(K0=-1.0).validate()
+            no_pandemic_scenario(K0=-1.0)
 
     def test_valid_params(self, params):
-        params.validate()
+        # building a bundle checks it
+        dataclasses.replace(params)
 
     @pytest.mark.parametrize("field,value", [
         ("alpha", 1.0), ("g_daily", -1e-5), ("delta_daily", 0.0), ("u", -1.0), ("h", 1.5),
@@ -72,7 +74,7 @@ class TestStateAndParams:
     ])
     def test_out_of_range_params_rejected(self, params, field, value):
         with pytest.raises(ValueError, match=rf"^ModelParams\.{field} must "):
-            dataclasses.replace(params, **{field: value}).validate()
+            dataclasses.replace(params, **{field: value})
 
 
 class TestProduction:
@@ -103,12 +105,11 @@ class TestProduction:
         assert t.Y[0] == 0.0
         assert t.Y[1] > 0.0
 
-    def test_invalid_inputs_rejected(self, params):
-        full_stop = dataclasses.replace(POLICY, intensity_p=1.0)
+    def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError, match="intensity_p"):
-            run_scenario(short_no_intervention(schedule=full_stop), params)
+            dataclasses.replace(POLICY, intensity_p=1.0)
         with pytest.raises(ValueError, match="EpiState.S"):
-            run_scenario(short_no_intervention(I0=8e9), params)
+            short_no_intervention(I0=8e9)
 
     @given(lam=st.floats(1e-3, 1e3))
     @settings(max_examples=8, deadline=None)

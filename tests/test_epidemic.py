@@ -157,9 +157,8 @@ def test_invalid_params_rejected():
 
 
 def test_invalid_state_rejected():
-    bad = EpiState(date=DAY0, N=10.0, S=-1.0, I=1.0, R=0.0, D=0.0)
     with pytest.raises(ValueError):
-        epi_step(bad, EpiRates(b=0.0, r=0.0, m=0.0), NO_GROWTH)
+        EpiState(date=DAY0, N=10.0, S=-1.0, I=1.0, R=0.0, D=0.0)
 
 
 class TestPolicyToInfectionReduction:

@@ -470,13 +470,12 @@ class TestErrors:
         assert len(passes) <= 25
 
     def test_path_length_mismatch_rejected(self):
-        inputs = PlannerInputs(
-            labor_path=np.ones(5), pop_path=np.ones(4), tfp_path=np.ones(5),
-            hcost_path=np.zeros(5), shortfall_path=np.zeros(5),
-            K0=1.0, beta_daily=0.99, alpha=0.3, delta_daily=0.1,
-        )
         with pytest.raises(ValueError):
-            solve(inputs)
+            PlannerInputs(
+                labor_path=np.ones(5), pop_path=np.ones(4), tfp_path=np.ones(5),
+                hcost_path=np.zeros(5), shortfall_path=np.zeros(5),
+                K0=1.0, beta_daily=0.99, alpha=0.3, delta_daily=0.1,
+            )
 
 
 class TestTruncationSensitivity:
@@ -548,7 +547,6 @@ def oracle_solve(inputs: PlannerInputs, *, rel_tol: float = 0.0, max_iter: int =
     """The search as the solver once ran it, from the cold bracket with the
     feasibility probe first and Newton steps on K_T: ``planner.solve`` must
     return the same solution bit for bit, and raise the same errors."""
-    inputs.validate()
     T = inputs.horizon
     alpha = inputs.alpha
     beta = inputs.beta_daily

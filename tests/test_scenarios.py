@@ -1,6 +1,7 @@
 import dataclasses
 import pickle
 import random
+import re
 from datetime import date, timedelta
 
 import numpy as np
@@ -15,8 +16,8 @@ from epigrowth.epidemic import (
     epi_step,
     policy_to_infection_reduction,
 )
-from epigrowth.params import DataFormatError, ModelParams, default_config
-from epigrowth.planner import InfeasiblePlanError
+from epigrowth.params import DataFormatError, ModelParams, default_config, default_params
+from epigrowth.planner import InfeasiblePlanError, PlannerInputs
 from epigrowth.scenarios import (
     PolicySchedule,
     Scenario,
@@ -168,8 +169,6 @@ def oracle_epidemic_pass(scenario: Scenario, params: ModelParams):
         first = (schedule.start_date - scenario.start_date).days
         days = np.arange(T)
         in_window = (days >= first) & (days < first + schedule.duration_days)
-    base_rates.validate()
-    active_rates.validate()
 
     rates = {False: (base_rates.b, base_rates.m), True: (active_rates.b, active_rates.m)}
     r, a1, a2 = params.r, params.a1, params.a2
@@ -218,9 +217,10 @@ def oracle_cases() -> list:
         short_scenario(window(date(2024, 12, 31), 1), name="on-the-last-day"),
         short_scenario(window(date(2020, 3, 12), 0), name="zero-duration"),
         short_scenario(window(date(2020, 3, 12), 26, 0.0), name="zero-intensity"),
+        # the shortest run a Scenario allows: start, end of interest, horizon
         *(no_intervention_scenario(schedule=window(start + timedelta(days=lag), 1), name=name,
-                                   end_of_interest=start, horizon=start + timedelta(days=T - 1))
-          for name, T, lag in (("one-day", 1, 0), ("two-days", 2, 0), ("two-days-window-on-day-1", 2, 1))),
+                                   end_of_interest=start + timedelta(days=1), horizon=start + timedelta(days=2))
+          for name, lag in (("three-days", 0), ("three-days-window-on-day-2", 2))),
     ]
     return [(scenario, {}) for scenario in cases] + [
         (short_scenario(window(date(2020, 3, 12), 26), name="clamp"), {"b0": 1e-8})]
@@ -371,14 +371,17 @@ class TestSweeps:
         deaths = [r.metrics.total_deaths for r in runs]
         assert all(a > b for a, b in zip(deaths, deaths[1:])), deaths
 
-    def test_per_run_errors_collected_not_fatal(self, run_sweep):
+    def test_unbuildable_member_refused_before_any_solve(self, run_sweep, monkeypatch):
+        # a member whose schedule breaks a rule cannot be built, so the
+        # sweep stops before it solves anything; a member that can be
+        # built and fails keeps its error (the test below)
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a scenario was solved before every member was built")
+
+        monkeypatch.setattr(scenarios, "run_scenario", no_solve)
         base = short_scenario()
-        runs = run_sweep("intensity", [0.05, 1.2], base=base, reference=base)
-        by_name = {r.scenario.name: r for r in runs}
-        good = by_name["intensity-00.0500"]
-        bad = by_name["intensity-01.2000"]
-        assert good.error is None and good.metrics is not None
-        assert bad.error is not None and bad.trajectory is None
+        with pytest.raises(ValueError, match=r"^PolicySchedule\.intensity_p: "):
+            run_sweep("intensity", [0.05, 1.2], base=base, reference=base)
 
     def test_member_starting_outside_run_keeps_its_error(self, run_sweep):
         base = short_scenario()  # runs to 2024-12-31
@@ -511,15 +514,13 @@ class TestScenarioValidation:
                 params,
             )
 
-    def test_invalid_schedule_rejected(self, params):
-        schedule = PolicySchedule(start_date=date(2020, 3, 12), intensity_p=1.5, duration_days=7)
+    def test_invalid_schedule_rejected(self):
         with pytest.raises(ValueError, match="intensity"):
-            run_scenario(short_scenario(schedule=schedule), params)
+            PolicySchedule(start_date=date(2020, 3, 12), intensity_p=1.5, duration_days=7)
 
-    def test_finite_schedule_required(self, params):
-        schedule = PolicySchedule(start_date=date(2020, 3, 12), intensity_p=float("nan"), duration_days=7)
+    def test_finite_schedule_required(self):
         with pytest.raises(ValueError, match="intensity_p"):
-            run_scenario(short_scenario(schedule=schedule), params)
+            PolicySchedule(start_date=date(2020, 3, 12), intensity_p=float("nan"), duration_days=7)
 
     def test_unknown_sweep_axis_rejected(self, params, monkeypatch):
         def no_solve(*args, **kwargs):
@@ -529,18 +530,19 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="axis"):
             sweep(params, "weather", SweepGrid([1], {}), no_pandemic_scenario(), short_scenario(), [])
 
-    def test_policy_start_outside_run_rejected(self):
+    def test_policy_start_outside_run_rejected(self, params):
+        # a rule of the run, checked before its first day
         base = no_intervention_scenario()
         for start in (base.start_date - timedelta(days=1), base.horizon + timedelta(days=1)):
             schedule = PolicySchedule(start_date=start, intensity_p=0.10, duration_days=182)
             with pytest.raises(ValueError, match=r"^Scenario\.schedule\.start_date"):
-                dataclasses.replace(base, schedule=schedule).validate()
+                run_scenario(dataclasses.replace(base, schedule=schedule), params)
 
-    def test_policy_start_on_run_bounds_accepted(self):
+    def test_policy_start_on_run_bounds_accepted(self, params):
         base = no_intervention_scenario()
         for start in (base.start_date, base.horizon):
             schedule = PolicySchedule(start_date=start, intensity_p=0.10, duration_days=182)
-            dataclasses.replace(base, schedule=schedule).validate()
+            _epidemic_pass(dataclasses.replace(base, schedule=schedule), params)
 
     def test_duration_bounded_by_the_longest_timedelta(self):
         most_weeks = timedelta.max.days // 7
@@ -549,10 +551,37 @@ class TestScenarioValidation:
             scenarios.parse_sweep_values("duration", [4, most_weeks + 1], "weeks")
         base = no_intervention_scenario()
         schedule = PolicySchedule(start_date=base.start_date, intensity_p=0.1, duration_days=timedelta.max.days)
-        dataclasses.replace(base, schedule=schedule).validate()
-        schedule = dataclasses.replace(schedule, duration_days=timedelta.max.days + 1)
+        dataclasses.replace(base, schedule=schedule)
         with pytest.raises(DataFormatError, match=r"^PolicySchedule\.duration_days: "):
-            dataclasses.replace(base, schedule=schedule).validate()
+            dataclasses.replace(schedule, duration_days=timedelta.max.days + 1)
+
+
+def checked_values() -> list:
+    """(a valid model value, field changes that break one of its rules,
+    the rule's message) for each type that checks itself when built."""
+    ones = np.ones(3)
+    inputs = PlannerInputs(ones, ones, ones, 0 * ones, 0 * ones, K0=1.0, beta_daily=0.99, alpha=0.3,
+                           delta_daily=0.1)
+    return [
+        (default_params(), {"alpha": 1.0}, "ModelParams.alpha must lie in (0, 1), got 1.0"),
+        (PolicySchedule(date(2020, 3, 12), 0.1, 7), {"intensity_p": 1.2},
+         "PolicySchedule.intensity_p: expected a fraction in [0, 1), got 1.2; write 5% as 0.05"),
+        (no_pandemic_scenario(), {"K0": -1.0}, "Scenario.K0 must be > 0, got -1.0"),
+        (EpiState(date(2020, 1, 1), 10.0, 9.0, 1.0, 0.0, 0.0), {"I": -1.0}, "EpiState.I must be >= 0, got -1.0"),
+        (EpiRates(1e-4, 0.1, 0.01), {"b": -1.0}, "infection rate b must be >= 0, got -1.0"),
+        (inputs, {"K0": 0.0}, "K0 must be finite and > 0, got 0.0"),
+    ]
+
+
+class TestValuesCheckThemselves:
+    @pytest.mark.parametrize("valid,changes,message", checked_values(),
+                             ids=[type(valid).__name__ for valid, _, _ in checked_values()])
+    def test_constructor_and_replace_raise(self, valid, changes, message):
+        values = {f.name: getattr(valid, f.name) for f in dataclasses.fields(valid)}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            type(valid)(**{**values, **changes})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(valid, **changes)
 
 
 class TestDomainAndTolerance:
@@ -581,9 +610,8 @@ class TestMalformedNumbers:
     @given(field=st.sampled_from(PARAM_FIELDS), bad=BAD_NUMBERS)
     @settings(max_examples=60, deadline=None)
     def test_model_params_field(self, params, field, bad):
-        broken = dataclasses.replace(params, **{field: bad})
         with pytest.raises(ValueError, match=rf"ModelParams\.{field}\b"):
-            run_scenario(short_scenario(), broken)
+            dataclasses.replace(params, **{field: bad})
         doc = {**params.to_dict(), field: bad}
         with pytest.raises(ValueError, match=rf"ModelParams\.{field}\b"):
             ModelParams.from_dict(doc)
