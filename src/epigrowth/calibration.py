@@ -155,19 +155,14 @@ def to_daily(a1_y: float, a2_y: float) -> tuple[float, float]:
     return 1.0 + (a1_y - 1.0) / DAYS_PER_YEAR, a2_y / DAYS_PER_YEAR
 
 
-def _population_design(series: AnnualSeries) -> tuple[np.ndarray, np.ndarray]:
-    """The population model's regressors (N, N**2) and next-year response."""
+def population_fit_report(series: AnnualSeries) -> OlsFit:
+    """No-intercept least squares of next-year population on (N, N**2),
+    with its regression table; a rank-deficient design is an error."""
     if len(series) < 3:
         raise ValueError(f"need at least 3 years of data, got {len(series)}")
     series.require_contiguous()
     N = series.values
-    return np.column_stack([N[:-1], N[:-1] ** 2]), N[1:]
-
-
-def population_fit_report(series: AnnualSeries) -> OlsFit:
-    """No-intercept least squares of next-year population on (N, N**2),
-    with its regression table; a rank-deficient design is an error."""
-    return ols(*_population_design(series), intercept=False)
+    return ols(np.column_stack([N[:-1], N[:-1] ** 2]), N[1:], intercept=False)
 
 
 def steady_state_k_init(gcf: AnnualSeries, delta_annual: float) -> float:

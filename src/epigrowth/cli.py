@@ -19,16 +19,16 @@ from .params import ModelParams
 
 
 def _datasets(args, config: data_io.RunConfig, keys) -> tuple:
-    """The data directory and the manifests of the datasets ``keys`` in it,
-    in that order; DataFormatError naming every one of them that is
-    missing, so a command stops before it loads any."""
+    """The data directory and the paths of the datasets ``keys`` in it, in
+    that order; DataFormatError naming every one of them that is missing,
+    so a command stops before it loads any."""
     data_dir = Path(args.data or os.environ.get("EPIGROWTH_DATA_DIR") or "data")
-    manifests = data_io.data_manifests(data_dir, config)
-    manifests = {key: manifests[key] for key in keys}
-    missing = [str(m.path) for m in manifests.values() if not m.path.exists()]
+    paths = data_io.data_manifests(data_dir, config)
+    paths = {key: paths[key] for key in keys}
+    missing = [str(path) for path in paths.values() if not path.exists()]
     if missing:
         raise data_io.DataFormatError(f"missing datasets: {missing}")
-    return data_dir, manifests
+    return data_dir, paths
 
 
 def _refuse_overwrite(outputs, inputs) -> None:
@@ -76,11 +76,11 @@ def cmd_calibrate(args) -> int:
     out = Path(args.out)
     report_path = out.with_name(out.stem + "_report.json")
     config = data_io.load_config(args.config)
-    data_dir, manifests = _datasets(args, config, data_io.DATASETS)
-    _refuse_overwrite([out, report_path], [m.path for m in manifests.values()])
-    population, gdp, gcf = (data_io.load_annual_series(manifests[key]) for key in ("population", "gdp", "gcf"))
-    cases, repairs = data_io.load_case_series(manifests["cases"])
-    shortfall, reduction = data_io.load_tradeoff_panel(manifests["tradeoff"])
+    data_dir, paths = _datasets(args, config, data_io.DATASETS)
+    _refuse_overwrite([out, report_path], paths.values())
+    population, gdp, gcf = (data_io.load_annual_series(paths[key]) for key in ("population", "gdp", "gcf"))
+    cases, repairs = data_io.load_case_series(paths["cases"])
+    shortfall, reduction = data_io.load_tradeoff_panel(paths["tradeoff"])
 
     constants = calibration.CalibrationConstants(
         population_fit_years=config.data["population_fit_years"], assumed=config.params)
@@ -148,8 +148,7 @@ def cmd_simulate(args) -> int:
     trajectory = scenarios.run_scenario(scenario, params)
     baseline = config.scenario(scenarios.NO_PANDEMIC)
     reference = trajectory if scenario == baseline else scenarios.run_scenario(baseline, params)
-    metrics = scenarios.summarize(
-        trajectory, reference, scenarios.covered_dates(config.ratio_dates(), scenario, reference))
+    metrics = scenarios.summarize(trajectory, reference, config.ratio_dates())
 
     data_io.write_trajectory(trajectory, out_dir / traj_name)
     data_io.write_json(metrics.to_dict(), out_dir / metrics_name)
@@ -173,7 +172,8 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise data_io.DataFormatError(f"--jobs: expected a whole number >= 1, got {args.jobs}")
     out_dir = Path(args.out)
-    members = scenarios.sweep_members(args.axis, grid, config.scenario(scenarios.NO_INTERVENTION))
+    base = config.scenario(scenarios.NO_INTERVENTION)
+    members = scenarios.sweep_members(args.axis, grid, base)
     _refuse_overwrite([out_dir / name for name in (
         *(scenarios.TRAJECTORY_CSV.format(member.name) for member in members),
         *(name.format(var) for var in SWEEP_CHARTS for name in plotting.CHART_FILES),
@@ -182,8 +182,7 @@ def cmd_sweep(args) -> int:
 
     # a failed baseline stops the sweep; a failed member only fills its row's error
     reference, runs = scenarios.sweep(
-        params, args.axis, grid, config.scenario(scenarios.NO_PANDEMIC),
-        config.scenario(scenarios.NO_INTERVENTION), config.ratio_dates(),
+        params, config.scenario(scenarios.NO_PANDEMIC), base, members, config.ratio_dates(),
         jobs=args.jobs, out_dir=out_dir)
     members = runs[1:]
     errors = [run for run in members if run.error]
@@ -214,7 +213,7 @@ def cmd_backtest(args) -> int:
     _, observed = _datasets(args, config, ("population", "gdp", "gcf"))
     out_dir = Path(args.out)
     _refuse_overwrite([out_dir / name for name in (*BACKTEST_FILES, "manifest.json")],
-                      [args.config, args.params, *(m.path for m in observed.values())])
+                      [args.config, args.params, *observed.values()])
     params = _load_params(args, config)
     bt = config.backtest
     trajectory, report = scenarios.backtest(

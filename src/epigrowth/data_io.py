@@ -34,32 +34,10 @@ from .scenarios import SWEEP_AXES, TRAJECTORY_COLUMNS, Scenario, Trajectory, par
 log = logging.getLogger(__name__)
 
 
-KIND_COLUMNS = {
-    "population": ("year", "value"),
-    "gdp": ("year", "value"),
-    "gcf": ("year", "value"),
-    "cases": ("date", "confirmed", "recovered", "deaths"),
-    "tradeoff-panel": ("gdp_shortfall_pct", "infection_reduction_pct"),
-}
-
-# config.data key of a dataset's file name -> its kind
-DATASETS = {"population": "population", "gdp": "gdp", "gcf": "gcf", "cases": "cases",
-            "tradeoff": "tradeoff-panel"}
+# the config.data keys that name a dataset's file
+DATASETS = ("population", "gdp", "gcf", "cases", "tradeoff")
 
 TRAJECTORY_HEADER = ["date", *TRAJECTORY_COLUMNS]
-
-
-@dataclass(frozen=True)
-class DatasetManifest:
-    """Where a dataset lives and its kind, which fixes the columns read."""
-
-    path: Path
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in KIND_COLUMNS:
-            raise DataFormatError(f"unknown dataset kind {self.kind!r}; expected one of {sorted(KIND_COLUMNS)}")
-        object.__setattr__(self, "path", Path(self.path))
 
 
 def _parse_float(raw: str, path: Path, row_number: int, column: str) -> float:
@@ -72,22 +50,22 @@ def _parse_float(raw: str, path: Path, row_number: int, column: str) -> float:
     return value
 
 
-def _read_columns(manifest: DatasetManifest, parse_key=None) -> tuple[list, list]:
-    """A dataset's key column and its float columns, in the order of
-    ``KIND_COLUMNS``.  ``parse_key(raw, row_number)`` parses the keys, and
-    the rows come back sorted by key; without it the key is one more float
-    column and the rows keep the file's order.  A missing file, a byte that
-    is not UTF-8 and a line the csv module cannot split (a field over its
-    size limit) are each an error naming the file."""
-    path = manifest.path
-    key_column, *value_columns = wanted = KIND_COLUMNS[manifest.kind]
+def _read_columns(path, columns: tuple, parse_key=None) -> tuple[list, list]:
+    """The key column and the float columns of the CSV at ``path``, named
+    by ``columns`` (key first).  ``parse_key(raw, row_number)`` parses the
+    keys, and the rows come back sorted by key; without it the key is one
+    more float column and the rows keep the file's order.  A missing file,
+    a byte that is not UTF-8 and a line the csv module cannot split (a
+    field over its size limit) are each an error naming the file."""
+    path = Path(path)
+    key_column, *value_columns = columns
     if not path.exists():
         raise DataFormatError(f"dataset file not found: {path}")
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             header = reader.fieldnames or []
-            missing = [column for column in wanted if column not in header]
+            missing = [column for column in columns if column not in header]
             if missing:
                 raise DataFormatError(f"{path}: missing columns {missing} (header is {header})")
             records = []
@@ -101,13 +79,13 @@ def _read_columns(manifest: DatasetManifest, parse_key=None) -> tuple[list, list
         raise DataFormatError(f"{path}: no data rows")
     if parse_key:
         records.sort(key=itemgetter(0))
-    keys, *columns = zip(*records)
-    return list(keys), [np.array(column) for column in columns]
+    keys, *values = zip(*records)
+    return list(keys), [np.array(column) for column in values]
 
 
-def load_annual_series(manifest: DatasetManifest) -> AnnualSeries:
+def load_annual_series(path) -> AnnualSeries:
     """Read and validate a (year, value) series; sorted by year."""
-    path, seen = manifest.path, {}
+    path, seen = Path(path), {}
 
     def parse_row_year(raw: str, row_number: int) -> int:
         try:
@@ -120,30 +98,31 @@ def load_annual_series(manifest: DatasetManifest) -> AnnualSeries:
         seen[year] = row_number
         return year
 
-    years, (values,) = _read_columns(manifest, parse_row_year)
+    years, (values,) = _read_columns(path, ("year", "value"), parse_row_year)
     return AnnualSeries(np.array(years), values)
 
 
-def load_case_series(manifest: DatasetManifest) -> tuple[CaseSeries, dict]:
+def load_case_series(path) -> tuple[CaseSeries, dict]:
     """Read cumulative case counts; repairs non-monotone corrections by
     running maximum and reports the repair count per column."""
-    dates, columns = _read_columns(manifest, lambda raw, row: parse_date(raw, f"{manifest.path}: row {row}"))
-    counts = dict(zip(KIND_COLUMNS["cases"][1:], columns))
+    path, names = Path(path), ("confirmed", "recovered", "deaths")
+    dates, columns = _read_columns(path, ("date", *names), lambda raw, row: parse_date(raw, f"{path}: row {row}"))
+    counts = dict(zip(names, columns))
     repaired = {name: np.maximum.accumulate(arr) for name, arr in counts.items()}
     repairs = {name: int(np.sum(repaired[name] != arr)) for name, arr in counts.items()}
     total = sum(repairs.values())
     if total:
-        log.info("repaired %d non-monotone cumulative entries in %s: %s", total, manifest.path, repairs)
+        log.info("repaired %d non-monotone cumulative entries in %s: %s", total, path, repairs)
     try:
         series = CaseSeries(dates=dates, **repaired)
     except ValueError as exc:
-        raise DataFormatError(f"{manifest.path}: {exc}") from exc
+        raise DataFormatError(f"{path}: {exc}") from exc
     return series, repairs
 
 
-def load_tradeoff_panel(manifest: DatasetManifest) -> tuple[np.ndarray, np.ndarray]:
+def load_tradeoff_panel(path) -> tuple[np.ndarray, np.ndarray]:
     """Read the (GDP shortfall %, infection-rate reduction %) panel, in file order."""
-    shortfall, (reduction,) = _read_columns(manifest)
+    shortfall, (reduction,) = _read_columns(path, ("gdp_shortfall_pct", "infection_reduction_pct"))
     return np.array(shortfall), reduction
 
 
@@ -411,6 +390,5 @@ def load_config(path=None) -> RunConfig:
 
 
 def data_manifests(data_dir, config: RunConfig) -> dict:
-    """Default manifests for the bundled dataset layout."""
-    return {key: DatasetManifest(path=Path(data_dir) / config.data[key], kind=kind)
-            for key, kind in DATASETS.items()}
+    """The path of each dataset in ``data_dir``, keyed as in ``DATASETS``."""
+    return {key: Path(data_dir) / config.data[key] for key in DATASETS}

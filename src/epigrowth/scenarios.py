@@ -109,14 +109,27 @@ class Scenario:
     def from_dict(cls, name: str, raw: dict, where: str) -> "Scenario":
         """Parse a scenario table entry (keys in ``_SCENARIO_SETTINGS``)
         named ``name``; errors name the offending key under ``where``, and
-        a rule that the values break is prefixed with ``where``."""
+        a rule that the values break, ``check_schedule``'s too, is prefixed
+        with ``where``."""
         required = set(_SCENARIO_SETTINGS) - {"schedule"}
         settings = {"schedule": None, **parse_section(raw, where, _SCENARIO_SETTINGS.get, required)}
         settings["name"] = parse_run_name(name, f"{where}.name")
         try:
-            return cls(**{f.name: settings[f.name.lower()] for f in fields(cls)})
+            scenario = cls(**{f.name: settings[f.name.lower()] for f in fields(cls)})
+            scenario.check_schedule()
         except ValueError as exc:
             raise DataFormatError(f"{where}: {exc}") from None
+        return scenario
+
+    def check_schedule(self) -> None:
+        """ValueError unless the schedule, if any, starts within the run.
+        Not a ``__post_init__`` rule: a sweep member built by ``replace``
+        that breaks it fails alone when it runs."""
+        schedule = self.schedule
+        if schedule is not None and not self.start_date <= schedule.start_date <= self.horizon:
+            raise ValueError(
+                f"Scenario.schedule.start_date must lie in [{self.start_date.isoformat()}, "
+                f"{self.horizon.isoformat()}], got {schedule.start_date.isoformat()}")
 
     def initial_epi_state(self) -> EpiState:
         # the deceased are already excluded from the living population N0
@@ -231,17 +244,14 @@ def _epidemic_pass(scenario: Scenario, params: ModelParams):
     compartment, policy shortfall and new-infection arrays.
 
     The scenario, the parameters and the two rate sets check themselves
-    when built; the schedule must start within the run, which is checked
-    before the first day.  The days run as ``run_days`` segments at
-    constant rates, before, in and after the intervention window, and the
-    result is checked once for the model's domain, S and N >= 0.
+    when built, and ``Scenario.check_schedule`` runs before the first day.
+    The days run as ``run_days`` segments at constant rates, before, in
+    and after the intervention window, and the result is checked once for
+    the model's domain, S and N >= 0.
     """
+    scenario.check_schedule()
     T = scenario.n_days()
     schedule = scenario.schedule
-    if schedule is not None and not scenario.start_date <= schedule.start_date <= scenario.horizon:
-        raise ValueError(
-            f"Scenario.schedule.start_date must lie in [{scenario.start_date.isoformat()}, "
-            f"{scenario.horizon.isoformat()}], got {schedule.start_date.isoformat()}")
     base_rates = effective_rates(params, 0.0)
     active_rates = base_rates
     lo = hi = 0  # the window's days [lo, hi), cut at T
@@ -368,7 +378,10 @@ def run_baselines(params: ModelParams) -> tuple[Trajectory, Trajectory]:
 def summarize(
     trajectory: Trajectory, reference: Trajectory, ratio_dates: list | None = None
 ) -> SummaryMetrics:
-    """Peak, mortality and output-gap metrics against a reference run."""
+    """Peak, mortality and output-gap metrics against a reference run.
+    The output ratio is reported at the ``ratio_dates`` that both runs
+    cover, in their given order, or at the runs' last common day when
+    none is covered or none is given."""
     first = max(trajectory.day(0), reference.day(0))
     last = min(trajectory.day(-1), reference.day(-1))
     if first > last:
@@ -382,15 +395,9 @@ def summarize(
     Y_ref = reference.Y[j0 : j0 + (i1 - i0) + 1]
 
     peak_idx = int(np.argmax(trajectory.I))
-    if ratio_dates is None:
-        ratio_dates = [last]
-    ratios = {}
-    for d in ratio_dates:
-        if not (first <= d <= last):
-            raise ValueError(f"ratio date {d.isoformat()} outside the common range")
-        ratios[d.isoformat()] = float(
-            trajectory.Y[trajectory.index_of(d)] / reference.Y[reference.index_of(d)]
-        )
+    dates = [d for d in ratio_dates or () if first <= d <= last] or [last]
+    ratios = {d.isoformat(): float(trajectory.Y[trajectory.index_of(d)] / reference.Y[reference.index_of(d)])
+              for d in dates}
     return SummaryMetrics(
         scenario_name=trajectory.scenario_name,
         reference_name=reference.scenario_name,
@@ -403,14 +410,6 @@ def summarize(
     )
 
 
-def covered_dates(dates: list, scenario: Scenario, reference: Trajectory) -> list | None:
-    """The ``dates`` that both ``scenario``'s reported window and
-    ``reference`` cover, or None when there are none."""
-    return [d for d in dates
-            if max(scenario.start_date, reference.day(0)) <= d
-            <= min(scenario.end_of_interest, reference.day(-1))] or None
-
-
 # the file name of a run's trajectory CSV, from the run's name
 TRAJECTORY_CSV = "{}_trajectory.csv"
 
@@ -421,18 +420,6 @@ class SweepRun:
     trajectory: Trajectory | None = None
     metrics: SummaryMetrics | None = None
     error: str | None = None
-
-    def measured(self, reference: Trajectory, ratio_dates: list | None = None) -> "SweepRun":
-        """This run with its metrics against ``reference``; a failed run as it is."""
-        if self.error is not None:
-            return self
-        return replace(self, metrics=summarize(self.trajectory, reference, ratio_dates))
-
-    def baseline(self) -> Trajectory:
-        """The run's trajectory; RuntimeError naming the run when it failed."""
-        if self.error is not None:
-            raise RuntimeError(f"baseline {self.scenario.name!r} failed: {self.error}")
-        return self.trajectory
 
 
 def _run_sweep_member(scenario: Scenario, params: ModelParams, csv_path=None) -> SweepRun:
@@ -459,15 +446,6 @@ def pool_map(fn, jobs: int, tasks: list, *iterables) -> list:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks, *iterables))
     return list(map(fn, tasks, *iterables))
-
-
-def solve_runs(batch: list, params: ModelParams, jobs: int = 1, csv_paths: list | None = None) -> list:
-    """One unmeasured ``SweepRun`` per scenario of ``batch``, in its order,
-    solved in up to ``jobs`` processes; a run that raises holds its error.
-    The process that solves a run writes its trajectory CSV to the path at
-    the same place in ``csv_paths``, unless that path is None."""
-    paths = repeat(None) if csv_paths is None else csv_paths
-    return pool_map(_run_sweep_member, jobs, batch, repeat(params), paths)
 
 
 # sweep axis -> (the key of a configured sweep section that holds its
@@ -527,22 +505,25 @@ def sweep_members(axis: str, grid: SweepGrid, base: Scenario) -> list:
     return sorted(members, key=lambda sc: sc.name)
 
 
-def sweep(params: ModelParams, axis: str, grid: SweepGrid, reference: Scenario, base: Scenario,
-          ratio_dates: list, *, jobs: int = 1, out_dir=None) -> tuple[Trajectory, list]:
-    """Solve ``reference``, ``base`` and the members of ``grid`` along
-    ``axis`` in one batch of up to ``jobs`` processes; the process that
-    solves a member writes its trajectory CSV into the directory
-    ``out_dir`` (a ``Path``) when one is given.  Returns the reference
-    trajectory and the runs of ``base`` and the members, measured against
-    it at the ``ratio_dates`` that both cover.  A failed reference or base
-    raises RuntimeError; a member that raises is kept with its error."""
-    members = sweep_members(axis, grid, base)
-    csv_paths = None if out_dir is None else [
+def sweep(params: ModelParams, reference: Scenario, base: Scenario, members: list, ratio_dates: list,
+          *, jobs: int = 1, out_dir=None) -> tuple[Trajectory, list]:
+    """Solve ``reference``, ``base`` and ``members`` in one batch of up to
+    ``jobs`` processes; the process that solves a member writes its
+    trajectory CSV into the directory ``out_dir`` (a ``Path``) when one is
+    given.  Returns the reference trajectory and the runs of ``base`` and
+    the members, measured against it by ``summarize`` at ``ratio_dates``.
+    A failed reference or base raises RuntimeError; a member that raises
+    is kept with its error."""
+    csv_paths = repeat(None) if out_dir is None else [
         None, None, *(out_dir / TRAJECTORY_CSV.format(member.name) for member in members)]
-    runs = solve_runs([reference, base, *members], params, jobs, csv_paths)
-    reference_run, _ = (run.baseline() for run in runs[:2])
-    dates = covered_dates(ratio_dates, base, reference_run)
-    return reference_run, [run.measured(reference_run, dates) for run in runs[1:]]
+    runs = pool_map(_run_sweep_member, jobs, [reference, base, *members], repeat(params), csv_paths)
+    for run in runs[:2]:
+        if run.error is not None:
+            raise RuntimeError(f"baseline {run.scenario.name!r} failed: {run.error}")
+    reference_run = runs[0].trajectory
+    return reference_run, [
+        run if run.error is not None else replace(run, metrics=summarize(run.trajectory, reference_run, ratio_dates))
+        for run in runs[1:]]
 
 
 # bench/tracing.py wraps these three names; ROADMAP item 1 removes them

@@ -41,10 +41,10 @@ def run_sweep(params, config):
     ratio dates.  Returns the members' runs."""
     def run(axis, values, *, params=params, base=None, reference=None, jobs=1, out_dir=None):
         grid = dataclasses.replace(config.sweeps[axis], values=values)
+        base = base or config.scenario(scenarios.NO_INTERVENTION)
         _, runs = scenarios.sweep(
-            params, axis, grid, reference or config.scenario(scenarios.NO_PANDEMIC),
-            base or config.scenario(scenarios.NO_INTERVENTION), config.ratio_dates(),
-            jobs=jobs, out_dir=out_dir)
+            params, reference or config.scenario(scenarios.NO_PANDEMIC), base,
+            scenarios.sweep_members(axis, grid, base), config.ratio_dates(), jobs=jobs, out_dir=out_dir)
         return runs[1:]
     return run
 
@@ -77,12 +77,12 @@ def inflection_start_sweep(baselines, run_sweep):
 
 @pytest.fixture(scope="session")
 def datasets(config):
-    manifests = data_io.data_manifests(DATA_DIR, config)
-    population = data_io.load_annual_series(manifests["population"])
-    gdp = data_io.load_annual_series(manifests["gdp"])
-    gcf = data_io.load_annual_series(manifests["gcf"])
-    cases, repairs = data_io.load_case_series(manifests["cases"])
-    shortfall, reduction = data_io.load_tradeoff_panel(manifests["tradeoff"])
+    paths = data_io.data_manifests(DATA_DIR, config)
+    population = data_io.load_annual_series(paths["population"])
+    gdp = data_io.load_annual_series(paths["gdp"])
+    gcf = data_io.load_annual_series(paths["gcf"])
+    cases, repairs = data_io.load_case_series(paths["cases"])
+    shortfall, reduction = data_io.load_tradeoff_panel(paths["tradeoff"])
     return {
         "population": population,
         "gdp": gdp,

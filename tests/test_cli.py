@@ -218,6 +218,25 @@ class TestSimulate:
         assert (out / "custom-policy_trajectory.csv").exists()
 
 
+class TestSimulateRatioDates:
+    """The output ratio is reported at the configured dates that both the
+    run and its reference cover, or at their last common day when none is
+    covered (both no-intervention runs here cover 2020-01-22 to 2030-12-31)."""
+
+    @pytest.mark.parametrize("dates,reported", [
+        (["2019-06-30", "2024-06-30", "2030-12-31", "2035-01-01"], ["2024-06-30", "2030-12-31"]),
+        ([], ["2030-12-31"]),
+        (["2035-01-01"], ["2030-12-31"]),
+    ], ids=["four", "empty", "uncovered"])
+    def test_reported_dates(self, tmp_path, dates, reported):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"metrics": {"output_ratio_dates": dates}}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", "no-intervention", "--config", str(config), "--out", str(out)]) == 0
+        metrics = json.loads((out / "no-intervention_metrics.json").read_text())
+        assert list(metrics["output_ratio_at"]) == reported
+
+
 class TestSimulateReference:
     def test_baseline_is_its_own_reference_only_when_it_is_the_configured_one(
             self, tmp_path, monkeypatch, fast_config):
@@ -319,6 +338,10 @@ BROKEN_SCENARIOS = [
     ({"no-pandemic": {"k0": -1.0}}, "no-pandemic", "Scenario.K0 must be > 0, got -1.0"),
     ({"no-intervention": {"horizon": "2025-12-31"}}, "no-intervention",
      "solver horizon must lie beyond the end of interest"),
+    # a baseline whose schedule starts after its run, refused before a
+    # sweep's members are solved and their CSVs written
+    ({"no-pandemic": {"schedule": {"start_date": "2070-01-01", "intensity": 0.1, "duration_weeks": 4}}},
+     "no-pandemic", "Scenario.schedule.start_date must lie in [2019-01-01, 2060-12-31], got 2070-01-01"),
 ]
 
 
@@ -336,7 +359,7 @@ class TestBrokenScenario:
 
     @pytest.mark.parametrize("argv", [["simulate", "--scenario", "no-pandemic"],
                                       ["sweep", "--axis", "start", "--jobs", "1"]], ids=["simulate", "sweep"])
-    @pytest.mark.parametrize("override,name,message", BROKEN_SCENARIOS, ids=["k0", "horizon"])
+    @pytest.mark.parametrize("override,name,message", BROKEN_SCENARIOS, ids=["k0", "horizon", "late-schedule"])
     def test_config_scenario_refused_at_load(self, tmp_path, capsys, argv, override, name, message):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"scenarios": override}))
@@ -353,6 +376,17 @@ class TestBrokenScenario:
         out = tmp_path / "out"
         assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {path}: Scenario.K0 must be > 0, got -1.0\n"
+        assert not out.exists()
+
+    def test_scenario_file_schedule_outside_run_refused_at_load(self, tmp_path, capsys):
+        shipped = default_config()["scenarios"]["no-intervention"]
+        path = tmp_path / "late.json"
+        path.write_text(json.dumps({**shipped, "schedule": {
+            "start_date": "2070-01-01", "intensity": 0.1, "duration_weeks": 4}}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: {path}: Scenario.schedule.start_date must lie in "
+                                           "[2020-01-22, 2060-12-31], got 2070-01-01\n")
         assert not out.exists()
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epigrowth import data_io
-from epigrowth.data_io import DataFormatError, DatasetManifest
+from epigrowth.data_io import DataFormatError
 from epigrowth.params import ModelParams, default_params
 from epigrowth.scenarios import Trajectory
 from tests.conftest import DATA_DIR
@@ -64,43 +64,37 @@ def assert_bit_equal(loaded: Trajectory, trajectory: Trajectory) -> None:
 EXTREMES = [-0.0, 5e-324, 1.7e308, -1.7e308, 2.2250738585072014e-308, 0.1]
 
 
-class TestManifest:
-    def test_unknown_kind_rejected(self, tmp_path):
-        with pytest.raises(DataFormatError, match="unknown dataset kind"):
-            DatasetManifest(path=tmp_path / "x.csv", kind="weather")
-
-
 class TestLoadAnnualSeries:
     def test_two_row_file(self, tmp_path):
         path = write(tmp_path, "pop.csv", "year,value\n1960,3.03e9\n1961,3.07e9\n")
-        series = data_io.load_annual_series(DatasetManifest(path=path, kind="population"))
+        series = data_io.load_annual_series(path)
         assert len(series) == 2
         assert series.value_at(1961) == pytest.approx(3.07e9)
 
     def test_duplicate_year_names_the_year(self, tmp_path):
         path = write(tmp_path, "pop.csv", "year,value\n1960,1\n1960,2\n")
         with pytest.raises(DataFormatError, match="duplicate year 1960"):
-            data_io.load_annual_series(DatasetManifest(path=path, kind="population"))
+            data_io.load_annual_series(path)
 
     def test_non_numeric_cell_names_the_row(self, tmp_path):
         path = write(tmp_path, "pop.csv", "year,value\n1960,1\n1961,abc\n")
         with pytest.raises(DataFormatError, match="row 3"):
-            data_io.load_annual_series(DatasetManifest(path=path, kind="population"))
+            data_io.load_annual_series(path)
 
     def test_missing_column_reported(self, tmp_path):
         path = write(tmp_path, "pop.csv", "year,population\n1960,1\n")
         with pytest.raises(DataFormatError, match="missing columns"):
-            data_io.load_annual_series(DatasetManifest(path=path, kind="population"))
+            data_io.load_annual_series(path)
 
     def test_rows_come_back_sorted_by_year(self, tmp_path):
         path = write(tmp_path, "pop.csv", "year,value\n1961,3.07e9\n1960,3.03e9\n")
-        series = data_io.load_annual_series(DatasetManifest(path=path, kind="population"))
+        series = data_io.load_annual_series(path)
         assert list(series.years) == [1960, 1961]
         assert list(series.values) == [3.03e9, 3.07e9]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataFormatError, match="not found"):
-            data_io.load_annual_series(DatasetManifest(path=tmp_path / "nope.csv", kind="gdp"))
+            data_io.load_annual_series(tmp_path / "nope.csv")
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
     def test_non_finite_cell_names_file_row_and_column(self, tmp_path, cell):
@@ -108,7 +102,7 @@ class TestLoadAnnualSeries:
         lines[4] = lines[4].split(",")[0] + "," + cell
         path = write(tmp_path, "world_gdp.csv", "\n".join(lines) + "\n")
         with pytest.raises(DataFormatError, match=r"world_gdp\.csv: row 5: non-finite 'value'"):
-            data_io.load_annual_series(DatasetManifest(path=path, kind="gdp"))
+            data_io.load_annual_series(path)
 
 
 class TestLoadCaseSeries:
@@ -119,7 +113,7 @@ class TestLoadCaseSeries:
             tmp_path, "cases.csv",
             self.HEADER + "2020-01-22,100,10,1\n2020-01-23,90,12,1\n2020-01-24,120,13,2\n",
         )
-        series, repairs = data_io.load_case_series(DatasetManifest(path=path, kind="cases"))
+        series, repairs = data_io.load_case_series(path)
         assert repairs == {"confirmed": 1, "recovered": 0, "deaths": 0}
         assert list(series.confirmed) == [100.0, 100.0, 120.0]
         assert np.all(np.diff(series.confirmed) >= 0)
@@ -127,12 +121,12 @@ class TestLoadCaseSeries:
     def test_empty_file_rejected(self, tmp_path):
         path = write(tmp_path, "cases.csv", self.HEADER)
         with pytest.raises(DataFormatError, match="no data rows"):
-            data_io.load_case_series(DatasetManifest(path=path, kind="cases"))
+            data_io.load_case_series(path)
 
     def test_unparseable_date_names_the_row(self, tmp_path):
         path = write(tmp_path, "cases.csv", self.HEADER + "22/01/2020,1,0,0\n")
         with pytest.raises(DataFormatError, match="row 2"):
-            data_io.load_case_series(DatasetManifest(path=path, kind="cases"))
+            data_io.load_case_series(path)
 
     @pytest.mark.parametrize("cell", ["20200123", "2020-W04-4"], ids=["basic", "week"])
     def test_other_iso_spellings_name_the_row(self, tmp_path, cell):
@@ -140,20 +134,20 @@ class TestLoadCaseSeries:
         # 2020-01-23; they fail alike on every version
         path = write(tmp_path, "cases.csv", self.HEADER + f"2020-01-22,1,0,0\n{cell},2,0,0\n")
         with pytest.raises(DataFormatError) as err:
-            data_io.load_case_series(DatasetManifest(path=path, kind="cases"))
+            data_io.load_case_series(path)
         assert str(err.value) == f"{path}: row 3: unparseable date '{cell}'"
 
     def test_rows_come_back_sorted_by_date(self, tmp_path):
         path = write(tmp_path, "cases.csv",
                      self.HEADER + "2020-01-23,120,13,2\n2020-01-22,100,10,1\n")
-        series, _ = data_io.load_case_series(DatasetManifest(path=path, kind="cases"))
+        series, _ = data_io.load_case_series(path)
         assert series.dates == [date(2020, 1, 22), date(2020, 1, 23)]
         assert list(series.confirmed) == [100.0, 120.0]
 
     def test_fixture_active_cases_spot_check(self):
-        manifest = DatasetManifest(path=DATA_DIR / "global_cases.csv", kind="cases")
-        series, repairs = data_io.load_case_series(manifest)
-        with open(manifest.path) as fh:
+        path = DATA_DIR / "global_cases.csv"
+        series, repairs = data_io.load_case_series(path)
+        with open(path) as fh:
             rows = list(csv.DictReader(fh))
         for i in (0, len(rows) // 2, len(rows) - 1):
             expected = float(rows[i]["confirmed"]) - float(rows[i]["recovered"]) - float(rows[i]["deaths"])
@@ -161,13 +155,15 @@ class TestLoadCaseSeries:
         assert sum(repairs.values()) == 0
 
 
-# each dataset kind -> its shipped file and its loader
+ANNUAL = ("year", "value")
+# each dataset kind -> its shipped file, its loader and the columns it reads
 LOADERS = {
-    "population": ("world_population.csv", data_io.load_annual_series),
-    "gdp": ("world_gdp.csv", data_io.load_annual_series),
-    "gcf": ("world_gcf.csv", data_io.load_annual_series),
-    "cases": ("global_cases.csv", data_io.load_case_series),
-    "tradeoff-panel": ("tradeoff_panel.csv", data_io.load_tradeoff_panel),
+    "population": ("world_population.csv", data_io.load_annual_series, ANNUAL),
+    "gdp": ("world_gdp.csv", data_io.load_annual_series, ANNUAL),
+    "gcf": ("world_gcf.csv", data_io.load_annual_series, ANNUAL),
+    "cases": ("global_cases.csv", data_io.load_case_series, ("date", "confirmed", "recovered", "deaths")),
+    "tradeoff-panel": ("tradeoff_panel.csv", data_io.load_tradeoff_panel,
+                       ("gdp_shortfall_pct", "infection_reduction_pct")),
 }
 
 
@@ -178,9 +174,9 @@ class TestLoaderContract:
 
     @pytest.mark.parametrize("cell", ["abc", "inf"], ids=["non-numeric", "non-finite"])
     @pytest.mark.parametrize("kind,column", [
-        (kind, column) for kind, columns in data_io.KIND_COLUMNS.items() for column in columns])
+        (kind, column) for kind, (_, _, columns) in LOADERS.items() for column in columns])
     def test_bad_cell_names_file_row_and_column(self, tmp_path, kind, column, cell):
-        name, load = LOADERS[kind]
+        name, load, _ = LOADERS[kind]
         with open(DATA_DIR / name, newline="") as fh:
             reader = csv.DictReader(fh)
             rows = list(reader)
@@ -191,7 +187,7 @@ class TestLoaderContract:
             writer.writeheader()
             writer.writerows(rows)
         with pytest.raises(DataFormatError) as err:
-            load(DatasetManifest(path=path, kind=kind))
+            load(path)
         message = str(err.value)
         assert message.startswith(f"{path}: row 5: ")
         assert column in message and repr(cell) in message
@@ -202,7 +198,7 @@ class TestLoadTradeoffPanel:
         # the fit sums in row order, so sorting the rows could change its last bits
         path = write(tmp_path, "panel.csv",
                      "country,gdp_shortfall_pct,infection_reduction_pct\nA,3.5,70\nB,1.25,20\n")
-        shortfall, reduction = data_io.load_tradeoff_panel(DatasetManifest(path=path, kind="tradeoff-panel"))
+        shortfall, reduction = data_io.load_tradeoff_panel(path)
         assert shortfall.tolist() == [3.5, 1.25] and reduction.tolist() == [70.0, 20.0]
 
 

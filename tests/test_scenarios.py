@@ -3,6 +3,7 @@ import pickle
 import random
 import re
 from datetime import date, timedelta
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -24,13 +25,13 @@ from epigrowth.scenarios import (
     backtest,
     no_intervention_scenario,
     no_pandemic_scenario,
+    pool_map,
     run_scenario,
-    solve_runs,
     summarize,
     SweepGrid,
-    sweep,
     sweep_members,
     _epidemic_pass,
+    _run_sweep_member,
 )
 
 
@@ -299,9 +300,13 @@ class TestSummarize:
         with pytest.raises(ValueError, match="overlap"):
             summarize(late, early)
 
-    def test_ratio_date_outside_range_rejected(self, baselines):
-        with pytest.raises(ValueError, match="outside"):
-            summarize(baselines[1], baselines[0], ratio_dates=[date(2031, 6, 1)])
+    def test_uncovered_ratio_date_dropped(self, baselines):
+        # both runs cover 2020-01-22 to 2030-12-31
+        covered, uncovered = date(2024, 6, 30), [date(2019, 6, 30), date(2031, 6, 1)]
+        metrics = summarize(baselines[1], baselines[0], ratio_dates=[uncovered[0], covered, uncovered[1]])
+        assert list(metrics.output_ratio_at) == ["2024-06-30"]
+        # with no covered date the ratio is taken on the last common day
+        assert summarize(baselines[1], baselines[0], ratio_dates=uncovered) == summarize(baselines[1], baselines[0])
 
 
 class TestSweeps:
@@ -411,11 +416,11 @@ class TestSweeps:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(scenarios, "ProcessPoolExecutor", InProcessPool)
-        runs = solve_runs([short_scenario(name="a"), short_scenario(name="b")], params, jobs=64)
+        runs = pool_map(_run_sweep_member, 64, [short_scenario(name="a"), short_scenario(name="b")], repeat(params))
         assert started == [2]
         assert [(run.scenario.name, run.error) for run in runs] == [("a", None), ("b", None)]
-        solve_runs([short_scenario()], params, jobs=64)
-        solve_runs([], params, jobs=64)
+        pool_map(_run_sweep_member, 64, [short_scenario()], repeat(params))
+        pool_map(_run_sweep_member, 64, [], repeat(params))
         assert started == [2]  # no pool for a batch of one run or none
 
     def test_sweep_without_reference_measures_against_no_pandemic(self, baselines, run_sweep):
@@ -522,13 +527,9 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="intensity_p"):
             PolicySchedule(start_date=date(2020, 3, 12), intensity_p=float("nan"), duration_days=7)
 
-    def test_unknown_sweep_axis_rejected(self, params, monkeypatch):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("a scenario was solved before the axis was checked")
-
-        monkeypatch.setattr(scenarios, "run_scenario", no_solve)
+    def test_unknown_sweep_axis_rejected(self):
         with pytest.raises(ValueError, match="axis"):
-            sweep(params, "weather", SweepGrid([1], {}), no_pandemic_scenario(), short_scenario(), [])
+            sweep_members("weather", SweepGrid([1], {}), short_scenario())
 
     def test_policy_start_outside_run_rejected(self, params):
         # a rule of the run, checked before its first day
