@@ -185,7 +185,7 @@ def cmd_sweep(args) -> int:
         params, config.scenario(scenarios.NO_PANDEMIC), base, members, config.ratio_dates(),
         jobs=args.jobs, out_dir=out_dir)
     members = runs[1:]
-    errors = [run for run in members if run.error]
+    errors = [run for run in members if run.error is not None]
     for run in errors:
         print(f"error in {run.scenario.name}: {run.error}", file=sys.stderr)
     if len(errors) == len(members):

@@ -27,12 +27,14 @@ list of constant-rate segments, each a number of days with its (b, m):
 a scenario's pass is at most three segments (before, in and after the
 intervention window), and ``epi_step`` is one segment of one day.  The
 day loop carries only N, S and I, on plain floats with no per-day call
-or rate lookup; F, R and D follow from their columns with the same bits.
+or rate lookup, and records them as raw doubles; F, R and D follow from
+their columns with the same bits.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from datetime import date, timedelta
 
@@ -83,14 +85,16 @@ def run_days(state: tuple, segments: list, r: float, a1: float, a2: float):
 
     Returns the columns N, S, I, R, D and F of the days run, as arrays
     holding each day's counts as it starts and its new infections, and the
-    (N, S, I, R, D) after the last day.  The loop carries only N, S and I:
-    F = b*S*I, replaced by S where S < F, and R and D, summed by
+    (N, S, I, R, D) after the last day.  N, S and I are views of the
+    ``array("d")`` buffers that the loop appends raw doubles to, so no
+    day's value is kept as a float object.  The loop carries only N, S
+    and I: F = b*S*I, replaced by S where S < F, and R and D, summed by
     ``np.add.accumulate`` strictly in sequence as the loop adds (``np.sum``
     adds pairwise), follow from their columns with the loop's bits and,
     like the float loop, warn of no overflow.
     """
     N, S, I, R, D = state
-    columns = [], [], []
+    columns = array("d"), array("d"), array("d")
     add_N, add_S, add_I = (column.append for column in columns)
     growth = a1 - 1.0
     for days, b, m in segments:
@@ -109,7 +113,7 @@ def run_days(state: tuple, segments: list, r: float, a1: float, a2: float):
             if I < 0.0:  # a subnormal I can round to just below zero
                 I = 0.0
     T = len(columns[0])
-    Ns, Ss, Is = (np.fromiter(column, float, T) for column in columns)
+    Ns, Ss, Is = (np.asarray(column, dtype=float) for column in columns)
     Fs, Rs, Ds = np.empty(T), np.empty(T + 1), np.empty(T + 1)
     Rs[0], Ds[0] = R, D  # then each day's change, accumulated
     with np.errstate(all="ignore"):

@@ -71,6 +71,7 @@ reaches the target.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from datetime import date as _date
 from datetime import timedelta
@@ -188,22 +189,23 @@ def balanced_path_terminal_capital(inputs: PlannerInputs) -> float:
 def _propagate(C0: float, inputs: PlannerInputs, prodc: list, apc: list, growu: list, H: list):
     """Shoot the Euler/budget recursion forward from C_0.
 
-    Returns (consumption list, capital list incl. terminal, fail index or
+    Returns (consumption path, capital path incl. terminal, fail index or
     None).  A fail index marks the first day the stock would be exhausted;
     such a pass has no terminal stock, and its paths stop at that day.  The
-    paths are lists of plain floats, so the loop does no numpy scalar
-    arithmetic; ``apc`` holds alpha times the next day's production
-    constant, so MPK is one product and one division.  The loop zips the
-    day lists, so no day indexes a list, and stops before the last day: it
-    has no next day, and its stock may end at exactly 0, where any earlier
-    day's stock must stay positive.
+    day lists are lists of plain floats, so the loop does no numpy scalar
+    arithmetic, and the paths are ``array("d")`` buffers of raw doubles,
+    so it keeps no float object per day.  ``apc`` holds alpha times the
+    next day's production constant, so MPK is one product and one
+    division.  The loop zips the day lists, so no day indexes a list, and
+    stops before the last day: it has no next day, and its stock may end
+    at exactly 0, where any earlier day's stock must stay positive.
     """
     alpha = inputs.alpha
     omd = 1.0 - inputs.delta_daily
 
     K = float(inputs.K0)
     C = float(C0)
-    C_path, K_path = [], [K]
+    C_path, K_path = array("d"), array("d", (K,))
     add_C, add_K = C_path.append, K_path.append
     Kpow = K ** alpha
     for pc, h, apc1, g in zip(prodc, H, apc, growu):
@@ -431,8 +433,8 @@ def solve(inputs: PlannerInputs, *, rel_tol: float = 0.0, max_iter: int = 200) -
     if C_best is None:
         C_best, K_best = probe()
 
-    consumption = np.fromiter(C_best, float, len(C_best))
-    capital = np.fromiter(K_best, float, len(K_best))
+    consumption = np.asarray(C_best, dtype=float)
+    capital = np.asarray(K_best, dtype=float)
     residuals = _euler_residuals(consumption, capital, inputs, production)
     W = welfare(consumption, N, beta)
     return PlannerSolution(

@@ -302,8 +302,10 @@ def run_scenario(scenario: Scenario, params: ModelParams) -> Trajectory:
     condition cannot distort the reported window, but the returned
     trajectory is cut at ``end_of_interest``: beyond it the continuum
     approximation lets vanishingly small infection levels reignite from
-    regrown susceptibles, which is an artifact, not a result.  The stored
-    welfare is the planner objective over the full horizon.
+    regrown susceptibles, which is an artifact, not a result.  Each of its
+    columns is a copy that owns exactly the reported days, so a kept
+    trajectory holds none of the horizon's paths.  The stored welfare is
+    the planner objective over the full horizon.
 
     ``scenario`` and ``params`` checked their fields when they were built.
     Raises ValueError for a schedule that starts outside the run, before
@@ -355,13 +357,11 @@ def run_scenario(scenario: Scenario, params: ModelParams) -> Trajectory:
     K = solution.capital_path[:T]
     Y = (1.0 - p) * A * K ** params.alpha * labor ** (1.0 - params.alpha)
     n = (scenario.end_of_interest - scenario.start_date).days + 1
+    columns = dict(N=N, S=S, I=I, R=R, D=D, A=A, K=K, Y=Y, C=solution.consumption_path, H=H, p=p)
     return Trajectory(
         scenario_name=scenario.name,
         days=days[:n],
-        N=N[:n], S=S[:n], I=I[:n], R=R[:n], D=D[:n],
-        A=A[:n], K=K[:n], Y=Y[:n],
-        C=solution.consumption_path[:n],
-        H=H[:n], p=p[:n],
+        **{name: column[:n].copy() for name, column in columns.items()},
         welfare=solution.welfare,
     )
 
@@ -424,12 +424,14 @@ class SweepRun:
 
 def _run_sweep_member(scenario: Scenario, params: ModelParams, csv_path=None) -> SweepRun:
     """Solve ``scenario`` and, when ``csv_path`` is given, write its
-    trajectory CSV there; a run that raises holds its error and writes
+    trajectory CSV there; a run that raises holds its error, the
+    exception's type name and then its message, if any, and writes
     nothing."""
     try:
         trajectory = run_scenario(scenario, params)
     except Exception as exc:  # kept with the run, not fatal to the batch
-        return SweepRun(scenario, error=str(exc))
+        message = str(exc)
+        return SweepRun(scenario, error=f"{type(exc).__name__}: {message}" if message else type(exc).__name__)
     if csv_path is not None:
         from . import data_io  # data_io imports this module
 

@@ -644,12 +644,14 @@ class TestMalformedConfig:
         assert err == f"error: {path}: JSON nested too deeply to read\n"
         assert not out.exists()
 
-    # each JSON option's document with a key given twice, the later value valid
+    # each JSON option's document with a key given twice, the later value
+    # valid; the last repeats a key that is not its object's first
     @pytest.mark.parametrize("option,key,text", [
         ("--config", "b0", '{"params": {"b0": 1e-11, "b0": 2.041e-11}}'),
         ("--params", "b0", '{"b0": 1e-11, ' + json.dumps(default_params().to_dict())[1:]),
         ("--scenario", "i0", '{"i0": 1, ' + json.dumps(data_io.default_config()["scenarios"]["no-intervention"])[1:]),
-    ], ids=["config", "params", "scenario"])
+        ("--config", "b0", '{"params": {"r": 0.02099, "b0": 1e-11, "b0": 2.041e-11}}'),
+    ], ids=["config", "params", "scenario", "config-later-key"])
     def test_repeated_key_names_the_file_and_key(self, tmp_path, monkeypatch, capsys, option, key, text):
         def no_solve(*args, **kwargs):
             raise AssertionError("a scenario was solved before the file was checked")
@@ -771,9 +773,28 @@ class TestSweep:
         rows = {r["scenario"]: r for r in csv_rows(out / "comparison.csv")}
         assert rows["start-2020-05-21"]["error"] == ""
         late = rows["start-2070-01-01"]
-        assert late["error"].startswith("Scenario.schedule.start_date")
+        assert late["error"].startswith("ValueError: Scenario.schedule.start_date")
         assert late["total_deaths"] == ""
         assert not (out / "start-2070-01-01_trajectory.csv").exists()
+
+    def test_member_error_without_a_message_is_named(self, tmp_path, monkeypatch, capsys, fast_config):
+        # an exception whose message is empty still marks its member failed
+        real = scenarios.run_scenario
+
+        def run(scenario, params):
+            if scenario.name == "start-2020-05-21":
+                raise ZeroDivisionError()
+            return real(scenario, params)
+
+        monkeypatch.setattr(scenarios, "run_scenario", run)
+        out = tmp_path / "silent"
+        assert main(["sweep", "--axis", "start", "--values", "2020-04-09,2020-05-21", "--jobs", "1",
+                     "--out", str(out), "--config", fast_config]) == 0
+        assert "error in start-2020-05-21: ZeroDivisionError\n" in capsys.readouterr().err
+        row = {r["scenario"]: r for r in csv_rows(out / "comparison.csv")}["start-2020-05-21"]
+        assert row["error"] == "ZeroDivisionError"
+        assert row["total_deaths"] == row["welfare"] == ""
+        assert not (out / "start-2020-05-21_trajectory.csv").exists()
 
     def test_every_member_failing_writes_no_manifest(self, tmp_path, capsys, fast_config):
         out = tmp_path / "late"
@@ -781,7 +802,7 @@ class TestSweep:
                      "--out", str(out), "--config", fast_config])
         assert code == 1
         err = capsys.readouterr().err
-        assert "error in start-2070-01-01: Scenario.schedule.start_date" in err
+        assert "error in start-2070-01-01: ValueError: Scenario.schedule.start_date" in err
         assert "every sweep member failed" in err
         assert not (out / "manifest.json").exists()
         assert not out.exists()

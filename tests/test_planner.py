@@ -80,6 +80,17 @@ class TestSteadyState:
         sol = solve(inputs)
         assert sol.capital_path[-1] == pytest.approx(1.5, rel=1e-6)
 
+    def test_balanced_path_target_uses_the_last_days_growth_at_t2(self):
+        # A grows 10% on the one step of a two-day horizon: the target is
+        # the modified golden rule at that growth, not at none
+        beta, delta, alpha = 0.96, 0.1, 0.3
+        inputs = dataclasses.replace(flat_inputs(T=2, beta=beta, delta=delta, alpha=alpha),
+                                     tfp_path=np.array([1.0, 1.1]))
+        gx = 1.1 ** (1.0 / (1.0 - alpha)) - 1.0
+        mpk = (1.0 + gx) / beta - (1.0 - delta)
+        expected = (alpha * 1.1 / mpk) ** (1.0 / (1.0 - alpha))
+        assert balanced_path_terminal_capital(inputs) == pytest.approx(expected, rel=1e-12)
+
 
 class TestSinglePeriod:
     def test_exhausts_everything(self):

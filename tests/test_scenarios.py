@@ -117,6 +117,17 @@ class TestHorizon:
         for name in ("N", "S", "I", "R", "D"):
             assert getattr(moved, name).tobytes() == getattr(reference, name).tobytes(), name
 
+    def test_columns_own_only_the_reported_days(self, params, baselines):
+        # a kept trajectory must not pin the horizon's paths through views
+        schedule = PolicySchedule(start_date=date(2020, 3, 12), intensity_p=0.1, duration_days=84)
+        intervention = no_intervention_scenario(schedule=schedule, name="lockdown")
+        runs = [(no_pandemic_scenario(), baselines[0]), (no_intervention_scenario(), baselines[1]),
+                (intervention, run_scenario(intervention, params))]
+        for scenario, trajectory in runs:
+            n = (scenario.end_of_interest - scenario.start_date).days + 1
+            for name, column in trajectory.columns().items():
+                assert column.base is None and column.shape == (n,), (scenario.name, name)
+
 
 class TestEpidemicKernel:
     def test_pass_matches_checked_daily_steps(self, params):
@@ -395,7 +406,7 @@ class TestSweeps:
         assert by_name["start-2020-03-12"].error is None
         late = by_name["start-2030-01-01"]
         assert late.trajectory is None and late.metrics is None
-        assert late.error.startswith("Scenario.schedule.start_date")
+        assert late.error.startswith("ValueError: Scenario.schedule.start_date")
 
     def test_pool_sized_to_the_batch(self, params, monkeypatch):
         started = []
@@ -518,6 +529,11 @@ class TestScenarioValidation:
                                          horizon=date(2030, 12, 31)),
                 params,
             )
+
+    def test_end_of_interest_must_follow_the_start(self):
+        start = date(2020, 3, 1)
+        with pytest.raises(ValueError, match="end of interest must lie beyond the start date"):
+            no_intervention_scenario(start_date=start, end_of_interest=start, horizon=start + timedelta(days=1))
 
     def test_invalid_schedule_rejected(self):
         with pytest.raises(ValueError, match="intensity"):
