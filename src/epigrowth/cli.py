@@ -23,8 +23,7 @@ def _datasets(args, config: data_io.RunConfig, keys) -> tuple:
     that order; DataFormatError naming every one of them that is missing,
     so a command stops before it loads any."""
     data_dir = Path(args.data or os.environ.get("EPIGROWTH_DATA_DIR") or "data")
-    paths = data_io.data_manifests(data_dir, config)
-    paths = {key: paths[key] for key in keys}
+    paths = {key: data_dir / config.data[key] for key in keys}
     missing = [str(path) for path in paths.values() if not path.exists()]
     if missing:
         raise data_io.DataFormatError(f"missing datasets: {missing}")

@@ -373,11 +373,6 @@ class RunConfig:
         return list(self.metrics["output_ratio_dates"])
 
 
-def parse_config(doc: dict) -> RunConfig:
-    """Validate a merged configuration document."""
-    return RunConfig(**parse_section(doc, "config", _CONFIG_SECTIONS.get, _CONFIG_SECTIONS))
-
-
 def load_config(path=None) -> RunConfig:
     """Shipped defaults, deep-merged with an optional user JSON document.
 
@@ -386,7 +381,7 @@ def load_config(path=None) -> RunConfig:
     doc = default_config()
     if path is not None:
         doc = _merge(doc, read_json_object(path, "config"))
-    return parse_config(doc)
+    return RunConfig(**parse_section(doc, "config", _CONFIG_SECTIONS.get, _CONFIG_SECTIONS))
 
 
 def data_manifests(data_dir, config: RunConfig) -> dict:

@@ -85,13 +85,16 @@ class InfeasiblePlanError(RuntimeError):
     def __init__(self, day_index: int, day: _date | None, reason: str):
         self.day_index = day_index
         self.day = day
+        self.reason = reason
         when = f"{day.isoformat()} (day {day_index})" if day is not None else f"day {day_index}"
         super().__init__(f"infeasible at {when}: {reason}")
 
 
 @dataclass(frozen=True)
 class PlannerInputs:
-    """Exogenous daily paths (all length T) and scalar problem data, checked when built."""
+    """Exogenous daily paths (all length T) and scalar problem data, checked
+    when built; each path is stored as a float array, so the solver reads
+    it without converting it again."""
 
     labor_path: np.ndarray      # working persons, S_t + R_t
     pop_path: np.ndarray        # living persons, N_t
@@ -110,13 +113,16 @@ class PlannerInputs:
         return len(self.labor_path)
 
     def __post_init__(self):
+        paths = ("labor_path", "pop_path", "tfp_path", "hcost_path", "shortfall_path")
+        for name in paths:
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         T = self.horizon
-        for name in ("pop_path", "tfp_path", "hcost_path", "shortfall_path"):
+        for name in paths[1:]:
             if len(getattr(self, name)) != T:
                 raise ValueError(f"{name} has length {len(getattr(self, name))}, expected {T}")
         if T < 1:
             raise ValueError("horizon must be at least one day")
-        for name in ("labor_path", "pop_path", "tfp_path", "hcost_path", "shortfall_path"):
+        for name in paths:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite everywhere")
         if not (0.0 < self.beta_daily < 1.0):
@@ -130,14 +136,13 @@ class PlannerInputs:
         # delta == 1 is allowed for degenerate single-period setups
         if not (0.0 <= self.delta_daily <= 1.0):
             raise ValueError(f"delta_daily must lie in [0, 1], got {self.delta_daily!r}")
-        if np.any(np.asarray(self.labor_path) < 0):
+        if np.any(self.labor_path < 0):
             raise ValueError("labor path must be nonnegative")
-        if np.any(np.asarray(self.pop_path) <= 0):
+        if np.any(self.pop_path <= 0):
             raise ValueError("population path must be positive")
-        if np.any(np.asarray(self.hcost_path) < 0):
+        if np.any(self.hcost_path < 0):
             raise ValueError("cost path must be nonnegative")
-        sp = np.asarray(self.shortfall_path)
-        if np.any((sp < 0) | (sp >= 1)):
+        if np.any((self.shortfall_path < 0) | (self.shortfall_path >= 1)):
             raise ValueError("shortfall path must lie in [0, 1)")
 
     def _date_at(self, index: int) -> _date | None:
@@ -301,8 +306,7 @@ def _stacked_estimate(inputs: PlannerInputs, production: np.ndarray, growu: np.n
     C_t / prod_{s<t} g_s*G_{s+1}, each rounded on its own; the day-0 budget
     alone would carry K_1's rounding, ~1,000 ulps of C_0 as K/C is ~3,000.
     1000 days gave the least median error of 1, 10, 100, 300, 1000, 2000, 3000."""
-    T, alpha, omd = inputs.horizon, inputs.alpha, 1.0 - inputs.delta_daily
-    H = np.asarray(inputs.hcost_path, dtype=float)
+    T, alpha, omd, H = inputs.horizon, inputs.alpha, 1.0 - inputs.delta_daily, inputs.hcost_path
     K = np.append(inputs.K0 * (K_target / inputs.K0) ** (np.arange(T) / T), K_target)
     Kn = K[1:T]  # the unknowns, a view of K
     sub = main = Kn  # empty when T = 1, where no Newton step runs
@@ -356,13 +360,9 @@ def solve(inputs: PlannerInputs, *, rel_tol: float = 0.0, max_iter: int = 200) -
     if K_target is None:
         K_target = balanced_path_terminal_capital(inputs)
 
-    A = np.asarray(inputs.tfp_path, dtype=float)
-    L = np.asarray(inputs.labor_path, dtype=float)
-    N = np.asarray(inputs.pop_path, dtype=float)
-    p = np.asarray(inputs.shortfall_path, dtype=float)
-    production = (1.0 - p) * A * L ** (1.0 - alpha)
+    N, H = inputs.pop_path, inputs.hcost_path
+    production = (1.0 - inputs.shortfall_path) * inputs.tfp_path * inputs.labor_path ** (1.0 - alpha)
     growu = beta * N[1:] / N[:-1]
-    H = np.asarray(inputs.hcost_path, dtype=float)
     prodc = production.tolist()
     day_lists = (prodc, (alpha * production[1:]).tolist(), growu.tolist(), H.tolist())
 
@@ -450,10 +450,9 @@ def _euler_residuals(C: np.ndarray, K: np.ndarray, inputs: PlannerInputs,
     T = inputs.horizon
     if T < 2:
         return np.zeros(0)
-    N = np.asarray(inputs.pop_path, dtype=float)
     omd = 1.0 - inputs.delta_daily
     Kn = K[1:T]
     mpk = inputs.alpha * production[1:T] * Kn ** (inputs.alpha - 1.0)
-    cpc = C / N
+    cpc = C / inputs.pop_path
     return np.abs(cpc[1:] / cpc[:-1] / (inputs.beta_daily * (omd + mpk)) - 1.0)
 

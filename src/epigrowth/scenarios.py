@@ -100,10 +100,16 @@ class Scenario:
             raise ValueError("solver horizon must lie beyond the end of interest")
         if self.end_of_interest <= self.start_date:
             raise ValueError("end of interest must lie beyond the start date")
-        self.initial_epi_state()  # its EpiState checks the compartments, S = N0 - I0 - R0 too
-        for name in ("A0", "K0"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"Scenario.{name} must be > 0, got {getattr(self, name)!r}")
+        for name in _SCENARIO_NUMBERS:
+            value = getattr(self, name)
+            if name in ("A0", "K0") and value <= 0:
+                raise ValueError(f"Scenario.{name} must be > 0, got {value!r}")
+            if value < 0:
+                raise ValueError(f"Scenario.{name} must be >= 0, got {value!r}")
+        # S0 as initial_epi_state computes it
+        if self.N0 - self.I0 - self.R0 < 0:
+            raise ValueError(f"Scenario.I0 + Scenario.R0 must be <= Scenario.N0, got "
+                             f"{self.I0!r} + {self.R0!r} > {self.N0!r}")
 
     @classmethod
     def from_dict(cls, name: str, raw: dict, where: str) -> "Scenario":
@@ -229,16 +235,6 @@ def _shipped_scenario(name: str) -> Scenario:
     return Scenario.from_dict(name, default_config()["scenarios"][name], f"default_config.scenarios.{name}")
 
 
-def no_pandemic_scenario(**changes) -> Scenario:
-    """The shipped pandemic-free baseline, with ``changes`` applied to its fields."""
-    return replace(_shipped_scenario(NO_PANDEMIC), **changes)
-
-
-def no_intervention_scenario(**changes) -> Scenario:
-    """The shipped unchecked-pandemic baseline, with ``changes`` applied to its fields."""
-    return replace(_shipped_scenario(NO_INTERVENTION), **changes)
-
-
 def _epidemic_pass(scenario: Scenario, params: ModelParams):
     """Forward-simulate the epidemic; returns the day numbers, then per-day
     compartment, policy shortfall and new-infection arrays.
@@ -337,9 +333,7 @@ def run_scenario(scenario: Scenario, params: ModelParams) -> Trajectory:
             inputs, rel_tol=params.bisection_rel_tol, max_iter=params.max_bisection_iter
         )
     except planner.InfeasiblePlanError as exc:
-        raise planner.InfeasiblePlanError(
-            exc.day_index, exc.day, f"scenario {scenario.name!r}: {exc.args[0]}"
-        ) from exc
+        raise planner.InfeasiblePlanError(exc.day_index, exc.day, f"scenario {scenario.name!r}: {exc.reason}") from exc
     residual = float(np.max(solution.euler_residuals, initial=0.0))
     if not residual <= params.euler_tol:
         raise RuntimeError(
@@ -370,8 +364,8 @@ def run_baselines(params: ModelParams) -> tuple[Trajectory, Trajectory]:
     """The two reference runs: pandemic-free growth, and the unchecked
     pandemic from the observed initial conditions."""
     return (
-        run_scenario(no_pandemic_scenario(), params),
-        run_scenario(no_intervention_scenario(), params),
+        run_scenario(_shipped_scenario(NO_PANDEMIC), params),
+        run_scenario(_shipped_scenario(NO_INTERVENTION), params),
     )
 
 

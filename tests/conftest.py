@@ -23,12 +23,12 @@ def config():
 
 
 @pytest.fixture(scope="session")
-def baselines(params):
+def baselines(params, config):
     """(no-pandemic, no-intervention) trajectories plus the wall time of the
     no-intervention run."""
-    no_pandemic = scenarios.run_scenario(scenarios.no_pandemic_scenario(), params)
+    no_pandemic = scenarios.run_scenario(config.scenario(scenarios.NO_PANDEMIC), params)
     t0 = time.perf_counter()
-    no_intervention = scenarios.run_scenario(scenarios.no_intervention_scenario(), params)
+    no_intervention = scenarios.run_scenario(config.scenario(scenarios.NO_INTERVENTION), params)
     elapsed = time.perf_counter() - t0
     return no_pandemic, no_intervention, elapsed
 

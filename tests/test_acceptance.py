@@ -303,10 +303,10 @@ class TestCriterion5PropertySuites:
             f"max coefficient difference {err:.2e} (<= 1e-8)",
         )
 
-    def test_policy_noop_equivalence(self, params, baselines):
+    def test_policy_noop_equivalence(self, params, config, baselines):
         schedule = scenarios.PolicySchedule(date(2020, 3, 12), 0.0, 182)
         run = scenarios.run_scenario(
-            scenarios.no_intervention_scenario(schedule=schedule, name="noop"), params
+            dataclasses.replace(config.scenario(scenarios.NO_INTERVENTION), schedule=schedule, name="noop"), params
         )
         identical = all(
             np.array_equal(run.columns()[name], baselines[1].columns()[name])
@@ -318,9 +318,10 @@ class TestCriterion5PropertySuites:
             "zero-intensity schedule reproduces the no-intervention run exactly",
         )
 
-    def test_determinism_across_parallel_runs(self, run_sweep, tmp_path):
-        base = scenarios.no_intervention_scenario(
-            end_of_interest=date(2022, 12, 31), horizon=date(2024, 12, 31), name="det"
+    def test_determinism_across_parallel_runs(self, config, run_sweep, tmp_path):
+        base = dataclasses.replace(
+            config.scenario(scenarios.NO_INTERVENTION),
+            end_of_interest=date(2022, 12, 31), horizon=date(2024, 12, 31), name="det",
         )
         written = {}
         for jobs in (1, 2):

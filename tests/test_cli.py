@@ -196,6 +196,20 @@ class TestSimulate:
                               "7.45093e+14 by 11.9 of it, more than 1e-09")
         assert not out.exists()
 
+    def test_infeasible_run_says_so_once(self, tmp_path, capsys):
+        # direct costs a billion times the shipped ones exhaust the stock in
+        # the first wave; the error names the day and the scenario once each
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"params": {"u": 1e9}}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", "no-intervention", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.count("infeasible at") == 1 and err.count("no-intervention") == 1
+        assert err == ("error: infeasible at 2020-03-28 (day 66): scenario 'no-intervention': "
+                       "direct costs exceed available resources even at zero consumption\n")
+        assert not out.exists()
+
     def test_unknown_scenario_lists_known(self, tmp_path, capsys):
         code = main(["simulate", "--scenario", "mystery", "--out", str(tmp_path / "x")])
         assert code == 1
@@ -342,6 +356,11 @@ BROKEN_SCENARIOS = [
     # sweep's members are solved and their CSVs written
     ({"no-pandemic": {"schedule": {"start_date": "2070-01-01", "intensity": 0.1, "duration_weeks": 4}}},
      "no-pandemic", "Scenario.schedule.start_date must lie in [2019-01-01, 2060-12-31], got 2070-01-01"),
+    # compartments that leave S0 = N0 - I0 - R0 below zero, and negative
+    # deaths, named by the Scenario fields that the keys set
+    ({"no-intervention": {"i0": 8e9}}, "no-intervention",
+     "Scenario.I0 + Scenario.R0 must be <= Scenario.N0, got 8000000000.0 + 28.0 > 7718000000.0"),
+    ({"no-intervention": {"d0": -5}}, "no-intervention", "Scenario.D0 must be >= 0, got -5.0"),
 ]
 
 
@@ -359,7 +378,7 @@ class TestBrokenScenario:
 
     @pytest.mark.parametrize("argv", [["simulate", "--scenario", "no-pandemic"],
                                       ["sweep", "--axis", "start", "--jobs", "1"]], ids=["simulate", "sweep"])
-    @pytest.mark.parametrize("override,name,message", BROKEN_SCENARIOS, ids=["k0", "horizon", "late-schedule"])
+    @pytest.mark.parametrize("override,name,message", BROKEN_SCENARIOS, ids=["k0", "horizon", "late-schedule", "i0", "d0"])
     def test_config_scenario_refused_at_load(self, tmp_path, capsys, argv, override, name, message):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"scenarios": override}))

@@ -18,27 +18,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from epigrowth import data_io
 from epigrowth.planner import InfeasiblePlanError
-from epigrowth.scenarios import (
-    PolicySchedule,
-    no_intervention_scenario,
-    no_pandemic_scenario,
-    run_scenario,
-)
+from epigrowth.scenarios import NO_INTERVENTION, NO_PANDEMIC, PolicySchedule, run_scenario
 
 SHORT = dict(end_of_interest=date(2020, 12, 31), horizon=date(2021, 12, 31))
 POLICY = PolicySchedule(start_date=date(2020, 3, 12), intensity_p=0.10, duration_days=182)
 
 
 def short_no_intervention(**changes):
-    return no_intervention_scenario(**{**SHORT, **changes})
+    return dataclasses.replace(data_io.load_config().scenario(NO_INTERVENTION), **{**SHORT, **changes})
 
 
 @pytest.fixture(scope="module")
-def runs(params):
+def runs(params, config):
     """Short no-pandemic, no-intervention and intervention trajectories."""
     return {
-        "no-pandemic": run_scenario(no_pandemic_scenario(**SHORT), params),
+        "no-pandemic": run_scenario(dataclasses.replace(config.scenario(NO_PANDEMIC), **SHORT), params),
         "no-intervention": run_scenario(short_no_intervention(), params),
         "policy": run_scenario(short_no_intervention(schedule=POLICY, name="policy"), params),
     }
@@ -50,18 +46,18 @@ def potential_output(t, alpha):
 
 
 class TestStateAndParams:
-    def test_valid_state(self):
+    def test_valid_state(self, config):
         # building a scenario checks it
-        no_pandemic_scenario()
-        no_intervention_scenario()
+        dataclasses.replace(config.scenario(NO_PANDEMIC))
+        dataclasses.replace(config.scenario(NO_INTERVENTION))
 
-    def test_nonpositive_tfp_rejected(self):
+    def test_nonpositive_tfp_rejected(self, config):
         with pytest.raises(ValueError, match="A0"):
-            no_pandemic_scenario(A0=0.0)
+            dataclasses.replace(config.scenario(NO_PANDEMIC), A0=0.0)
 
-    def test_negative_capital_rejected(self):
+    def test_negative_capital_rejected(self, config):
         with pytest.raises(ValueError, match="K0"):
-            no_pandemic_scenario(K0=-1.0)
+            dataclasses.replace(config.scenario(NO_PANDEMIC), K0=-1.0)
 
     def test_valid_params(self, params):
         # building a bundle checks it
@@ -108,16 +104,17 @@ class TestProduction:
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError, match="intensity_p"):
             dataclasses.replace(POLICY, intensity_p=1.0)
-        with pytest.raises(ValueError, match="EpiState.S"):
+        message = r"^Scenario\.I0 \+ Scenario\.R0 must be <= Scenario\.N0, got 8000000000\.0 \+ "
+        with pytest.raises(ValueError, match=message):
             short_no_intervention(I0=8e9)
 
     @given(lam=st.floats(1e-3, 1e3))
     @settings(max_examples=8, deadline=None)
-    def test_constant_returns_to_scale(self, params, lam):
+    def test_constant_returns_to_scale(self, params, config, lam):
         # without births or infections the whole economy is homogeneous of
         # degree one in (K0, N0): the planner's per-capita problem is unchanged
         no_births = dataclasses.replace(params, a1=1.0, a2=0.0)
-        base = no_pandemic_scenario(**SHORT)
+        base = dataclasses.replace(config.scenario(NO_PANDEMIC), **SHORT)
         one = run_scenario(base, no_births)
         scaled = run_scenario(dataclasses.replace(base, K0=lam * base.K0, N0=lam * base.N0), no_births)
         for name in ("Y", "K", "C"):
@@ -126,8 +123,8 @@ class TestProduction:
 
     @given(bump=st.floats(0.01, 0.5))
     @settings(max_examples=5, deadline=None)
-    def test_monotonicity(self, params, bump):
-        base = no_pandemic_scenario(**SHORT)
+    def test_monotonicity(self, params, config, bump):
+        base = dataclasses.replace(config.scenario(NO_PANDEMIC), **SHORT)
         y0 = run_scenario(base, params).Y[0]
         for field in ("A0", "K0", "N0"):
             more = dataclasses.replace(base, **{field: getattr(base, field) * (1.0 + bump)})
@@ -137,8 +134,9 @@ class TestProduction:
 
 
 class TestTfpStep:
-    def test_zero_growth(self, params):
-        t = run_scenario(no_pandemic_scenario(**SHORT), dataclasses.replace(params, g_daily=0.0))
+    def test_zero_growth(self, params, config):
+        t = run_scenario(dataclasses.replace(config.scenario(NO_PANDEMIC), **SHORT),
+                         dataclasses.replace(params, g_daily=0.0))
         assert np.all(t.A == t.A[0])
 
     def test_single_step(self, runs):
@@ -149,9 +147,9 @@ class TestTfpStep:
             days = np.arange(len(t))
             np.testing.assert_allclose(t.A, t.A[0] * (1.0 + params.g_daily) ** days, rtol=1e-12)
 
-    def test_nonpositive_rejected(self, params):
+    def test_nonpositive_rejected(self, params, config):
         with pytest.raises(ValueError, match="A0"):
-            run_scenario(no_pandemic_scenario(A0=-1.0), params)
+            run_scenario(dataclasses.replace(config.scenario(NO_PANDEMIC), A0=-1.0), params)
 
 
 class TestHospitalCost:

@@ -308,8 +308,8 @@ def planner_inputs(scenario, params) -> PlannerInputs:
 
 
 @pytest.fixture(scope="module")
-def no_intervention_inputs(params):
-    return planner_inputs(scenarios.no_intervention_scenario(), params)
+def no_intervention_inputs(params, config):
+    return planner_inputs(config.scenario(scenarios.NO_INTERVENTION), params)
 
 
 @pytest.fixture(params=["growing", "no-intervention"])
@@ -319,6 +319,7 @@ def shooting_case(request):
     return request.getfixturevalue("no_intervention_inputs")
 
 
+# Shooting-bound: counts the calls of the per-pass function planner._propagate
 def count_passes(monkeypatch) -> list:
     """Record, per call of the solver's per-pass function, the days it ran:
     the horizon, or up to the day the stock runs out.  Its length is the
@@ -358,11 +359,12 @@ def seeded_schedules(seed: int, n: int) -> list:
             for _ in range(n)]
 
 
+# Shooting-bound: the pass-days of each seeded solve
 @pytest.fixture(scope="module")
-def seeded_solves(params):
+def seeded_solves(params, config):
     """(inputs, solution, pass-days in horizons) for 12 seeded interventions."""
-    cases = [planner_inputs(scenarios.no_intervention_scenario(schedule=schedule, name=f"seeded-{i}"),
-                            params)
+    base = config.scenario(scenarios.NO_INTERVENTION)
+    cases = [planner_inputs(dataclasses.replace(base, schedule=schedule, name=f"seeded-{i}"), params)
              for i, schedule in enumerate(seeded_schedules(0, 12))]
     solves = []
     with pytest.MonkeyPatch.context() as mp:
@@ -373,6 +375,7 @@ def seeded_solves(params):
     return solves
 
 
+# Shooting-bound: the search's last C_0, its pass counts and its early stops
 class TestShooting:
     def test_c0_is_largest_feasible_double(self, shooting_case):
         assert_largest_feasible_double(solve(shooting_case), shooting_case)
@@ -386,12 +389,12 @@ class TestShooting:
         solve(no_intervention_inputs)
         assert len(passes) <= 6  # 5 from the stacked estimate, 27 from the cold bracket
 
-    def test_pass_days_per_solve(self, seeded_solves, params, monkeypatch):
+    def test_pass_days_per_solve(self, seeded_solves, params, config, monkeypatch):
         # pass-days in horizons; from the stacked estimate every pass runs
         # to the horizon, and the seeded mean is 4.25, the no-pandemic solve
         # 5; from the cold bracket they are 16.6 and 19.3
         assert statistics.mean(horizons for *_, horizons in seeded_solves) <= 5
-        inputs = planner_inputs(scenarios.no_pandemic_scenario(), params)
+        inputs = planner_inputs(config.scenario(scenarios.NO_PANDEMIC), params)
         days = count_passes(monkeypatch)
         solve(inputs)
         assert sum(days) / inputs.horizon <= 6
@@ -464,6 +467,7 @@ class TestErrors:
             solve(dataclasses.replace(inputs, **{field: value}))
         assert passes == []
 
+    # Shooting-bound: at most 25 passes of planner._propagate
     @pytest.mark.parametrize("case", ["unreachable-target", "cost-spike"])
     def test_infeasible_inputs_stay_bounded(self, no_intervention_inputs, monkeypatch, case):
         if case == "unreachable-target":
@@ -472,12 +476,16 @@ class TestErrors:
             hcost = np.array(no_intervention_inputs.hcost_path, dtype=float)
             hcost[14_000] += 1e16
             inputs = dataclasses.replace(no_intervention_inputs, hcost_path=hcost)
-        with pytest.raises(InfeasiblePlanError) as expected:
-            oracle_solve(inputs)
+        expected = {
+            "unreachable-target": (14955, "infeasible at 2061-01-01 (day 14955): "
+                                          "terminal capital target 1e+20 is unreachable"),
+            "cost-spike": (14000, "infeasible at 2058-05-22 (day 14000): "
+                                  "direct costs exceed available resources even at zero consumption"),
+        }[case]
         passes = count_passes(monkeypatch)
         with pytest.raises(InfeasiblePlanError) as err:
             solve(inputs)
-        assert (err.value.day_index, str(err.value)) == (expected.value.day_index, str(expected.value))
+        assert (err.value.day_index, str(err.value)) == expected
         assert len(passes) <= 25
 
     def test_path_length_mismatch_rejected(self):
@@ -490,26 +498,23 @@ class TestErrors:
 
 
 class TestTruncationSensitivity:
-    def test_2030_consumption_insensitive_to_horizon(self, params):
-        short = scenarios.run_scenario(
-            scenarios.no_pandemic_scenario(horizon=date(2050, 12, 31)), params
-        )
-        long = scenarios.run_scenario(
-            scenarios.no_pandemic_scenario(horizon=date(2060, 12, 31)), params
-        )
+    def test_2030_consumption_insensitive_to_horizon(self, params, config):
+        no_pandemic = config.scenario(scenarios.NO_PANDEMIC)
+        short = scenarios.run_scenario(dataclasses.replace(no_pandemic, horizon=date(2050, 12, 31)), params)
+        long = scenarios.run_scenario(dataclasses.replace(no_pandemic, horizon=date(2060, 12, 31)), params)
         idx = short.index_of(date(2030, 12, 31))
         assert long.C[idx] == pytest.approx(short.C[idx], rel=1e-3)
 
     @pytest.mark.parametrize("year", [2070, 2080])
     @pytest.mark.parametrize("which", [0, 1], ids=["no-pandemic", "no-intervention"])
-    def test_window_insensitive_to_a_later_horizon(self, params, baselines, which, year):
+    def test_window_insensitive_to_a_later_horizon(self, params, config, baselines, which, year):
         # The terminal condition must not distort the reported window: moved
         # from 2060 to 2070 or 2080, window C, K and Y moved by at most 2.0e-6
         # relative (measured), whatever the solver; the epidemic ignores the
         # horizon altogether
-        scenario = (scenarios.no_pandemic_scenario, scenarios.no_intervention_scenario)[which]
+        scenario = config.scenario((scenarios.NO_PANDEMIC, scenarios.NO_INTERVENTION)[which])
         base = baselines[which]
-        moved = scenarios.run_scenario(scenario(horizon=date(year, 12, 31)), params)
+        moved = scenarios.run_scenario(dataclasses.replace(scenario, horizon=date(year, 12, 31)), params)
         assert moved.days == base.days
         for name in ("C", "K", "Y"):
             np.testing.assert_allclose(getattr(moved, name), getattr(base, name), rtol=1e-5, atol=0.0, err_msg=name)
@@ -517,6 +522,7 @@ class TestTruncationSensitivity:
             assert bits(getattr(moved, name)) == bits(getattr(base, name)), name
 
 
+# Shooting-bound: one cold-bracket shooting pass, restated
 def oracle_propagate(C0: float, inputs: PlannerInputs, prodc: list, growu: list, H: list):
     """The shooting pass as the solver once ran it, one indexed day at a
     time with the last day inside the loop and the forward sensitivities
@@ -554,6 +560,7 @@ def oracle_propagate(C0: float, inputs: PlannerInputs, prodc: list, growu: list,
     return C_path, K_path, None, dK
 
 
+# Shooting-bound: the shooting search, restated
 def oracle_solve(inputs: PlannerInputs, *, rel_tol: float = 0.0, max_iter: int = 200) -> PlannerSolution:
     """The search as the solver once ran it, from the cold bracket with the
     feasibility probe first and Newton steps on K_T: ``planner.solve`` must
@@ -643,6 +650,7 @@ def shooting_lists(inputs: PlannerInputs) -> tuple:
             np.asarray(inputs.hcost_path, dtype=float).tolist())
 
 
+# Shooting-bound: the per-pass function, restated
 def oracle_pass(C0: float, inputs: PlannerInputs, prodc: list, apc: list, growu: list, H: list):
     """``oracle_propagate`` called with ``_propagate``'s arguments and
     returning what it returns: the paths and the fail index.  It ignores
@@ -663,6 +671,7 @@ def assert_same_pass(new, old) -> None:
         assert bits(K_path) == bits(K_old[:fail + 1])
 
 
+# Shooting-bound: records each pass of the search
 def recorded_solve(inputs: PlannerInputs, propagate, monkeypatch) -> tuple:
     """``solve(inputs)`` with ``propagate`` as its shooting pass; returns the
     solution and the (C_0, result) of each pass, in order."""
@@ -680,14 +689,15 @@ def recorded_solve(inputs: PlannerInputs, propagate, monkeypatch) -> tuple:
 
 
 @pytest.fixture(scope="module")
-def cases(params):
+def cases(params, config):
     """The inputs of both baselines and of the 12 seeded interventions."""
-    shipped = [scenarios.no_pandemic_scenario(), scenarios.no_intervention_scenario()]
-    seeded = [scenarios.no_intervention_scenario(schedule=schedule, name=f"seeded-{i}")
+    shipped = [config.scenario(scenarios.NO_PANDEMIC), config.scenario(scenarios.NO_INTERVENTION)]
+    seeded = [dataclasses.replace(shipped[1], schedule=schedule, name=f"seeded-{i}")
               for i, schedule in enumerate(seeded_schedules(0, 12))]
     return [planner_inputs(scenario, params) for scenario in shipped + seeded]
 
 
+# Shooting-bound: each pass and each search against its oracle, bit for bit
 class TestShootingPassOracle:
     def test_solves_try_the_same_c0_and_match_bitwise(self, cases, monkeypatch):
         real = planner._propagate
@@ -772,6 +782,7 @@ def steady_state_inputs(T: int) -> PlannerInputs:
 STEADY_STATE_C0 = 2.0 ** 33 - 6.0
 
 
+# Shooting-bound: the slope dK_T/dC_0 of the shooting search, and when it is taken
 class TestTerminalSlope:
     # Relative gap to the in-loop recursion.  The Jacobian recovers each
     # C_t from differences of K terms, and K/C is ~3,000 on the long
@@ -914,7 +925,7 @@ def finite_difference_diagonals(K: np.ndarray, inputs: PlannerInputs, rel_step: 
 
 
 @pytest.fixture(scope="module")
-def jacobian_cases(params):
+def jacobian_cases(params, config):
     """(inputs, capital path) pairs: both baselines' inputs as
     ``run_scenario`` builds them and a flat economy with direct costs and a
     shortfall, each at its solved path and at that path moved by a seeded
@@ -922,8 +933,8 @@ def jacobian_cases(params):
     rng = np.random.default_rng(0)
     flat = flat_inputs(T=60, K0=1.0, hcost=np.full(60, 0.05), shortfall=np.linspace(0.0, 0.2, 60))
     pairs = []
-    for inputs, scale in ((planner_inputs(scenarios.no_pandemic_scenario(), params), 0.01),
-                          (planner_inputs(scenarios.no_intervention_scenario(), params), 0.01),
+    for inputs, scale in ((planner_inputs(config.scenario(scenarios.NO_PANDEMIC), params), 0.01),
+                          (planner_inputs(config.scenario(scenarios.NO_INTERVENTION), params), 0.01),
                           (flat, 0.05)):
         K = solve(inputs).capital_path
         moved = K * (1.0 + scale * rng.standard_normal(len(K)))
@@ -953,12 +964,12 @@ class TestEulerJacobian:
 
 
 @pytest.fixture(scope="module")
-def optimality_cases(params):
+def optimality_cases(params, config):
     """(inputs, solution, euler_tol) for both baselines and the first 5
     seed-0 scenario-loop interventions, the inputs as ``run_scenario``
     builds them."""
-    runs = [scenarios.no_pandemic_scenario(), scenarios.no_intervention_scenario()]
-    runs += [scenarios.no_intervention_scenario(schedule=schedule, name=f"seeded-{i}")
+    runs = [config.scenario(scenarios.NO_PANDEMIC), config.scenario(scenarios.NO_INTERVENTION)]
+    runs += [dataclasses.replace(runs[1], schedule=schedule, name=f"seeded-{i}")
              for i, schedule in enumerate(seeded_schedules(0, 5))]
     return [(inputs, solve(inputs), params.euler_tol)
             for inputs in (planner_inputs(scenario, params) for scenario in runs)]
@@ -1035,6 +1046,7 @@ class TestStackedEstimate:
             assert x.shape == (n,)
             np.testing.assert_allclose(x, expected, rtol=1e-12, atol=1e-12)
 
+    # Shooting-bound: the estimate's C_0 and shooting slope
     def test_estimate_lies_at_the_root(self, cases, monkeypatch):
         # measured 4 and 2 ulps on the baselines, at most 68 over both
         # baselines and 200 seeded interventions; the slope, taken from the
@@ -1047,6 +1059,7 @@ class TestStackedEstimate:
             assert slope == pytest.approx(oracle_slope(root, inputs), rel=1e-8, abs=0.0)
         assert len(estimates) == len(cases)
 
+    # Shooting-bound: the step down from an exhausting pass
     @pytest.mark.parametrize("T", [200, 400])
     def test_exhausting_estimate_steps_down(self, T, monkeypatch):
         # the estimate lies 12 and 16 ulps above the root, and its pass runs
@@ -1059,6 +1072,7 @@ class TestStackedEstimate:
         for name in ("consumption_path", "capital_path", "welfare", "euler_residuals"):
             assert bits(getattr(solution, name)) == bits(getattr(expected, name)), name
 
+    # Shooting-bound: the search from a rejected estimate
     @pytest.mark.parametrize("estimate", ["nan", "C_lo", "C_hi", "exhausting", "exhausting-near"])
     def test_rejected_estimate_gives_the_oracle_solution(self, no_intervention_inputs, no_intervention_oracle,
                                                          monkeypatch, estimate):
@@ -1082,6 +1096,7 @@ class TestStackedEstimate:
         for name in ("consumption_path", "capital_path", "welfare", "euler_residuals"):
             assert bits(getattr(solution, name)) == bits(getattr(no_intervention_oracle, name)), name
 
+    # Shooting-bound: passes from a far start
     def test_far_start_takes_two_passes(self, monkeypatch):
         # from K_0 = 0.01 to a target of 5 Newton needs 10 steps; with the
         # cap at 8 the estimate lay 1.3e-6 off with no slope, and the solve
@@ -1093,6 +1108,7 @@ class TestStackedEstimate:
         for name in ("consumption_path", "capital_path", "welfare", "euler_residuals"):
             assert bits(getattr(solution, name)) == bits(getattr(expected, name)), name
 
+    # Shooting-bound: no shooting slope from an unconverged estimate
     def test_unconverged_newton_offers_no_slope(self, monkeypatch):
         # from K_0 = 0.01 to a target of 5, Newton's eighth update is still
         # 9.6e-4 relative (it needs 10 steps): with the cap at 8 the C_0 is
@@ -1108,6 +1124,7 @@ class TestStackedEstimate:
         for name in ("consumption_path", "capital_path", "welfare", "euler_residuals"):
             assert bits(getattr(solution, name)) == bits(getattr(expected, name)), name
 
+    # Shooting-bound: the search after a failed estimate, against the oracle
     @pytest.mark.parametrize("terminal", [0.0, -1.0, 1e300])
     def test_failed_newton_warns_of_nothing(self, terminal, monkeypatch):
         # a target of 0 or below has no geometric start path, and 1e300 is

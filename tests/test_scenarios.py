@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epigrowth import scenarios
+from epigrowth import data_io, scenarios
 from epigrowth.epidemic import (
     EpiRates,
     EpiState,
@@ -22,9 +22,9 @@ from epigrowth.planner import InfeasiblePlanError, PlannerInputs
 from epigrowth.scenarios import (
     PolicySchedule,
     Scenario,
+    NO_INTERVENTION,
+    NO_PANDEMIC,
     backtest,
-    no_intervention_scenario,
-    no_pandemic_scenario,
     pool_map,
     run_scenario,
     summarize,
@@ -38,8 +38,8 @@ from epigrowth.scenarios import (
 def short_scenario(schedule=None, name="short", **changes):
     """No-intervention initial conditions with a reduced horizon, for tests
     that exercise mechanics rather than published numbers."""
-    return no_intervention_scenario(
-        schedule=schedule, name=name,
+    return dataclasses.replace(
+        data_io.load_config().scenario(NO_INTERVENTION), schedule=schedule, name=name,
         end_of_interest=date(2022, 12, 31), horizon=date(2024, 12, 31), **changes,
     )
 
@@ -60,16 +60,18 @@ class TestNoPandemic:
 
 
 class TestPolicyNoOpEquivalence:
-    def test_zero_intensity_matches_no_intervention_exactly(self, params, baselines):
+    def test_zero_intensity_matches_no_intervention_exactly(self, params, config, baselines):
         schedule = PolicySchedule(start_date=date(2020, 3, 12), intensity_p=0.0, duration_days=182)
-        run = run_scenario(no_intervention_scenario(schedule=schedule, name="noop"), params)
+        run = run_scenario(dataclasses.replace(config.scenario(NO_INTERVENTION), schedule=schedule, name="noop"),
+                           params)
         reference = baselines[1]
         for name, col in run.columns().items():
             assert np.array_equal(col, reference.columns()[name]), name
 
-    def test_zero_duration_matches_no_intervention_exactly(self, params, baselines):
+    def test_zero_duration_matches_no_intervention_exactly(self, params, config, baselines):
         schedule = PolicySchedule(start_date=date(2020, 3, 12), intensity_p=0.10, duration_days=0)
-        run = run_scenario(no_intervention_scenario(schedule=schedule, name="noop"), params)
+        run = run_scenario(dataclasses.replace(config.scenario(NO_INTERVENTION), schedule=schedule, name="noop"),
+                           params)
         reference = baselines[1]
         for name, col in run.columns().items():
             assert np.array_equal(col, reference.columns()[name]), name
@@ -106,10 +108,10 @@ class TestHorizon:
 
     @pytest.mark.parametrize("year", [2070, 2080])
     @pytest.mark.parametrize("which", [0, 1], ids=["no-pandemic", "no-intervention"])
-    def test_window_barely_moves(self, params, baselines, which, year):
+    def test_window_barely_moves(self, params, config, baselines, which, year):
         reference = baselines[which]
-        make = (scenarios.no_pandemic_scenario, scenarios.no_intervention_scenario)[which]
-        moved = run_scenario(make(horizon=date(year, 12, 31)), params)
+        scenario = config.scenario((NO_PANDEMIC, NO_INTERVENTION)[which])
+        moved = run_scenario(dataclasses.replace(scenario, horizon=date(year, 12, 31)), params)
         assert moved.days == reference.days
         for name in ("C", "K", "Y"):
             gap = np.max(np.abs(getattr(moved, name) / getattr(reference, name) - 1.0))
@@ -117,11 +119,12 @@ class TestHorizon:
         for name in ("N", "S", "I", "R", "D"):
             assert getattr(moved, name).tobytes() == getattr(reference, name).tobytes(), name
 
-    def test_columns_own_only_the_reported_days(self, params, baselines):
+    def test_columns_own_only_the_reported_days(self, params, config, baselines):
         # a kept trajectory must not pin the horizon's paths through views
         schedule = PolicySchedule(start_date=date(2020, 3, 12), intensity_p=0.1, duration_days=84)
-        intervention = no_intervention_scenario(schedule=schedule, name="lockdown")
-        runs = [(no_pandemic_scenario(), baselines[0]), (no_intervention_scenario(), baselines[1]),
+        no_intervention = config.scenario(NO_INTERVENTION)
+        intervention = dataclasses.replace(no_intervention, schedule=schedule, name="lockdown")
+        runs = [(config.scenario(NO_PANDEMIC), baselines[0]), (no_intervention, baselines[1]),
                 (intervention, run_scenario(intervention, params))]
         for scenario, trajectory in runs:
             n = (scenario.end_of_interest - scenario.start_date).days + 1
@@ -212,26 +215,28 @@ def oracle_cases() -> list:
     and last the clamp case, whose infection rate makes the clamp bind."""
     rng = random.Random(0)
     first = date(2020, 3, 1)
-    seeded = [no_intervention_scenario(
-        name=f"seeded-{i}",
+    config = data_io.load_config()
+    no_intervention = config.scenario(NO_INTERVENTION)
+    seeded = [dataclasses.replace(
+        no_intervention, name=f"seeded-{i}",
         schedule=PolicySchedule(first + timedelta(days=rng.randrange(184)),
                                 rng.randint(20, 300) / 1000, rng.randint(4, 104) * 7))
         for i in range(12)]
-    start = no_intervention_scenario().start_date
+    start = no_intervention.start_date
 
     def window(day, weeks, p=0.1):
         return PolicySchedule(day, p, weeks * 7)
 
     cases = [
-        no_pandemic_scenario(), no_intervention_scenario(), *seeded,
+        config.scenario(NO_PANDEMIC), no_intervention, *seeded,
         short_scenario(window(start, 26), name="from-day-0"),
         short_scenario(window(date(2024, 12, 1), 104), name="past-the-horizon"),
         short_scenario(window(date(2024, 12, 31), 1), name="on-the-last-day"),
         short_scenario(window(date(2020, 3, 12), 0), name="zero-duration"),
         short_scenario(window(date(2020, 3, 12), 26, 0.0), name="zero-intensity"),
         # the shortest run a Scenario allows: start, end of interest, horizon
-        *(no_intervention_scenario(schedule=window(start + timedelta(days=lag), 1), name=name,
-                                   end_of_interest=start + timedelta(days=1), horizon=start + timedelta(days=2))
+        *(dataclasses.replace(no_intervention, schedule=window(start + timedelta(days=lag), 1), name=name,
+                              end_of_interest=start + timedelta(days=1), horizon=start + timedelta(days=2))
           for name, lag in (("three-days", 0), ("three-days-window-on-day-2", 2))),
     ]
     return [(scenario, {}) for scenario in cases] + [
@@ -302,9 +307,10 @@ class TestSummarize:
         metrics = summarize(trajectory, baselines[0])
         assert metrics.total_deaths == trajectory.D[-1] - trajectory.D[0]
 
-    def test_disjoint_ranges_rejected(self, params, baselines):
+    def test_disjoint_ranges_rejected(self, params, config, baselines):
         early = run_scenario(
-            no_pandemic_scenario(end_of_interest=date(2019, 6, 1), horizon=date(2019, 12, 31)),
+            dataclasses.replace(config.scenario(NO_PANDEMIC), end_of_interest=date(2019, 6, 1),
+                                horizon=date(2019, 12, 31)),
             params,
         )
         late = baselines[1]  # starts 2020-01-22
@@ -434,8 +440,8 @@ class TestSweeps:
         pool_map(_run_sweep_member, 64, [], repeat(params))
         assert started == [2]  # no pool for a batch of one run or none
 
-    def test_sweep_without_reference_measures_against_no_pandemic(self, baselines, run_sweep):
-        run, = run_sweep("duration", [4], base=short_scenario(), reference=no_pandemic_scenario())
+    def test_sweep_without_reference_measures_against_no_pandemic(self, config, baselines, run_sweep):
+        run, = run_sweep("duration", [4], base=short_scenario(), reference=config.scenario(NO_PANDEMIC))
         expected = summarize(run.trajectory, baselines[0])
         assert run.metrics == expected
         assert run.metrics.reference_name == "no-pandemic"
@@ -522,18 +528,19 @@ class TestInfeasibility:
 
 
 class TestScenarioValidation:
-    def test_horizon_must_exceed_end_of_interest(self, params):
+    def test_horizon_must_exceed_end_of_interest(self, params, config):
         with pytest.raises(ValueError, match="horizon"):
             run_scenario(
-                no_intervention_scenario(end_of_interest=date(2030, 12, 31),
-                                         horizon=date(2030, 12, 31)),
+                dataclasses.replace(config.scenario(NO_INTERVENTION), end_of_interest=date(2030, 12, 31),
+                                    horizon=date(2030, 12, 31)),
                 params,
             )
 
-    def test_end_of_interest_must_follow_the_start(self):
+    def test_end_of_interest_must_follow_the_start(self, config):
         start = date(2020, 3, 1)
         with pytest.raises(ValueError, match="end of interest must lie beyond the start date"):
-            no_intervention_scenario(start_date=start, end_of_interest=start, horizon=start + timedelta(days=1))
+            dataclasses.replace(config.scenario(NO_INTERVENTION), start_date=start, end_of_interest=start,
+                                horizon=start + timedelta(days=1))
 
     def test_invalid_schedule_rejected(self):
         with pytest.raises(ValueError, match="intensity"):
@@ -547,26 +554,26 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="axis"):
             sweep_members("weather", SweepGrid([1], {}), short_scenario())
 
-    def test_policy_start_outside_run_rejected(self, params):
+    def test_policy_start_outside_run_rejected(self, params, config):
         # a rule of the run, checked before its first day
-        base = no_intervention_scenario()
+        base = config.scenario(NO_INTERVENTION)
         for start in (base.start_date - timedelta(days=1), base.horizon + timedelta(days=1)):
             schedule = PolicySchedule(start_date=start, intensity_p=0.10, duration_days=182)
             with pytest.raises(ValueError, match=r"^Scenario\.schedule\.start_date"):
                 run_scenario(dataclasses.replace(base, schedule=schedule), params)
 
-    def test_policy_start_on_run_bounds_accepted(self, params):
-        base = no_intervention_scenario()
+    def test_policy_start_on_run_bounds_accepted(self, params, config):
+        base = config.scenario(NO_INTERVENTION)
         for start in (base.start_date, base.horizon):
             schedule = PolicySchedule(start_date=start, intensity_p=0.10, duration_days=182)
             _epidemic_pass(dataclasses.replace(base, schedule=schedule), params)
 
-    def test_duration_bounded_by_the_longest_timedelta(self):
+    def test_duration_bounded_by_the_longest_timedelta(self, config):
         most_weeks = timedelta.max.days // 7
         assert scenarios.parse_sweep_values("duration", [most_weeks], "weeks") == [most_weeks]
         with pytest.raises(DataFormatError, match=rf"^weeks\[1\]: expected a whole number of weeks from 0 to {most_weeks}"):
             scenarios.parse_sweep_values("duration", [4, most_weeks + 1], "weeks")
-        base = no_intervention_scenario()
+        base = config.scenario(NO_INTERVENTION)
         schedule = PolicySchedule(start_date=base.start_date, intensity_p=0.1, duration_days=timedelta.max.days)
         dataclasses.replace(base, schedule=schedule)
         with pytest.raises(DataFormatError, match=r"^PolicySchedule\.duration_days: "):
@@ -579,20 +586,30 @@ def checked_values() -> list:
     ones = np.ones(3)
     inputs = PlannerInputs(ones, ones, ones, 0 * ones, 0 * ones, K0=1.0, beta_daily=0.99, alpha=0.3,
                            delta_daily=0.1)
+    shipped = data_io.load_config().scenario(NO_PANDEMIC)
     return [
         (default_params(), {"alpha": 1.0}, "ModelParams.alpha must lie in (0, 1), got 1.0"),
         (PolicySchedule(date(2020, 3, 12), 0.1, 7), {"intensity_p": 1.2},
          "PolicySchedule.intensity_p: expected a fraction in [0, 1), got 1.2; write 5% as 0.05"),
-        (no_pandemic_scenario(), {"K0": -1.0}, "Scenario.K0 must be > 0, got -1.0"),
+        (shipped, {"K0": -1.0}, "Scenario.K0 must be > 0, got -1.0"),
+        (shipped, {"I0": 8e9},
+         "Scenario.I0 + Scenario.R0 must be <= Scenario.N0, got 8000000000.0 + 0.0 > 7634000000.0"),
+        (shipped, {"D0": -5.0}, "Scenario.D0 must be >= 0, got -5.0"),
         (EpiState(date(2020, 1, 1), 10.0, 9.0, 1.0, 0.0, 0.0), {"I": -1.0}, "EpiState.I must be >= 0, got -1.0"),
         (EpiRates(1e-4, 0.1, 0.01), {"b": -1.0}, "infection rate b must be >= 0, got -1.0"),
         (inputs, {"K0": 0.0}, "K0 must be finite and > 0, got 0.0"),
     ]
 
 
+# each case's id: its type, followed by the broken field for a type's later cases
+CHECKED_IDS = []
+for valid, changes, _ in checked_values():
+    kind = type(valid).__name__
+    CHECKED_IDS.append(f"{kind}-{next(iter(changes))}" if kind in CHECKED_IDS else kind)
+
+
 class TestValuesCheckThemselves:
-    @pytest.mark.parametrize("valid,changes,message", checked_values(),
-                             ids=[type(valid).__name__ for valid, _, _ in checked_values()])
+    @pytest.mark.parametrize("valid,changes,message", checked_values(), ids=CHECKED_IDS)
     def test_constructor_and_replace_raise(self, valid, changes, message):
         values = {f.name: getattr(valid, f.name) for f in dataclasses.fields(valid)}
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
