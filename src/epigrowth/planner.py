@@ -40,8 +40,9 @@ a factor of 4 a pass.  On the no-intervention inputs, whose root is about
 The slope dK_T/dC_0 is one more tridiagonal solve with the same Jacobian
 (``_slope``).  The estimate returns the slope at its last Newton iterate,
 and a full pass that misses the target by more than SLOPE_REUSE_MISS of it
-takes the slope at its own capital path; no pass of the 202 solves did, so
-a shipped solve computes no slope inside its loop.  The boundary condition
+takes the slope at its own capital path, which ``_paths`` runs the pass
+again to record; no pass of the 202 solves did, so a shipped solve
+computes no slope inside its loop.  The boundary condition
 is closed by bracketed Newton iteration (rtsafe, Press et al., Numerical
 Recipes, sec. 9.4): the bracket [C_lo, C_hi] starts as [1e-12 * R_0, R_0],
 with R_0 the day-0 resources.
@@ -64,8 +65,16 @@ The feasibility probe, a pass at C_lo = 1e-12 * R_0 (near-zero consumption
 maximises the capital path), runs only while no pass has reached the
 target: after PROBE_AFTER search passes, or after the search ends.  It
 raises InfeasiblePlanError with the day the stock runs out or with an
-unreachable target; otherwise its path is the answer until a search pass
+unreachable target; otherwise its C_0 is the answer until a search pass
 reaches the target.
+
+So a solve is the estimate, then search passes (``_propagate``) that keep
+only K_T, then one recording pass (``_paths``) from the answer's C_0, which
+gives the consumption and capital paths that the search found.  Both run
+the same float operations in the same order, so the recorded pass ends at
+the K_T its search pass found.  On the no-intervention inputs a search pass
+took a median 2.18 ms of CPU time and a recording pass 3.44 ms (60
+calls each, Python 3.11 on a 2-core host).
 """
 
 from __future__ import annotations
@@ -192,18 +201,47 @@ def balanced_path_terminal_capital(inputs: PlannerInputs) -> float:
 
 
 def _propagate(C0: float, inputs: PlannerInputs, prodc: list, apc: list, growu: list, H: list):
-    """Shoot the Euler/budget recursion forward from C_0.
+    """Shoot the Euler/budget recursion forward from C_0, keeping no path:
+    the search pass.
+
+    Returns (K_T, fail index or None), K_T None when the stock runs out.  A
+    fail index marks the first day the stock would be exhausted.  The day
+    lists are lists of plain floats, so the loop does no numpy scalar
+    arithmetic, and it keeps nothing per day.  ``apc`` holds alpha times
+    the next day's production constant, so MPK is one product and one
+    division.  The loop zips the day lists, so no day indexes a list, and
+    stops before the last day: it has no next day, and its stock may end at
+    exactly 0, where any earlier day's stock must stay positive.  A pass
+    that runs out inside the loop reads its day from the days left in the
+    zip.  ``_paths`` runs the same float operations in the same order.
+    """
+    alpha = inputs.alpha
+    omd = 1.0 - inputs.delta_daily
+
+    K = float(inputs.K0)
+    C = float(C0)
+    Kpow = K ** alpha
+    days = zip(prodc, H, apc, growu)
+    for pc, h, apc1, g in days:
+        K = omd * K + pc * Kpow - h - C
+        if K <= 0.0:
+            return None, len(apc) - 1 - sum(1 for _ in days)
+        Kpow = K ** alpha
+        C = C * g * (omd + apc1 * Kpow / K)
+    K_next = omd * K + prodc[-1] * Kpow - H[-1] - C
+    if K_next < 0.0:
+        return None, len(apc)
+    return K_next, None
+
+
+def _paths(C0: float, inputs: PlannerInputs, prodc: list, apc: list, growu: list, H: list):
+    """``_propagate``'s pass, recording its paths: the answer's pass, and a
+    pass whose capital path a slope needs.
 
     Returns (consumption path, capital path incl. terminal, fail index or
-    None).  A fail index marks the first day the stock would be exhausted;
-    such a pass has no terminal stock, and its paths stop at that day.  The
-    day lists are lists of plain floats, so the loop does no numpy scalar
-    arithmetic, and the paths are ``array("d")`` buffers of raw doubles,
-    so it keeps no float object per day.  ``apc`` holds alpha times the
-    next day's production constant, so MPK is one product and one
-    division.  The loop zips the day lists, so no day indexes a list, and
-    stops before the last day: it has no next day, and its stock may end
-    at exactly 0, where any earlier day's stock must stay positive.
+    None); an exhausting pass's paths stop at its fail day.  The paths are
+    ``array("d")`` buffers of raw doubles, so the pass keeps no float object
+    per day.
     """
     alpha = inputs.alpha
     omd = 1.0 - inputs.delta_daily
@@ -373,17 +411,17 @@ def solve(inputs: PlannerInputs, *, rel_tol: float = 0.0, max_iter: int = 200) -
     def probe():
         # Feasibility probe: near-zero consumption maximises the capital
         # path.  It runs only while no pass has reached the target, so C_lo
-        # is still the bracket's initial lower end.
-        C_path, K_path, fail = _propagate(C_lo, inputs, *day_lists)
+        # is still the bracket's initial lower end, which it returns.
+        K_T, fail = _propagate(C_lo, inputs, *day_lists)
         if fail is not None:
             raise InfeasiblePlanError(
                 fail, inputs._date_at(fail), "direct costs exceed available resources even at zero consumption"
             )
-        if K_path[T] < K_target:
+        if K_T < K_target:
             raise InfeasiblePlanError(
                 T, inputs._date_at(T), f"terminal capital target {K_target:.6g} is unreachable"
             )
-        return C_path, K_path
+        return C_lo
 
     # Bracket: C_hi fails or undershoots the target; C_lo reaches it once a
     # pass (C_best) or the probe has shown it.  x is the last pass that did
@@ -394,13 +432,13 @@ def solve(inputs: PlannerInputs, *, rel_tol: float = 0.0, max_iter: int = 200) -
     # Newton step.
     C_lo = 1e-12 * resources0
     C_hi = resources0  # consumes the entire stock on day 0; always overshoots
-    C_best = K_best = None
+    C_best = None
     x = miss = K_x = down = unit = 0.0
     with np.errstate(all="ignore"):
         C_try, slope = _stacked_estimate(inputs, production, growu, K_target)
     for n in range(max_iter):
         if n == PROBE_AFTER and C_best is None:
-            C_best, K_best = probe()
+            C_best = probe()
         C_mid = 0.5 * (C_lo + C_hi)
         if not (C_lo < C_mid < C_hi):
             break
@@ -413,17 +451,17 @@ def solve(inputs: PlannerInputs, *, rel_tol: float = 0.0, max_iter: int = 200) -
                 C_try = math.nextafter(x, C_hi if x == C_lo else C_lo)
             if not (C_lo < C_try < C_hi):
                 C_try = C_mid
-        C_path, K_path, fail = _propagate(C_try, inputs, *day_lists)
+        K_T, fail = _propagate(C_try, inputs, *day_lists)
         if fail is None:
-            K_x = K_path[T]
-            x, miss = C_try, K_x - K_target
+            x, K_x, miss = C_try, K_T, K_T - K_target
             if not slope or abs(miss) > SLOPE_REUSE_MISS * K_target:
+                K_path = _paths(C_try, inputs, *day_lists)[1]
                 with np.errstate(all="ignore"):
                     slope = _slope(*_euler_system(np.array(K_path), production, growu, H, alpha, omd)[1:])
-        if fail is not None or K_path[T] < K_target:
+        if fail is not None or K_T < K_target:
             C_hi = C_try
         else:
-            C_lo, C_best, K_best = C_try, C_path, K_path
+            C_lo = C_best = C_try
         if fail is not None and C_best is None:
             unit = unit or math.ulp(C_try)
             down = down * down / unit if down else 64.0 * unit
@@ -431,10 +469,11 @@ def solve(inputs: PlannerInputs, *, rel_tol: float = 0.0, max_iter: int = 200) -
         if rel_tol > 0.0 and (C_hi - C_lo) <= rel_tol * C_hi:
             break
     if C_best is None:
-        C_best, K_best = probe()
+        C_best = probe()
 
-    consumption = np.asarray(C_best, dtype=float)
-    capital = np.asarray(K_best, dtype=float)
+    C_path, K_path, _ = _paths(C_best, inputs, *day_lists)
+    consumption = np.asarray(C_path, dtype=float)
+    capital = np.asarray(K_path, dtype=float)
     residuals = _euler_residuals(consumption, capital, inputs, production)
     W = welfare(consumption, N, beta)
     return PlannerSolution(

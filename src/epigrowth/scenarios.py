@@ -102,7 +102,7 @@ class Scenario:
             raise ValueError("end of interest must lie beyond the start date")
         for name in _SCENARIO_NUMBERS:
             value = getattr(self, name)
-            if name in ("A0", "K0") and value <= 0:
+            if name in ("N0", "A0", "K0") and value <= 0:
                 raise ValueError(f"Scenario.{name} must be > 0, got {value!r}")
             if value < 0:
                 raise ValueError(f"Scenario.{name} must be >= 0, got {value!r}")

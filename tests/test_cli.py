@@ -361,6 +361,9 @@ BROKEN_SCENARIOS = [
     ({"no-intervention": {"i0": 8e9}}, "no-intervention",
      "Scenario.I0 + Scenario.R0 must be <= Scenario.N0, got 8000000000.0 + 28.0 > 7718000000.0"),
     ({"no-intervention": {"d0": -5}}, "no-intervention", "Scenario.D0 must be >= 0, got -5.0"),
+    # no living population, which the solve would otherwise refuse as a
+    # population path that names no key, after a sweep's members are written
+    ({"no-pandemic": {"n0": 0}}, "no-pandemic", "Scenario.N0 must be > 0, got 0.0"),
 ]
 
 
@@ -378,7 +381,7 @@ class TestBrokenScenario:
 
     @pytest.mark.parametrize("argv", [["simulate", "--scenario", "no-pandemic"],
                                       ["sweep", "--axis", "start", "--jobs", "1"]], ids=["simulate", "sweep"])
-    @pytest.mark.parametrize("override,name,message", BROKEN_SCENARIOS, ids=["k0", "horizon", "late-schedule", "i0", "d0"])
+    @pytest.mark.parametrize("override,name,message", BROKEN_SCENARIOS, ids=["k0", "horizon", "late-schedule", "i0", "d0", "n0"])
     def test_config_scenario_refused_at_load(self, tmp_path, capsys, argv, override, name, message):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"scenarios": override}))

@@ -319,22 +319,36 @@ def shooting_case(request):
     return request.getfixturevalue("no_intervention_inputs")
 
 
-# Shooting-bound: counts the calls of the per-pass function planner._propagate
+# Shooting-bound: counts the calls of the search pass planner._propagate
 def count_passes(monkeypatch) -> list:
-    """Record, per call of the solver's per-pass function, the days it ran:
-    the horizon, or up to the day the stock runs out.  Its length is the
-    number of passes."""
+    """Record, per call of the solver's search pass, the days it ran: the
+    horizon, or up to the day the stock runs out.  Its length is the number
+    of search passes; the recording pass ``_paths`` is not counted."""
     days = []
     real = planner._propagate
 
     def counted(C0, inputs, *rest):
         result = real(C0, inputs, *rest)
-        fail = result[2]
+        fail = result[1]
         days.append(inputs.horizon if fail is None else fail + 1)
         return result
 
     monkeypatch.setattr(planner, "_propagate", counted)
     return days
+
+
+# Shooting-bound: records the calls of the recording pass planner._paths
+def count_recordings(monkeypatch) -> list:
+    """Record the C_0 of each call of the solver's recording pass."""
+    recorded = []
+    real = planner._paths
+
+    def counted(C0, *rest):
+        recorded.append(C0)
+        return real(C0, *rest)
+
+    monkeypatch.setattr(planner, "_paths", counted)
+    return recorded
 
 
 def assert_largest_feasible_double(solution: PlannerSolution, inputs: PlannerInputs) -> None:
@@ -414,7 +428,7 @@ class TestShooting:
 
         def recorded(C0, *rest):
             result = real(C0, *rest)
-            reached.append(result[2] is None and result[1][-1] >= target)
+            reached.append(result[1] is None and result[0] >= target)
             return result
 
         monkeypatch.setattr(planner, "_propagate", recorded)
@@ -438,14 +452,16 @@ class TestErrors:
         with pytest.raises(ValueError):
             euler_residual(sol, inputs, -1)
 
-    def test_infeasible_cost_spike_reports_first_date(self):
+    def test_infeasible_cost_spike_reports_first_date(self, monkeypatch):
         hcost = np.zeros(5)
         hcost[1] = 50.0  # far beyond anything output plus capital can cover
         inputs = flat_inputs(T=5, K0=1.0, hcost=hcost, terminal=0.0)
+        recorded = count_recordings(monkeypatch)
         with pytest.raises(InfeasiblePlanError) as err:
             solve(inputs)
         assert err.value.day_index == 1
         assert err.value.day == date(2020, 1, 2)
+        assert recorded == []  # a refused solve records no path
 
     def test_unreachable_terminal_capital(self):
         inputs = flat_inputs(T=5, K0=1.0, terminal=1e9)
@@ -483,10 +499,26 @@ class TestErrors:
                                   "direct costs exceed available resources even at zero consumption"),
         }[case]
         passes = count_passes(monkeypatch)
+        full = []  # the C_0 of each search pass that ran to the horizon
+        counted = planner._propagate
+
+        def recorded_full(C0, *rest):
+            result = counted(C0, *rest)
+            full.extend([C0] if result[1] is None else [])
+            return result
+
+        monkeypatch.setattr(planner, "_propagate", recorded_full)
+        recorded = count_recordings(monkeypatch)
         with pytest.raises(InfeasiblePlanError) as err:
             solve(inputs)
         assert (err.value.day_index, str(err.value)) == expected
         assert len(passes) <= 25
+        # a refused solve records no answer: the one path it records per
+        # full search pass is for that pass's slope, as each misses a target
+        # of 1e20 by more than SLOPE_REUSE_MISS of it; the last full pass,
+        # the probe that raises, records none.  Every cost-spike pass runs out.
+        assert recorded == full[:-1]
+        assert (len(recorded) > 0) == (case == "unreachable-target")
 
     def test_path_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -650,16 +682,29 @@ def shooting_lists(inputs: PlannerInputs) -> tuple:
             np.asarray(inputs.hcost_path, dtype=float).tolist())
 
 
-# Shooting-bound: the per-pass function, restated
+# Shooting-bound: the recording pass, restated
 def oracle_pass(C0: float, inputs: PlannerInputs, prodc: list, apc: list, growu: list, H: list):
-    """``oracle_propagate`` called with ``_propagate``'s arguments and
-    returning what it returns: the paths and the fail index.  It ignores
-    ``apc``."""
+    """``oracle_propagate`` called with ``_paths``'s arguments and returning
+    what it returns: the paths and the fail index.  It ignores ``apc``."""
     return oracle_propagate(C0, inputs, prodc, growu, H)[:3]
 
 
+# Shooting-bound: the search pass, restated
+def oracle_search_pass(C0: float, inputs: PlannerInputs, prodc: list, apc: list, growu: list, H: list):
+    """``oracle_pass`` cut to what ``_propagate`` returns: (K_T, fail index),
+    K_T None when the stock runs out."""
+    _, K_path, fail = oracle_pass(C0, inputs, prodc, apc, growu, H)
+    return (K_path[-1] if fail is None else None), fail
+
+
+def search_key(result: tuple) -> tuple:
+    """A search pass's (K_T, fail) with K_T as its exact hex digits."""
+    K_T, fail = result
+    return (None if K_T is None else K_T.hex()), fail
+
+
 def assert_same_pass(new, old) -> None:
-    """``_propagate``'s result ``new`` is the oracle's ``old``, bit for bit;
+    """``_paths``'s result ``new`` is the oracle's ``old``, bit for bit;
     an exhausting pass's paths may stop at its fail day."""
     C_path, K_path, fail = new
     C_old, K_old, fail_old = old
@@ -671,21 +716,26 @@ def assert_same_pass(new, old) -> None:
         assert bits(K_path) == bits(K_old[:fail + 1])
 
 
-# Shooting-bound: records each pass of the search
-def recorded_solve(inputs: PlannerInputs, propagate, monkeypatch) -> tuple:
-    """``solve(inputs)`` with ``propagate`` as its shooting pass; returns the
-    solution and the (C_0, result) of each pass, in order."""
-    passes = []
+# Shooting-bound: records each search pass and each recording pass
+def recorded_solve(inputs: PlannerInputs, monkeypatch, oracle: bool = False) -> tuple:
+    """``solve(inputs)``, with the oracle's passes as its search and
+    recording passes if ``oracle``; returns the solution and the (C_0,
+    result) of each search pass and of each recording pass, in order."""
+    passes, recordings = [], []
 
-    def recorded(C0, *rest):
-        result = propagate(C0, *rest)
-        passes.append((C0, result))
-        return result
+    def recorder(log: list, run):
+        def recorded(C0, *rest):
+            result = run(C0, *rest)
+            log.append((C0, result))
+            return result
 
-    monkeypatch.setattr(planner, "_propagate", recorded)
+        return recorded
+
+    monkeypatch.setattr(planner, "_propagate", recorder(passes, oracle_search_pass if oracle else planner._propagate))
+    monkeypatch.setattr(planner, "_paths", recorder(recordings, oracle_pass if oracle else planner._paths))
     solution = solve(inputs)
     monkeypatch.undo()
-    return solution, passes
+    return solution, passes, recordings
 
 
 @pytest.fixture(scope="module")
@@ -700,12 +750,14 @@ def cases(params, config):
 # Shooting-bound: each pass and each search against its oracle, bit for bit
 class TestShootingPassOracle:
     def test_solves_try_the_same_c0_and_match_bitwise(self, cases, monkeypatch):
-        real = planner._propagate
         for inputs in cases:
-            solution, passes = recorded_solve(inputs, real, monkeypatch)
-            oracle_solution, oracle_passes = recorded_solve(inputs, oracle_pass, monkeypatch)
+            solution, passes, recordings = recorded_solve(inputs, monkeypatch)
+            oracle_solution, oracle_passes, oracle_recordings = recorded_solve(inputs, monkeypatch, oracle=True)
             assert [C0 for C0, _ in passes] == [C0 for C0, _ in oracle_passes]
             for (_, new), (_, old) in zip(passes, oracle_passes):
+                assert search_key(new) == search_key(old)
+            assert [C0 for C0, _ in recordings] == [C0 for C0, _ in oracle_recordings]
+            for (_, new), (_, old) in zip(recordings, oracle_recordings):
                 assert_same_pass(new, old)
             for name in ("consumption_path", "capital_path", "welfare", "euler_residuals"):
                 assert bits(getattr(solution, name)) == bits(getattr(oracle_solution, name)), name
@@ -723,8 +775,8 @@ class TestShootingPassOracle:
         fails = []
         for share in (1.0, 0.999, 0.9, 0.5, 0.1, 0.05, 0.04, 0.03):
             old = oracle_pass(resources0 * share, inputs, *lists)
-            assert_same_pass(planner._propagate(resources0 * share, inputs, *lists), old)
-            fails.append(old[2])
+            assert_same_pass(planner._paths(resources0 * share, inputs, *lists), old)
+            fails.append(assert_same_end(resources0 * share, inputs, lists))
         assert fails[0] == 0 and all(fail is not None for fail in fails[:-1])
 
     @pytest.mark.parametrize("T", [1, 2, 3])
@@ -732,7 +784,8 @@ class TestShootingPassOracle:
     def test_short_horizons(self, T, C0):
         inputs = flat_inputs(T=T, K0=1.0, hcost=np.full(T, 0.05), shortfall=np.linspace(0.0, 0.2, T))
         lists = shooting_lists(inputs)
-        assert_same_pass(planner._propagate(C0, inputs, *lists), oracle_pass(C0, inputs, *lists))
+        assert_same_pass(planner._paths(C0, inputs, *lists), oracle_pass(C0, inputs, *lists))
+        assert_same_end(C0, inputs, lists)
 
     def test_last_day_ending_at_exactly_zero(self):
         inputs = flat_inputs(T=1, K0=2.0, delta=0.3)
@@ -740,9 +793,78 @@ class TestShootingPassOracle:
         C0 = (1.0 - inputs.delta_daily) * inputs.K0 + lists[0][0] * inputs.K0 ** inputs.alpha
         old = oracle_pass(C0, inputs, *lists)
         assert old[1][-1] == 0.0 and old[2] is None  # the stock may end at exactly 0
-        assert_same_pass(planner._propagate(C0, inputs, *lists), old)
+        assert_same_pass(planner._paths(C0, inputs, *lists), old)
+        assert planner._propagate(C0, inputs, *lists) == (0.0, None)
         above = math.nextafter(C0, math.inf)
-        assert_same_pass(planner._propagate(above, inputs, *lists), oracle_pass(above, inputs, *lists))
+        assert_same_pass(planner._paths(above, inputs, *lists), oracle_pass(above, inputs, *lists))
+        assert assert_same_end(above, inputs, lists) == 0
+
+
+def assert_same_end(C0: float, inputs: PlannerInputs, lists: tuple):
+    """The search pass from C0 ends as the recording pass does, bit for bit:
+    ``_propagate``'s (K_T, fail) is ``_paths``'s last capital and fail
+    index, K_T None when the stock runs out.  Returns the fail index."""
+    _, K_path, fail = planner._paths(C0, inputs, *lists)
+    assert search_key(planner._propagate(C0, inputs, *lists)) == search_key(
+        ((K_path[-1] if fail is None else None), fail))
+    return fail
+
+
+# Shooting-bound: the recursion is written twice in planner.py, as the
+# search pass and as the recording pass; these, with the ``assert_same_end``
+# checks in ``TestShootingPassOracle``, keep the two copies together
+class TestSearchPassMatchesRecording:
+    def test_no_intervention_passes(self, no_intervention_inputs):
+        inputs = no_intervention_inputs
+        lists = shooting_lists(inputs)
+        root = float(solve(inputs).consumption_path[0])
+        resources0 = (1.0 - inputs.delta_daily) * inputs.K0 + lists[0][0] * inputs.K0 ** inputs.alpha - lists[3][0]
+        starts = (root, math.nextafter(root, math.inf), 1e-12 * resources0, 1.01 * root, 2.0 * root, 0.5 * root)
+        fails = [assert_same_end(C0, inputs, lists) for C0 in starts]
+        assert fails == [None, None, None, 6573, 755, None]
+
+    def test_cost_spike_fails_on_day_one(self):
+        hcost = np.zeros(5)
+        hcost[1] = 50.0
+        inputs = flat_inputs(T=5, K0=1.0, hcost=hcost, terminal=0.0)
+        lists = shooting_lists(inputs)
+        assert [assert_same_end(C0, inputs, lists) for C0 in (1e-12, 0.1, 0.5)] == [1, 1, 1]
+
+    def test_loop_day_before_a_last_day_ending_at_exactly_zero(self):
+        # day 1's cost is its resources less its consumption, which the
+        # doubles hold exactly while consumption is at least half of them,
+        # so the stock ends at exactly 0; one ulp more cost runs it out
+        free = flat_inputs(T=2, K0=1.0)
+        lists = shooting_lists(free)
+        C_path, K_path, _ = planner._paths(0.9, free, *lists)
+        resources1 = (1.0 - free.delta_daily) * K_path[1] + lists[0][1] * K_path[1] ** free.alpha
+        assert resources1 / 2 <= C_path[1] <= resources1
+        cost = resources1 - C_path[1]
+        for h, expected in ((cost, (0.0, None)), (math.nextafter(cost, math.inf), (None, 1))):
+            inputs = dataclasses.replace(free, hcost_path=np.array([0.0, h]))
+            lists = shooting_lists(inputs)
+            assert planner._propagate(0.9, inputs, *lists) == expected
+            assert_same_end(0.9, inputs, lists)
+
+
+# Shooting-bound: the recording pass runs once per returned solve
+class TestRecordingPass:
+    def test_once_per_solve_at_the_answer(self, cases, monkeypatch):
+        # both baselines and the 12 seeded interventions of ``seeded_solves``
+        recorded = count_recordings(monkeypatch)
+        for inputs in cases:
+            recorded.clear()
+            solution = solve(inputs)
+            C0 = float(solution.consumption_path[0])
+            assert recorded == [C0]
+            K_T, fail = planner._propagate(C0, inputs, *shooting_lists(inputs))
+            assert fail is None and K_T.hex() == float(solution.capital_path[-1]).hex()
+
+    def test_once_for_an_answer_from_the_probe(self, shooting_case, monkeypatch):
+        # with no search pass the probe's C_0 is the answer, recorded once
+        recorded = count_recordings(monkeypatch)
+        solution = solve(shooting_case, max_iter=0)
+        assert recorded == [float(solution.consumption_path[0])]
 
 
 def oracle_slope(C0: float, inputs: PlannerInputs) -> float:
@@ -766,7 +888,7 @@ def euler_diagonals(K_path: list, inputs: PlannerInputs) -> tuple:
 
 def terminal_slope(C0: float, inputs: PlannerInputs) -> float:
     """``planner._slope`` of the full pass from C0."""
-    C_path, K_path, fail = planner._propagate(C0, inputs, *shooting_lists(inputs))
+    C_path, K_path, fail = planner._paths(C0, inputs, *shooting_lists(inputs))
     assert fail is None
     return planner._slope(*euler_diagonals(K_path, inputs))
 
@@ -821,7 +943,7 @@ class TestTerminalSlope:
         # one, so each step falls back to bisection
         inputs = steady_state_inputs(40)
         lists = shooting_lists(inputs)
-        steady = euler_diagonals(planner._propagate(STEADY_STATE_C0, inputs, *lists)[1], inputs)
+        steady = euler_diagonals(planner._paths(STEADY_STATE_C0, inputs, *lists)[1], inputs)
         real = planner._slope
         slopes = []
 
@@ -853,7 +975,7 @@ class TestTerminalSlope:
 
             def recorded(C0, *rest):
                 result = counted_pass(C0, *rest)
-                full.extend([C0] if result[2] is None else [])
+                full.extend([C0] if result[1] is None else [])
                 return result
 
             def estimate(*args):
@@ -1065,8 +1187,8 @@ class TestStackedEstimate:
         # the estimate lies 12 and 16 ulps above the root, and its pass runs
         # out of stock; bisecting up from the cold bracket's low end took 54
         inputs = flat_inputs(T=T, K0=2.0, terminal=1.5)
-        solution, passes = recorded_solve(inputs, planner._propagate, monkeypatch)
-        assert passes[0][1][2] is not None
+        solution, passes, _ = recorded_solve(inputs, monkeypatch)
+        assert passes[0][1][1] is not None
         assert len(passes) <= 10
         expected = oracle_solve(inputs)
         for name in ("consumption_path", "capital_path", "welfare", "euler_residuals"):
@@ -1086,10 +1208,10 @@ class TestStackedEstimate:
         value = {"nan": math.nan, "C_lo": 1e-12 * resources0, "C_hi": resources0,
                  "exhausting": 0.5 * resources0, "exhausting-near": 0.01 * resources0}[estimate]
         monkeypatch.setattr(planner, "_stacked_estimate", lambda *args: (value, 0.0))
-        solution, passes = recorded_solve(inputs, planner._propagate, monkeypatch)
+        solution, passes, _ = recorded_solve(inputs, monkeypatch)
         first_C0, first = passes[0]
         if estimate.startswith("exhausting"):
-            assert first_C0 == value and first[2] is not None
+            assert first_C0 == value and first[1] is not None
         else:
             assert first_C0 == 0.5 * (1e-12 * resources0 + resources0)  # the cold bracket's midpoint
         assert len(passes) <= 30
@@ -1102,7 +1224,7 @@ class TestStackedEstimate:
         # cap at 8 the estimate lay 1.3e-6 off with no slope, and the solve
         # took 48 passes
         inputs = flat_inputs(T=200, K0=0.01, terminal=5.0)
-        solution, passes = recorded_solve(inputs, planner._propagate, monkeypatch)
+        solution, passes, _ = recorded_solve(inputs, monkeypatch)
         assert len(passes) <= 2
         expected = oracle_solve(inputs)
         for name in ("consumption_path", "capital_path", "welfare", "euler_residuals"):
