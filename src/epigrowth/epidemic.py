@@ -16,66 +16,28 @@ step.
 
 The rate laws are plain functions of a ``ModelParams`` bundle, which
 checks every rule on their coefficients when it is built (a1 >= 1,
-a2 <= 0, k2 in (0, 1], q2 in (0, 1)):
+a2 <= 0, k2 in (0, 1], q2 in (0, 1), exp(log_q1) finite, and
+r + m(b0) <= 1, which holds for every b <= b0 since m rises with b):
 
     db% = min(exp(log_q1) * dGDP%**q2, 100)   policy_to_infection_reduction
     b   = b0 * (1 - db%/100)                  effective_rates
     m   = exp(log_k1 + k2*ln(b)), 0 at b = 0  mortality
 
-The equations are written once, in ``run_days``.  It runs them over a
-list of constant-rate segments, each a number of days with its (b, m):
-a scenario's pass is at most three segments (before, in and after the
-intervention window), and ``epi_step`` is one segment of one day.  The
-day loop carries only N, S and I, on plain floats with no per-day call
-or rate lookup, and records them as raw doubles; F, R and D follow from
-their columns with the same bits.
+The equations are written once, in ``run_days``, the only way to run
+them.  It runs them over a list of constant-rate segments, each a number
+of days with its (b, m): a scenario's pass is at most three segments
+(before, in and after the intervention window).  The day loop carries
+only N, S and I, on plain floats with no per-day call or rate lookup,
+and records them as raw doubles; F, R and D follow from their columns
+with the same bits.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
-from datetime import date, timedelta
 
 import numpy as np
-
-from .params import ModelParams
-
-
-@dataclass(frozen=True)
-class EpiState:
-    """Compartment counts (persons) on one calendar day.  N is the living
-    population; D is cumulative deaths and is excluded from N."""
-
-    date: date
-    N: float
-    S: float
-    I: float
-    R: float
-    D: float
-
-    def __post_init__(self):
-        for name in ("N", "S", "I", "R", "D"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"EpiState.{name} must be >= 0, got {getattr(self, name)!r}")
-
-
-@dataclass(frozen=True)
-class EpiRates:
-    """Per-day transition rates: b per (person*day), r and m are fractions."""
-
-    b: float
-    r: float
-    m: float
-
-    def __post_init__(self):
-        if self.b < 0:
-            raise ValueError(f"infection rate b must be >= 0, got {self.b!r}")
-        if not (0.0 <= self.r <= 1.0 and 0.0 <= self.m <= 1.0):
-            raise ValueError(f"r and m must lie in [0, 1], got r={self.r!r}, m={self.m!r}")
-        if self.r + self.m > 1.0:
-            raise ValueError(f"r + m must not exceed 1, got {self.r + self.m!r}")
 
 
 def run_days(state: tuple, segments: list, r: float, a1: float, a2: float):
@@ -84,14 +46,13 @@ def run_days(state: tuple, segments: list, r: float, a1: float, a2: float):
     on those days.
 
     Returns the columns N, S, I, R, D and F of the days run, as arrays
-    holding each day's counts as it starts and its new infections, and the
-    (N, S, I, R, D) after the last day.  N, S and I are views of the
-    ``array("d")`` buffers that the loop appends raw doubles to, so no
-    day's value is kept as a float object.  The loop carries only N, S
-    and I: F = b*S*I, replaced by S where S < F, and R and D, summed by
-    ``np.add.accumulate`` strictly in sequence as the loop adds (``np.sum``
-    adds pairwise), follow from their columns with the loop's bits and,
-    like the float loop, warn of no overflow.
+    holding each day's counts as it starts and its new infections.  N, S
+    and I are views of the ``array("d")`` buffers that the loop appends
+    raw doubles to, so no day's value is kept as a float object.  The
+    loop carries only N, S and I: F = b*S*I, replaced by S where S < F,
+    and R and D, summed by ``np.add.accumulate`` strictly in sequence as
+    the loop adds (``np.sum`` adds pairwise), follow from their columns
+    with the loop's bits and, like the float loop, warn of no overflow.
     """
     N, S, I, R, D = state
     columns = array("d"), array("d"), array("d")
@@ -127,18 +88,7 @@ def run_days(state: tuple, segments: list, r: float, a1: float, a2: float):
         np.copyto(Fs, Ss, where=Ss < Fs)
         np.add.accumulate(Rs, out=Rs)
         np.add.accumulate(Ds, out=Ds)
-    return (Ns, Ss, Is, Rs[:T], Ds[:T], Fs), (N, S, I, float(Rs[T]), float(Ds[T]))
-
-
-def epi_step(state: EpiState, rates: EpiRates, params: ModelParams) -> EpiState:
-    """Advance the epidemic one day, checking the result (the inputs check themselves)."""
-    _, (N, S, I, R, D) = run_days(
-        (state.N, state.S, state.I, state.R, state.D), [(1, rates.b, rates.m)], rates.r, params.a1, params.a2
-    )
-    if S < 0 or N < 0:
-        # only reachable far beyond the logistic carrying capacity
-        raise ValueError("population shrank below zero; state outside the model's domain")
-    return EpiState(date=state.date + timedelta(days=1), N=N, S=S, I=I, R=R, D=D)
+    return Ns, Ss, Is, Rs[:T], Ds[:T], Fs
 
 
 def mortality(b: float, params: ModelParams) -> float:
@@ -163,13 +113,11 @@ def policy_to_infection_reduction(gdp_shortfall_pct: float, params: ModelParams)
     return min(reduction, 100.0)
 
 
-def effective_rates(params: ModelParams, reduction_pct: float) -> EpiRates:
-    """Rates in force when the base infection rate b0 is cut by
-    ``reduction_pct`` percent.
-
-    Mortality follows the reduced infection rate; recovery passes through.
-    """
+def effective_rates(params: ModelParams, reduction_pct: float) -> tuple[float, float]:
+    """The infection rate b and mortality m in force when the base
+    infection rate b0 is cut by ``reduction_pct`` percent; mortality
+    follows the reduced infection rate, and recovery is ``params.r``."""
     if not (0.0 <= reduction_pct <= 100.0):
         raise ValueError(f"reduction_pct must lie in [0, 100], got {reduction_pct!r}")
     b = params.b0 * (1.0 - reduction_pct / 100.0)
-    return EpiRates(b=b, r=params.r, m=mortality(b, params))
+    return b, mortality(b, params)

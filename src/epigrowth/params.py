@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 import re
 import reprlib
@@ -20,7 +21,11 @@ from dataclasses import asdict, dataclass, fields
 from datetime import date, timedelta
 from importlib import resources
 
+from .epidemic import mortality
+
 DAYS_PER_YEAR = 365
+# the largest x whose exp(x) is a finite double
+LOG_MAX_DOUBLE = math.log(sys.float_info.max)
 
 
 class DataFormatError(ValueError):
@@ -207,6 +212,8 @@ class ModelParams:
             ("r", 0.0 <= self.r <= 1.0, "lie in [0, 1]"),
             ("b0", self.b0 >= 0.0, "be >= 0"),
             ("k2", 0.0 < self.k2 <= 1.0, "lie in (0, 1]"),
+            ("log_q1", self.log_q1 <= LOG_MAX_DOUBLE,
+             f"be <= {LOG_MAX_DOUBLE!r}, the log of the largest double"),
             ("q2", 0.0 < self.q2 < 1.0, "lie in (0, 1)"),
             ("euler_tol", self.euler_tol >= 0.0, "be >= 0"),
             ("bisection_rel_tol", self.bisection_rel_tol >= 0.0, "be >= 0"),
@@ -215,6 +222,15 @@ class ModelParams:
         for name, ok, rule in ranges:
             if not ok:
                 raise ValueError(f"ModelParams.{name} must {rule}, got {getattr(self, name)!r}")
+        # mortality rises with b, and no rate in force has b above b0, so
+        # this holds on every day of every run; an overflow breaks it
+        try:
+            m0 = mortality(self.b0, self)
+        except OverflowError:
+            m0 = math.inf
+        if not self.r + m0 <= 1.0:
+            raise ValueError(
+                f"ModelParams.r + mortality(ModelParams.b0) must be <= 1, got {self.r!r} + {m0!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -19,7 +19,7 @@ from itertools import repeat
 import numpy as np
 
 from . import calibration, planner
-from .epidemic import EpiState, effective_rates, policy_to_infection_reduction, run_days
+from .epidemic import effective_rates, policy_to_infection_reduction, run_days
 from .params import (
     DataFormatError,
     ModelParams,
@@ -106,7 +106,7 @@ class Scenario:
                 raise ValueError(f"Scenario.{name} must be > 0, got {value!r}")
             if value < 0:
                 raise ValueError(f"Scenario.{name} must be >= 0, got {value!r}")
-        # S0 as initial_epi_state computes it
+        # S0 as _epidemic_pass computes it; the deceased D0 are not in N0
         if self.N0 - self.I0 - self.R0 < 0:
             raise ValueError(f"Scenario.I0 + Scenario.R0 must be <= Scenario.N0, got "
                              f"{self.I0!r} + {self.R0!r} > {self.N0!r}")
@@ -136,17 +136,6 @@ class Scenario:
             raise ValueError(
                 f"Scenario.schedule.start_date must lie in [{self.start_date.isoformat()}, "
                 f"{self.horizon.isoformat()}], got {schedule.start_date.isoformat()}")
-
-    def initial_epi_state(self) -> EpiState:
-        # the deceased are already excluded from the living population N0
-        return EpiState(
-            date=self.start_date,
-            N=self.N0,
-            S=self.N0 - self.I0 - self.R0,
-            I=self.I0,
-            R=self.R0,
-            D=self.D0,
-        )
 
     def n_days(self) -> int:
         return (self.horizon - self.start_date).days + 1
@@ -239,34 +228,31 @@ def _epidemic_pass(scenario: Scenario, params: ModelParams):
     """Forward-simulate the epidemic; returns the day numbers, then per-day
     compartment, policy shortfall and new-infection arrays.
 
-    The scenario, the parameters and the two rate sets check themselves
-    when built, and ``Scenario.check_schedule`` runs before the first day.
-    The days run as ``run_days`` segments at constant rates, before, in
-    and after the intervention window, and the result is checked once for
-    the model's domain, S and N >= 0.
+    The scenario and the parameters check themselves when built, the rate
+    rule r + m <= 1 included, and ``Scenario.check_schedule`` runs before
+    the first day.  The days run as ``run_days`` segments at constant
+    rates, before, in and after the intervention window, and the result
+    is checked once for the model's domain, S and N >= 0.
     """
     scenario.check_schedule()
     T = scenario.n_days()
     schedule = scenario.schedule
-    base_rates = effective_rates(params, 0.0)
-    active_rates = base_rates
+    base = active = effective_rates(params, 0.0)
     lo = hi = 0  # the window's days [lo, hi), cut at T
     intensity = 0.0
     if schedule is not None and schedule.intensity_p > 0:
         intensity = schedule.intensity_p
         reduction = policy_to_infection_reduction(intensity * 100.0, params)
-        active_rates = effective_rates(params, reduction)
+        active = effective_rates(params, reduction)
         lo = (schedule.start_date - scenario.start_date).days
         hi = min(lo + schedule.duration_days, T)
 
-    base, active = (base_rates.b, base_rates.m), (active_rates.b, active_rates.m)
-    s0 = scenario.initial_epi_state()
-    columns, _ = run_days(
-        (s0.N, s0.S, s0.I, s0.R, s0.D),
+    N0, I0, R0 = scenario.N0, scenario.I0, scenario.R0
+    N, S, I, R, D, F = run_days(
+        (N0, N0 - I0 - R0, I0, R0, scenario.D0),
         [(lo, *base), (hi - lo, *active), (T - hi, *base)],
         params.r, params.a1, params.a2,
     )
-    N, S, I, R, D, F = columns
     first_day = scenario.start_date.toordinal()
     days = range(first_day, first_day + T)
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from epigrowth import calibration as cal
 from epigrowth import scenarios
-from epigrowth.epidemic import EpiRates, EpiState, epi_step, policy_to_infection_reduction
+from epigrowth.epidemic import policy_to_infection_reduction, run_days
 from epigrowth.params import default_params
 
 
@@ -265,23 +265,20 @@ class TestCriterion5PropertySuites:
         )
 
     def test_rate_extraction_round_trip(self, params):
-        state = EpiState(date=date(2020, 1, 22), N=7.718e9, S=7.718e9 - 510.0, I=510.0, R=0.0, D=0.0)
-        rates = EpiRates(b=2.041e-11, r=0.02099, m=6.17e-3)
-        states = [state]
-        for _ in range(80):
-            state = epi_step(state, rates, params)
-            states.append(state)
+        b, r, m = 2.041e-11, 0.02099, 6.17e-3
+        _, _, I, R, D, _ = run_days((7.718e9, 7.718e9 - 510.0, 510.0, 0.0, 0.0), [(81, b, m)], r,
+                                    params.a1, params.a2)
         cases = cal.CaseSeries(
-            dates=[s.date for s in states],
-            confirmed=np.array([s.I + s.R + s.D for s in states]),
-            recovered=np.array([s.R for s in states]),
-            deaths=np.array([s.D for s in states]),
+            dates=[date(2020, 1, 22) + timedelta(days=k) for k in range(81)],
+            confirmed=I + R + D,
+            recovered=R,
+            deaths=D,
         )
         out = cal.extract_epi_rates(cases, params.a1, params.a2, N0=7.718e9)
         err = max(
-            np.max(np.abs(out.b / rates.b - 1)),
-            np.max(np.abs(out.r / rates.r - 1)),
-            np.max(np.abs(out.m / rates.m - 1)),
+            np.max(np.abs(out.b / b - 1)),
+            np.max(np.abs(out.r / r - 1)),
+            np.max(np.abs(out.m / m - 1)),
         )
         criterion(
             "5d", "rate extraction round trip",

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from datetime import date, timedelta
 
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epigrowth import calibration as cal
-from epigrowth.epidemic import EpiRates, EpiState, epi_step
+from epigrowth.epidemic import run_days
 from epigrowth.params import default_params
 
 
@@ -198,22 +197,17 @@ class TestEstimateTfp:
         assert g_daily == pytest.approx(3.55e-5, rel=0.02)
 
 
-class TestExtractEpiRates:
-    def test_round_trip_through_epidemic_step(self, params):
-        pop = dataclasses.replace(params, a1=1.00005, a2=-1e-15)
-        rates = EpiRates(b=2e-11, r=0.021, m=0.006)
-        state = EpiState(date=date(2020, 1, 22), N=7.7e9, S=7.7e9 - 1000.0, I=1000.0, R=0.0, D=0.0)
-        states = [state]
-        for _ in range(60):
-            state = epi_step(state, rates, pop)
-            states.append(state)
+class TestExtractedRates:
+    def test_round_trip_through_epidemic_step(self):
+        a1, a2 = 1.00005, -1e-15
+        _, _, I, R, D, _ = run_days((7.7e9, 7.7e9 - 1000.0, 1000.0, 0.0, 0.0), [(61, 2e-11, 0.006)], 0.021, a1, a2)
         cases = cal.CaseSeries(
-            dates=[s.date for s in states],
-            confirmed=np.array([s.I + s.R + s.D for s in states]),
-            recovered=np.array([s.R for s in states]),
-            deaths=np.array([s.D for s in states]),
+            dates=[date(2020, 1, 22) + timedelta(days=k) for k in range(61)],
+            confirmed=I + R + D,
+            recovered=R,
+            deaths=D,
         )
-        out = cal.extract_epi_rates(cases, pop.a1, pop.a2, N0=7.7e9)
+        out = cal.extract_epi_rates(cases, a1, a2, N0=7.7e9)
         assert not out.skipped_dates
         np.testing.assert_allclose(out.b, 2e-11, rtol=1e-9)
         np.testing.assert_allclose(out.r, 0.021, rtol=1e-9)

@@ -621,6 +621,13 @@ MALFORMED_CONFIGS = [
      "unknown configuration key config.scenarios.no-intervention.'b0'"),
     ({"params": {"q2": 1.5}}, "config.params: ModelParams.q2 must lie in (0, 1), got 1.5"),
     ({"params": {"max_bisection_iter": -1}}, "config.params: ModelParams.max_bisection_iter must be >= 1, got -1"),
+    ({"params": {"r": 0.995}},
+     "config.params: ModelParams.r + mortality(ModelParams.b0) must be <= 1, got 0.995 + 0.006"),
+    # mortality(b0) overflows, and exp(log_q1) would
+    ({"params": {"log_k1": 1000}},
+     "config.params: ModelParams.r + mortality(ModelParams.b0) must be <= 1, got 0.02099 + inf"),
+    ({"params": {"log_q1": 1000}},
+     "config.params: ModelParams.log_q1 must be <= 709.782712893384, the log of the largest double, got 1000"),
 ]
 COMMANDS = {
     "simulate": ["simulate", "--scenario", "no-intervention"],

@@ -1,67 +1,60 @@
 import dataclasses
-from datetime import date
+import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from epigrowth.epidemic import (
-    EpiRates,
-    EpiState,
     effective_rates,
-    epi_step,
     mortality,
     policy_to_infection_reduction,
     run_days,
 )
 from epigrowth.params import default_params
 
-DAY0 = date(2020, 1, 22)
 # the published rates and fits, spelt out so that a config change moves no test
 PUBLISHED = dataclasses.replace(default_params(), b0=2.041e-11, r=0.02099,
                                 log_k1=12.561, k2=0.717, log_q1=3.677, q2=0.238)
-NO_GROWTH = dataclasses.replace(PUBLISHED, a1=1.0, a2=0.0)
 
 
 def make_state(S, I, R, D, N=None):
-    return EpiState(date=DAY0, N=N if N is not None else S + I + R, S=S, I=I, R=R, D=D)
+    """(N, S, I, R, D), with N = S + I + R unless given."""
+    return (N if N is not None else S + I + R, S, I, R, D)
+
+
+def day_state(state, b, r, m, n=1, a1=1.0, a2=0.0):
+    """The (N, S, I, R, D) that ``run_days`` holds as day ``n`` starts,
+    from ``state`` on day 0 at constant rates; no births by default."""
+    return tuple(float(column[n]) for column in run_days(state, [(n + 1, b, m)], r, a1, a2)[:5])
 
 
 def test_step_hand_example():
-    state = make_state(S=1000.0, I=10.0, R=0.0, D=0.0, N=1010.0)
-    rates = EpiRates(b=1e-4, r=0.02, m=0.01)
-    nxt = epi_step(state, rates, NO_GROWTH)
-    assert nxt.S == pytest.approx(999.0, rel=1e-12)
-    assert nxt.I == pytest.approx(10.7, rel=1e-12)
-    assert nxt.R == pytest.approx(0.2, rel=1e-12)
-    assert nxt.D == pytest.approx(0.1, rel=1e-12)
-    assert nxt.N == pytest.approx(1009.9, rel=1e-12)
-    assert nxt.date == date(2020, 1, 23)
+    N, S, I, R, D = day_state(make_state(S=1000.0, I=10.0, R=0.0, D=0.0, N=1010.0), b=1e-4, r=0.02, m=0.01)
+    assert S == pytest.approx(999.0, rel=1e-12)
+    assert I == pytest.approx(10.7, rel=1e-12)
+    assert R == pytest.approx(0.2, rel=1e-12)
+    assert D == pytest.approx(0.1, rel=1e-12)
+    assert N == pytest.approx(1009.9, rel=1e-12)
 
 
-def test_step_without_infections_changes_nothing_but_date():
+def test_step_without_infections_changes_nothing():
     state = make_state(S=500.0, I=0.0, R=20.0, D=5.0)
-    nxt = epi_step(state, EpiRates(b=1e-4, r=0.3, m=0.1), NO_GROWTH)
-    assert (nxt.N, nxt.S, nxt.I, nxt.R, nxt.D) == (state.N, state.S, state.I, state.R, state.D)
-    assert nxt.date == date(2020, 1, 23)
+    assert day_state(state, b=1e-4, r=0.3, m=0.1) == state
 
 
 def test_geometric_decay_matches_closed_form():
-    rates = EpiRates(b=0.0, r=0.02099, m=0.006)
     state = make_state(S=1000.0, I=100.0, R=0.0, D=0.0)
-    nxt = epi_step(state, rates, NO_GROWTH)
-    assert nxt.I == pytest.approx(97.301, rel=1e-12)
-    state = nxt
-    for t in range(1, 50):
-        state = epi_step(state, rates, NO_GROWTH)
-    assert state.I == pytest.approx(100.0 * (1 - 0.02099 - 0.006) ** 50, rel=1e-10)
+    assert day_state(state, b=0.0, r=0.02099, m=0.006)[2] == pytest.approx(97.301, rel=1e-12)
+    assert day_state(state, b=0.0, r=0.02099, m=0.006, n=50)[2] == pytest.approx(
+        100.0 * (1 - 0.02099 - 0.006) ** 50, rel=1e-10)
 
 
 def test_infections_clamped_at_susceptibles():
-    state = make_state(S=10.0, I=5.0, R=0.0, D=0.0)
-    nxt = epi_step(state, EpiRates(b=1.0, r=0.0, m=0.0), NO_GROWTH)
-    assert nxt.S == 0.0
-    assert nxt.I == pytest.approx(15.0)
+    _, S, I, _, _ = day_state(make_state(S=10.0, I=5.0, R=0.0, D=0.0), b=1.0, r=0.0, m=0.0)
+    assert S == 0.0
+    assert I == pytest.approx(15.0)
 
 
 @given(
@@ -83,23 +76,18 @@ def test_infections_clamped_at_susceptibles():
 @settings(max_examples=150, deadline=None)
 def test_invariants_along_random_trajectories(s, i, r, d, b, rec, mor, a1, a2_frac, steps):
     state = make_state(S=s, I=i, R=r, D=d)
-    rates = EpiRates(b=b, r=rec, m=mor)
     # keep the carrying capacity (a1-1)/|a2| far above any generated N
-    params = dataclasses.replace(NO_GROWTH, a1=a1, a2=-(a1 - 1.0) * a2_frac / 1e10)
-    gap0 = state.N - (state.S + state.I + state.R)
-    scale = max(state.N, 1.0)
-    prev = state
-    for _ in range(steps):
-        nxt = epi_step(prev, rates, params)
-        assert nxt.S >= 0 and nxt.I >= 0 and nxt.R >= 0 and nxt.D >= 0 and nxt.N >= 0
-        assert nxt.R >= prev.R and nxt.D >= prev.D
-        assert abs((nxt.N - (nxt.S + nxt.I + nxt.R)) - gap0) <= 1e-6 * scale
-        prev = nxt
+    a2 = -(a1 - 1.0) * a2_frac / 1e10
+    N, S, I, R, D, _ = run_days(state, [(steps + 1, b, mor)], rec, a1, a2)
+    assert np.all((S >= 0) & (I >= 0) & (R >= 0) & (D >= 0) & (N >= 0))
+    assert np.all(np.diff(R) >= 0) and np.all(np.diff(D) >= 0)
+    gap0 = state[0] - (state[1] + state[2] + state[3])
+    assert np.all(np.abs((N - (S + I + R)) - gap0) <= 1e-6 * max(state[0], 1.0))
 
 
 def float_loop(state, segments, r, a1, a2):
     """``run_days`` as a plain float loop carrying all five states and F:
-    the columns N, S, I, R, D and F, and the state after the last day."""
+    the columns N, S, I, R, D and F."""
     N, S, I, R, D = state
     rows = []
     for days, b, m in segments:
@@ -115,7 +103,7 @@ def float_loop(state, segments, r, a1, a2):
             R, D = R + recoveries, D + deaths
             if I < 0.0:
                 I = 0.0
-    return [np.array([row[k] for row in rows], dtype=float) for k in range(6)], (N, S, I, R, D)
+    return [np.array([row[k] for row in rows], dtype=float) for k in range(6)]
 
 
 NAN = float("nan")
@@ -134,31 +122,43 @@ SUBNORMAL = 5e-324
     ((1e3, 990.0, 10.0, 2.0, 1.0), [(1, 1e-4, 0.01)], 0.1, 1.0001, -1e-9),
 ], ids=["overflow", "nan-S", "subnormal-I", "zero-day-segment", "no-segment", "T-0", "T-1"])
 def test_run_days_matches_a_float_loop_bitwise(state, segments, r, a1, a2):
-    columns, final = run_days(state, segments, r, a1, a2)
-    expected_columns, expected_final = float_loop(state, segments, r, a1, a2)
-    for name, new, old in zip("NSIRDF", columns, expected_columns):
+    columns = run_days(state, segments, r, a1, a2)
+    for name, new, old in zip("NSIRDF", columns, float_loop(state, segments, r, a1, a2)):
         assert (new.dtype, new.shape, new.tobytes()) == (old.dtype, old.shape, old.tobytes()), name
-    assert np.array(final).tobytes() == np.array(expected_final).tobytes()
-    assert all(type(value) is float for value in final)
+
+
+RATE_RULE = r"^ModelParams\.r \+ mortality\(ModelParams\.b0\) must be <= 1, got "
 
 
 def test_invalid_rates_rejected():
-    state = make_state(S=10.0, I=1.0, R=0.0, D=0.0)
-    with pytest.raises(ValueError):
-        epi_step(state, EpiRates(b=1e-4, r=0.7, m=0.5), NO_GROWTH)
-    with pytest.raises(ValueError):
-        epi_step(state, EpiRates(b=-1.0, r=0.1, m=0.1), NO_GROWTH)
+    with pytest.raises(ValueError, match=RATE_RULE + r"0\.995 \+ 0\.006"):
+        dataclasses.replace(PUBLISHED, r=0.995)
+    # mortality(b0) overflows: exp(1000 + k2*ln(b0))
+    with pytest.raises(ValueError, match=RATE_RULE + r"0\.02099 \+ inf$"):
+        dataclasses.replace(PUBLISHED, log_k1=1000.0)
+    with pytest.raises(ValueError, match=r"^ModelParams\.log_q1 must be <= 709\.782712893384, "):
+        dataclasses.replace(PUBLISHED, log_q1=1000.0)
+    with pytest.raises(ValueError, match=r"^infection rate must be >= 0, got -1\.0$"):
+        mortality(-1.0, PUBLISHED)
+
+
+def test_rate_rule_holds_at_exactly_one():
+    m = mortality(PUBLISHED.b0, PUBLISHED)
+    edge = dataclasses.replace(PUBLISHED, r=1.0 - m)
+    assert edge.r + m == 1.0
+    with pytest.raises(ValueError, match=RATE_RULE):
+        dataclasses.replace(edge, r=edge.r + 1e-12)
+
+
+def test_largest_log_q1_caps_the_reduction():
+    # exp(log_q1) is the largest double, and its product with a shortfall above 1% is inf
+    edge = dataclasses.replace(PUBLISHED, log_q1=math.log(sys.float_info.max))
+    assert policy_to_infection_reduction(5.0, edge) == 100.0
 
 
 def test_invalid_params_rejected():
-    state = make_state(S=10.0, I=1.0, R=0.0, D=0.0)
     with pytest.raises(ValueError, match="ModelParams.a1"):
-        epi_step(state, EpiRates(b=1e-4, r=0.1, m=0.1), dataclasses.replace(NO_GROWTH, a1=0.999))
-
-
-def test_invalid_state_rejected():
-    with pytest.raises(ValueError):
-        EpiState(date=DAY0, N=10.0, S=-1.0, I=1.0, R=0.0, D=0.0)
+        dataclasses.replace(PUBLISHED, a1=0.999, a2=0.0)
 
 
 class TestPolicyToInfectionReduction:
@@ -198,20 +198,17 @@ class TestPolicyToInfectionReduction:
 
 class TestEffectiveRates:
     def test_no_reduction(self):
-        rates = effective_rates(PUBLISHED, 0.0)
-        assert rates.b == 2.041e-11
-        assert rates.m == pytest.approx(6.17e-3, rel=2e-3)
-        assert rates.r == 0.02099
+        b, m = effective_rates(PUBLISHED, 0.0)
+        assert b == 2.041e-11
+        assert m == pytest.approx(6.17e-3, rel=2e-3)
 
     def test_full_suppression(self):
-        rates = effective_rates(PUBLISHED, 100.0)
-        assert rates.b == 0.0
-        assert rates.m == 0.0
+        assert effective_rates(PUBLISHED, 100.0) == (0.0, 0.0)
 
     def test_partial_reduction(self):
-        rates = effective_rates(PUBLISHED, 58.0)
-        assert rates.b == pytest.approx(8.57e-12, rel=1e-3)
-        assert rates.m == pytest.approx(3.32e-3, rel=3e-3)
+        b, m = effective_rates(PUBLISHED, 58.0)
+        assert b == pytest.approx(8.57e-12, rel=1e-3)
+        assert m == pytest.approx(3.32e-3, rel=3e-3)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):

@@ -10,13 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epigrowth import data_io, scenarios
-from epigrowth.epidemic import (
-    EpiRates,
-    EpiState,
-    effective_rates,
-    epi_step,
-    policy_to_infection_reduction,
-)
+from epigrowth.epidemic import effective_rates, mortality, policy_to_infection_reduction
 from epigrowth.params import DataFormatError, ModelParams, default_config, default_params
 from epigrowth.planner import InfeasiblePlanError, PlannerInputs
 from epigrowth.scenarios import (
@@ -132,26 +126,6 @@ class TestHorizon:
                 assert column.base is None and column.shape == (n,), (scenario.name, name)
 
 
-class TestEpidemicKernel:
-    def test_pass_matches_checked_daily_steps(self, params):
-        # reference: the public, checked epi_step applied day by day
-        schedule = PolicySchedule(start_date=date(2020, 3, 12), intensity_p=0.10, duration_days=182)
-        scenario = short_scenario(schedule=schedule)
-        days, N, S, I, R, D, p, F = _epidemic_pass(scenario, params)
-        reduction = policy_to_infection_reduction(10.0, params)
-        end = schedule.start_date + timedelta(days=schedule.duration_days)
-        state = scenario.initial_epi_state()
-        for t, day in enumerate(map(date.fromordinal, days)):
-            assert state.date == day
-            assert (state.N, state.S, state.I, state.R, state.D) == (N[t], S[t], I[t], R[t], D[t]), day
-            active = schedule.start_date <= day < end
-            rates = effective_rates(params, reduction if active else 0.0)
-            assert p[t] == (0.10 if active else 0.0), day
-            assert F[t] == min(rates.b * state.S * state.I, state.S), day
-            if t < len(days) - 1:
-                state = epi_step(state, rates, params)
-
-
 def oracle_epidemic_pass(scenario: Scenario, params: ModelParams):
     """The epidemic pass as it once ran: one ``_transition`` call per day
     with the day's rates looked up in a dict, and the states transposed
@@ -172,8 +146,7 @@ def oracle_epidemic_pass(scenario: Scenario, params: ModelParams):
         )
 
     T = scenario.n_days()
-    base_rates = effective_rates(params, 0.0)
-    active_rates = base_rates
+    base_rates = active_rates = effective_rates(params, 0.0)
     in_window = np.zeros(T, dtype=bool)
     intensity = 0.0
     schedule = scenario.schedule
@@ -185,10 +158,10 @@ def oracle_epidemic_pass(scenario: Scenario, params: ModelParams):
         days = np.arange(T)
         in_window = (days >= first) & (days < first + schedule.duration_days)
 
-    rates = {False: (base_rates.b, base_rates.m), True: (active_rates.b, active_rates.m)}
+    rates = {False: base_rates, True: active_rates}
     r, a1, a2 = params.r, params.a1, params.a2
-    s0 = scenario.initial_epi_state()
-    state = (s0.N, s0.S, s0.I, s0.R, s0.D)
+    # the deceased D0 are not in the living population N0
+    state = (scenario.N0, scenario.N0 - scenario.I0 - scenario.R0, scenario.I0, scenario.R0, scenario.D0)
     states, F = [], []
     for on in in_window.tolist():
         b_t, m_t = rates[on]
@@ -258,21 +231,6 @@ class TestEpidemicPassOracle:
         clamp, changes = oracle_cases()[-1]
         _, N, S, I, R, D, p, F = _epidemic_pass(clamp, dataclasses.replace(params, **changes))
         assert np.any(F == S)
-
-    def test_epi_step_is_one_oracle_day(self, params):
-        state = EpiState(date=date(2020, 1, 1), N=1000.0, S=990.0, I=10.0, R=0.0, D=0.0)
-        for rates in (EpiRates(b=1e-4, r=0.1, m=0.01), EpiRates(b=1.0, r=0.3, m=0.1)):
-            pop = dataclasses.replace(params, a1=1.0001, a2=-1e-9)
-            nxt = epi_step(state, rates, pop)
-            births = (pop.a1 - 1.0) * state.N + pop.a2 * state.N * state.N
-            F = min(rates.b * state.S * state.I, state.S)
-            assert (nxt.N, nxt.S, nxt.I, nxt.R, nxt.D) == (
-                state.N + births - rates.m * state.I,
-                state.S + births - F,
-                state.I + F - rates.r * state.I - rates.m * state.I,
-                state.R + rates.r * state.I,
-                state.D + rates.m * state.I,
-            )
 
 
 class TestDeterminism:
@@ -587,16 +545,19 @@ def checked_values() -> list:
     inputs = PlannerInputs(ones, ones, ones, 0 * ones, 0 * ones, K0=1.0, beta_daily=0.99, alpha=0.3,
                            delta_daily=0.1)
     shipped = data_io.load_config().scenario(NO_PANDEMIC)
+    params = default_params()
+    m0 = mortality(params.b0, params)
     return [
-        (default_params(), {"alpha": 1.0}, "ModelParams.alpha must lie in (0, 1), got 1.0"),
+        (params, {"alpha": 1.0}, "ModelParams.alpha must lie in (0, 1), got 1.0"),
         (PolicySchedule(date(2020, 3, 12), 0.1, 7), {"intensity_p": 1.2},
          "PolicySchedule.intensity_p: expected a fraction in [0, 1), got 1.2; write 5% as 0.05"),
         (shipped, {"K0": -1.0}, "Scenario.K0 must be > 0, got -1.0"),
         (shipped, {"I0": 8e9},
          "Scenario.I0 + Scenario.R0 must be <= Scenario.N0, got 8000000000.0 + 0.0 > 7634000000.0"),
         (shipped, {"D0": -5.0}, "Scenario.D0 must be >= 0, got -5.0"),
-        (EpiState(date(2020, 1, 1), 10.0, 9.0, 1.0, 0.0, 0.0), {"I": -1.0}, "EpiState.I must be >= 0, got -1.0"),
-        (EpiRates(1e-4, 0.1, 0.01), {"b": -1.0}, "infection rate b must be >= 0, got -1.0"),
+        (params, {"r": 0.995}, f"ModelParams.r + mortality(ModelParams.b0) must be <= 1, got 0.995 + {m0!r}"),
+        (params, {"log_q1": 1000.0},
+         "ModelParams.log_q1 must be <= 709.782712893384, the log of the largest double, got 1000.0"),
         (inputs, {"K0": 0.0}, "K0 must be finite and > 0, got 0.0"),
     ]
 
