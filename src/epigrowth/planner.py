@@ -26,16 +26,16 @@ shipped-model solves (both baselines and 20 seeded interventions from
 each of seeds 0-9 of the scenario-loop benchmark) the estimate lay a
 median 8 and at most 68 ulps (1.4e-14) from the root, and a solve ran 4.3
 full passes (at most 8) against 27.1 from the cold bracket.  An estimate
-that is not finite or not strictly inside the bracket is dropped, and the
-search starts as from the cold bracket; one whose pass misses the target
-moves an end of the bracket like any other pass.  While no pass has
+with no slope (Newton did not converge) or not strictly inside the bracket
+is tried, if inside it, only after the feasibility probe (below); one whose
+pass misses the target moves an end of the bracket.  While no pass has
 reached the target, a pass that exhausts the stock is followed by one at
 max(C_hi - d, C_hi / 4), d being 64 ulps u of the first such C_0 and
 squared in units of u at each next one (64u, 4096u, 2**24 u, 2**48 u), so
 the step reaches C_0's own scale on the fourth pass and C_0 then falls by
 a factor of 4 a pass.  On the no-intervention inputs, whose root is about
-0.001 R_0 (R_0 as defined below), an estimate at 0.5 or 0.01 R_0 solves in
-28 and 29 passes; with d doubled at each pass it took 51 and 50.
+0.001 R_0 (R_0 as defined below), an estimate at 0.5 or 0.01 R_0 with the
+root's slope solves in 28 and 29 passes; with d doubled it took 51 and 50.
 
 The slope dK_T/dC_0 is one more tridiagonal solve with the same Jacobian
 (``_slope``).  The estimate returns the slope at its last Newton iterate,
@@ -62,11 +62,12 @@ double that still reaches the target, whichever points the search visited,
 and the Euler residuals sit at rounding level by construction.
 
 The feasibility probe, a pass at C_lo = 1e-12 * R_0 (near-zero consumption
-maximises the capital path), runs only while no pass has reached the
-target: after PROBE_AFTER search passes, or after the search ends.  It
-raises InfeasiblePlanError with the day the stock runs out or with an
-unreachable target; otherwise its C_0 is the answer until a search pass
-reaches the target.
+maximises the capital path), runs first when the estimate cannot start the
+search, and after a search in which no pass reached the target.  It raises
+InfeasiblePlanError with the day the stock runs out (day 0 when R_0 <= 0,
+as its first stock is R_0 - C_lo, unless T = 1 and R_0 = 0: a last day's
+stock may end at 0) or with an unreachable target; otherwise C_lo reaches
+the target and is the answer until a search pass does.
 
 So a solve is the estimate, then search passes (``_propagate``) that keep
 only K_T, then one recording pass (``_paths``) from the answer's C_0, which
@@ -83,15 +84,15 @@ import math
 from array import array
 from dataclasses import dataclass
 from datetime import date as _date
-from datetime import timedelta
 
 import numpy as np
 
 
 class InfeasiblePlanError(RuntimeError):
-    """Positive consumption is impossible from some day onward."""
+    """Positive consumption is impossible from some day onward; ``day``,
+    the date of ``day_index``, comes from a caller that keeps a calendar."""
 
-    def __init__(self, day_index: int, day: _date | None, reason: str):
+    def __init__(self, day_index: int, reason: str, day: _date | None = None):
         self.day_index = day_index
         self.day = day
         self.reason = reason
@@ -115,7 +116,6 @@ class PlannerInputs:
     alpha: float
     delta_daily: float
     terminal_capital: float | None = None  # None: balanced-path level at the horizon
-    start_date: _date | None = None
 
     @property
     def horizon(self) -> int:
@@ -153,11 +153,6 @@ class PlannerInputs:
             raise ValueError("cost path must be nonnegative")
         if np.any((self.shortfall_path < 0) | (self.shortfall_path >= 1)):
             raise ValueError("shortfall path must lie in [0, 1)")
-
-    def _date_at(self, index: int) -> _date | None:
-        if self.start_date is None:
-            return None
-        return self.start_date + timedelta(days=index)
 
 
 @dataclass(frozen=True)
@@ -363,15 +358,6 @@ def _stacked_estimate(inputs: PlannerInputs, production: np.ndarray, growu: np.n
     return float(np.mean(C / np.cumprod(np.append(1.0, growu[:n] * G)))), _slope(sub, main) if change < 1e-10 else 0.0
 
 
-# Search passes after which, if none has reached the target yet, the
-# feasibility probe runs, so infeasible inputs cost a bounded number of
-# passes, exhausting ones stepping down as the module docstring says.  Over
-# 202 shipped-model solves the first pass to reach the target is pass 1 to 8
-# from the stacked estimate (4.3 passes a solve), and pass 10 from the cold
-# bracket (27.1, at most 36).
-PROBE_AFTER = 24
-
-
 # Relative miss of the terminal target within which a full pass keeps the
 # last slope instead of taking its own.  Over 62 shipped-model solves from
 # the cold bracket, up to 1e-8 every solve ran as many passes as with a
@@ -384,10 +370,10 @@ def solve(inputs: PlannerInputs, *, rel_tol: float = 0.0, max_iter: int = 200) -
 
     By default the search runs until the bracket cannot shrink any further
     in double precision; rel_tol > 0 allows an earlier stop, and max_iter
-    caps the number of search passes.  The feasibility probe, when it is
-    needed, runs after PROBE_AFTER of them or after the last, and is not
-    counted.  With rel_tol > 0 or a small max_iter the C_0 returned depends
-    on the points the search visits.
+    caps the number of search passes.  The feasibility probe runs before
+    them when the estimate cannot start the search, or after the last when
+    none reached the target, and is not counted.  With rel_tol > 0 or a
+    small max_iter the C_0 returned depends on the points the search visits.
     """
     T = inputs.horizon
     alpha = inputs.alpha
@@ -405,8 +391,6 @@ def solve(inputs: PlannerInputs, *, rel_tol: float = 0.0, max_iter: int = 200) -
     day_lists = (prodc, (alpha * production[1:]).tolist(), growu.tolist(), H.tolist())
 
     resources0 = omd * inputs.K0 + prodc[0] * inputs.K0 ** alpha - float(H[0])
-    if resources0 <= 0:
-        raise InfeasiblePlanError(0, inputs._date_at(0), "day-0 resources are exhausted by direct costs")
 
     def probe():
         # Feasibility probe: near-zero consumption maximises the capital
@@ -414,13 +398,9 @@ def solve(inputs: PlannerInputs, *, rel_tol: float = 0.0, max_iter: int = 200) -
         # is still the bracket's initial lower end, which it returns.
         K_T, fail = _propagate(C_lo, inputs, *day_lists)
         if fail is not None:
-            raise InfeasiblePlanError(
-                fail, inputs._date_at(fail), "direct costs exceed available resources even at zero consumption"
-            )
+            raise InfeasiblePlanError(fail, "direct costs exceed available resources even at zero consumption")
         if K_T < K_target:
-            raise InfeasiblePlanError(
-                T, inputs._date_at(T), f"terminal capital target {K_target:.6g} is unreachable"
-            )
+            raise InfeasiblePlanError(T, f"terminal capital target {K_target:.6g} is unreachable")
         return C_lo
 
     # Bracket: C_hi fails or undershoots the target; C_lo reaches it once a
@@ -432,13 +412,11 @@ def solve(inputs: PlannerInputs, *, rel_tol: float = 0.0, max_iter: int = 200) -
     # Newton step.
     C_lo = 1e-12 * resources0
     C_hi = resources0  # consumes the entire stock on day 0; always overshoots
-    C_best = None
     x = miss = K_x = down = unit = 0.0
     with np.errstate(all="ignore"):
         C_try, slope = _stacked_estimate(inputs, production, growu, K_target)
-    for n in range(max_iter):
-        if n == PROBE_AFTER and C_best is None:
-            C_best = probe()
+    C_best = None if slope and C_lo < C_try < C_hi else probe()
+    for _ in range(max_iter):
         C_mid = 0.5 * (C_lo + C_hi)
         if not (C_lo < C_mid < C_hi):
             break

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from datetime import date
+from datetime import date, timedelta
 from functools import partial
 from itertools import repeat
 
@@ -291,15 +291,22 @@ def run_scenario(scenario: Scenario, params: ModelParams) -> Trajectory:
 
     ``scenario`` and ``params`` checked their fields when they were built.
     Raises ValueError for a schedule that starts outside the run, before
-    any day is simulated, and RuntimeError when the planner's largest
-    Euler residual exceeds ``params.euler_tol`` or its terminal capital
-    misses the target by more than TERMINAL_MISS of it.
+    any day is simulated, or for output that overflows a double, and
+    RuntimeError when the planner's largest Euler residual exceeds
+    ``params.euler_tol`` or its terminal capital misses the target by more
+    than TERMINAL_MISS of it.
     """
     T = scenario.n_days()
     days, N, S, I, R, D, p, F = _epidemic_pass(scenario, params)
 
-    A = scenario.A0 * (1.0 + params.g_daily) ** np.arange(T)
     labor = S + R
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = scenario.A0 * (1.0 + params.g_daily) ** np.arange(T)
+        finite = np.isfinite(A * labor ** (1.0 - params.alpha))
+    if not finite.all():
+        first = scenario.start_date + timedelta(days=int(np.argmin(finite)))
+        raise ValueError(f"scenario {scenario.name!r}: output overflows a double from {first}: "
+                         f"Scenario.A0 {scenario.A0:g}, ModelParams.g_daily {params.g_daily:g}")
     H = params.u * params.h * F
 
     inputs = planner.PlannerInputs(
@@ -312,14 +319,14 @@ def run_scenario(scenario: Scenario, params: ModelParams) -> Trajectory:
         beta_daily=params.beta_daily,
         alpha=params.alpha,
         delta_daily=params.delta_daily,
-        start_date=scenario.start_date,
     )
     try:
         solution = planner.solve(
             inputs, rel_tol=params.bisection_rel_tol, max_iter=params.max_bisection_iter
         )
     except planner.InfeasiblePlanError as exc:
-        raise planner.InfeasiblePlanError(exc.day_index, exc.day, f"scenario {scenario.name!r}: {exc.reason}") from exc
+        raise planner.InfeasiblePlanError(exc.day_index, f"scenario {scenario.name!r}: {exc.reason}",
+                                          scenario.start_date + timedelta(days=exc.day_index)) from exc
     residual = float(np.max(solution.euler_residuals, initial=0.0))
     if not residual <= params.euler_tol:
         raise RuntimeError(

@@ -210,6 +210,24 @@ class TestSimulate:
                        "direct costs exceed available resources even at zero consumption\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("body,first", [
+        ({"params": {"g_daily": 1}}, "2022-10-19: Scenario.A0 1.906, ModelParams.g_daily 1"),
+        ({"scenarios": {"no-intervention": {"a0": 1e308}}},
+         "2020-01-22: Scenario.A0 1e+308, ModelParams.g_daily 3.55e-05"),
+    ], ids=["g_daily", "a0"])
+    def test_overflowing_output_says_so_once(self, tmp_path, capsys, recwarn, body, first):
+        # TFP times labor beyond the largest double is refused before the
+        # solve, naming the day it first overflows and the two values
+        # that set it, with no numpy warning
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(body))
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", "no-intervention", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: scenario 'no-intervention': output overflows a double from {first}\n"
+        assert not recwarn.list
+        assert not out.exists()
+
     def test_unknown_scenario_lists_known(self, tmp_path, capsys):
         code = main(["simulate", "--scenario", "mystery", "--out", str(tmp_path / "x")])
         assert code == 1

@@ -53,7 +53,6 @@ def flat_inputs(T, A=1.0, L=1.0, N=1.0, K0=1.0, beta=0.96, alpha=0.3, delta=0.1,
         alpha=alpha,
         delta_daily=delta,
         terminal_capital=terminal,
-        start_date=date(2020, 1, 1),
     )
 
 
@@ -180,7 +179,6 @@ def growing_inputs(T=600, terminal=None):
         alpha=0.3,
         delta_daily=3e-4,
         terminal_capital=terminal,
-        start_date=date(2020, 1, 1),
     )
 
 
@@ -258,7 +256,7 @@ class TestOptimality:
             tfp_path=base.tfp_path * 1.01, hcost_path=base.hcost_path,
             shortfall_path=base.shortfall_path, K0=base.K0,
             beta_daily=base.beta_daily, alpha=base.alpha, delta_daily=base.delta_daily,
-            terminal_capital=None, start_date=base.start_date,
+            terminal_capital=None,
         )
         assert solve(richer).welfare >= sol.welfare
 
@@ -403,6 +401,15 @@ class TestShooting:
         solve(no_intervention_inputs)
         assert len(passes) <= 6  # 5 from the stacked estimate, 27 from the cold bracket
 
+    def test_shipped_solves_run_no_probe(self, cases, monkeypatch):
+        # the stacked estimate starts both baselines' and every seeded
+        # solve, so none runs the feasibility probe, a pass at C_lo
+        for inputs in cases:
+            prodc, _, _, H = shooting_lists(inputs)
+            C_lo = 1e-12 * ((1.0 - inputs.delta_daily) * inputs.K0 + prodc[0] * inputs.K0 ** inputs.alpha - H[0])
+            _, passes, _ = recorded_solve(inputs, monkeypatch)
+            assert passes and C_lo not in [C0 for C0, _ in passes]
+
     def test_pass_days_per_solve(self, seeded_solves, params, config, monkeypatch):
         # pass-days in horizons; from the stacked estimate every pass runs
         # to the horizon, and the seeded mean is 4.25, the no-pandemic solve
@@ -460,7 +467,6 @@ class TestErrors:
         with pytest.raises(InfeasiblePlanError) as err:
             solve(inputs)
         assert err.value.day_index == 1
-        assert err.value.day == date(2020, 1, 2)
         assert recorded == []  # a refused solve records no path
 
     def test_unreachable_terminal_capital(self):
@@ -483,42 +489,32 @@ class TestErrors:
             solve(dataclasses.replace(inputs, **{field: value}))
         assert passes == []
 
-    # Shooting-bound: at most 25 passes of planner._propagate
-    @pytest.mark.parametrize("case", ["unreachable-target", "cost-spike"])
-    def test_infeasible_inputs_stay_bounded(self, no_intervention_inputs, monkeypatch, case):
+    # Shooting-bound: one pass of planner._propagate, the feasibility probe
+    @pytest.mark.parametrize("case", ["unreachable-target", "cost-spike", "day-0-costs", "ruinous-costs"])
+    def test_infeasible_inputs_stay_bounded(self, no_intervention_inputs, params, config, monkeypatch, case):
+        hcost = np.array(no_intervention_inputs.hcost_path, dtype=float)
         if case == "unreachable-target":
             inputs = dataclasses.replace(no_intervention_inputs, terminal_capital=1e20)
+        elif case == "ruinous-costs":  # the direct costs of ``{"params": {"u": 1e9}}``
+            inputs = planner_inputs(config.scenario(scenarios.NO_INTERVENTION), dataclasses.replace(params, u=1e9))
         else:
-            hcost = np.array(no_intervention_inputs.hcost_path, dtype=float)
-            hcost[14_000] += 1e16
+            hcost[14_000 if case == "cost-spike" else 0] += 1e16
             inputs = dataclasses.replace(no_intervention_inputs, hcost_path=hcost)
+        exhausted = "direct costs exceed available resources even at zero consumption"
         expected = {
-            "unreachable-target": (14955, "infeasible at 2061-01-01 (day 14955): "
-                                          "terminal capital target 1e+20 is unreachable"),
-            "cost-spike": (14000, "infeasible at 2058-05-22 (day 14000): "
-                                  "direct costs exceed available resources even at zero consumption"),
+            "unreachable-target": (14955, "infeasible at day 14955: terminal capital target 1e+20 is unreachable"),
+            "cost-spike": (14000, f"infeasible at day 14000: {exhausted}"),
+            "day-0-costs": (0, f"infeasible at day 0: {exhausted}"),
+            "ruinous-costs": (66, f"infeasible at day 66: {exhausted}"),
         }[case]
         passes = count_passes(monkeypatch)
-        full = []  # the C_0 of each search pass that ran to the horizon
-        counted = planner._propagate
-
-        def recorded_full(C0, *rest):
-            result = counted(C0, *rest)
-            full.extend([C0] if result[1] is None else [])
-            return result
-
-        monkeypatch.setattr(planner, "_propagate", recorded_full)
         recorded = count_recordings(monkeypatch)
         with pytest.raises(InfeasiblePlanError) as err:
             solve(inputs)
         assert (err.value.day_index, str(err.value)) == expected
-        assert len(passes) <= 25
-        # a refused solve records no answer: the one path it records per
-        # full search pass is for that pass's slope, as each misses a target
-        # of 1e20 by more than SLOPE_REUSE_MISS of it; the last full pass,
-        # the probe that raises, records none.  Every cost-spike pass runs out.
-        assert recorded == full[:-1]
-        assert (len(recorded) > 0) == (case == "unreachable-target")
+        # the estimate cannot start the search, so the probe runs first and
+        # refuses the inputs: no search pass, and no path recorded
+        assert len(passes) == 1 and recorded == []
 
     def test_path_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -616,20 +612,15 @@ def oracle_solve(inputs: PlannerInputs, *, rel_tol: float = 0.0, max_iter: int =
     H = np.asarray(inputs.hcost_path, dtype=float).tolist()
 
     resources0 = omd * inputs.K0 + prodc[0] * inputs.K0 ** alpha - H[0]
-    if resources0 <= 0:
-        raise InfeasiblePlanError(0, inputs._date_at(0), "day-0 resources are exhausted by direct costs")
 
-    # Feasibility probe: near-zero consumption maximises the capital path.
+    # Feasibility probe: near-zero consumption maximises the capital path;
+    # with no day-0 resources its first stock, resources0 - C_lo, is <= 0.
     C_lo = 1e-12 * resources0
     C_best, K_best, fail, slope = oracle_propagate(C_lo, inputs, prodc, growu, H)
     if fail is not None:
-        raise InfeasiblePlanError(
-            fail, inputs._date_at(fail), "direct costs exceed available resources even at zero consumption"
-        )
+        raise InfeasiblePlanError(fail, "direct costs exceed available resources even at zero consumption")
     if K_best[T] < K_target:
-        raise InfeasiblePlanError(
-            T, inputs._date_at(T), f"terminal capital target {K_target:.6g} is unreachable"
-        )
+        raise InfeasiblePlanError(T, f"terminal capital target {K_target:.6g} is unreachable")
 
     # Bracket: C_lo reaches the target, C_hi fails or undershoots it.
     # x is the last pass that did not fail; Newton steps start from it.
@@ -1195,25 +1186,29 @@ class TestStackedEstimate:
             assert bits(getattr(solution, name)) == bits(getattr(expected, name)), name
 
     # Shooting-bound: the search from a rejected estimate
-    @pytest.mark.parametrize("estimate", ["nan", "C_lo", "C_hi", "exhausting", "exhausting-near"])
+    @pytest.mark.parametrize("estimate", ["nan", "C_lo", "C_hi", "exhausting", "exhausting-near", "C_hi-sloped"])
     def test_rejected_estimate_gives_the_oracle_solution(self, no_intervention_inputs, no_intervention_oracle,
                                                          monkeypatch, estimate):
-        # C_0 is about 0.001 of the day-0 resources, so both exhausting
-        # estimates, and the cold bracket's midpoint, lie far above it; with
-        # the step down from an exhausting pass doubled from 64 ulps each
-        # time, 0.5 and 0.01 of the resources took 51 and 50 passes
+        # an estimate with no slope, or outside the open bracket even with
+        # one, cannot start the search: the probe at C_lo runs first.  C_0
+        # is about 0.001 of the day-0 resources, so both exhausting
+        # estimates, and the cold bracket's midpoint, lie far above it
         inputs = no_intervention_inputs
         prodc, _, _, H = shooting_lists(inputs)
         resources0 = (1.0 - inputs.delta_daily) * inputs.K0 + prodc[0] * inputs.K0 ** inputs.alpha - H[0]
-        value = {"nan": math.nan, "C_lo": 1e-12 * resources0, "C_hi": resources0,
+        C_lo = 1e-12 * resources0
+        value = {"nan": math.nan, "C_lo": C_lo, "C_hi": resources0, "C_hi-sloped": resources0,
                  "exhausting": 0.5 * resources0, "exhausting-near": 0.01 * resources0}[estimate]
-        monkeypatch.setattr(planner, "_stacked_estimate", lambda *args: (value, 0.0))
+        root = float(no_intervention_oracle.consumption_path[0])
+        slope = oracle_slope(root, inputs) if estimate.endswith("sloped") else 0.0
+        monkeypatch.setattr(planner, "_stacked_estimate", lambda *args: (value, slope))
         solution, passes, _ = recorded_solve(inputs, monkeypatch)
-        first_C0, first = passes[0]
+        assert passes[0] == (C_lo, planner._propagate(C_lo, inputs, *shooting_lists(inputs)))
+        second_C0, second = passes[1]
         if estimate.startswith("exhausting"):
-            assert first_C0 == value and first[1] is not None
+            assert second_C0 == value and second[1] is not None
         else:
-            assert first_C0 == 0.5 * (1e-12 * resources0 + resources0)  # the cold bracket's midpoint
+            assert second_C0 == 0.5 * (C_lo + resources0)  # the cold bracket's midpoint
         assert len(passes) <= 30
         for name in ("consumption_path", "capital_path", "welfare", "euler_residuals"):
             assert bits(getattr(solution, name)) == bits(getattr(no_intervention_oracle, name)), name
