@@ -228,9 +228,8 @@ def capital_and_tfp(pop: AnnualSeries, gdp: AnnualSeries, gcf: AnnualSeries, par
 
 @dataclass(frozen=True)
 class ExtractedRates:
-    """Daily epidemic rates backed out of a cumulative case series."""
+    """Daily epidemic rates of the case days with active cases."""
 
-    dates: list
     b: np.ndarray
     r: np.ndarray
     m: np.ndarray
@@ -244,7 +243,7 @@ def extract_epi_rates(cases: CaseSeries, a1: float, a2: float, N0: float) -> Ext
     the infection transition, with susceptibles taken as the modelled
     population (logistic growth with daily coefficients a1 and a2, net of
     observed deaths) minus active and recovered cases.  Days with no active
-    cases are skipped and reported.
+    cases are skipped and reported; an active day with no susceptibles raises.
     """
     if len(cases) < 2:
         raise ValueError("need at least two days of case data")
@@ -256,23 +255,15 @@ def extract_epi_rates(cases: CaseSeries, a1: float, a2: float, N0: float) -> Ext
         N[t + 1] = a1 * N[t] + a2 * N[t] ** 2 - (cases.deaths[t + 1] - cases.deaths[t])
     S = N - I - cases.recovered
 
-    dates, bs, rs, ms, skipped = [], [], [], [], []
-    for t in range(n - 1):
-        if I[t] <= 0:
-            skipped.append(cases.dates[t])
-            continue
-        if S[t] <= 0:
-            raise ValueError(f"nonpositive susceptible population on {cases.dates[t]}")
-        r_t = (cases.recovered[t + 1] - cases.recovered[t]) / I[t]
-        m_t = (cases.deaths[t + 1] - cases.deaths[t]) / I[t]
-        b_t = (I[t + 1] - (1.0 - r_t - m_t) * I[t]) / (S[t] * I[t])
-        dates.append(cases.dates[t])
-        rs.append(r_t)
-        ms.append(m_t)
-        bs.append(b_t)
-    return ExtractedRates(
-        dates=dates, b=np.array(bs), r=np.array(rs), m=np.array(ms), skipped_dates=skipped
-    )
+    keep = ~(I[:-1] <= 0)  # a NaN day is kept, not skipped
+    empty = keep & (S[:-1] <= 0)
+    if empty.any():
+        raise ValueError(f"nonpositive susceptible population on {cases.dates[int(np.argmax(empty))]}")
+    I_t = I[:-1][keep]
+    r = np.diff(cases.recovered)[keep] / I_t
+    m = np.diff(cases.deaths)[keep] / I_t
+    b = (I[1:][keep] - (1.0 - r - m) * I_t) / (S[:-1][keep] * I_t)
+    return ExtractedRates(b, r, m, [day for day, k in zip(cases.dates, keep) if not k])
 
 
 def loglog_fit(x, y) -> tuple[OlsFit, int]:
@@ -371,7 +362,7 @@ def calibrate(
         "epidemic_rates": {
             "b0": b0,
             "r": r,
-            "n_days": len(rates.dates),
+            "n_days": len(rates.b),
             "n_skipped": len(rates.skipped_dates),
         },
         "mortality_fit": _table(mortality_fit, ["constant", "ln_infection_rate"])

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .data_io import atomic_write_text, write_columns
-from .scenarios import pool_map
+from .scenarios import process_map
 
 RENDERER_VERSION = "epigrowth-svg/1"
 CHART_FILES = ("{}.svg", "{}_data.csv")  # each chart's files, by variable
@@ -132,7 +132,8 @@ def emit_plots(trajectories: list, variables: list, out_dir, jobs: int = 1) -> l
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = pool_map(_chart, jobs, tasks, variables, repeat(out_dir), axes)
+    with process_map(jobs, len(tasks)) as pmap:
+        written = pmap(_chart, tasks, variables, repeat(out_dir), axes)
     return [name for pair in written for name in pair]
 
 

@@ -11,6 +11,7 @@ those exogenous paths.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from datetime import date, timedelta
 from functools import partial
@@ -23,7 +24,6 @@ from .epidemic import effective_rates, policy_to_infection_reduction, run_days
 from .params import (
     DataFormatError,
     ModelParams,
-    default_config,
     parse_date,
     parse_fraction,
     parse_list,
@@ -220,10 +220,6 @@ class SummaryMetrics:
         }
 
 
-def _shipped_scenario(name: str) -> Scenario:
-    return Scenario.from_dict(name, default_config()["scenarios"][name], f"default_config.scenarios.{name}")
-
-
 def _epidemic_pass(scenario: Scenario, params: ModelParams):
     """Forward-simulate the epidemic; returns the day numbers, then per-day
     compartment, policy shortfall and new-infection arrays.
@@ -354,12 +350,12 @@ def run_scenario(scenario: Scenario, params: ModelParams) -> Trajectory:
 
 
 def run_baselines(params: ModelParams) -> tuple[Trajectory, Trajectory]:
-    """The two reference runs: pandemic-free growth, and the unchecked
-    pandemic from the observed initial conditions."""
-    return (
-        run_scenario(_shipped_scenario(NO_PANDEMIC), params),
-        run_scenario(_shipped_scenario(NO_INTERVENTION), params),
-    )
+    """The shipped config's two reference runs: pandemic-free growth, and
+    the unchecked pandemic from the observed initial conditions."""
+    from . import data_io  # data_io imports this module
+
+    config = data_io.load_config()
+    return run_scenario(config.scenario(NO_PANDEMIC), params), run_scenario(config.scenario(NO_INTERVENTION), params)
 
 
 def summarize(
@@ -426,15 +422,17 @@ def _run_sweep_member(scenario: Scenario, params: ModelParams, csv_path=None) ->
     return SweepRun(scenario, trajectory=trajectory)
 
 
-def pool_map(fn, jobs: int, tasks: list, *iterables) -> list:
-    """``list(map(fn, tasks, *iterables))``, computed on a pool of
-    ``min(jobs, len(tasks))`` processes when that is above one and by the
-    builtin ``map`` otherwise.  ``fn`` must be a module-level function."""
-    workers = min(jobs, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks, *iterables))
-    return list(map(fn, tasks, *iterables))
+@contextmanager
+def process_map(jobs: int, tasks: int):
+    """Yield a ``map`` that returns a list, computed on one pool of
+    ``min(jobs, tasks)`` processes, shut down as the block exits, or by the
+    builtin ``map`` when that is one or none.  ``tasks`` is the largest
+    batch it is given; a mapped function must be a module-level one."""
+    if min(jobs, tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, tasks)) as pool:
+            yield lambda fn, *iterables: list(pool.map(fn, *iterables))
+    else:
+        yield lambda fn, *iterables: list(map(fn, *iterables))
 
 
 # sweep axis -> (the key of a configured sweep section that holds its
@@ -496,23 +494,25 @@ def sweep_members(axis: str, grid: SweepGrid, base: Scenario) -> list:
 
 def sweep(params: ModelParams, reference: Scenario, base: Scenario, members: list, ratio_dates: list,
           *, jobs: int = 1, out_dir=None) -> tuple[Trajectory, list]:
-    """Solve ``reference``, ``base`` and ``members`` in one batch of up to
-    ``jobs`` processes; the process that solves a member writes its
-    trajectory CSV into the directory ``out_dir`` (a ``Path``) when one is
-    given.  Returns the reference trajectory and the runs of ``base`` and
-    the members, measured against it by ``summarize`` at ``ratio_dates``.
-    A failed reference or base raises RuntimeError; a member that raises
-    is kept with its error."""
+    """Solve the baselines ``reference`` and ``base``, then ``members``, on
+    one pool of up to ``jobs`` processes.  A failed baseline raises
+    RuntimeError before any member runs; the process that solves a member
+    writes its trajectory CSV into the directory ``out_dir`` (a ``Path``)
+    when one is given, and a member that raises is kept with its error.
+    Returns the reference trajectory and the runs of ``base`` and the
+    members, measured against it by ``summarize`` at ``ratio_dates``."""
     csv_paths = repeat(None) if out_dir is None else [
-        None, None, *(out_dir / TRAJECTORY_CSV.format(member.name) for member in members)]
-    runs = pool_map(_run_sweep_member, jobs, [reference, base, *members], repeat(params), csv_paths)
-    for run in runs[:2]:
-        if run.error is not None:
-            raise RuntimeError(f"baseline {run.scenario.name!r} failed: {run.error}")
-    reference_run = runs[0].trajectory
+        out_dir / TRAJECTORY_CSV.format(member.name) for member in members]
+    with process_map(jobs, max(2, len(members))) as pmap:
+        baselines = pmap(_run_sweep_member, [reference, base], repeat(params))
+        for run in baselines:
+            if run.error is not None:
+                raise RuntimeError(f"baseline {run.scenario.name!r} failed: {run.error}")
+        runs = [baselines[1], *pmap(_run_sweep_member, members, repeat(params), csv_paths)]
+    reference_run = baselines[0].trajectory
     return reference_run, [
         run if run.error is not None else replace(run, metrics=summarize(run.trajectory, reference_run, ratio_dates))
-        for run in runs[1:]]
+        for run in runs]
 
 
 # bench/tracing.py wraps these three names; ROADMAP item 1 removes them
@@ -545,6 +545,10 @@ def backtest(
         raise ValueError(f"observed GDP is missing years {missing}")
 
     _, capital, tfp_series, _ = calibration.capital_and_tfp(population, gdp, gcf, params)
+    # TFP has every year that GDP, capital and population share, so this one
+    for name, series in (("observed population", population), ("capital imputed from observed gcf", capital)):
+        if start_year not in series.years:
+            raise ValueError(f"{name} has no year {start_year}, the start year")
 
     scenario = Scenario(
         name=f"backtest-{start_year}",

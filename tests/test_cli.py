@@ -25,6 +25,19 @@ def csv_rows(path) -> list:
         return list(csv.DictReader(fh))
 
 
+def edited_data(tmp_path, name, edit):
+    """A copy of the shipped datasets in ``tmp_path / "data"``, with the
+    lines of the file ``name`` passed through ``edit``; returns the copy's
+    path of that file."""
+    data = tmp_path / "data"
+    data.mkdir()
+    for source in DATA_DIR.glob("*.csv"):
+        (data / source.name).write_bytes(source.read_bytes())
+    path = data / name
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    return path
+
+
 @pytest.fixture(scope="module")
 def fast_config(tmp_path_factory):
     """Configuration with shortened horizons so CLI runs stay quick; the
@@ -143,6 +156,19 @@ class TestCalibrate:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: {data}: ModelParams.q2 must lie in (0, 1), got 1.99")
         assert sorted(path.name for path in tmp_path.iterdir()) == ["data"]
+
+    @pytest.mark.parametrize("edit,rule", [
+        (lambda lines: [line for line in lines if not line.startswith("2020-01-31,")],
+         "dates must be consecutive days, gap before 2020-02-01"),
+        (lambda lines: [*lines[:-1], "2020-05-06,4763462,4763462,288442"],
+         "active cases (confirmed - recovered - deaths) must be >= 0"),
+    ], ids=["missing-day", "recovered-and-deaths-above-confirmed"])
+    def test_malformed_case_series_named(self, tmp_path, capsys, edit, rule):
+        cases = edited_data(tmp_path, "global_cases.csv", edit)
+        out = tmp_path / "out"
+        assert main(["calibrate", "--data", str(cases.parent), "--out", str(out / "params.json")]) == 1
+        assert capsys.readouterr().err == f"error: {cases}: {rule}\n"
+        assert not out.exists()
 
 
 class TestSimulate:
@@ -921,9 +947,7 @@ class TestSweep:
         assert main(["sweep", "--axis", "duration", "--values", "4,8", "--jobs", jobs,
                      "--out", str(out), "--config", str(config)]) == 1
         assert "'no-pandemic'" in capsys.readouterr().err
-        # member CSVs may be written before the failed baseline is seen; the
-        # missing manifest marks the directory incomplete
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
 
 class TestBacktestCommand:
@@ -943,6 +967,19 @@ class TestBacktestCommand:
         out = tmp_path / "bt"
         assert main(["backtest", "--out", str(out), "--config", fast_config]) == 0
         assert (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("name,edit,series", [
+        ("world_population.csv", lambda lines: [line for line in lines if not line.startswith("1990,")],
+         "observed population"),
+        ("world_gcf.csv", lambda lines: [lines[0], *(line for line in lines[1:] if int(line[:4]) >= 1995)],
+         "capital imputed from observed gcf"),
+    ], ids=["population", "capital"])
+    def test_series_without_the_start_year_named(self, tmp_path, capsys, fast_config, name, edit, series):
+        data = edited_data(tmp_path, name, edit).parent
+        out = tmp_path / "bt"
+        assert main(["backtest", "--data", str(data), "--out", str(out), "--config", fast_config]) == 1
+        assert capsys.readouterr().err == f"error: {series} has no year 1990, the start year\n"
+        assert not out.exists()
 
     def test_observed_flag_retired(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -1055,6 +1092,24 @@ class TestReport:
         assert code == 1
         assert capsys.readouterr().err == f"error: output {out / name} would overwrite the input {path}\n"
         assert path.read_bytes() == written and [p.name for p in out.iterdir()] == [name]
+
+    def test_missing_file_named(self, tmp_path, capsys):
+        missing, out = tmp_path / "missing.csv", tmp_path / "plots"
+        assert main(["report", str(missing), "--variables", "Y", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: trajectory file not found: {missing}\n"
+        assert not out.exists()
+
+    def test_shared_stem_named(self, tmp_path, capsys, two_trajectories):
+        # each run is named after its file's stem, and a chart's lines by their runs
+        first = two_trajectories[0]
+        second = tmp_path / "copy" / first.name
+        second.parent.mkdir()
+        second.write_bytes(first.read_bytes())
+        out = tmp_path / "plots"
+        assert main(["report", str(first), str(second), "--variables", "Y", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {first}, {second}: trajectory names must be unique, got ['{first.stem}', '{first.stem}']\n")
+        assert not out.exists()
 
     def test_no_variables_rejected(self, tmp_path, two_trajectories, capsys):
         code = main(["report", str(two_trajectories[0]), "--variables", "",

@@ -497,6 +497,13 @@ class TestWriteTable:
         ]
 
 
+class TestAtomicWrite:
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path):
+        with pytest.raises(UnicodeEncodeError):
+            data_io.atomic_write_text("\ud800", tmp_path / "table.csv")  # a lone surrogate has no encoding
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestParamsDocument:
     def test_round_trip_with_provenance(self, tmp_path):
         params = default_params()

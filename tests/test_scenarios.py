@@ -19,7 +19,7 @@ from epigrowth.scenarios import (
     NO_INTERVENTION,
     NO_PANDEMIC,
     backtest,
-    pool_map,
+    process_map,
     run_scenario,
     summarize,
     SweepGrid,
@@ -391,12 +391,30 @@ class TestSweeps:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(scenarios, "ProcessPoolExecutor", InProcessPool)
-        runs = pool_map(_run_sweep_member, 64, [short_scenario(name="a"), short_scenario(name="b")], repeat(params))
+        with process_map(64, 2) as pmap:
+            runs = pmap(_run_sweep_member, [short_scenario(name="a"), short_scenario(name="b")], repeat(params))
         assert started == [2]
         assert [(run.scenario.name, run.error) for run in runs] == [("a", None), ("b", None)]
-        pool_map(_run_sweep_member, 64, [short_scenario()], repeat(params))
-        pool_map(_run_sweep_member, 64, [], repeat(params))
+        with process_map(64, 1) as pmap:
+            pmap(_run_sweep_member, [short_scenario()], repeat(params))
+        with process_map(64, 0) as pmap:
+            pmap(_run_sweep_member, [], repeat(params))
         assert started == [2]  # no pool for a batch of one run or none
+
+    def test_failed_reference_runs_no_member(self, run_sweep, monkeypatch, tmp_path):
+        solved = []
+
+        def record(scenario, params):
+            solved.append(scenario.name)
+            return run_scenario(scenario, params)
+
+        monkeypatch.setattr(scenarios, "run_scenario", record)
+        reference = short_scenario(name="crowded", N0=1e15)  # outside the model's domain on day 1
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match=r"^baseline 'crowded' failed: ValueError: population shrank"):
+            run_sweep("duration", [4, 8], base=short_scenario(), reference=reference, out_dir=out)
+        assert solved == ["crowded", "short"]
+        assert not out.exists()
 
     def test_sweep_without_reference_measures_against_no_pandemic(self, config, baselines, run_sweep):
         run, = run_sweep("duration", [4], base=short_scenario(), reference=config.scenario(NO_PANDEMIC))
