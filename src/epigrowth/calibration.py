@@ -31,9 +31,10 @@ K_INIT_LOOKAHEAD_YEARS = 10
 
 @dataclass(frozen=True)
 class AnnualSeries:
-    """Annual observations, strictly increasing years."""
+    """Annual observations; ``years`` is a ``range``, built from any integer
+    sequence of consecutive years (a gap, repeat or reversal is refused)."""
 
-    years: np.ndarray
+    years: range
     values: np.ndarray
 
     def __post_init__(self):
@@ -41,28 +42,23 @@ class AnnualSeries:
         values = np.asarray(self.values, dtype=float)
         if len(years) != len(values):
             raise ValueError("years and values must have equal length")
-        if len(years) and np.any(np.diff(years) <= 0):
-            raise ValueError("years must be strictly increasing")
-        object.__setattr__(self, "years", years)
+        step = np.flatnonzero(np.diff(years) != 1)[:1]
+        if step.size:
+            raise ValueError(f"years must be consecutive, got {years[step[0]]} then {years[step[0] + 1]}")
+        object.__setattr__(self, "years", range(years[0], years[-1] + 1) if len(years) else range(0))
         object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return len(self.years)
 
     def window(self, first_year: int, last_year: int) -> "AnnualSeries":
-        mask = (self.years >= first_year) & (self.years <= last_year)
-        return AnnualSeries(self.years[mask], self.values[mask])
-
-    def require_contiguous(self) -> None:
-        if len(self.years) > 1 and np.any(np.diff(self.years) != 1):
-            gap = int(self.years[np.argmax(np.diff(self.years) != 1)])
-            raise ValueError(f"series has a gap after year {gap}")
+        lo, hi = (max(year - self.years.start, 0) for year in (first_year, last_year + 1))
+        return AnnualSeries(self.years[lo:hi], self.values[lo:hi])
 
     def value_at(self, year: int) -> float:
-        idx = np.where(self.years == year)[0]
-        if len(idx) == 0:
+        if year not in self.years:
             raise KeyError(f"no observation for year {year}")
-        return float(self.values[idx[0]])
+        return float(self.values[self.years.index(year)])
 
 
 @dataclass(frozen=True)
@@ -160,7 +156,6 @@ def population_fit_report(series: AnnualSeries) -> OlsFit:
     with its regression table; a rank-deficient design is an error."""
     if len(series) < 3:
         raise ValueError(f"need at least 3 years of data, got {len(series)}")
-    series.require_contiguous()
     N = series.values
     return ols(np.column_stack([N[:-1], N[:-1] ** 2]), N[1:], intercept=False)
 
@@ -168,7 +163,6 @@ def population_fit_report(series: AnnualSeries) -> OlsFit:
 def steady_state_k_init(gcf: AnnualSeries, delta_annual: float) -> float:
     """Initial stock heuristic: first-year investment over (delta + trend
     growth of investment across the first decade)."""
-    gcf.require_contiguous()
     head = gcf.values[: min(K_INIT_LOOKAHEAD_YEARS + 1, len(gcf))]
     growth = float(np.mean(head[1:] / head[:-1] - 1.0)) if len(head) > 1 else 0.0
     denom = delta_annual + growth
@@ -185,13 +179,10 @@ def impute_capital(gcf: AnnualSeries, delta_annual: float, k_init: float) -> Ann
     """
     if k_init <= 0:
         raise ValueError(f"k_init must be > 0, got {k_init!r}")
-    gcf.require_contiguous()
-    K = np.empty(len(gcf) + 1)
-    K[0] = k_init
-    for i, inv in enumerate(gcf.values):
-        K[i + 1] = (1.0 - delta_annual) * K[i] + inv
-    years = np.arange(gcf.years[0], gcf.years[-1] + 2)
-    return AnnualSeries(years, K)
+    K = [k_init]
+    for inv in gcf.values:
+        K.append((1.0 - delta_annual) * K[-1] + inv)
+    return AnnualSeries(range(gcf.years.start, gcf.years.stop + 1), K)
 
 
 def estimate_tfp(
@@ -203,15 +194,13 @@ def estimate_tfp(
     converted to a daily flow so the level matches the daily production
     function.  The growth rate comes from a log-linear trend fit.
     """
-    common = np.intersect1d(np.intersect1d(gdp.years, capital.years), pop.years)
+    series = (gdp, capital, pop)
+    common = range(max(s.years.start for s in series), min(s.years.stop for s in series))
     if len(common) < 2:
         raise ValueError("gdp, capital and population series share fewer than 2 years")
-    y0, y1 = int(common[0]), int(common[-1])
-    g_w, k_w, n_w = gdp.window(y0, y1), capital.window(y0, y1), pop.window(y0, y1)
-    if not (len(g_w) == len(k_w) == len(n_w) == len(common)):
-        raise ValueError("series are misaligned over their common year range")
+    g_w, k_w, n_w = (s.window(common[0], common[-1]) for s in series)
     A = (g_w.values / DAYS_PER_YEAR) / (k_w.values ** alpha * n_w.values ** (1.0 - alpha))
-    fit = ols(common.astype(float), np.log(A), intercept=True)
+    fit = ols(np.array(common, dtype=float), np.log(A), intercept=True)
     g_annual = float(np.exp(fit.coefficients[1]) - 1.0)
     return AnnualSeries(common, A), annual_to_daily_growth(g_annual)
 

@@ -84,7 +84,7 @@ def _read_columns(path, columns: tuple, parse_key=None) -> tuple[list, list]:
 
 
 def load_annual_series(path) -> AnnualSeries:
-    """Read and validate a (year, value) series; sorted by year."""
+    """Read a (year, value) series, sorted by year; a gap in its years is an error naming the file."""
     path, seen = Path(path), {}
 
     def parse_row_year(raw: str, row_number: int) -> int:
@@ -99,7 +99,10 @@ def load_annual_series(path) -> AnnualSeries:
         return year
 
     years, (values,) = _read_columns(path, ("year", "value"), parse_row_year)
-    return AnnualSeries(np.array(years), values)
+    try:
+        return AnnualSeries(years, values)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def load_case_series(path) -> tuple[CaseSeries, dict]:

@@ -184,15 +184,19 @@ def balanced_path_terminal_capital(inputs: PlannerInputs) -> float:
     A_end = float(inputs.tfp_path[T - 1])
     L_end = float(inputs.labor_path[T - 1])
     p_end = float(inputs.shortfall_path[T - 1])
-    if T >= 2 and inputs.tfp_path[T - 2] > 0:
-        g = float(inputs.tfp_path[T - 1]) / float(inputs.tfp_path[T - 2]) - 1.0
-    else:
-        g = 0.0
+    g = A_end / float(inputs.tfp_path[T - 2]) - 1.0 if T >= 2 and inputs.tfp_path[T - 2] > 0 else 0.0
     gx = (1.0 + g) ** (1.0 / (1.0 - alpha)) - 1.0
     mpk_star = (1.0 + gx) / inputs.beta_daily - (1.0 - inputs.delta_daily)
     if L_end == 0.0:
         return 0.0
-    return L_end * (alpha * (1.0 - p_end) * A_end / mpk_star) ** (1.0 / (1.0 - alpha))
+    try:
+        target = L_end * (alpha * (1.0 - p_end) * A_end / mpk_star) ** (1.0 / (1.0 - alpha))
+    except OverflowError:
+        target = math.inf
+    if not 0.0 < target < math.inf:
+        raise ValueError(f"terminal capital target {target!r} is not a positive finite double: "
+                         f"ModelParams.alpha {alpha:g}, ModelParams.beta_daily {inputs.beta_daily:g}")
+    return target
 
 
 def _propagate(C0: float, inputs: PlannerInputs, prodc: list, apc: list, growu: list, H: list):
@@ -451,6 +455,8 @@ def solve(inputs: PlannerInputs, *, rel_tol: float = 0.0, max_iter: int = 200) -
 
     C_path, K_path, _ = _paths(C_best, inputs, *day_lists)
     consumption = np.asarray(C_path, dtype=float)
+    if not consumption.min() > 0.0:
+        raise InfeasiblePlanError(int(np.argmin(consumption > 0.0)), "consumption is not positive")
     capital = np.asarray(K_path, dtype=float)
     residuals = _euler_residuals(consumption, capital, inputs, production)
     W = welfare(consumption, N, beta)

@@ -253,12 +253,13 @@ def _epidemic_pass(scenario: Scenario, params: ModelParams):
     days = range(first_day, first_day + T)
 
     outside = np.flatnonzero(~((S >= 0.0) & (N >= 0.0)))
-    if outside.size:
-        # only reachable far beyond the logistic carrying capacity
-        raise ValueError(
-            f"population shrank below zero on {date.fromordinal(days[outside[0]]).isoformat()}; "
-            "state outside the model's domain"
-        )
+    if outside.size and not (N[outside[0]] < 0.0 or S[outside[0]] < 0.0):  # NaN: N or S overflowed
+        first = date.fromordinal(days[np.argmin(np.isfinite(N) & np.isfinite(S))])
+        raise ValueError(f"scenario {scenario.name!r}: population overflows a double from {first}: "
+                         f"ModelParams.a1 {params.a1:g}, ModelParams.a2 {params.a2:g}")
+    if outside.size:  # only reachable far beyond the logistic carrying capacity
+        raise ValueError(f"population shrank below zero on {date.fromordinal(days[outside[0]])}; "
+                         "state outside the model's domain")
     p = np.zeros(T)
     p[lo:hi] = intensity
     return days, N, S, I, R, D, p, F

@@ -87,6 +87,36 @@ class TestToDaily:
         assert a2 == 0.0
 
 
+class TestAnnualSeries:
+    def series(self):
+        return cal.AnnualSeries(np.arange(1960, 1965), np.arange(5.0))
+
+    def test_years_held_as_a_range(self):
+        assert self.series().years == range(1960, 1965)
+
+    @pytest.mark.parametrize("years,pair", [([2000, 2000, 2001], "2000 then 2000"), ([2001, 2000], "2001 then 2000")],
+                             ids=["repeat", "reversal"])
+    def test_repeat_or_reversal_rejected(self, years, pair):
+        with pytest.raises(ValueError, match=f"^years must be consecutive, got {pair}$"):
+            cal.AnnualSeries(np.array(years), np.ones(len(years)))
+
+    @pytest.mark.parametrize("first,last,years", [
+        (1950, 1961, range(1960, 1962)), (1962, 1990, range(1962, 1965)), (1961, 1961, range(1961, 1962)),
+        (1900, 1950, range(0)), (1970, 1980, range(0)), (1963, 1961, range(0)),
+    ])
+    def test_window_clipped_to_the_series(self, first, last, years):
+        window = self.series().window(first, last)
+        assert list(window.years) == list(years)
+        assert list(window.values) == [float(year - 1960) for year in years]
+
+    def test_value_at(self):
+        series = self.series()
+        assert [series.value_at(year) for year in (1960, 1964)] == [0.0, 4.0]
+        for year in (1959, 1965):
+            with pytest.raises(KeyError, match=f"no observation for year {year}"):
+                series.value_at(year)
+
+
 class TestFitPopulation:
     def synthetic(self, a1, a2, n0=3.0e9, years=40):
         values = [n0]
@@ -110,9 +140,9 @@ class TestFitPopulation:
             cal.population_fit_report(cal.AnnualSeries(np.array([2000, 2001]), np.array([1.0, 2.0])))
 
     def test_year_gap_rejected(self):
-        series = cal.AnnualSeries(np.array([2000, 2001, 2003, 2004]), np.ones(4))
-        with pytest.raises(ValueError, match="gap"):
-            cal.population_fit_report(series)
+        # a series holds consecutive years, so a gap is refused as it is built
+        with pytest.raises(ValueError, match=r"^years must be consecutive, got 2001 then 2003$"):
+            cal.AnnualSeries(np.array([2000, 2001, 2003, 2004]), np.ones(4))
 
     def test_fixture_reproduces_published_coefficients(self, datasets, config):
         window = datasets["population"].window(*config.data["population_fit_years"])
@@ -189,6 +219,14 @@ class TestEstimateTfp:
         K_far = cal.AnnualSeries(np.arange(1900, 1905), np.ones(5))
         with pytest.raises(ValueError):
             cal.estimate_tfp(gdp, K_far, N, 0.3)
+
+    def test_common_years_only(self):
+        # levels over the years all three series share, 1992 to 2010 here
+        gdp, K, N = self.build(0.013)
+        A, _ = cal.estimate_tfp(gdp.window(1985, 2010), K.window(1992, 2030), N, 0.3)
+        full, _ = cal.estimate_tfp(gdp, K, N, 0.3)
+        assert A.years == range(1992, 2011)
+        assert list(A.values) == list(full.window(1992, 2010).values)
 
     def test_fixture_recovers_daily_growth(self, datasets):
         gcf = datasets["gcf"]

@@ -276,6 +276,52 @@ class TestSimulate:
         assert (out / "custom-policy_trajectory.csv").exists()
 
 
+class TestOutsideTheDoubles:
+    """Parameters that carry a run past a double's range are refused in one
+    line naming what was exceeded, with no numpy warning and no --out."""
+
+    def refused(self, tmp_path, capsys, body, *argv):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(body))
+        out = tmp_path / "out"
+        assert main([*argv, "--config", str(config), "--out", str(out)]) == 1
+        assert not out.exists()
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("body,argv,message", [
+        ({"alpha": 0.999}, ["simulate", "--scenario", "no-intervention"],
+         "inf is not a positive finite double: ModelParams.alpha 0.999, ModelParams.beta_daily 0.999789"),
+        ({"alpha": 0.999}, ["backtest", "--data", str(DATA_DIR)],
+         "0.0 is not a positive finite double: ModelParams.alpha 0.999, ModelParams.beta_daily 0.999789"),
+        ({"beta_daily": 1e-300}, ["simulate", "--scenario", "no-intervention"],
+         "0.0 is not a positive finite double: ModelParams.alpha 0.3, ModelParams.beta_daily 1e-300"),
+    ], ids=["alpha-simulate", "alpha-backtest", "beta_daily"])
+    def test_balanced_path_target_outside_the_doubles_named(self, tmp_path, capsys, recwarn, body, argv, message):
+        # the balanced-path capital target overflows, or underflows to 0
+        err = self.refused(tmp_path, capsys, {"params": body}, *argv)
+        assert err == f"error: terminal capital target {message}\n"
+        assert not recwarn.list
+
+    def test_consumption_underflow_names_the_day(self, tmp_path, capsys, recwarn):
+        err = self.refused(tmp_path, capsys, {"params": {"beta_daily": 0.5}},
+                           "simulate", "--scenario", "no-intervention")
+        assert err == ("error: infeasible at 2051-10-14 (day 11588): scenario 'no-intervention': "
+                       "consumption is not positive\n")
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("body,message", [
+        ({"params": {"a1": 1.1, "a2": 0}}, "scenario 'no-intervention': population overflows a double from "
+                                           "2040-09-11: ModelParams.a1 1.1, ModelParams.a2 0"),
+        ({"params": {"a2": -1e-9}}, "population shrank below zero on 2020-01-23; state outside the model's domain"),
+        ({"scenarios": {"no-intervention": {"n0": 1e300}}},
+         "population shrank below zero on 2020-01-23; state outside the model's domain"),
+    ], ids=["overflow", "shrink", "shrink-from-a-huge-start"])
+    def test_population_overflow_told_from_a_shrink(self, tmp_path, capsys, recwarn, body, message):
+        err = self.refused(tmp_path, capsys, body, "simulate", "--scenario", "no-intervention")
+        assert err == f"error: {message}\n"
+        assert not recwarn.list
+
+
 class TestSimulateRatioDates:
     """The output ratio is reported at the configured dates that both the
     run and its reference cover, or at their last common day when none is
@@ -969,7 +1015,7 @@ class TestBacktestCommand:
         assert (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("name,edit,series", [
-        ("world_population.csv", lambda lines: [line for line in lines if not line.startswith("1990,")],
+        ("world_population.csv", lambda lines: [lines[0], *(line for line in lines[1:] if int(line[:4]) > 1990)],
          "observed population"),
         ("world_gcf.csv", lambda lines: [lines[0], *(line for line in lines[1:] if int(line[:4]) >= 1995)],
          "capital imputed from observed gcf"),
@@ -987,6 +1033,23 @@ class TestBacktestCommand:
         assert exc.value.code == 2
         assert "unrecognized arguments: --observed" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestAnnualSeriesGap:
+    """A gap in an annual dataset is refused as the file loads, naming the
+    file and the two years around the gap, before anything is written."""
+
+    @pytest.mark.parametrize("name,year,pair", [("world_gcf.csv", 1980, "1979 then 1981"),
+                                                ("world_gdp.csv", 2000, "1999 then 2001")], ids=["gcf", "gdp"])
+    @pytest.mark.parametrize("command", ["calibrate", "backtest"])
+    def test_gap_names_the_file(self, tmp_path, capsys, recwarn, command, name, year, pair):
+        path = edited_data(tmp_path, name, lambda lines: [line for line in lines if not line.startswith(f"{year},")])
+        out = tmp_path / "out"
+        assert main([command, "--data", str(path.parent),
+                     "--out", str(out / "params.json" if command == "calibrate" else out)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: years must be consecutive, got {pair}\n"
+        assert not recwarn.list
+        assert not out.exists()
 
 
 class TestMissingDatasets:

@@ -96,6 +96,12 @@ class TestLoadAnnualSeries:
         with pytest.raises(DataFormatError, match="not found"):
             data_io.load_annual_series(tmp_path / "nope.csv")
 
+    def test_gap_names_the_file_and_both_years(self, tmp_path):
+        path = write(tmp_path, "pop.csv", "year,value\n1963,3.2e9\n1960,3.03e9\n1961,3.07e9\n")
+        with pytest.raises(DataFormatError) as err:
+            data_io.load_annual_series(path)
+        assert str(err.value) == f"{path}: years must be consecutive, got 1961 then 1963"
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
     def test_non_finite_cell_names_file_row_and_column(self, tmp_path, cell):
         lines = (DATA_DIR / "world_gdp.csv").read_text().splitlines()

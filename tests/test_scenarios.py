@@ -482,14 +482,12 @@ class TestBacktest:
             backtest(params, datasets["population"], empty, datasets["gcf"], **backtest_window)
 
     def test_missing_gdp_years_rejected_before_any_solve(self, params, datasets, backtest_window, monkeypatch):
-        from epigrowth.calibration import AnnualSeries
-
         def no_solve(*args, **kwargs):
             raise AssertionError("a scenario was solved before the observed years were checked")
 
         monkeypatch.setattr(scenarios, "run_scenario", no_solve)
         gdp = datasets["gdp"]
-        to_2005 = AnnualSeries(gdp.years[gdp.years <= 2005], gdp.values[gdp.years <= 2005])
+        to_2005 = gdp.window(gdp.years[0], 2005)
         with pytest.raises(ValueError, match=r"^observed GDP is missing years \[2006, 2007, 2008, 2009, 2010\]$"):
             backtest(params, datasets["population"], to_2005, datasets["gcf"], **backtest_window)
 
